@@ -10,7 +10,7 @@ dropped tokens never existed) explicit.
 Backends:
 
 - ``TableModel``: logits are a seeded hash of the trailing ``order`` context
-  tokens, drawn uniformly from a bounded range.
+  tokens, drawn uniformly from a bounded range, and memoized per window.
 - ``NgramModel``: counts-based log-probabilities with additive smoothing,
   built from a tokenized corpus.
 - ``BlendModel``: convex combination of two backends' logits; used to build
@@ -40,6 +40,13 @@ from .tokens import derive_seed
 
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
+
+# Context windows each TableModel remembers, oldest evicted first. The repeats
+# a decode produces (a draft window re-read by the verify pass, the second
+# copy and prefix replay re-reading the first copy, a draft re-fed after a
+# rollback) all lie within about one step, so a small memo catches them while
+# memory stays flat however long the decode runs.
+TABLE_MEMO_WINDOWS = 64
 
 # Logit magnitude of the copy signal in ReflectionAwareModel. Chosen to
 # dominate the table-model range at full blend while leaving finite spread.
@@ -154,7 +161,15 @@ class ModelSession:
 
 
 class TableModel(Model):
-    """Seeded hash-table backend: bounded logits per (seed, trailing context)."""
+    """Seeded hash-table backend: bounded logits per (seed, trailing context).
+
+    The logits are a pure function of the window (the trailing ``order``
+    tokens), so the model memoizes them per window, keyed by the window's
+    token values: ``np.int64`` tokens hit the same entry as plain ints. The
+    memo holds at most ``TABLE_MEMO_WINDOWS`` windows and evicts the oldest
+    first. Returned arrays are shared between calls and read-only; callers
+    that need to modify logits must copy them.
+    """
 
     def __init__(
         self,
@@ -175,16 +190,24 @@ class TableModel(Model):
         self.order = order
         self.low = low
         self.high = high
+        self._memo: dict[tuple[int, ...], np.ndarray] = {}
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
-        window = context[-self.order :] if self.order <= len(context) else context
-        h = hashlib.blake2b(digest_size=8)
-        h.update(self.seed.to_bytes(8, "little", signed=True))
-        for t in window:
-            h.update(int(t).to_bytes(8, "little"))
-        cell_seed = int.from_bytes(h.digest(), "little")
-        gen = np.random.Generator(np.random.PCG64(cell_seed))
-        return gen.uniform(self.low, self.high, size=self.vocab_size)
+        key = tuple(context[-self.order :])
+        logits = self._memo.get(key)
+        if logits is None:
+            h = hashlib.blake2b(digest_size=8)
+            h.update(self.seed.to_bytes(8, "little", signed=True))
+            for t in key:
+                h.update(int(t).to_bytes(8, "little"))
+            cell_seed = int.from_bytes(h.digest(), "little")
+            gen = np.random.Generator(np.random.PCG64(cell_seed))
+            logits = gen.uniform(self.low, self.high, size=self.vocab_size)
+            logits.flags.writeable = False
+            if len(self._memo) >= TABLE_MEMO_WINDOWS:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = logits
+        return logits
 
 
 class NgramModel(Model):
@@ -271,6 +294,12 @@ class ReflectionAwareModel(Model):
     With a draft copy replayed after the marker this re-emits the original
     draft, position by position. Matches whose continuation is the marker
     itself are skipped so the probe token never gets amplified.
+
+    The context must be a list or tuple. The copy search costs one C-level
+    reversal of the context plus, for each earlier occurrence of the tail's
+    last token, one slice comparison of the tail's length; no Python loop
+    runs over every position. ``tests/reference_impl.py`` keeps the plain
+    loop it must agree with.
     """
 
     def __init__(self, base: Model, marker: int, blend: float, boost: float = COPY_LOGIT_BOOST):
@@ -293,31 +322,37 @@ class ReflectionAwareModel(Model):
         copy_token = self._copy_target(context)
         if copy_token is None:
             return base_logits
-        spike = np.zeros(self.vocab_size, dtype=np.float64)
-        spike[copy_token] = self.boost
-        return (1.0 - self.blend) * base_logits + self.blend * spike
+        # (1-blend)*base + blend*spike without building the spike: off the
+        # copy token the spike adds 0.0, which changes no value.
+        out = (1.0 - self.blend) * base_logits
+        out[copy_token] += self.blend * self.boost
+        return out
 
     def _copy_target(self, context: Sequence[int]) -> int | None:
-        ctx = list(context)
-        marker_idx = -1
-        for i in range(len(ctx) - 1, -1, -1):
-            if ctx[i] == self.marker:
-                marker_idx = i
-                break
-        if marker_idx < 0:
+        # Reversed, the tail is everything before the first marker, and a
+        # match is an equal window past that marker. The nearest match is
+        # the first one list.index finds; its continuation is the token just
+        # before it.
+        rev = context[::-1]
+        marker = self.marker
+        try:
+            n = rev.index(marker)
+        except ValueError:
             return None
-        tail = ctx[marker_idx + 1 :]
-        if not tail:
+        if n == 0:
             return None
-        # Latest pre-marker occurrence of the tail whose continuation exists
-        # and is not the marker itself.
-        n = len(tail)
-        for start in range(marker_idx - n - 1, -1, -1):
-            if ctx[start : start + n] == tail:
-                nxt = ctx[start + n]
-                if nxt != self.marker:
-                    return nxt
-        return None
+        tail = rev[:n]
+        last = tail[0]
+        stop = len(rev) - n + 1
+        j = n + 1
+        while True:
+            try:
+                j = rev.index(last, j, stop)
+            except ValueError:
+                return None
+            if rev[j - 1] != marker and rev[j : j + n] == tail:
+                return rev[j - 1]
+            j += 1
 
 
 def _as_documents(corpus: Sequence[int] | Sequence[Sequence[int]]) -> list[list[int]]:

@@ -69,12 +69,7 @@ class VerificationResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        lead = 0
-        for flag in self.per_step_accepts:
-            if not flag:
-                break
-            lead += 1
-        if lead != self.accepted_n:
+        if _leading_true(self.per_step_accepts) != self.accepted_n:
             raise InternalConsistencyError("accepted_n does not match leading accept flags")
 
 

@@ -109,3 +109,30 @@ def reference_decode(
         committed.extend(step_tokens)
         accepted_ns.append(n)
     return emitted, accepted_ns
+
+
+def ref_copy_target(context, marker):
+    """Copy target of ``ReflectionAwareModel``, by a plain scan.
+
+    Finds the last marker, then the latest start before it whose window
+    equals the post-marker tail and whose continuation exists and is not the
+    marker; returns that continuation, or None.
+    """
+    ctx = list(context)
+    marker_idx = -1
+    for i in range(len(ctx) - 1, -1, -1):
+        if ctx[i] == marker:
+            marker_idx = i
+            break
+    if marker_idx < 0:
+        return None
+    tail = ctx[marker_idx + 1 :]
+    if not tail:
+        return None
+    n = len(tail)
+    for start in range(marker_idx - n - 1, -1, -1):
+        if ctx[start : start + n] == tail:
+            nxt = ctx[start + n]
+            if nxt != marker:
+                return nxt
+    return None

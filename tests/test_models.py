@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_impl import ref_copy_target
 
 from reflectspec.errors import (
     InvalidConfigError,
@@ -11,6 +14,7 @@ from reflectspec.errors import (
     SessionRangeError,
 )
 from reflectspec.models import (
+    TABLE_MEMO_WINDOWS,
     BlendModel,
     ModelSession,
     ModelSpec,
@@ -150,6 +154,43 @@ class TestTableModel:
         assert np.array_equal(m.next_logits([9, 1, 2]), m.next_logits([5, 1, 2]))
 
 
+class TestTableMemo:
+    def test_matches_fresh_instance_in_shuffled_order_and_after_eviction(self):
+        m = TableModel(8, seed=4, order=2)
+        windows = [[a] for a in range(8)] + [[a, b] for a in range(8) for b in range(8)]
+        assert len(windows) > TABLE_MEMO_WINDOWS
+        rng = make_rng(3)
+        for _ in range(2):
+            for i in rng.permutation(len(windows)):
+                w = windows[i]
+                fresh = TableModel(8, seed=4, order=2).next_logits(w)
+                assert np.array_equal(m.next_logits(w), fresh)
+                if len(w) == 2:
+                    assert np.array_equal(m.next_logits([int(rng.integers(8))] + w), fresh)
+
+    def test_never_exceeds_bound(self):
+        m = TableModel(16, seed=1, order=3)
+        rng = make_rng(0)
+        for _ in range(4 * TABLE_MEMO_WINDOWS):
+            m.next_logits(random_context(rng, 16))
+            assert len(m._memo) <= TABLE_MEMO_WINDOWS
+        assert len(m._memo) == TABLE_MEMO_WINDOWS
+
+    def test_returned_logits_are_read_only(self):
+        m = TableModel(8, seed=2)
+        logits = m.next_logits([1, 2])
+        with pytest.raises(ValueError):
+            logits[0] = 0.0
+        with pytest.raises(ValueError):
+            m.next_logits([1, 2])[:] += 1.0
+
+    def test_numpy_tokens_share_the_plain_int_entry(self):
+        m = TableModel(8, seed=2)
+        plain = m.next_logits([3, 1, 2])
+        assert m.next_logits([np.int64(1), np.int64(2)]) is plain
+        assert len(m._memo) == 1
+
+
 class TestNgramModel:
     def test_unseen_context_is_uniform(self):
         m = NgramModel([[0, 1, 0, 1]], vocab_size=8, order=2, smoothing=1.0)
@@ -272,6 +313,47 @@ class TestReflectionAware:
     def test_marker_range_validated(self):
         with pytest.raises(InvalidConfigError):
             make_reflection_aware(TableModel(16, seed=1), 16, 0.5)
+
+
+# A four-token vocabulary whose last token is the marker, so random contexts
+# are dense in markers and in tail matches.
+COPY_MARKER = 3
+COPY_MODEL = ReflectionAwareModel(TableModel(COPY_MARKER + 1, seed=1), COPY_MARKER, 0.5)
+copy_tokens = st.lists(st.integers(0, COPY_MARKER), max_size=30)
+copy_tails = st.lists(st.integers(0, COPY_MARKER - 1), min_size=1, max_size=8)
+
+
+def assert_copy_target_matches_reference(ctx):
+    for c in (list(ctx), tuple(ctx)):
+        assert COPY_MODEL._copy_target(c) == ref_copy_target(c, COPY_MARKER)
+
+
+class TestCopyTargetDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(copy_tokens)
+    def test_random_contexts(self, ctx):
+        assert_copy_target_matches_reference(ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(copy_tokens)
+    def test_marker_as_last_token(self, ctx):
+        assert_copy_target_matches_reference(ctx + [COPY_MARKER])
+        assert COPY_MODEL._copy_target(ctx + [COPY_MARKER]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(copy_tokens, copy_tails, st.integers(0, COPY_MARKER), copy_tokens)
+    def test_planted_tail_with_any_continuation(self, pre, tail, cont, mid):
+        # cont may be the marker itself, which the search must skip.
+        assert_copy_target_matches_reference(pre + tail + [cont] + mid + [COPY_MARKER] + tail)
+        assert_copy_target_matches_reference(pre + tail + [COPY_MARKER] + tail)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, COPY_MARKER), max_size=3),
+        st.lists(st.integers(0, COPY_MARKER - 1), min_size=4, max_size=12),
+    )
+    def test_tail_longer_than_text_before_marker(self, pre, tail):
+        assert_copy_target_matches_reference(pre + [COPY_MARKER] + tail)
 
 
 class TestModelSpec:
