@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .engine import DecodeConfig, RunStats, decode
-from .errors import InvalidConfigError
+from .errors import InternalConsistencyError, InvalidConfigError, ReflectSpecError
 from .models import (
     BlendModel,
     Model,
@@ -176,8 +176,10 @@ def cell_seed(seed: int, indices: tuple[int, ...]) -> int:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
     """Run every cell of the grid; rows come back in grid order.
 
-    A failing cell is recorded in its row's ``error`` field and the sweep
-    continues. With ``jobs`` > 1 cells run in worker processes.
+    A cell that fails with a package error is recorded in its row's
+    ``error`` field and the sweep continues; ``InternalConsistencyError``
+    and errors from outside the package propagate. With ``jobs`` > 1 cells
+    run in worker processes.
     """
     cells = sweep_cells(spec)
     args = [(spec, indices, values) for indices, values in cells]
@@ -253,7 +255,9 @@ def _run_cell_packed(packed: tuple) -> ReportRow:
         row.mean_input_budget = total_fed / total_steps if total_steps else None
         row.wall_time_s = total_wall
         row.tokens_per_s = total_tokens / total_wall if total_wall > 0 else None
-    except Exception as exc:  # cell failures land in the row, sweep continues
+    except InternalConsistencyError:
+        raise  # a programming error, not a property of the cell
+    except ReflectSpecError as exc:  # config failures land in the row, sweep continues
         row.error = f"{type(exc).__name__}: {exc}"
     return row
 

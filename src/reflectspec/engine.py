@@ -10,6 +10,9 @@ The bonus is part of the committed prefix for the next round, and its cached
 logits provide the first original distribution of the next step, so the next
 verification pass feeds exactly the assembled sequence.
 
+A step's gamma + 1 verifier distributions are one ``(gamma + 1, V)`` array,
+from ``fuse`` or, without reflection, one block softmax.
+
 Wall times are measured around the verification pass plus verification and
 are toy-backend numbers; they are not comparable to production throughput
 and reports label them accordingly.
@@ -34,7 +37,7 @@ from .reflective import (
     fuse,
     paired_forward,
 )
-from .tokens import make_rng, sample, sampling_distribution
+from .tokens import make_rng, sample, sampling_distribution, stack_rows
 from .verification import (
     TypicalConfig,
     VerificationResult,
@@ -107,7 +110,7 @@ class StepTrace:
     full_sequence: tuple[int, ...] | None
     original: list[np.ndarray]
     reflective: list[np.ndarray] | None
-    fused: list[np.ndarray]
+    fused: np.ndarray  # (gamma + 1, V) verifier distributions
     result: VerificationResult
 
 
@@ -191,7 +194,7 @@ def decode(
         else:
             first = target_session.last_logits
             original = [first] + target_session.forward(list(bundle.tokens))
-            fused = [sampling_distribution(o, config.temperature) for o in original]
+            fused = sampling_distribution(stack_rows(original), config.temperature)
             fed = bundle.gamma
         result = _verify(config, fused, original, bundle, rng)
         wall = time.perf_counter() - start
@@ -303,7 +306,7 @@ def _decode_vanilla(
 
 def _verify(
     config: DecodeConfig,
-    fused: list[np.ndarray],
+    fused: np.ndarray,
     original: list[np.ndarray],
     bundle: DraftBundle,
     rng: np.random.Generator,
@@ -314,12 +317,10 @@ def _verify(
     if config.strategy == "specsample":
         return verify_speculative_sampling(fused, bundle.q_dists, bundle.tokens, rng)
     if config.strategy == "typical":
-        if config.entropy_source == "fused":
-            entropy_dists: Sequence[np.ndarray] = fused
+        if config.entropy_source == "fused" or not config.reflect:
+            entropy_dists = fused  # unreflected, fused is softmax(original)
         else:
-            entropy_dists = [
-                sampling_distribution(o, config.temperature) for o in original
-            ]
+            entropy_dists = sampling_distribution(stack_rows(original), config.temperature)
         return verify_typical(
             fused, entropy_dists, bundle.tokens, TypicalConfig(config.epsilon, config.delta), rng
         )

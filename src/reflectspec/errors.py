@@ -14,7 +14,7 @@ class InvalidConfigError(ReflectSpecError):
 
 
 class InvalidLogitsError(ReflectSpecError):
-    """A logit vector is not a finite 1-D real sequence."""
+    """Logits are not a finite real vector or ``(n, V)`` block of them."""
 
 
 class InvalidDistributionError(ReflectSpecError):

@@ -32,7 +32,7 @@ import numpy as np
 from .drafting import DraftBundle
 from .errors import InvalidConfigError, InternalConsistencyError
 from .models import ModelSession
-from .tokens import sampling_distribution, validate_logits
+from .tokens import logit_block, sampling_distribution
 
 DEFAULT_TEMPLATE_TEXT = "${draft} [BACK] ${prefix} ${draft}"
 
@@ -220,24 +220,24 @@ def fuse(
     original: Sequence[np.ndarray],
     reflective: Sequence[np.ndarray],
     config: FusionConfig,
-) -> list[np.ndarray]:
-    """Per-position convex combination of paired logits, then one softmax.
+) -> np.ndarray:
+    """Convex combination of the paired logits of a step, then one softmax.
 
-    The fused logit vector is exactly (1-alpha)*original + alpha*reflective;
-    temperature applies to the fused sum inside the final softmax, so at
-    alpha=0 this reproduces plain temperature sampling of the original
-    logits bit for bit.
+    Both sides are stacked into ``(gamma + 1, V)`` blocks and validated once;
+    row i of the result is the sampling distribution of the fused logit
+    vector (1-alpha)*original[i] + alpha*reflective[i]. Temperature applies
+    to the fused sum inside the final softmax, so at alpha=0 this reproduces
+    plain temperature sampling of the original logits bit for bit. The final
+    softmax validates the fused block once more, so a non-finite fused sum
+    raises ``InvalidLogitsError`` like a non-finite input does.
     """
     if len(original) != len(reflective):
         raise InternalConsistencyError(
             f"paired logit lengths differ: {len(original)} vs {len(reflective)}"
         )
+    o = logit_block(original)
+    r = logit_block(reflective)
+    if o.shape != r.shape:
+        raise InternalConsistencyError("paired logit vectors differ in vocabulary size")
     alpha = config.alpha
-    fused = []
-    for orig, refl in zip(original, reflective):
-        o = validate_logits(orig)
-        r = validate_logits(refl)
-        if o.shape != r.shape:
-            raise InternalConsistencyError("paired logit vectors differ in vocabulary size")
-        fused.append(sampling_distribution((1.0 - alpha) * o + alpha * r, config.temperature))
-    return fused
+    return sampling_distribution((1.0 - alpha) * o + alpha * r, config.temperature)

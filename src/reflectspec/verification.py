@@ -16,6 +16,8 @@ then emits one bonus token, so a step yields accepted_n + 1 tokens total.
 sampling by summation, with no sampling at all; it is the enumeration oracle
 used to prove unbiasedness.
 
+Verifiers take the step's distributions as one ``(gamma + 1, V)`` block.
+
 RNG consumption is fixed per call regardless of where rejection happens:
 exact match and speculative sampling consume gamma + 1 uniforms (gamma
 per-position draws plus the bonus), typical sampling consumes 1. This keeps
@@ -34,7 +36,8 @@ from .errors import (
     InternalConsistencyError,
     InvalidConfigError,
 )
-from .tokens import entropy, greedy, sample, validate_distribution
+from .tokens import distribution_block, entropy, sample, sample_rows, stack_rows
+from .tokens import validate_distribution
 
 
 @dataclass(frozen=True)
@@ -117,13 +120,15 @@ def verify_exact_match(
     """
     gamma = len(draft_tokens)
     _check_lengths(p_dists, gamma)
+    p = distribution_block(p_dists)
     if greedy_match:
-        resampled = [greedy(p_dists[i]) for i in range(gamma)]
+        picks = p.argmax(axis=-1).tolist()
+        resampled = picks[:gamma]
     else:
-        resampled = [sample(p_dists[i], rng) for i in range(gamma)]
+        resampled = sample_rows(p[:gamma], rng)
     flags = tuple(resampled[i] == draft_tokens[i] for i in range(gamma))
     n = _leading_true(flags)
-    bonus = greedy(p_dists[n]) if greedy_match else sample(p_dists[n], rng)
+    bonus = picks[n] if greedy_match else sample_rows(p[n : n + 1], rng)[0]
     return VerificationResult(
         accepted_n=n,
         bonus=bonus,
@@ -151,19 +156,17 @@ def verify_speculative_sampling(
     _check_lengths(p_dists, gamma)
     if len(q_dists) < gamma:
         raise InternalConsistencyError(f"need {gamma} draft distributions, got {len(q_dists)}")
-    draws = [rng.random() for _ in range(gamma)]
+    draws = rng.random(gamma).tolist()
+    p_toks = _draft_token_probs(p_dists, draft_tokens)
     ratios = []
-    flags = []
     for i, tok in enumerate(draft_tokens):
-        p_tok = float(p_dists[i][tok])
         q_tok = float(q_dists[i][tok])
         if q_tok <= 0.0:
             raise InternalConsistencyError(
                 f"draft token {tok} has zero draft probability at position {i}"
             )
-        ratio = min(1.0, p_tok / q_tok)
-        ratios.append(ratio)
-        flags.append(draws[i] <= ratio)
+        ratios.append(min(1.0, p_toks[i] / q_tok))
+    flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
     n = _leading_true(flags)
     if n < gamma:
         bonus_dist = residual_distribution(p_dists[n], q_dists[n])
@@ -201,9 +204,8 @@ def verify_typical(
             f"need {gamma} entropy-source distributions, got {len(entropy_dists)}"
         )
     thresholds = [typical_threshold(entropy_dists[i], config) for i in range(gamma)]
-    flags = tuple(
-        float(p_dists[i][tok]) > thresholds[i] for i, tok in enumerate(draft_tokens)
-    )
+    p_toks = _draft_token_probs(p_dists, draft_tokens)
+    flags = tuple(p_tok > threshold for p_tok, threshold in zip(p_toks, thresholds))
     n = _leading_true(flags)
     bonus = sample(p_dists[n], rng)
     return VerificationResult(
@@ -232,6 +234,12 @@ def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if reject_mass <= 1e-15:
         return accepted / accepted.sum()
     return accepted + reject_mass * residual_distribution(p, q)
+
+
+def _draft_token_probs(dists: Sequence[np.ndarray], tokens: Sequence[int]) -> list[float]:
+    """dists[i][tokens[i]] for every draft position i, in one indexing step."""
+    gamma = len(tokens)
+    return stack_rows(dists[:gamma])[np.arange(gamma), tokens].tolist()
 
 
 def _check_lengths(p_dists: Sequence[np.ndarray], gamma: int) -> None:

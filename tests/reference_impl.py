@@ -27,6 +27,18 @@ def ref_softmax(values, temperature):
     return exp / exp.sum()
 
 
+def ref_fuse(original, reflective, alpha, temperature):
+    """Fused sampling distributions, one position at a time."""
+    return [
+        ref_softmax(
+            (1.0 - alpha) * np.asarray(o, dtype=np.float64)
+            + alpha * np.asarray(r, dtype=np.float64),
+            temperature,
+        )
+        for o, r in zip(original, reflective)
+    ]
+
+
 def ref_sample(dist, rng):
     u = rng.random()
     cdf = np.cumsum(dist)

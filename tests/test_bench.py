@@ -2,6 +2,7 @@
 
 import pytest
 
+from reflectspec import bench
 from reflectspec.bench import (
     REPORT_COLUMNS,
     TIMING_COLUMNS,
@@ -18,7 +19,7 @@ from reflectspec.bench import (
 )
 from reflectspec.drafting import DraftBundle
 from reflectspec.engine import DecodeConfig, RunStats, StepStats, decode
-from reflectspec.errors import InvalidConfigError
+from reflectspec.errors import InternalConsistencyError, InvalidConfigError
 from reflectspec.models import ModelSpec, make_divergence_pair, make_reflection_aware
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
@@ -124,6 +125,14 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].error is not None and "bogus" in rows[1].error
         assert rows[1].mat is None
+
+    def test_internal_error_fails_the_sweep(self, monkeypatch):
+        def broken_decode(*args, **kwargs):
+            raise InternalConsistencyError("injected bookkeeping fault")
+
+        monkeypatch.setattr(bench, "decode", broken_decode)
+        with pytest.raises(InternalConsistencyError, match="injected"):
+            run_sweep(make_spec(), jobs=1)
 
     def test_mat_bounds_and_acceptance_rates(self):
         spec = make_spec(etas=(0.5,))
