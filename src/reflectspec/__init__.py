@@ -39,9 +39,7 @@ from .models import (
     TableModel,
     build_model,
     make_divergence_pair,
-    make_ngram_model,
     make_reflection_aware,
-    make_table_model,
 )
 from .reflective import (
     DEFAULT_TEMPLATE_TEXT,

@@ -6,6 +6,10 @@ decoding scores exactly 1.0 by construction. Sweeps run the cross product of
 parameter grids over a prompt set, one report row per cell, in a fixed grid
 order.
 
+Each process running a sweep builds the spec's base and noise models once
+and wraps them per cell; build errors land in the rows of the cells they
+affect, like any other package error.
+
 Determinism contract: every cell's RNG seed is derived by a documented
 stable hash of (seed axis value, the cell's per-axis indices in the
 canonical axis order alpha, gamma, strategy, eta, template), and each prompt
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .engine import DecodeConfig, RunStats, decode
+from .engine import DecodeConfig, RunStats, StepStats, decode
 from .errors import InternalConsistencyError, InvalidConfigError, ReflectSpecError
 from .models import (
     BlendModel,
@@ -64,6 +68,17 @@ def mean_accepted_tokens(stats: RunStats) -> float:
     if stats.num_steps == 0:
         raise InvalidConfigError("cannot compute mean accepted tokens of an empty run")
     return stats.total_tokens_emitted / stats.total_target_forwards
+
+
+def acceptance_by_position(steps: Sequence[StepStats], gamma: int) -> list[float]:
+    """Fraction of ``steps`` that accepted draft position i, for i < gamma."""
+    if not steps:
+        return []
+    counts = [0] * gamma
+    for step in steps:
+        for i in range(min(step.accepted_n, gamma)):
+            counts[i] += 1
+    return [c / len(steps) for c in counts]
 
 
 def input_budget(layout: ReflectiveLayout) -> int:
@@ -179,98 +194,122 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
     A cell that fails with a package error is recorded in its row's
     ``error`` field and the sweep continues; ``InternalConsistencyError``
     and errors from outside the package propagate. With ``jobs`` > 1 cells
-    run in worker processes.
+    run in worker processes, each handed the spec once when it starts.
+
+    Every process builds the spec's base and noise models once, on its
+    first cell, and each cell wraps them with its own blend weight (and
+    reflection wrapper). A build that fails is retried by the next cell, so
+    its error lands in the row of every cell it affects.
     """
     cells = sweep_cells(spec)
-    args = [(spec, indices, values) for indices, values in cells]
     if jobs <= 1 or len(cells) == 1:
-        return [_run_cell_packed(a) for a in args]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell_packed, args))
+        runner = _CellRunner(spec)
+        return [runner.run(indices, values) for indices, values in cells]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_start_worker, initargs=(spec,)
+    ) as pool:
+        return list(pool.map(_run_worker_cell, cells))
 
 
-def _run_cell_packed(packed: tuple) -> ReportRow:
-    spec, indices, values = packed
-    alpha, gamma, strategy, eta, template, seed = values
-    row = ReportRow(
-        alpha=alpha,
-        gamma=gamma,
-        strategy=strategy,
-        eta=eta,
-        template=template.text,
-        seed=seed,
-        prefix_len=spec.prefix_len,
-        temperature=spec.temperature,
-        num_prompts=len(spec.prompts),
-        total_steps=0,
-        output_tokens=0,
-        mat=None,
-        acceptance_by_position=(),
-        mean_input_budget=None,
-    )
-    try:
-        target, draft = _cell_models(spec, eta)
-        base_stream = cell_seed(seed, indices)
-        tmpl = ReflectiveTemplate(
-            prompt_tokens=template.prompt_tokens,
-            prefix_len=spec.prefix_len if template.has_prefix else 0,
+class _CellRunner:
+    """Runs the cells of one sweep in one process, sharing its models."""
+
+    def __init__(self, spec: SweepSpec):
+        self.spec = spec
+        self._base_and_noise: tuple[Model, Model] | None = None
+
+    def run(self, indices: tuple[int, ...], values: tuple) -> ReportRow:
+        spec = self.spec
+        alpha, gamma, strategy, eta, template, seed = values
+        row = ReportRow(
+            alpha=alpha,
+            gamma=gamma,
+            strategy=strategy,
+            eta=eta,
+            template=template.text,
+            seed=seed,
+            prefix_len=spec.prefix_len,
+            temperature=spec.temperature,
+            num_prompts=len(spec.prompts),
+            total_steps=0,
+            output_tokens=0,
+            mat=None,
+            acceptance_by_position=(),
+            mean_input_budget=None,
         )
-        total_tokens = 0
-        total_forwards = 0
-        total_fed = 0
-        total_wall = 0.0
-        accept_counts = [0] * gamma
-        total_steps = 0
-        for prompt_index, prompt in enumerate(spec.prompts):
-            config = DecodeConfig(
-                gamma=gamma,
-                alpha=alpha,
-                temperature=spec.temperature,
-                strategy=strategy,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                template=tmpl,
-                reflect=template.reflective and strategy != "vanilla",
-                entropy_source=spec.entropy_source,
-                max_new_tokens=spec.max_new_tokens,
-                eos_token=spec.eos_token,
-                seed=derive_seed(base_stream, "prompt", prompt_index),
+        try:
+            target, draft = self._models(eta)
+            base_stream = cell_seed(seed, indices)
+            tmpl = ReflectiveTemplate(
+                prompt_tokens=template.prompt_tokens,
+                prefix_len=spec.prefix_len if template.has_prefix else 0,
             )
-            _, stats = decode(target, draft, list(prompt), config)
-            total_tokens += stats.total_tokens_emitted
-            total_forwards += stats.total_target_forwards
-            total_fed += stats.total_input_tokens
-            total_wall += stats.total_wall_time
-            total_steps += stats.num_steps
-            if strategy != "vanilla":
-                for step in stats.steps:
-                    for i in range(min(step.accepted_n, gamma)):
-                        accept_counts[i] += 1
-        row.total_steps = total_steps
-        row.output_tokens = total_tokens
-        row.mat = total_tokens / total_forwards
-        row.acceptance_by_position = tuple(
-            (c / total_steps if total_steps else 0.0) for c in accept_counts
-        )
-        row.mean_input_budget = total_fed / total_steps if total_steps else None
-        row.wall_time_s = total_wall
-        row.tokens_per_s = total_tokens / total_wall if total_wall > 0 else None
-    except InternalConsistencyError:
-        raise  # a programming error, not a property of the cell
-    except ReflectSpecError as exc:  # config failures land in the row, sweep continues
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
+            total_tokens = 0
+            total_forwards = 0
+            total_fed = 0
+            total_wall = 0.0
+            steps: list[StepStats] = []
+            for prompt_index, prompt in enumerate(spec.prompts):
+                config = DecodeConfig(
+                    gamma=gamma,
+                    alpha=alpha,
+                    temperature=spec.temperature,
+                    strategy=strategy,
+                    epsilon=spec.epsilon,
+                    delta=spec.delta,
+                    template=tmpl,
+                    reflect=template.reflective and strategy != "vanilla",
+                    entropy_source=spec.entropy_source,
+                    max_new_tokens=spec.max_new_tokens,
+                    eos_token=spec.eos_token,
+                    seed=derive_seed(base_stream, "prompt", prompt_index),
+                )
+                _, stats = decode(target, draft, list(prompt), config)
+                total_tokens += stats.total_tokens_emitted
+                total_forwards += stats.total_target_forwards
+                total_fed += stats.total_input_tokens
+                total_wall += stats.total_wall_time
+                steps.extend(stats.steps)
+            row.total_steps = len(steps)
+            row.output_tokens = total_tokens
+            row.mat = total_tokens / total_forwards
+            row.acceptance_by_position = tuple(acceptance_by_position(steps, gamma))
+            row.mean_input_budget = total_fed / len(steps)
+            row.wall_time_s = total_wall
+            row.tokens_per_s = total_tokens / total_wall if total_wall > 0 else None
+        except InternalConsistencyError:
+            raise  # a programming error, not a property of the cell
+        except ReflectSpecError as exc:  # config failures land in the row, sweep continues
+            row.error = f"{type(exc).__name__}: {exc}"
+        return row
+
+    def _models(self, eta: float) -> tuple[Model, Model]:
+        spec = self.spec
+        if self._base_and_noise is None:
+            base = build_model(spec.base, corpus=spec.corpus)
+            self._base_and_noise = (base, divergence_noise_model(spec.base))
+        base_model, noise = self._base_and_noise
+        draft = BlendModel(base_model, noise, eta)
+        if spec.beta > 0:
+            marker = spec.marker if spec.marker is not None else spec.base.vocab_size - 1
+            target: Model = make_reflection_aware(base_model, marker, spec.beta)
+        else:
+            target = base_model
+        return target, draft
 
 
-def _cell_models(spec: SweepSpec, eta: float) -> tuple[Model, Model]:
-    base_model = build_model(spec.base, corpus=spec.corpus)
-    draft = BlendModel(base_model, divergence_noise_model(spec.base), eta)
-    if spec.beta > 0:
-        marker = spec.marker if spec.marker is not None else spec.base.vocab_size - 1
-        target: Model = make_reflection_aware(base_model, marker, spec.beta)
-    else:
-        target = base_model
-    return target, draft
+# The runner of a worker process's sweep, set by the pool initializer; the
+# parent process never sets it, and a worker serves one sweep only.
+_worker_runner: _CellRunner | None = None
+
+
+def _start_worker(spec: SweepSpec) -> None:
+    global _worker_runner
+    _worker_runner = _CellRunner(spec)
+
+
+def _run_worker_cell(cell: tuple[tuple[int, ...], tuple]) -> ReportRow:
+    return _worker_runner.run(*cell)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .bench import (
     SweepSpec,
+    acceptance_by_position,
     emit_report,
     mean_accepted_tokens,
     run_sweep,
@@ -339,7 +340,7 @@ def cmd_decode(args) -> int:
     mat = mean_accepted_tokens(stats)
     print(f"steps: {stats.num_steps}  emitted: {stats.total_tokens_emitted}  mat: {mat:.4f}")
     if args.strategy != "vanilla":
-        rates = _acceptance_by_position(stats, config.gamma)
+        rates = acceptance_by_position(stats.steps, config.gamma)
         print("acceptance by position:", " ".join(f"{r:.3f}" for r in rates))
         print(f"mean input budget/step: {stats.total_input_tokens / stats.num_steps:.2f}")
         print(f"draft forwards: {stats.total_draft_forwards}")
@@ -408,14 +409,6 @@ def cmd_selftest(args) -> int:
 
 def _float_grid(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(",") if str(v).strip())
-
-
-def _acceptance_by_position(stats, gamma: int) -> list[float]:
-    if stats.num_steps == 0:
-        return []
-    return [
-        sum(1 for s in stats.steps if s.accepted_n > i) / stats.num_steps for i in range(gamma)
-    ]
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Backends:
 - ``TableModel``: logits are a seeded hash of the trailing ``order`` context
   tokens, drawn uniformly from a bounded range, and memoized per window.
 - ``NgramModel``: counts-based log-probabilities with additive smoothing,
-  built from a tokenized corpus.
+  built from a tokenized corpus, and memoized per context window.
 - ``BlendModel``: convex combination of two backends' logits; used to build
   draft models of controllable quality.
 - ``ReflectionAwareModel``: wraps a base backend and, whenever the context
@@ -20,11 +20,15 @@ Backends:
   that followed the matching pre-marker context (an induction-style copy).
   This is the toy stand-in for a model that regenerates its own draft after
   a reflection probe.
+
+The memoizing backends return arrays that are shared between calls and
+read-only; callers that need to modify logits must copy them.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,11 +45,11 @@ from .tokens import derive_seed
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
 
-# Context windows each TableModel remembers, oldest evicted first. The repeats
-# a decode produces (a draft window re-read by the verify pass, the second
-# copy and prefix replay re-reading the first copy, a draft re-fed after a
-# rollback) all lie within about one step, so a small memo catches them while
-# memory stays flat however long the decode runs.
+# Context windows each TableModel and NgramModel remembers, oldest evicted
+# first. The repeats a decode produces (a draft window re-read by the verify
+# pass, the second copy and prefix replay re-reading the first copy, a draft
+# re-fed after a rollback) all lie within about one step, so a small memo
+# catches them while memory stays flat however long the decode runs.
 TABLE_MEMO_WINDOWS = 64
 
 # Logit magnitude of the copy signal in ReflectionAwareModel. Chosen to
@@ -203,10 +207,7 @@ class TableModel(Model):
             cell_seed = int.from_bytes(h.digest(), "little")
             gen = np.random.Generator(np.random.PCG64(cell_seed))
             logits = gen.uniform(self.low, self.high, size=self.vocab_size)
-            logits.flags.writeable = False
-            if len(self._memo) >= TABLE_MEMO_WINDOWS:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = logits
+            _remember(self._memo, key, logits)
         return logits
 
 
@@ -220,6 +221,11 @@ class NgramModel(Model):
     returned logits are exact log-probabilities:
 
         log((count(context, t) + smoothing) / (count(context) + smoothing * V))
+
+    Like ``TableModel``, the model memoizes logits for at most
+    ``TABLE_MEMO_WINDOWS`` context windows (oldest evicted first, numpy
+    integer tokens hit the plain-int entry); returned arrays are shared
+    between calls and read-only.
     """
 
     def __init__(
@@ -238,32 +244,42 @@ class NgramModel(Model):
         docs = _as_documents(corpus)
         if not docs:
             raise InvalidConfigError("corpus must be non-empty")
+        for doc in docs:
+            if min(doc) < 0 or max(doc) >= vocab_size:
+                bad = next(t for t in doc if not 0 <= t < vocab_size)
+                raise InvalidTokenError(f"corpus token {bad} outside vocabulary")
         self.vocab_size = vocab_size
         self.order = order
         self.smoothing = float(smoothing)
+        # Every (context, token) pair is an n-gram of length 1 to order + 1;
+        # one Counter over the per-length windows of each document counts
+        # them all.
+        grams: Counter[tuple[int, ...]] = Counter()
+        for doc in docs:
+            for n in range(1, order + 2):
+                grams.update(zip(*(doc[k:] for k in range(n))))
         self._pair_counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._ctx_counts: dict[tuple[int, ...], int] = {}
-        for doc in docs:
-            for t in doc:
-                if not 0 <= t < vocab_size:
-                    raise InvalidTokenError(f"corpus token {t} outside vocabulary")
-            for i, tok in enumerate(doc):
-                for length in range(min(order, i) + 1):
-                    ctx = tuple(doc[i - length : i])
-                    self._pair_counts.setdefault(ctx, {})
-                    self._pair_counts[ctx][tok] = self._pair_counts[ctx].get(tok, 0) + 1
-                    self._ctx_counts[ctx] = self._ctx_counts.get(ctx, 0) + 1
+        for gram, count in grams.items():
+            ctx = gram[:-1]
+            self._pair_counts.setdefault(ctx, {})[gram[-1]] = count
+            self._ctx_counts[ctx] = self._ctx_counts.get(ctx, 0) + count
+        self._memo: dict[tuple[int, ...], np.ndarray] = {}
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         length = min(self.order, len(context))
-        ctx = tuple(int(t) for t in context[len(context) - length :])
-        counts = np.zeros(self.vocab_size, dtype=np.float64)
-        for tok, c in self._pair_counts.get(ctx, {}).items():
-            counts[tok] = c
-        total = self._ctx_counts.get(ctx, 0)
-        return np.log(
-            (counts + self.smoothing) / (total + self.smoothing * self.vocab_size)
-        )
+        key = tuple(context[len(context) - length :])
+        logits = self._memo.get(key)
+        if logits is None:
+            counts = np.zeros(self.vocab_size, dtype=np.float64)
+            for tok, c in self._pair_counts.get(key, {}).items():
+                counts[tok] = c
+            total = self._ctx_counts.get(key, 0)
+            logits = np.log(
+                (counts + self.smoothing) / (total + self.smoothing * self.vocab_size)
+            )
+            _remember(self._memo, key, logits)
+        return logits
 
 
 class BlendModel(Model):
@@ -355,6 +371,15 @@ class ReflectionAwareModel(Model):
             j += 1
 
 
+def _remember(memo: dict, key: tuple, logits: np.ndarray) -> None:
+    """Make ``logits`` read-only and store them under ``key``, evicting the
+    oldest window once the memo holds ``TABLE_MEMO_WINDOWS``."""
+    logits.flags.writeable = False
+    if len(memo) >= TABLE_MEMO_WINDOWS:
+        del memo[next(iter(memo))]
+    memo[key] = logits
+
+
 def _as_documents(corpus: Sequence[int] | Sequence[Sequence[int]]) -> list[list[int]]:
     items = list(corpus)
     if not items:
@@ -362,19 +387,6 @@ def _as_documents(corpus: Sequence[int] | Sequence[Sequence[int]]) -> list[list[
     if isinstance(items[0], (int, np.integer)):
         return [[int(t) for t in items]]
     return [[int(t) for t in doc] for doc in items if len(doc) > 0]
-
-
-def make_table_model(spec: ModelSpec) -> TableModel:
-    return TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
-
-
-def make_ngram_model(
-    corpus: Sequence[int] | Sequence[Sequence[int]],
-    vocab_size: int,
-    order: int,
-    smoothing: float,
-) -> NgramModel:
-    return NgramModel(corpus, vocab_size, order=order, smoothing=smoothing)
 
 
 def divergence_noise_model(base_spec: ModelSpec) -> TableModel:
@@ -421,18 +433,16 @@ def build_model(
     wrapper kinds resolve their own base: a table model with the same seed.
     """
     if spec.kind == "table":
-        return make_table_model(spec)
+        return TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
     if spec.kind == "ngram":
         if corpus is None:
             raise InvalidConfigError("ngram models require a corpus")
-        return make_ngram_model(corpus, spec.vocab_size, spec.order, spec.smoothing)
+        return NgramModel(corpus, spec.vocab_size, order=spec.order, smoothing=spec.smoothing)
     if spec.kind == "divergence-pair-member":
         base = ModelSpec("table", spec.vocab_size, seed=spec.seed, order=spec.order)
         return make_divergence_pair(base, spec.eta)[1]
     if spec.kind == "reflection-aware":
-        base = make_table_model(
-            ModelSpec("table", spec.vocab_size, seed=spec.seed, order=spec.order)
-        )
+        base = TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
         marker = spec.marker if spec.marker is not None else spec.vocab_size - 1
         return make_reflection_aware(base, marker, spec.beta)
     raise InvalidConfigError(f"unknown model kind {spec.kind!r}")

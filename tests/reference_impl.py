@@ -148,3 +148,38 @@ def ref_copy_target(context, marker):
             if nxt != marker:
                 return nxt
     return None
+
+
+def ref_ngram_counts(corpus, order):
+    """Context and (context, token) counts of ``NgramModel``, by a plain loop.
+
+    ``corpus`` is one flat token list or a list of documents (empty ones
+    skipped). Every token is counted after each of its trailing contexts of
+    length 0 to ``order`` that lie inside its document.
+    """
+    items = list(corpus)
+    if items and isinstance(items[0], (int, np.integer)):
+        docs = [[int(t) for t in items]]
+    else:
+        docs = [[int(t) for t in doc] for doc in items if len(doc) > 0]
+    pair_counts = {}
+    ctx_counts = {}
+    for doc in docs:
+        for i, tok in enumerate(doc):
+            for length in range(min(order, i) + 1):
+                ctx = tuple(doc[i - length : i])
+                pair_counts.setdefault(ctx, {})
+                pair_counts[ctx][tok] = pair_counts[ctx].get(tok, 0) + 1
+                ctx_counts[ctx] = ctx_counts.get(ctx, 0) + 1
+    return pair_counts, ctx_counts
+
+
+def ref_ngram_logits(pair_counts, ctx_counts, context, vocab_size, order, smoothing):
+    """Smoothed log-probabilities after ``context``: dense counts, one log."""
+    length = min(order, len(context))
+    ctx = tuple(int(t) for t in context[len(context) - length :])
+    counts = np.zeros(vocab_size, dtype=np.float64)
+    for tok, c in pair_counts.get(ctx, {}).items():
+        counts[tok] = c
+    total = ctx_counts.get(ctx, 0)
+    return np.log((counts + smoothing) / (total + smoothing * vocab_size))

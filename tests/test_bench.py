@@ -1,5 +1,9 @@
 """Metrics, sweep determinism, and report round-trip tests."""
 
+import concurrent.futures
+import functools
+import multiprocessing
+
 import pytest
 
 from reflectspec import bench
@@ -20,7 +24,12 @@ from reflectspec.bench import (
 from reflectspec.drafting import DraftBundle
 from reflectspec.engine import DecodeConfig, RunStats, StepStats, decode
 from reflectspec.errors import InternalConsistencyError, InvalidConfigError
-from reflectspec.models import ModelSpec, make_divergence_pair, make_reflection_aware
+from reflectspec.models import (
+    ModelSpec,
+    build_model,
+    make_divergence_pair,
+    make_reflection_aware,
+)
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
     ReflectiveTemplate,
@@ -28,7 +37,7 @@ from reflectspec.reflective import (
     resolve_template,
 )
 from reflectspec.corpus import IntTokenizer
-from reflectspec.tokens import derive_seed, one_hot
+from reflectspec.tokens import derive_seed, make_rng, one_hot
 
 VOCAB = 40
 
@@ -152,6 +161,100 @@ class TestSweep:
         spec = make_spec(strategies=("vanilla",), max_new_tokens=8)
         (row,) = run_sweep(spec)
         assert row.mat == 1.0
+
+
+def ngram_spec(**kw):
+    rng = make_rng(21)
+    docs = tuple(tuple(int(t) for t in rng.integers(0, VOCAB - 1, size=30)) for _ in range(10))
+    defaults = dict(
+        base=ModelSpec("ngram", VOCAB, seed=3, order=2),
+        corpus=docs,
+        etas=(0.0, 0.3, 0.6),
+        max_new_tokens=8,
+    )
+    defaults.update(kw)
+    return make_spec(**defaults)
+
+
+def dicts(rows):
+    return [r.to_dict() for r in rows]
+
+
+class TestSweepModels:
+    """A sweep builds its models once per process and wraps them per cell."""
+
+    def test_multi_cell_sweep_builds_once(self, monkeypatch):
+        calls = []
+
+        def counting_build(spec, corpus=None):
+            calls.append(spec)
+            return build_model(spec, corpus=corpus)
+
+        monkeypatch.setattr(bench, "build_model", counting_build)
+        spec = ngram_spec(alphas=(0.0, 0.3))
+        rows = run_sweep(spec, jobs=1)
+        assert len(rows) == 6 and all(r.error is None for r in rows)
+        assert calls == [spec.base]
+        run_sweep(spec, jobs=1)
+        assert len(calls) == 2  # a new sweep builds anew
+
+    def test_consecutive_sweeps_do_not_share_models(self):
+        a = make_spec(base=ModelSpec("table", VOCAB, seed=11, order=2), etas=(0.0, 0.5))
+        b = make_spec(base=ModelSpec("table", VOCAB, seed=12, order=2), etas=(0.0, 0.5))
+        a_then_b = [dicts(run_sweep(a)), dicts(run_sweep(b))]
+        b_then_a = [dicts(run_sweep(b)), dicts(run_sweep(a))]
+        assert a_then_b[0] != a_then_b[1]
+        assert a_then_b == b_then_a[::-1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_build_lands_in_every_row(self, jobs):
+        spec = ngram_spec(corpus=None, alphas=(0.0, 0.3))
+        rows = run_sweep(spec, jobs=jobs)
+        assert len(rows) == 6
+        template = spec.templates[0].text
+        for row, (alpha, eta) in zip(rows, [(a, e) for a in (0.0, 0.3) for e in spec.etas]):
+            assert row.to_dict(include_timing=True) == {
+                "alpha": alpha,
+                "gamma": 5,
+                "strategy": "specsample",
+                "eta": eta,
+                "template": template,
+                "seed": 0,
+                "prefix_len": 4,
+                "temperature": 0.8,
+                "num_prompts": 3,
+                "total_steps": 0,
+                "output_tokens": 0,
+                "mat": None,
+                "acceptance_by_position": [],
+                "mean_input_budget": None,
+                "error": "InvalidConfigError: ngram models require a corpus",
+                "tokens_per_s": None,
+                "wall_time_s": None,
+            }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_internal_error_in_build_propagates(self, monkeypatch, jobs):
+        def broken_build(spec, corpus=None):
+            raise InternalConsistencyError("injected build fault")
+
+        monkeypatch.setattr(bench, "build_model", broken_build)
+        with pytest.raises(InternalConsistencyError, match="injected"):
+            run_sweep(ngram_spec(), jobs=jobs)
+
+    @pytest.mark.parametrize("start_method", ["default", "spawn"])
+    def test_parallel_ngram_eta_grid_matches_serial(self, monkeypatch, start_method):
+        spec = ngram_spec(alphas=(0.0, 0.3))
+        serial = run_sweep(spec, jobs=1)
+        assert all(r.error is None for r in serial)
+        if start_method == "spawn":
+            # Workers that share nothing with this process by fork.
+            spawn_pool = functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+        assert dicts(run_sweep(spec, jobs=2)) == dicts(serial)
 
 
 class TestReports:

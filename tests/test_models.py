@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import ref_copy_target
+from reference_impl import ref_copy_target, ref_ngram_counts, ref_ngram_logits
 
 from reflectspec.errors import (
     InvalidConfigError,
@@ -23,9 +23,7 @@ from reflectspec.models import (
     TableModel,
     build_model,
     make_divergence_pair,
-    make_ngram_model,
     make_reflection_aware,
-    make_table_model,
 )
 from reflectspec.tokens import make_rng, softmax
 
@@ -127,7 +125,7 @@ class TestModelSession:
 class TestTableModel:
     def test_same_spec_same_function(self):
         spec = ModelSpec("table", 16, seed=9, order=2)
-        m1, m2 = make_table_model(spec), make_table_model(spec)
+        m1, m2 = build_model(spec), build_model(spec)
         rng = make_rng(0)
         for _ in range(50):
             ctx = random_context(rng, 16)
@@ -200,13 +198,13 @@ class TestNgramModel:
     def test_hand_count_repeated_token(self):
         # Corpus "a a a": after "a", P(a) = (2 + s) / (2 + s * V).
         for smoothing in (1.0, 0.25):
-            m = make_ngram_model([0, 0, 0], vocab_size=3, order=1, smoothing=smoothing)
+            m = NgramModel([0, 0, 0], vocab_size=3, order=1, smoothing=smoothing)
             p = math.exp(m.next_logits([0])[0])
             assert abs(p - (2 + smoothing) / (2 + smoothing * 3)) < 1e-12
 
     def test_hand_count_alternating(self):
         # Corpus "a b a b", order 2: after "a" the mass concentrates on "b".
-        m = make_ngram_model([0, 1, 0, 1], vocab_size=2, order=2, smoothing=1.0)
+        m = NgramModel([0, 1, 0, 1], vocab_size=2, order=2, smoothing=1.0)
         dist = softmax(m.next_logits([0]), 1.0)
         assert np.argmax(dist) == 1
         assert abs(dist[1] - 3 / 4) < 1e-12
@@ -228,6 +226,88 @@ class TestNgramModel:
     def test_empty_corpus(self):
         with pytest.raises(InvalidConfigError):
             NgramModel([], vocab_size=4, order=1, smoothing=1.0)
+
+
+@st.composite
+def ngram_cases(draw):
+    """(corpus, vocab, order, smoothing, contexts) with edge cases drawn
+    explicitly: tokens 0 and V-1, documents shorter than the order, single
+    tokens, empty documents, and flat as well as nested corpora."""
+    vocab = draw(st.integers(2, 12))
+    order = draw(st.integers(1, 3))
+    token = st.one_of(st.just(0), st.just(vocab - 1), st.integers(0, vocab - 1))
+    short_doc = st.lists(token, min_size=1, max_size=order)
+    doc = st.one_of(short_doc, st.lists(token, max_size=20))
+    if draw(st.booleans()):
+        corpus = draw(st.lists(token, min_size=1, max_size=30))
+    else:
+        corpus = draw(st.lists(doc, min_size=1, max_size=6).filter(lambda ds: any(ds)))
+    smoothing = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 4.0))
+    contexts = draw(st.lists(st.lists(token, max_size=order + 2), min_size=1, max_size=8))
+    return corpus, vocab, order, smoothing, contexts
+
+
+class TestNgramDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(ngram_cases())
+    def test_counts_and_logits_match_reference(self, case):
+        corpus, vocab, order, smoothing, contexts = case
+        m = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
+        pair_counts, ctx_counts = ref_ngram_counts(corpus, order)
+        assert m._pair_counts == pair_counts
+        assert m._ctx_counts == ctx_counts
+        for ctx in contexts + contexts[::-1]:  # the second half hits the memo
+            want = ref_ngram_logits(pair_counts, ctx_counts, ctx, vocab, order, smoothing)
+            assert np.array_equal(m.next_logits(ctx), want)
+
+    def test_corpus_token_outside_vocabulary(self):
+        with pytest.raises(InvalidTokenError, match="corpus token 4 "):
+            NgramModel([[0, 1], [2, 4, 5]], 4, order=1)
+        with pytest.raises(InvalidTokenError, match="corpus token -1 "):
+            NgramModel([0, -1], 4, order=1)
+
+
+def ngram_memo_model():
+    rng = make_rng(9)
+    docs = [random_context(rng, 8, 40) for _ in range(5)]
+    return NgramModel(docs, 8, order=2, smoothing=0.5), docs
+
+
+class TestNgramMemo:
+    def test_matches_fresh_instance_in_shuffled_order_and_after_eviction(self):
+        m, docs = ngram_memo_model()
+        windows = [[a] for a in range(8)] + [[a, b] for a in range(8) for b in range(8)]
+        assert len(windows) > TABLE_MEMO_WINDOWS
+        rng = make_rng(3)
+        for _ in range(2):
+            for i in rng.permutation(len(windows)):
+                w = windows[i]
+                fresh = NgramModel(docs, 8, order=2, smoothing=0.5).next_logits(w)
+                assert np.array_equal(m.next_logits(w), fresh)
+                if len(w) == 2:
+                    assert np.array_equal(m.next_logits([int(rng.integers(8))] + w), fresh)
+
+    def test_never_exceeds_bound(self):
+        m = NgramModel([[0, 1, 2, 3]], 16, order=3)
+        rng = make_rng(0)
+        for _ in range(4 * TABLE_MEMO_WINDOWS):
+            m.next_logits(random_context(rng, 16))
+            assert len(m._memo) <= TABLE_MEMO_WINDOWS
+        assert len(m._memo) == TABLE_MEMO_WINDOWS
+
+    def test_returned_logits_are_read_only(self):
+        m, _ = ngram_memo_model()
+        logits = m.next_logits([1, 2])
+        with pytest.raises(ValueError):
+            logits[0] = 0.0
+        with pytest.raises(ValueError):
+            m.next_logits([1, 2])[:] += 1.0
+
+    def test_numpy_tokens_share_the_plain_int_entry(self):
+        m, _ = ngram_memo_model()
+        plain = m.next_logits([3, 1, 2])
+        assert m.next_logits([np.int64(1), np.int64(2)]) is plain
+        assert len(m._memo) == 1
 
 
 class TestDivergencePair:

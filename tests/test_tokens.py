@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflectspec.errors import (
@@ -29,6 +29,18 @@ from reflectspec.tokens import (
 finite_logits = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=12
 )
+
+# Gap between the top two logits above which greedy picks the same token at
+# every temperature in [0.05, 20]. In scaled units (logit / T) the gap is
+# d / T, while the rounding of the scaling and of the max-subtraction moves
+# each scaled logit by a few ulps of 50 / T, under 2.3e-14 / T; after exp,
+# the two numerators must still differ by a few ulps of 1 (about 4.4e-16,
+# so d / T >= 4.4e-16, i.e. d >= 8.9e-15 at T = 20) for the division by the
+# common sum to keep them apart. Any d above ~3.2e-14 is enough; 1e-9
+# leaves five orders of magnitude. Below that, a gap can round away to an
+# exact tie at one temperature and not at another (see
+# test_sub_ulp_gap_may_tie).
+ARGMAX_MARGIN = 1e-9
 
 
 def mpmath_softmax(values, temperature=1.0):
@@ -167,11 +179,25 @@ class TestGreedy:
                 best, best_p = i, p
         assert greedy(dist) == best
 
-    @given(finite_logits, st.floats(min_value=0.05, max_value=20))
+    @given(finite_logits, st.booleans(), st.floats(min_value=0.05, max_value=20))
     @settings(max_examples=100)
-    def test_argmax_invariant_under_temperature(self, values, temp):
+    def test_argmax_invariant_under_temperature(self, values, tie, temp):
+        # Holds when the top two logits are exactly tied (both temperatures
+        # then pick the lowest tied id) or at least ARGMAX_MARGIN apart.
+        if tie:
+            values = values + [max(values)]
+        top = sorted(values, reverse=True)
+        assume(len(top) == 1 or top[0] == top[1] or top[0] - top[1] >= ARGMAX_MARGIN)
         arr = np.array(values)
         assert greedy(softmax(arr, temp)) == greedy(softmax(arr, 1.0))
+
+    def test_sub_ulp_gap_may_tie(self):
+        # A gap of one ulp below zero survives at T=1 but rounds away at T=5:
+        # the softmax is an exact tie there and greedy takes the lower id.
+        arr = np.array([-2.220446049250313e-16, 0.0])
+        assert softmax(arr, 5.0).tolist() == [0.5, 0.5]
+        assert greedy(softmax(arr, 5.0)) == 0
+        assert greedy(softmax(arr, 1.0)) == 1
 
 
 class TestValidation:
