@@ -11,7 +11,6 @@ from .bench import (
     ReportRow,
     SweepSpec,
     emit_report,
-    input_budget,
     mean_accepted_tokens,
     read_report,
     run_sweep,
@@ -39,7 +38,7 @@ from .models import (
     TableModel,
     build_model,
     make_divergence_pair,
-    make_reflection_aware,
+    pair_models,
 )
 from .reflective import (
     DEFAULT_TEMPLATE_TEXT,

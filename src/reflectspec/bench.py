@@ -32,15 +32,8 @@ from typing import Sequence
 
 from .engine import DecodeConfig, RunStats, StepStats, decode
 from .errors import InternalConsistencyError, InvalidConfigError, ReflectSpecError
-from .models import (
-    BlendModel,
-    Model,
-    ModelSpec,
-    build_model,
-    divergence_noise_model,
-    make_reflection_aware,
-)
-from .reflective import ReflectiveLayout, ReflectiveTemplate, ResolvedTemplate
+from .models import Model, ModelSpec, build_model, divergence_noise_model, pair_models
+from .reflective import ReflectiveTemplate, ResolvedTemplate
 from .tokens import derive_seed
 
 REPORT_COLUMNS = (
@@ -79,11 +72,6 @@ def acceptance_by_position(steps: Sequence[StepStats], gamma: int) -> list[float
         for i in range(min(step.accepted_n, gamma)):
             counts[i] += 1
     return [c / len(steps) for c in counts]
-
-
-def input_budget(layout: ReflectiveLayout) -> int:
-    """Token count of the assembled verification input (all four segments)."""
-    return len(layout.full_sequence)
 
 
 @dataclass(frozen=True)
@@ -258,7 +246,7 @@ class _CellRunner:
                     epsilon=spec.epsilon,
                     delta=spec.delta,
                     template=tmpl,
-                    reflect=template.reflective and strategy != "vanilla",
+                    reflect=template.reflective,
                     entropy_source=spec.entropy_source,
                     max_new_tokens=spec.max_new_tokens,
                     eos_token=spec.eos_token,
@@ -288,14 +276,8 @@ class _CellRunner:
         if self._base_and_noise is None:
             base = build_model(spec.base, corpus=spec.corpus)
             self._base_and_noise = (base, divergence_noise_model(spec.base))
-        base_model, noise = self._base_and_noise
-        draft = BlendModel(base_model, noise, eta)
-        if spec.beta > 0:
-            marker = spec.marker if spec.marker is not None else spec.base.vocab_size - 1
-            target: Model = make_reflection_aware(base_model, marker, spec.beta)
-        else:
-            target = base_model
-        return target, draft
+        marker = spec.marker if spec.marker is not None else spec.base.vocab_size - 1
+        return pair_models(*self._base_and_noise, eta, spec.beta, marker)
 
 
 # The runner of a worker process's sweep, set by the pool initializer; the

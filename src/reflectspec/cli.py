@@ -33,15 +33,7 @@ from .corpus import (
 )
 from .engine import DecodeConfig, decode
 from .errors import InvalidConfigError, ReflectSpecError
-from .models import (
-    BlendModel,
-    Model,
-    ModelSpec,
-    NgramModel,
-    TableModel,
-    divergence_noise_model,
-    make_reflection_aware,
-)
+from .models import ModelSpec, build_model, divergence_noise_model, pair_models
 from .reflective import (
     DEFAULT_TEMPLATE_TEXT,
     ReflectiveTemplate,
@@ -49,7 +41,6 @@ from .reflective import (
     resolve_template,
 )
 from .selftest import run_all
-from .tokens import derive_seed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,12 +109,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
         default="table",
         help="target backend (ngram requires --corpus)",
     )
-    p.add_argument(
-        "--draft-model",
-        choices=("same", "noisy", "table"),
-        default="same",
-        help="draft backend: same as target base, an eta-blend of it, or an independent table",
-    )
     p.add_argument("--vocab-size", type=int, default=64, help="vocabulary size (integer mode)")
     p.add_argument("--seed", type=int, default=0, help="model and decode base seed")
     p.add_argument("--order", type=int, default=2, help="context order of the toy backends")
@@ -134,7 +119,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
         default=0.0,
         help="reflection-aware blend of the target (0 disables the wrapper)",
     )
-    p.add_argument("--eta", type=float, default=0.0, help="draft divergence rate for --draft-model noisy")
     p.add_argument(
         "--marker",
         type=int,
@@ -153,7 +137,7 @@ def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
             default="specsample",
             help="comma-separated strategies from: exact,specsample,typical,vanilla",
         )
-        p.add_argument("--eta-grid", default=None, help="comma-separated eta grid (overrides --eta)")
+        p.add_argument("--eta", default="0", help="comma-separated draft divergence grid")
         p.add_argument(
             "--template-inline",
             action="append",
@@ -169,6 +153,12 @@ def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     else:
         p.add_argument("--alpha", type=float, default=0.3, help="reflective fusion weight")
         p.add_argument("--gamma", type=int, default=5, help="draft tokens per step")
+        p.add_argument(
+            "--eta",
+            type=float,
+            default=0.0,
+            help="draft divergence: 0 drafts with the target's base, 1 with an unrelated table",
+        )
         p.add_argument(
             "--strategy",
             choices=("exact", "specsample", "typical", "vanilla"),
@@ -205,13 +195,10 @@ def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
 @dataclass
 class Environment:
     tokenizer: IntTokenizer | WordTokenizer
-    vocab_size: int
+    base: ModelSpec
     corpus_docs: list[list[int]] | None
-    template: ResolvedTemplate
+    templates: list[ResolvedTemplate]
     prompts: list[list[int]]
-    target: Model
-    draft: Model
-    base_target: Model
     marker: int
 
 
@@ -248,10 +235,11 @@ def _prompt_texts(args, sweep: bool = False) -> list[str]:
 
 
 def build_environment(args, template_texts: list[str], prompt_texts: list[str]) -> Environment:
-    """Build tokenizer, models, and token-level inputs from CLI arguments.
+    """Build the tokenizer, the base model spec, and token-level inputs from
+    CLI arguments.
 
     In word mode the vocabulary grows while the corpus, templates, prompts,
-    and marker are encoded, and is frozen before any model is built.
+    and marker are encoded, and is frozen before the base spec is made.
     """
     corpus_docs = None
     if args.corpus:
@@ -275,33 +263,15 @@ def build_environment(args, template_texts: list[str], prompt_texts: list[str]) 
     vocab_size = tokenizer.vocab_size if isinstance(tokenizer, WordTokenizer) else args.vocab_size
     if vocab_size < 2:
         raise InvalidConfigError("effective vocabulary must hold at least two tokens")
-
-    if args.target_model == "table":
-        base_target: Model = TableModel(vocab_size, seed=args.seed, order=args.order)
-    else:
-        base_target = NgramModel(corpus_docs, vocab_size, order=args.order, smoothing=args.smoothing)
-    if args.beta > 0:
-        target: Model = make_reflection_aware(base_target, marker, args.beta)
-    else:
-        target = base_target
-
-    if args.draft_model == "same":
-        draft: Model = base_target
-    elif args.draft_model == "noisy":
-        noise_spec = ModelSpec("table", vocab_size, seed=args.seed, order=args.order)
-        draft = BlendModel(base_target, divergence_noise_model(noise_spec), args.eta)
-    else:
-        draft = TableModel(vocab_size, seed=derive_seed("draft-model", args.seed), order=args.order)
-
+    base = ModelSpec(
+        args.target_model, vocab_size, seed=args.seed, order=args.order, smoothing=args.smoothing
+    )
     return Environment(
         tokenizer=tokenizer,
-        vocab_size=vocab_size,
+        base=base,
         corpus_docs=corpus_docs,
-        template=templates[0],
+        templates=templates,
         prompts=prompts,
-        target=target,
-        draft=draft,
-        base_target=base_target,
         marker=marker,
     )
 
@@ -313,7 +283,10 @@ def build_environment(args, template_texts: list[str], prompt_texts: list[str]) 
 
 def cmd_decode(args) -> int:
     env = build_environment(args, _template_text(args), _prompt_texts(args))
-    resolved = env.template
+    base = build_model(env.base, corpus=env.corpus_docs)
+    noise = divergence_noise_model(env.base)
+    target, draft = pair_models(base, noise, args.eta, args.beta, env.marker)
+    resolved = env.templates[0]
     config = DecodeConfig(
         gamma=args.gamma,
         alpha=args.alpha,
@@ -325,14 +298,14 @@ def cmd_decode(args) -> int:
             prompt_tokens=resolved.prompt_tokens,
             prefix_len=args.prefix_len if resolved.has_prefix else 0,
         ),
-        reflect=resolved.reflective and args.strategy != "vanilla",
+        reflect=resolved.reflective,
         entropy_source=args.entropy_source,
         exact_match_mode=args.match_mode,
         max_new_tokens=args.max_tokens,
         eos_token=args.eos_token,
         seed=args.seed,
     )
-    output, stats = decode(env.target, env.draft, env.prompts[0], config)
+    output, stats = decode(target, draft, env.prompts[0], config)
 
     print("output tokens:", " ".join(str(t) for t in output))
     if isinstance(env.tokenizer, WordTokenizer):
@@ -359,28 +332,16 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    template_texts = _template_text(args, sweep=True)
-    prompt_texts = _prompt_texts(args, sweep=True)
-    env = build_environment(args, template_texts, prompt_texts)
-    templates = tuple(resolve_template(t, env.tokenizer) for t in template_texts)
-    etas = _float_grid(args.eta_grid) if args.eta_grid else (args.eta,)
-    strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
-    base_kind = args.target_model
+    env = build_environment(args, _template_text(args, sweep=True), _prompt_texts(args, sweep=True))
     spec = SweepSpec(
         prompts=tuple(tuple(p) for p in env.prompts),
-        base=ModelSpec(
-            base_kind,
-            env.vocab_size,
-            seed=args.seed,
-            order=args.order,
-            smoothing=args.smoothing,
-        ),
-        alphas=_float_grid(args.alpha),
-        gammas=tuple(int(g) for g in args.gamma.split(",")),
-        strategies=strategies,
-        etas=etas,
-        templates=templates,
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        base=env.base,
+        alphas=_grid(args.alpha, float),
+        gammas=_grid(args.gamma, int),
+        strategies=_grid(args.strategy, str.strip),
+        etas=_grid(args.eta, float),
+        templates=tuple(env.templates),
+        seeds=_grid(args.seeds, int),
         corpus=tuple(tuple(d) for d in env.corpus_docs) if env.corpus_docs else None,
         beta=args.beta,
         marker=env.marker,
@@ -407,8 +368,9 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _float_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(",") if str(v).strip())
+def _grid(text: str, parse) -> tuple:
+    """Values of a comma-separated grid flag; empty items are skipped."""
+    return tuple(parse(v) for v in text.split(",") if v.strip())
 
 
 if __name__ == "__main__":

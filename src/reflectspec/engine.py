@@ -203,10 +203,7 @@ def decode(
             _assert_original_segment_clean(target, committed, bundle, original)
 
         committed_before = len(committed)
-        if layout is not None:
-            commit_and_prune(target_session, draft_session, layout, result)
-        else:
-            _commit(target_session, draft_session, bundle.gamma, result)
+        commit_and_prune(target_session, draft_session, fed, result)
 
         step_tokens = list(bundle.tokens[: result.accepted_n]) + [result.bonus]
         kept = _truncate_step_tokens(step_tokens, config, len(stats.output_tokens))
@@ -244,27 +241,21 @@ def decode(
 def commit_and_prune(
     target_session: ModelSession,
     draft_session: ModelSession,
-    layout: ReflectiveLayout,
+    fed_len: int,
     result: VerificationResult,
 ) -> None:
     """Prune the verification tail and commit the step's tokens.
 
+    ``fed_len`` is the number of tokens the step's verification pass fed the
+    target: the whole reflective layout, or the draft alone on a plain step.
     The target session is truncated back to the committed prefix plus the
-    accepted draft tokens, which drops the probe, the prefix replay, and the
-    entire second copy; the bonus token is then appended by the next forward,
-    leaving its logits cached for the following step. The draft session is
-    trimmed to the committed boundary (it normally already sits there, since
-    drafting rolls itself back).
+    accepted draft tokens, which drops the rejected draft tokens and, on a
+    reflective step, the probe, the prefix replay, and the entire second
+    copy; the bonus token is then appended by the next forward, leaving its
+    logits cached for the following step. The draft session is trimmed to
+    the committed boundary (it normally already sits there, since drafting
+    rolls itself back).
     """
-    _commit(target_session, draft_session, len(layout.full_sequence), result)
-
-
-def _commit(
-    target_session: ModelSession,
-    draft_session: ModelSession,
-    fed_len: int,
-    result: VerificationResult,
-) -> None:
     committed_before = len(target_session) - fed_len
     if committed_before < 0:
         raise InternalConsistencyError("session shorter than the tail it supposedly holds")

@@ -56,16 +56,15 @@ TABLE_MEMO_WINDOWS = 64
 # dominate the table-model range at full blend while leaving finite spread.
 COPY_LOGIT_BOOST = 8.0
 
-MODEL_KINDS = ("table", "ngram", "divergence-pair-member", "reflection-aware")
+MODEL_KINDS = ("table", "ngram")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of a toy backend.
+    """Declarative description of a base backend.
 
     ``order`` is the number of trailing context tokens the backend conditions
-    on. ``beta`` (reflection blend), ``eta`` (divergence noise rate) and
-    ``marker`` only apply to the wrapper kinds.
+    on; ``seed`` also seeds the pair's noise model (``divergence_noise_model``).
     """
 
     kind: str
@@ -73,9 +72,6 @@ class ModelSpec:
     seed: int = 0
     order: int = 2
     smoothing: float = 1.0
-    beta: float = 0.0
-    eta: float = 0.0
-    marker: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -84,10 +80,6 @@ class ModelSpec:
             raise InvalidConfigError("vocab_size must be >= 2")
         if self.order < 1:
             raise InvalidConfigError("context order must be >= 1")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InvalidConfigError("beta must lie in [0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise InvalidConfigError("eta must lie in [0, 1]")
 
 
 class Model:
@@ -402,35 +394,40 @@ def divergence_noise_model(base_spec: ModelSpec) -> TableModel:
     )
 
 
+def pair_models(
+    base: Model, noise: Model, eta: float, beta: float, marker: int
+) -> tuple[Model, Model]:
+    """The (target, draft) pair every decode and sweep cell runs on.
+
+    The target is ``base``, wrapped in ``ReflectionAwareModel`` (copy blend
+    ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
+    ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
+    model unrelated to the target. ``BlendModel`` and ``ReflectionAwareModel``
+    validate the weights they take.
+    """
+    draft = base if eta == 0 else BlendModel(base, noise, eta)
+    target = ReflectionAwareModel(base, marker, beta) if beta > 0 else base
+    return target, draft
+
+
 def make_divergence_pair(
     base_spec: ModelSpec,
     eta: float,
     corpus: Sequence[Sequence[int]] | None = None,
 ) -> tuple[Model, Model]:
-    """Build a (target, draft) pair whose divergence is controlled by ``eta``.
-
-    The target is the base model. The draft blends the target's logits with
-    an independent table model at rate ``eta``: eta=0 gives an identical
-    draft, eta=1 a draft unrelated to the target.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidConfigError("eta must lie in [0, 1]")
-    target = build_model(base_spec, corpus=corpus)
-    draft = BlendModel(target, divergence_noise_model(base_spec), eta)
-    return target, draft
-
-
-def make_reflection_aware(base: Model, marker: int, blend: float) -> ReflectionAwareModel:
-    return ReflectionAwareModel(base, marker, blend)
+    """``pair_models`` of a spec's base and noise models at blend rate
+    ``eta``, without the reflection wrapper: eta=0 gives an identical draft,
+    eta=1 a draft unrelated to the target."""
+    base = build_model(base_spec, corpus=corpus)
+    return pair_models(base, divergence_noise_model(base_spec), eta, 0.0, 0)
 
 
 def build_model(
     spec: ModelSpec, corpus: Sequence[int] | Sequence[Sequence[int]] | None = None
 ) -> Model:
-    """Construct any declared backend from its spec.
+    """Construct a base backend from its spec.
 
-    ``corpus`` is required for the ngram kind and ignored otherwise. The
-    wrapper kinds resolve their own base: a table model with the same seed.
+    ``corpus`` is required for the ngram kind and ignored otherwise.
     """
     if spec.kind == "table":
         return TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
@@ -438,11 +435,4 @@ def build_model(
         if corpus is None:
             raise InvalidConfigError("ngram models require a corpus")
         return NgramModel(corpus, spec.vocab_size, order=spec.order, smoothing=spec.smoothing)
-    if spec.kind == "divergence-pair-member":
-        base = ModelSpec("table", spec.vocab_size, seed=spec.seed, order=spec.order)
-        return make_divergence_pair(base, spec.eta)[1]
-    if spec.kind == "reflection-aware":
-        base = TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
-        marker = spec.marker if spec.marker is not None else spec.vocab_size - 1
-        return make_reflection_aware(base, marker, spec.beta)
     raise InvalidConfigError(f"unknown model kind {spec.kind!r}")

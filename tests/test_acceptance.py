@@ -17,8 +17,8 @@ from reflectspec.models import (
     ModelSession,
     ModelSpec,
     NgramModel,
+    ReflectionAwareModel,
     make_divergence_pair,
-    make_reflection_aware,
 )
 from reflectspec.reflective import ReflectiveTemplate, build_reflective_input
 from reflectspec.tokens import derive_seed, make_rng, one_hot, sample
@@ -187,7 +187,7 @@ def test_c5_cache_prune_contract():
             NgramModel(docs, VOCAB, order=1, smoothing=0.5),
         ),
         "reflection-aware": (
-            make_reflection_aware(table_target, MARKER, 0.5),
+            ReflectionAwareModel(table_target, MARKER, 0.5),
             table_draft,
         ),
     }
@@ -249,7 +249,7 @@ def test_c7_mechanism_direction():
     start = time.perf_counter()
     spec = ModelSpec("table", VOCAB, seed=11, order=2)
     base_target, draft = make_divergence_pair(spec, 0.4)
-    target = make_reflection_aware(base_target, MARKER, 0.5)
+    target = ReflectionAwareModel(base_target, MARKER, 0.5)
     prompts = seeded_prompts("mechanism", 50)
     kw = dict(
         gamma=5,
@@ -278,7 +278,7 @@ def test_c8_draft_quality_monotonicity():
         mats = []
         for eta in (0.0, 0.25, 0.5, 1.0):
             base_target, draft = make_divergence_pair(spec, eta)
-            target = make_reflection_aware(base_target, MARKER, 0.5)
+            target = ReflectionAwareModel(base_target, MARKER, 0.5)
             mats.append(
                 mean_mat(
                     target,

@@ -14,30 +14,27 @@ from reflectspec.bench import (
     cell_seed,
     decode_stats_dict,
     emit_report,
-    input_budget,
     mean_accepted_tokens,
     read_report,
     render_report,
     run_sweep,
     write_decode_stats,
 )
-from reflectspec.drafting import DraftBundle
 from reflectspec.engine import DecodeConfig, RunStats, StepStats, decode
 from reflectspec.errors import InternalConsistencyError, InvalidConfigError
 from reflectspec.models import (
     ModelSpec,
+    ReflectionAwareModel,
     build_model,
     make_divergence_pair,
-    make_reflection_aware,
 )
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
     ReflectiveTemplate,
-    build_reflective_input,
     resolve_template,
 )
 from reflectspec.corpus import IntTokenizer
-from reflectspec.tokens import derive_seed, make_rng, one_hot
+from reflectspec.tokens import derive_seed, make_rng
 
 VOCAB = 40
 
@@ -66,17 +63,6 @@ class TestMetrics:
             s.tokens_emitted = 5
         # 80 * 5 + 20 * 4 = 480 tokens over 100 target forwards.
         assert mean_accepted_tokens(stats) == 4.8
-
-    def test_input_budget_matches_sequence_length(self):
-        bundle = DraftBundle(
-            tuple(range(5)), tuple(one_hot(t, VOCAB) for t in range(5)), 4
-        )
-        layout = build_reflective_input(
-            bundle, ReflectiveTemplate((30, 31, 32), 4), list(range(10, 20))
-        )
-        assert input_budget(layout) == 17 == len(layout.full_sequence)
-        empty = build_reflective_input(bundle, ReflectiveTemplate(), [1, 2])
-        assert input_budget(empty) == 10
 
 
 class TestSweep:
@@ -324,5 +310,5 @@ def _models_like_sweep(spec, eta):
     base_spec = spec.base
     target, draft = make_divergence_pair(base_spec, eta)
     if spec.beta > 0:
-        target = make_reflection_aware(target, spec.marker, spec.beta)
+        target = ReflectionAwareModel(target, spec.marker, spec.beta)
     return target, draft

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
+import pytest
+
+from reflectspec import bench, cli
 from reflectspec.bench import read_report
 from reflectspec.cli import build_parser, main
 
 DOCUMENTED_FLAGS = [
     "--target-model",
-    "--draft-model",
     "--vocab-size",
     "--seed",
     "--strategy",
@@ -22,6 +25,7 @@ DOCUMENTED_FLAGS = [
     "--prompt",
     "--prompt-file",
     "--max-tokens",
+    "--eta",
     "--corpus",
     "--entropy-source",
 ]
@@ -53,6 +57,10 @@ class TestParser:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_removed_flags_are_usage_errors(self):
+        assert main(["decode", "--prompt", "1", "--draft-model", "noisy"]) == 2
+        assert main(["sweep", "--prompt", "1", "--out", "r.csv", "--eta-grid", "0,1"]) == 2
 
 
 class TestDecodeCommand:
@@ -89,6 +97,18 @@ class TestDecodeCommand:
         payload = json.loads(out.read_text())
         assert payload["total_tokens"] == 8
         assert "steps" in payload
+
+    def test_default_eta_drafts_with_the_target_base(self, capsys):
+        # The tokens the former default draft (the target's base) gave.
+        argv = ["decode", "--prompt", "1 2 3", "--beta", "0.5", "--seed", "7", "--max-tokens", "64"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (
+            "output tokens: 44 55 37 3 12 18 21 12 34 33 35 7 42 1 4 31 31 0 15 46 18 24 1 61 "
+            "27 48 3 47 35 18 12 49 33 62 42 31 17 3 56 18 29 61 40 48 5 27 51 26 38 16 9 58 "
+            "21 18 6 55 43 28 28 39 45 61 12 62\n"
+        ) in out
+        assert "mat: 5.8182" in out
 
     def test_vanilla_strategy(self, capsys):
         assert main(["decode", "--strategy", "vanilla", "--prompt", "1", "--max-tokens", "5"]) == 0
@@ -193,6 +213,20 @@ class TestSweepCommand:
         assert main(common + ["--format", "json", "--out", str(json_path)]) == 0
         assert read_report(csv_path, "csv") == read_report(json_path, "json")
 
+    def test_eta_grid_endpoints_differ(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--prompt", "1 2 3", "--eta", "0,1", "--out", str(out)]) == 0
+        rows = read_report(out, "csv")
+        assert [r["eta"] for r in rows] == [0.0, 1.0]
+        assert rows[0]["mat"] > rows[1]["mat"]
+
+    def test_grids_skip_empty_items(self, tmp_path):
+        out = tmp_path / "report.csv"
+        grids = ["--alpha", "0.3,", "--gamma", "5,", "--eta", ",0.4", "--seeds", "0,"]
+        argv = ["sweep", "--prompt", "1 2 3", "--max-tokens", "4", "--out", str(out)] + grids
+        assert main(argv + ["--strategy", "exact,"]) == 0
+        assert len(read_report(out, "csv")) == 1
+
     def test_sweep_requires_out(self, capsys):
         assert main(["sweep", "--prompt", "1"]) == 2
 
@@ -204,6 +238,44 @@ class TestSweepCommand:
         code = main(["sweep", "--prompt", "1 2", "--max-tokens", "4", "--out", str(out)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+CORPUS = "the cat sat on the mat\nthe dog sat on the rug\nthe cat ran to the dog\n"
+
+
+class TestOnePair:
+    """``decode`` and ``sweep`` run on the same (target, draft) pair."""
+
+    @pytest.mark.parametrize("target_model", ["table", "ngram"])
+    @pytest.mark.parametrize("beta", ["0", "0.5"])
+    @pytest.mark.parametrize("eta", ["0", "0.4", "1"])
+    def test_decode_and_sweep_pairs_agree(self, monkeypatch, tmp_path, capsys, target_model, beta, eta):
+        pairs = {}
+        for name, module in (("decode", cli), ("sweep", bench)):
+            def capture(target, draft, prompt, config, name=name, real=module.decode):
+                pairs[name] = (target, draft)
+                return real(target, draft, prompt, config)
+
+            monkeypatch.setattr(module, "decode", capture)
+        flags = ["--target-model", target_model, "--beta", beta, "--eta", eta, "--seed", "3"]
+        prompt = "1 2 3"
+        if target_model == "ngram":
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_text(CORPUS, encoding="utf-8")
+            flags += ["--corpus", str(corpus)]
+            prompt = "the cat"
+        flags += ["--prompt", prompt, "--max-tokens", "4"]
+        assert main(["decode"] + flags) == 0
+        assert main(["sweep", "--out", str(tmp_path / "r.csv")] + flags) == 0
+        vocab = pairs["decode"][0].vocab_size
+        marker = getattr(pairs["decode"][0], "marker", vocab - 1)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            pre = [int(t) for t in rng.integers(0, vocab, size=int(rng.integers(1, 10)))]
+            # A planted marker and tail, so the reflection wrapper copies.
+            for ctx in (pre, pre + [marker] + pre[-2:]):
+                for got, want in zip(pairs["decode"], pairs["sweep"]):
+                    assert np.array_equal(got.next_logits(ctx), want.next_logits(ctx))
 
 
 class TestSelftest:

@@ -11,9 +11,9 @@ from reflectspec.models import (
     ModelSession,
     ModelSpec,
     NgramModel,
+    ReflectionAwareModel,
     TableModel,
     make_divergence_pair,
-    make_reflection_aware,
 )
 from reflectspec.bench import mean_accepted_tokens
 from reflectspec.drafting import DraftBundle
@@ -130,7 +130,9 @@ class TestCommitAndPrune:
         result = VerificationResult(
             accepted_n=1, bonus=9, per_step_accepts=(True, False, False), strategy="x"
         )
-        commit_and_prune(target_session, draft_session, layout, result)
+        commit_and_prune(
+            target_session, draft_session, len(layout.full_sequence), result
+        )
         assert target_session.tokens == committed + [4, 9]
         assert draft_session.tokens == committed
 
@@ -148,7 +150,9 @@ class TestCommitAndPrune:
         result = VerificationResult(
             accepted_n=0, bonus=3, per_step_accepts=(False,), strategy="x"
         )
-        commit_and_prune(target_session, draft_session, layout, result)
+        commit_and_prune(
+            target_session, draft_session, len(layout.full_sequence), result
+        )
         assert target_session.tokens == committed + [3]
 
     def test_fresh_session_equivalence_across_steps(self):
@@ -188,7 +192,7 @@ class TestDebugChecks:
 
     def test_debug_checks_cover_reflection_aware_backend(self):
         base_target, draft = table_pair(eta=0.4)
-        target = make_reflection_aware(base_target, MARKER, 0.5)
+        target = ReflectionAwareModel(base_target, MARKER, 0.5)
         config = base_config(debug_checks=True, max_new_tokens=16)
         decode(target, draft, [1, 2, 3], config)
 
@@ -252,7 +256,7 @@ class TestVariants:
         # sharper than the originals, so the two entropy sources must yield
         # visibly different per-step thresholds on the very first step.
         base_target, draft = table_pair(eta=0.4)
-        target = make_reflection_aware(base_target, MARKER, 0.8)
+        target = ReflectionAwareModel(base_target, MARKER, 0.8)
         thresholds = {}
         for source in ("original", "fused"):
             config = base_config(

@@ -23,7 +23,7 @@ from reflectspec.models import (
     TableModel,
     build_model,
     make_divergence_pair,
-    make_reflection_aware,
+    pair_models,
 )
 from reflectspec.tokens import make_rng, softmax
 
@@ -338,11 +338,20 @@ class TestDivergencePair:
         with pytest.raises(InvalidConfigError):
             make_divergence_pair(ModelSpec("table", 16), 1.5)
 
+    def test_pair_models_endpoints(self):
+        base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
+        target, draft = pair_models(base, noise, 0.0, 0.0, 15)
+        assert target is base and draft is base  # no blend, no wrapper
+        target, draft = pair_models(base, noise, 1.0, 0.5, 15)
+        assert isinstance(target, ReflectionAwareModel)
+        assert (target.base, target.marker, target.blend) == (base, 15, 0.5)
+        assert np.array_equal(draft.next_logits([1, 2]), noise.next_logits([1, 2]))
+
 
 class TestReflectionAware:
     def test_beta_zero_is_base(self):
         base = TableModel(16, seed=5)
-        wrapped = make_reflection_aware(base, 15, 0.0)
+        wrapped = ReflectionAwareModel(base, 15, 0.0)
         rng = make_rng(2)
         for _ in range(20):
             ctx = random_context(rng, 16)
@@ -351,7 +360,7 @@ class TestReflectionAware:
     def test_full_blend_reemits_draft(self):
         vocab, marker = 32, 31
         base = TableModel(vocab, seed=7)
-        model = make_reflection_aware(base, marker, 1.0)
+        model = ReflectionAwareModel(base, marker, 1.0)
         committed = [3, 4, 5, 6]
         draft = [7, 8, 9]
         prefix = committed[-2:]
@@ -364,7 +373,7 @@ class TestReflectionAware:
         # match continues with the marker itself; the model falls back to base.
         vocab, marker = 32, 31
         base = TableModel(vocab, seed=7)
-        model = make_reflection_aware(base, marker, 1.0)
+        model = ReflectionAwareModel(base, marker, 1.0)
         committed = [3, 4, 5, 6]
         draft = [7, 8, 9]
         ctx = committed + draft + [marker] + committed[-2:] + draft
@@ -372,14 +381,14 @@ class TestReflectionAware:
 
     def test_no_marker_in_context_is_base(self):
         base = TableModel(16, seed=5)
-        model = make_reflection_aware(base, 15, 0.7)
+        model = ReflectionAwareModel(base, 15, 0.7)
         ctx = [1, 2, 3, 4]
         assert np.array_equal(model.next_logits(ctx), base.next_logits(ctx))
 
     def test_blend_arithmetic(self):
         vocab, marker = 16, 15
         base = TableModel(vocab, seed=5)
-        model = make_reflection_aware(base, marker, 0.5)
+        model = ReflectionAwareModel(base, marker, 0.5)
         # The only pre-marker occurrence of the tail [2, 3] continues with the
         # marker itself, so no copy target exists and base logits pass through.
         ctx = [1, 2, 3, marker, 2, 3]
@@ -392,7 +401,7 @@ class TestReflectionAware:
 
     def test_marker_range_validated(self):
         with pytest.raises(InvalidConfigError):
-            make_reflection_aware(TableModel(16, seed=1), 16, 0.5)
+            ReflectionAwareModel(TableModel(16, seed=1), 16, 0.5)
 
 
 # A four-token vocabulary whose last token is the marker, so random contexts
@@ -443,14 +452,10 @@ class TestModelSpec:
         with pytest.raises(InvalidConfigError):
             ModelSpec("table", 8, order=0)
         with pytest.raises(InvalidConfigError):
-            ModelSpec("table", 8, beta=1.5)
-        with pytest.raises(InvalidConfigError):
             ModelSpec("nope", 8)
 
     def test_build_all_kinds(self):
         assert build_model(ModelSpec("table", 8)).vocab_size == 8
         assert build_model(ModelSpec("ngram", 8), corpus=[[0, 1, 2]]).vocab_size == 8
-        assert build_model(ModelSpec("divergence-pair-member", 8, eta=0.5)).vocab_size == 8
-        assert build_model(ModelSpec("reflection-aware", 8, beta=0.5)).vocab_size == 8
         with pytest.raises(InvalidConfigError):
             build_model(ModelSpec("ngram", 8))

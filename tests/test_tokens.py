@@ -182,12 +182,13 @@ class TestGreedy:
     @given(finite_logits, st.booleans(), st.floats(min_value=0.05, max_value=20))
     @settings(max_examples=100)
     def test_argmax_invariant_under_temperature(self, values, tie, temp):
-        # Holds when the top two logits are exactly tied (both temperatures
-        # then pick the lowest tied id) or at least ARGMAX_MARGIN apart.
+        # Holds when every logit is either exactly tied with the maximum (both
+        # temperatures then pick the lowest tied id) or at least ARGMAX_MARGIN
+        # below it; a sub-ulp gap below a tied maximum can round away too.
         if tie:
             values = values + [max(values)]
-        top = sorted(values, reverse=True)
-        assume(len(top) == 1 or top[0] == top[1] or top[0] - top[1] >= ARGMAX_MARGIN)
+        top = max(values)
+        assume(all(v == top or top - v >= ARGMAX_MARGIN for v in values))
         arr = np.array(values)
         assert greedy(softmax(arr, temp)) == greedy(softmax(arr, 1.0))
 
