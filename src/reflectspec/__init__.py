@@ -37,15 +37,12 @@ from .models import (
     ReflectionAwareModel,
     TableModel,
     build_model,
-    make_divergence_pair,
     pair_models,
 )
 from .reflective import (
     DEFAULT_TEMPLATE_TEXT,
-    FusionConfig,
     ReflectiveLayout,
     ReflectiveTemplate,
-    ResolvedTemplate,
     build_reflective_input,
     fuse,
     paired_forward,

@@ -1,10 +1,10 @@
 """Metrics, configuration sweeps, and report emission.
 
 The central speed metric is mean accepted tokens per verification forward
-pass (tokens emitted divided by target forward passes); plain autoregressive
-decoding scores exactly 1.0 by construction. Sweeps run the cross product of
-parameter grids over a prompt set, one report row per cell, in a fixed grid
-order.
+pass (tokens emitted divided by steps, each of which runs one target forward
+pass); plain autoregressive decoding scores exactly 1.0 by construction.
+Sweeps run the cross product of parameter grids over a prompt set, one report
+row per cell, in a fixed grid order.
 
 Each process running a sweep builds the spec's base and noise models once
 and wraps them per cell; build errors land in the rows of the cells they
@@ -26,14 +26,14 @@ import concurrent.futures
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 from .engine import DecodeConfig, RunStats, StepStats, decode
 from .errors import InternalConsistencyError, InvalidConfigError, ReflectSpecError
 from .models import Model, ModelSpec, build_model, divergence_noise_model, pair_models
-from .reflective import ReflectiveTemplate, ResolvedTemplate
+from .reflective import ReflectiveTemplate
 from .tokens import derive_seed
 
 REPORT_COLUMNS = (
@@ -57,10 +57,10 @@ TIMING_COLUMNS = ("tokens_per_s", "wall_time_s")
 
 
 def mean_accepted_tokens(stats: RunStats) -> float:
-    """Tokens emitted per target forward pass."""
+    """Tokens emitted per step, i.e. per target forward pass."""
     if stats.num_steps == 0:
         raise InvalidConfigError("cannot compute mean accepted tokens of an empty run")
-    return stats.total_tokens_emitted / stats.total_target_forwards
+    return stats.total_tokens_emitted / stats.num_steps
 
 
 def acceptance_by_position(steps: Sequence[StepStats], gamma: int) -> list[float]:
@@ -88,7 +88,7 @@ class SweepSpec:
     gammas: tuple[int, ...] = (5,)
     strategies: tuple[str, ...] = ("specsample",)
     etas: tuple[float, ...] = (0.0,)
-    templates: tuple[ResolvedTemplate, ...] = ()
+    templates: tuple[ReflectiveTemplate, ...] = ()
     seeds: tuple[int, ...] = (0,)
     corpus: tuple[tuple[int, ...], ...] | None = None
     beta: float = 0.0
@@ -130,26 +130,9 @@ class ReportRow:
     wall_time_s: float | None = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "strategy": self.strategy,
-            "eta": self.eta,
-            "template": self.template,
-            "seed": self.seed,
-            "prefix_len": self.prefix_len,
-            "temperature": self.temperature,
-            "num_prompts": self.num_prompts,
-            "total_steps": self.total_steps,
-            "output_tokens": self.output_tokens,
-            "mat": self.mat,
-            "acceptance_by_position": list(self.acceptance_by_position),
-            "mean_input_budget": self.mean_input_budget,
-            "error": self.error,
-        }
-        if include_timing:
-            out["tokens_per_s"] = self.tokens_per_s
-            out["wall_time_s"] = self.wall_time_s
+        columns = REPORT_COLUMNS + (TIMING_COLUMNS if include_timing else ())
+        out = {c: getattr(self, c) for c in columns}
+        out["acceptance_by_position"] = list(self.acceptance_by_position)
         return out
 
 
@@ -228,14 +211,7 @@ class _CellRunner:
         try:
             target, draft = self._models(eta)
             base_stream = cell_seed(seed, indices)
-            tmpl = ReflectiveTemplate(
-                prompt_tokens=template.prompt_tokens,
-                prefix_len=spec.prefix_len if template.has_prefix else 0,
-            )
-            total_tokens = 0
-            total_forwards = 0
-            total_fed = 0
-            total_wall = 0.0
+            template = replace(template, prefix_len=spec.prefix_len if template.has_prefix else 0)
             steps: list[StepStats] = []
             for prompt_index, prompt in enumerate(spec.prompts):
                 config = DecodeConfig(
@@ -245,7 +221,7 @@ class _CellRunner:
                     strategy=strategy,
                     epsilon=spec.epsilon,
                     delta=spec.delta,
-                    template=tmpl,
+                    template=template,
                     reflect=template.reflective,
                     entropy_source=spec.entropy_source,
                     max_new_tokens=spec.max_new_tokens,
@@ -253,18 +229,16 @@ class _CellRunner:
                     seed=derive_seed(base_stream, "prompt", prompt_index),
                 )
                 _, stats = decode(target, draft, list(prompt), config)
-                total_tokens += stats.total_tokens_emitted
-                total_forwards += stats.total_target_forwards
-                total_fed += stats.total_input_tokens
-                total_wall += stats.total_wall_time
                 steps.extend(stats.steps)
-            row.total_steps = len(steps)
-            row.output_tokens = total_tokens
-            row.mat = total_tokens / total_forwards
+            run = RunStats(steps=steps)
+            row.total_steps = run.num_steps
+            row.output_tokens = run.total_tokens_emitted
+            row.mat = mean_accepted_tokens(run)
             row.acceptance_by_position = tuple(acceptance_by_position(steps, gamma))
-            row.mean_input_budget = total_fed / len(steps)
-            row.wall_time_s = total_wall
-            row.tokens_per_s = total_tokens / total_wall if total_wall > 0 else None
+            row.mean_input_budget = run.total_input_tokens / run.num_steps
+            row.wall_time_s = run.total_wall_time
+            if row.wall_time_s > 0:
+                row.tokens_per_s = row.output_tokens / row.wall_time_s
         except InternalConsistencyError:
             raise  # a programming error, not a property of the cell
         except ReflectSpecError as exc:  # config failures land in the row, sweep continues
@@ -393,7 +367,6 @@ def decode_stats_dict(stats: RunStats, include_diagnostics: bool = False) -> dic
         if include_diagnostics:
             entry.update(
                 {
-                    "target_forward_count": s.target_forward_count,
                     "draft_forward_count": s.draft_forward_count,
                     "input_tokens_fed": s.input_tokens_fed,
                     "wall_time": s.wall_time,

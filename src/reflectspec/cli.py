@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .bench import (
@@ -34,12 +34,7 @@ from .corpus import (
 from .engine import DecodeConfig, decode
 from .errors import InvalidConfigError, ReflectSpecError
 from .models import ModelSpec, build_model, divergence_noise_model, pair_models
-from .reflective import (
-    DEFAULT_TEMPLATE_TEXT,
-    ReflectiveTemplate,
-    ResolvedTemplate,
-    resolve_template,
-)
+from .reflective import DEFAULT_TEMPLATE_TEXT, ReflectiveTemplate, resolve_template
 from .selftest import run_all
 
 
@@ -197,7 +192,7 @@ class Environment:
     tokenizer: IntTokenizer | WordTokenizer
     base: ModelSpec
     corpus_docs: list[list[int]] | None
-    templates: list[ResolvedTemplate]
+    templates: list[ReflectiveTemplate]
     prompts: list[list[int]]
     marker: int
 
@@ -286,7 +281,7 @@ def cmd_decode(args) -> int:
     base = build_model(env.base, corpus=env.corpus_docs)
     noise = divergence_noise_model(env.base)
     target, draft = pair_models(base, noise, args.eta, args.beta, env.marker)
-    resolved = env.templates[0]
+    template = env.templates[0]
     config = DecodeConfig(
         gamma=args.gamma,
         alpha=args.alpha,
@@ -294,11 +289,8 @@ def cmd_decode(args) -> int:
         strategy=args.strategy,
         epsilon=args.epsilon,
         delta=args.delta,
-        template=ReflectiveTemplate(
-            prompt_tokens=resolved.prompt_tokens,
-            prefix_len=args.prefix_len if resolved.has_prefix else 0,
-        ),
-        reflect=resolved.reflective,
+        template=replace(template, prefix_len=args.prefix_len if template.has_prefix else 0),
+        reflect=template.reflective,
         entropy_source=args.entropy_source,
         exact_match_mode=args.match_mode,
         max_new_tokens=args.max_tokens,

@@ -1,8 +1,8 @@
 """The decode loop: draft, assemble, paired forward, fuse, verify, commit.
 
 Each speculative step performs exactly one verification forward pass on the
-target model (the pass over the assembled two-copy input), which is the
-denominator of the mean-accepted-tokens metric. After verification the
+target model (the pass over the assembled two-copy input), so the step count
+is the denominator of the mean-accepted-tokens metric. After verification the
 target session is pruned back to the committed prefix plus the accepted
 draft tokens, and the bonus token is appended; nothing of the probe, the
 positional prefix replay, or the second draft copy survives in any cache.
@@ -13,9 +13,11 @@ verification pass feeds exactly the assembled sequence.
 A step's gamma + 1 verifier distributions are one ``(gamma + 1, V)`` array,
 from ``fuse`` or, without reflection, one block softmax.
 
-Wall times are measured around the verification pass plus verification and
-are toy-backend numbers; they are not comparable to production throughput
-and reports label them accordingly.
+A step's wall time covers the whole step: the draft session's sync,
+drafting, assembly, the verification pass, fusion, verification, commit and
+the end-of-sequence or budget truncation (and, with ``debug_checks``, the
+causality replay). Wall times are toy-backend numbers; they are not
+comparable to production throughput and reports label them accordingly.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .drafting import DraftBundle, generate_draft
 from .errors import InternalConsistencyError, InvalidConfigError
 from .models import Model, ModelSession
 from .reflective import (
-    FusionConfig,
     ReflectiveLayout,
     ReflectiveTemplate,
     build_reflective_input,
@@ -95,7 +96,6 @@ class StepStats:
 
     accepted_n: int
     tokens_emitted: int
-    target_forward_count: int
     draft_forward_count: int
     input_tokens_fed: int
     wall_time: float
@@ -128,10 +128,6 @@ class RunStats:
     @property
     def total_tokens_emitted(self) -> int:
         return sum(s.tokens_emitted for s in self.steps)
-
-    @property
-    def total_target_forwards(self) -> int:
-        return sum(s.target_forward_count for s in self.steps)
 
     @property
     def total_draft_forwards(self) -> int:
@@ -171,9 +167,9 @@ def decode(
     draft_session.forward(prompt)
     committed = list(prompt)
     stats = RunStats(prompt_len=len(prompt), trace=[] if config.record_trace else None)
-    fusion = FusionConfig(config.alpha, config.temperature)
 
     while len(stats.output_tokens) < config.max_new_tokens:
+        start = time.perf_counter()
         # Feed the draft session whatever was committed since its last sync.
         pending = committed[len(draft_session) :]
         draft_forwards = 0
@@ -183,13 +179,12 @@ def decode(
         bundle = generate_draft(draft_session, config.gamma, config.temperature, rng)
         draft_forwards += bundle.draft_forward_count
 
-        start = time.perf_counter()
         layout: ReflectiveLayout | None = None
         reflective = None
         if config.reflect:
             layout = build_reflective_input(bundle, config.template, committed)
             original, reflective = paired_forward(target_session, layout)
-            fused = fuse(original, reflective, fusion)
+            fused = fuse(original, reflective, config.alpha, config.temperature)
             fed = len(layout.full_sequence)
         else:
             first = target_session.last_logits
@@ -197,7 +192,6 @@ def decode(
             fused = sampling_distribution(stack_rows(original), config.temperature)
             fed = bundle.gamma
         result = _verify(config, fused, original, bundle, rng)
-        wall = time.perf_counter() - start
 
         if config.debug_checks:
             _assert_original_segment_clean(target, committed, bundle, original)
@@ -209,13 +203,13 @@ def decode(
         kept = _truncate_step_tokens(step_tokens, config, len(stats.output_tokens))
         if len(kept) < len(step_tokens):
             target_session.truncate(committed_before + len(kept))
+        wall = time.perf_counter() - start
         committed.extend(kept)
         stats.output_tokens.extend(kept)
         stats.steps.append(
             StepStats(
                 accepted_n=result.accepted_n,
                 tokens_emitted=len(kept),
-                target_forward_count=1,
                 draft_forward_count=draft_forwards,
                 input_tokens_fed=fed,
                 wall_time=wall,
@@ -284,7 +278,6 @@ def _decode_vanilla(
             StepStats(
                 accepted_n=0,
                 tokens_emitted=1,
-                target_forward_count=1,
                 draft_forward_count=0,
                 input_tokens_fed=1,
                 wall_time=wall,

@@ -114,10 +114,6 @@ class ModelSession:
         return list(self._tokens)
 
     @property
-    def cached_length(self) -> int:
-        return len(self._logit_cache)
-
-    @property
     def last_logits(self) -> np.ndarray:
         """Cached logits predicting the token after the current context."""
         if not self._logit_cache:
@@ -403,23 +399,14 @@ def pair_models(
     ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
     ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
     model unrelated to the target. ``BlendModel`` and ``ReflectionAwareModel``
-    validate the weights they take.
+    validate the weights they take; a negative beta, which builds no
+    wrapper, is rejected here.
     """
+    if beta < 0:
+        raise InvalidConfigError(f"beta must lie in [0, 1], got {beta!r}")
     draft = base if eta == 0 else BlendModel(base, noise, eta)
     target = ReflectionAwareModel(base, marker, beta) if beta > 0 else base
     return target, draft
-
-
-def make_divergence_pair(
-    base_spec: ModelSpec,
-    eta: float,
-    corpus: Sequence[Sequence[int]] | None = None,
-) -> tuple[Model, Model]:
-    """``pair_models`` of a spec's base and noise models at blend rate
-    ``eta``, without the reflection wrapper: eta=0 gives an identical draft,
-    eta=1 a draft unrelated to the target."""
-    base = build_model(base_spec, corpus=corpus)
-    return pair_models(base, divergence_noise_model(base_spec), eta, 0.0, 0)
 
 
 def build_model(

@@ -36,45 +36,36 @@ from .tokens import logit_block, sampling_distribution
 
 DEFAULT_TEMPLATE_TEXT = "${draft} [BACK] ${prefix} ${draft}"
 
-_REFLECTIVE_RE = re.compile(
-    r"^\s*\$\{draft\}(?P<prompt>.*?)(?P<prefix>\$\{prefix\})?\s*\$\{draft\}\s*$",
+# One ``${draft}`` (plain), or two with an optional probe text and an
+# optional ``${prefix}`` between them (reflective).
+_TEMPLATE_RE = re.compile(
+    r"^\s*\$\{draft\}"
+    r"(?:(?P<prompt>.*?)(?P<prefix>\$\{prefix\})?\s*(?P<second>\$\{draft\}))?\s*$",
     re.DOTALL,
 )
-_PLAIN_RE = re.compile(r"^\s*\$\{draft\}\s*$")
 
 
 @dataclass(frozen=True)
 class ReflectiveTemplate:
-    """Probe prompt tokens plus the positional prefix length to replay."""
+    """A probe template: probe tokens, the positional prefix length to
+    replay, and the shape of the text it was parsed from.
+
+    ``resolve_template`` fills in ``text``, ``has_prefix`` (the text holds
+    ``${prefix}``) and ``reflective`` (the text plays the draft twice) and
+    leaves ``prefix_len`` at 0 for the caller to set. The defaults describe
+    a reflective template built from tokens rather than text. The engine
+    reads only ``prompt_tokens`` and ``prefix_len``.
+    """
 
     prompt_tokens: tuple[int, ...] = ()
     prefix_len: int = 0
+    text: str = ""
+    has_prefix: bool = True
+    reflective: bool = True
 
     def __post_init__(self) -> None:
         if self.prefix_len < 0:
             raise InvalidConfigError("prefix_len must be >= 0")
-
-
-@dataclass(frozen=True)
-class ResolvedTemplate:
-    """A parsed template string: its probe text and structural flags."""
-
-    text: str
-    prompt_tokens: tuple[int, ...]
-    has_prefix: bool
-    reflective: bool
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    alpha: float
-    temperature: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if self.temperature < 0:
-            raise InvalidConfigError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,51 +98,29 @@ class ReflectiveLayout:
                 raise InternalConsistencyError("second draft copy does not mirror the first")
 
 
-def parse_template_text(text: str) -> ResolvedTemplate:
-    """Parse a placeholder template into its probe text and flags.
+def resolve_template(text: str, tokenizer) -> ReflectiveTemplate:
+    """Parse a placeholder template and tokenize its probe text.
 
     Raises ``InvalidConfigError`` for any shape other than one ``${draft}``
     (plain, no reflection) or two ``${draft}`` with an optional probe text
-    and optional ``${prefix}`` in between. Prompt tokens are filled in later
-    by ``resolve_template``.
+    and optional ``${prefix}`` in between. Tokenization happens once per
+    run; the placeholders are structural and are never string-substituted
+    at decode time.
     """
-    if _PLAIN_RE.match(text):
-        return ResolvedTemplate(text=text, prompt_tokens=(), has_prefix=False, reflective=False)
-    match = _REFLECTIVE_RE.match(text)
+    match = _TEMPLATE_RE.match(text)
     if not match:
         raise InvalidConfigError(
             f"unsupported template {text!r}; expected '${{draft}}' or "
             "'${draft} <probe> ${prefix} ${draft}'"
         )
-    prompt_text = match.group("prompt")
+    prompt_text = match.group("prompt") or ""
     if "${" in prompt_text:
         raise InvalidConfigError(f"unexpected placeholder inside probe text of {text!r}")
-    return ResolvedTemplate(
+    return ReflectiveTemplate(
+        prompt_tokens=tuple(tokenizer.encode(prompt_text, extend=True)),
         text=text,
-        prompt_tokens=(),
         has_prefix=match.group("prefix") is not None,
-        reflective=True,
-    )
-
-
-def resolve_template(text: str, tokenizer) -> ResolvedTemplate:
-    """Parse and tokenize a template with the run's tokenizer.
-
-    Tokenization happens once per run; the placeholders are structural and
-    are never string-substituted at decode time.
-    """
-    parsed = parse_template_text(text)
-    prompt_part = ""
-    if parsed.reflective:
-        match = _REFLECTIVE_RE.match(text)
-        assert match is not None
-        prompt_part = match.group("prompt")
-    prompt_tokens = tuple(tokenizer.encode(prompt_part, extend=True))
-    return ResolvedTemplate(
-        text=parsed.text,
-        prompt_tokens=prompt_tokens,
-        has_prefix=parsed.has_prefix,
-        reflective=parsed.reflective,
+        reflective=match.group("second") is not None,
     )
 
 
@@ -204,7 +173,7 @@ def paired_forward(
     is the respective bonus-position output. The session is left holding the
     full assembled tail; pruning is the caller's job.
     """
-    if session.cached_length == 0:
+    if len(session) == 0:
         raise InternalConsistencyError("session holds no committed state to anchor the draft")
     gamma = layout.gamma
     first_original = session.last_logits
@@ -219,7 +188,8 @@ def paired_forward(
 def fuse(
     original: Sequence[np.ndarray],
     reflective: Sequence[np.ndarray],
-    config: FusionConfig,
+    alpha: float,
+    temperature: float,
 ) -> np.ndarray:
     """Convex combination of the paired logits of a step, then one softmax.
 
@@ -231,6 +201,8 @@ def fuse(
     softmax validates the fused block once more, so a non-finite fused sum
     raises ``InvalidLogitsError`` like a non-finite input does.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
     if len(original) != len(reflective):
         raise InternalConsistencyError(
             f"paired logit lengths differ: {len(original)} vs {len(reflective)}"
@@ -239,5 +211,4 @@ def fuse(
     r = logit_block(reflective)
     if o.shape != r.shape:
         raise InternalConsistencyError("paired logit vectors differ in vocabulary size")
-    alpha = config.alpha
-    return sampling_distribution((1.0 - alpha) * o + alpha * r, config.temperature)
+    return sampling_distribution((1.0 - alpha) * o + alpha * r, temperature)

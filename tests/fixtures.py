@@ -1,0 +1,23 @@
+"""Shared test fixtures built from the package's public model constructors."""
+
+from typing import Sequence
+
+from reflectspec.models import (
+    Model,
+    ModelSpec,
+    build_model,
+    divergence_noise_model,
+    pair_models,
+)
+
+
+def make_divergence_pair(
+    base_spec: ModelSpec,
+    eta: float,
+    corpus: Sequence[Sequence[int]] | None = None,
+) -> tuple[Model, Model]:
+    """``pair_models`` of a spec's base and noise models at blend rate
+    ``eta``, without the reflection wrapper: eta=0 gives an identical draft,
+    eta=1 a draft unrelated to the target."""
+    base = build_model(base_spec, corpus=corpus)
+    return pair_models(base, divergence_noise_model(base_spec), eta, 0.0, 0)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from reference_impl import reference_decode
+from fixtures import make_divergence_pair
 
 from reflectspec.bench import mean_accepted_tokens, write_decode_stats
 from reflectspec.drafting import DraftBundle
@@ -18,7 +19,6 @@ from reflectspec.models import (
     ModelSpec,
     NgramModel,
     ReflectionAwareModel,
-    make_divergence_pair,
 )
 from reflectspec.reflective import ReflectiveTemplate, build_reflective_input
 from reflectspec.tokens import derive_seed, make_rng, one_hot, sample

@@ -5,6 +5,7 @@ import functools
 import multiprocessing
 
 import pytest
+from fixtures import make_divergence_pair
 
 from reflectspec import bench
 from reflectspec.bench import (
@@ -26,7 +27,6 @@ from reflectspec.models import (
     ModelSpec,
     ReflectionAwareModel,
     build_model,
-    make_divergence_pair,
 )
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
@@ -56,7 +56,7 @@ def make_spec(**kw):
 class TestMetrics:
     def test_mean_accepted_tokens_arithmetic(self):
         stats = RunStats(
-            steps=[StepStats(3, 4, 1, 3, 13, 0.0) for _ in range(100)],
+            steps=[StepStats(3, 4, 3, 13, 0.0) for _ in range(100)],
         )
         stats.output_tokens = [0] * 400
         for s in stats.steps[:80]:

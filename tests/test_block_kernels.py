@@ -18,7 +18,7 @@ from reflectspec.errors import (
     InvalidDistributionError,
     InvalidLogitsError,
 )
-from reflectspec.reflective import FusionConfig, fuse
+from reflectspec.reflective import fuse
 from reflectspec.tokens import (
     logit_block,
     make_rng,
@@ -70,7 +70,7 @@ class TestBlockKernelsMatchRows:
             if mirrored
             else logit_rows(seed + 1, gamma + 1, vocab, temperature)
         )
-        got = fuse(original, reflective, FusionConfig(alpha, temperature))
+        got = fuse(original, reflective, alpha, temperature)
         want = np.array(ref_fuse(original, reflective, alpha, temperature))
         assert got.shape == (gamma + 1, vocab)
         assert np.array_equal(got, want)
@@ -159,29 +159,26 @@ class TestErrorParity:
         paired = {"original": rows(1), "reflective": rows(2)}
         paired[side][row][2] = bad
         with pytest.raises(InvalidLogitsError):
-            fuse(paired["original"], paired["reflective"], FusionConfig(0.4, temperature))
+            fuse(paired["original"], paired["reflective"], 0.4, temperature)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.7])
     def test_non_finite_fused_sum(self, temperature):
-        # A convex combination of finite blocks stays finite, so reaching the
-        # check on the fused sum needs an alpha outside [0, 1], which
-        # FusionConfig itself would reject.
-        config = FusionConfig(0.5, temperature)
-        object.__setattr__(config, "alpha", 3.0)
+        # Overflowing the fused sum of finite blocks needs an alpha outside
+        # [0, 1]; fuse rejects that alpha before it sums anything.
         original = [np.array([1e308, 0.0]), np.array([0.0, 1e308])]
         reflective = [np.zeros(2), np.zeros(2)]
-        with np.errstate(over="ignore"), pytest.raises(InvalidLogitsError):
-            fuse(original, reflective, config)
+        with pytest.raises(InvalidConfigError, match="alpha"):
+            fuse(original, reflective, 3.0, temperature)
 
     def test_vocabulary_mismatch_between_sides(self):
         reflective = rows(2)
         reflective[1] = np.zeros(VOCAB + 1)
         with pytest.raises(InternalConsistencyError):
-            fuse(rows(1), reflective, FusionConfig(0.4, 1.0))
+            fuse(rows(1), reflective, 0.4, 1.0)
 
     def test_position_count_mismatch(self):
         with pytest.raises(InternalConsistencyError):
-            fuse(rows(1), rows(2, n=GAMMA), FusionConfig(0.4, 1.0))
+            fuse(rows(1), rows(2, n=GAMMA), 0.4, 1.0)
 
     @pytest.mark.parametrize("block", [False, True])
     def test_negative_temperature(self, block):
@@ -193,7 +190,7 @@ class TestErrorParity:
         with pytest.raises(InvalidConfigError):
             softmax(logits, 0.0)
         with pytest.raises(InvalidConfigError):
-            FusionConfig(0.3, -1.0)
+            fuse(rows(1), rows(2), 0.3, -1.0)
 
     @pytest.mark.parametrize("row", range(GAMMA))
     @pytest.mark.parametrize("kind", ["negative", "short", "nan"])
@@ -232,7 +229,7 @@ def test_ragged_rows_within_a_side_are_rejected():
     original[0] = np.zeros(VOCAB + 1)
     reflective[0] = np.zeros(VOCAB + 1)
     with pytest.raises(InternalConsistencyError):
-        fuse(original, reflective, FusionConfig(0.4, 1.0))
+        fuse(original, reflective, 0.4, 1.0)
 
 
 def corrupt(dist, kind):

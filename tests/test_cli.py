@@ -162,6 +162,11 @@ class TestDecodeCommand:
         )
         assert code == 0
 
+    def test_negative_beta_is_runtime_error(self, capsys):
+        argv = ["decode", "--prompt", "1 2 3", "--beta", "-0.5", "--max-tokens", "8"]
+        assert main(argv) == 1
+        assert "beta" in capsys.readouterr().err
+
     def test_timing_flag_adds_wall_time(self, capsys):
         argv = ["decode", "--prompt", "1 2", "--max-tokens", "4"]
         main(argv)
@@ -226,6 +231,15 @@ class TestSweepCommand:
         argv = ["sweep", "--prompt", "1 2 3", "--max-tokens", "4", "--out", str(out)] + grids
         assert main(argv + ["--strategy", "exact,"]) == 0
         assert len(read_report(out, "csv")) == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_beta_fails_every_cell(self, tmp_path, capsys, jobs):
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--prompt", "1 2 3", "--alpha", "0,0.3", "--beta", "-0.5"]
+        assert main(argv + ["--max-tokens", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        rows = read_report(out, "csv")
+        assert len(rows) == 2
+        assert all(r["error"].startswith("InvalidConfigError: beta") for r in rows)
 
     def test_sweep_requires_out(self, capsys):
         assert main(["sweep", "--prompt", "1"]) == 2

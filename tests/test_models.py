@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fixtures import make_divergence_pair
 from reference_impl import ref_copy_target, ref_ngram_counts, ref_ngram_logits
 
 from reflectspec.errors import (
@@ -22,7 +23,6 @@ from reflectspec.models import (
     ReflectionAwareModel,
     TableModel,
     build_model,
-    make_divergence_pair,
     pair_models,
 )
 from reflectspec.tokens import make_rng, softmax
@@ -54,7 +54,7 @@ class TestModelSession:
         s = ModelSession(TableModel(8, seed=1))
         out = s.forward([1, 2, 3])
         assert len(out) == 3 and all(v.shape == (8,) for v in out)
-        assert len(s) == 3 and s.cached_length == 3
+        assert len(s) == 3
 
     def test_rejects_out_of_vocab_tokens(self):
         s = ModelSession(TableModel(8, seed=1))
@@ -100,7 +100,7 @@ class TestModelSession:
         s = ModelSession(TableModel(8, seed=1))
         s.forward([1, 2])
         s.truncate(0)
-        assert len(s) == 0 and s.cached_length == 0
+        assert len(s) == 0
 
     def test_truncate_out_of_range(self):
         s = ModelSession(TableModel(8, seed=1))
@@ -337,6 +337,11 @@ class TestDivergencePair:
     def test_eta_validated(self):
         with pytest.raises(InvalidConfigError):
             make_divergence_pair(ModelSpec("table", 16), 1.5)
+
+    def test_pair_models_rejects_negative_beta(self):
+        base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
+        with pytest.raises(InvalidConfigError, match="beta"):
+            pair_models(base, noise, 0.0, -0.5, 15)
 
     def test_pair_models_endpoints(self):
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)

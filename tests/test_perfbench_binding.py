@@ -2,24 +2,47 @@
 
 A name it relies on that is deleted or renamed (an engine binding it spans,
 ``bench.build_model``, ``bench.decode``, a public constructor) breaks the
-benchmark without breaking any other test; this one fails instead.
+benchmark without breaking any other test; this one fails instead. The
+default seed's outputs of every workload must also still match the digests
+and MAT values in ``perfbench/expected.json``.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
 def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     yield importlib.import_module("spans"), importlib.import_module("workloads")
-    for name in ("spans", "workloads"):
+    for name in ("spans", "workloads", "run"):
         sys.modules.pop(name, None)
+
+
+def test_every_workload_has_expected_outputs(perfbench):
+    _, workloads = perfbench
+    assert set(workloads.WORKLOADS) == set(EXPECTED["workloads"])
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED["workloads"]))
+def test_default_seed_outputs_match_expected(perfbench, name):
+    # One pass under the tracer, as the benchmark's gate runs it: every
+    # decode's counted model positions are checked, and the sweep runs
+    # in-process (jobs=1), whose rows the determinism contract makes equal
+    # to the benchmark's jobs=2 rows.
+    _, workloads = perfbench
+    run = importlib.import_module("run")
+    checks = run.Checks(workloads.WORKLOADS[name](EXPECTED["default_seed"]))
+    pass_digest, pass_mat = run.checked_pass(checks)
+    assert checks.failed == 0 and checks.attempted > 0
+    assert {"digest": pass_digest, "mat": pass_mat} == EXPECTED["workloads"][name]
 
 
 def test_workloads_build_and_run_under_the_tracer(perfbench):

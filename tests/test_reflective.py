@@ -11,12 +11,10 @@ from reflectspec.errors import InternalConsistencyError, InvalidConfigError
 from reflectspec.models import ModelSession, TableModel
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
-    FusionConfig,
     ReflectiveTemplate,
     build_reflective_input,
     fuse,
     paired_forward,
-    parse_template_text,
     resolve_template,
 )
 from reflectspec.tokens import make_rng, one_hot, softmax
@@ -170,7 +168,7 @@ class TestFuse:
         rng = make_rng(0)
         orig = [rng.normal(size=8) for _ in range(3)]
         refl = [rng.normal(size=8) for _ in range(3)]
-        fused = fuse(orig, refl, FusionConfig(0.0, 0.7))
+        fused = fuse(orig, refl, 0.0, 0.7)
         for f, o in zip(fused, orig):
             assert np.array_equal(f, softmax(o, 0.7))
 
@@ -178,11 +176,11 @@ class TestFuse:
         rng = make_rng(0)
         orig = [rng.normal(size=8)]
         refl = [rng.normal(size=8)]
-        fused = fuse(orig, refl, FusionConfig(1.0, 1.3))
+        fused = fuse(orig, refl, 1.0, 1.3)
         assert np.max(np.abs(fused[0] - softmax(refl[0], 1.3))) <= 1e-12
 
     def test_hand_example(self):
-        fused = fuse([np.array([0.0, 0.0])], [np.array([1.0, 0.0])], FusionConfig(0.3, 1.0))
+        fused = fuse([np.array([0.0, 0.0])], [np.array([1.0, 0.0])], 0.3, 1.0)
         want = softmax(np.array([0.3, 0.0]), 1.0)
         assert np.max(np.abs(fused[0] - want)) <= 1e-12
 
@@ -192,7 +190,7 @@ class TestFuse:
         rng = make_rng(r.randrange(2**31))
         orig = rng.normal(size=6)
         refl = rng.normal(size=6)
-        fused = fuse([orig], [refl], FusionConfig(alpha, 1.0))[0]
+        fused = fuse([orig], [refl], alpha, 1.0)[0]
         want = softmax((1 - alpha) * orig + alpha * refl, 1.0)
         assert np.max(np.abs(fused - want)) <= 1e-12
 
@@ -201,37 +199,37 @@ class TestFuse:
         logits = rng.normal(size=8)
         base = softmax(logits, 0.9)
         for alpha in (0.0, 0.25, 0.6, 1.0):
-            fused = fuse([logits], [logits.copy()], FusionConfig(alpha, 0.9))[0]
+            fused = fuse([logits], [logits.copy()], alpha, 0.9)[0]
             assert np.max(np.abs(fused - base)) <= 1e-12
 
     def test_zero_temperature_gives_one_hot(self):
-        fused = fuse([np.array([0.0, 2.0])], [np.array([0.0, 1.0])], FusionConfig(0.5, 0.0))
+        fused = fuse([np.array([0.0, 2.0])], [np.array([0.0, 1.0])], 0.5, 0.0)
         assert fused[0].tolist() == [0.0, 1.0]
 
     def test_length_mismatch(self):
         with pytest.raises(InternalConsistencyError):
-            fuse([np.zeros(4)], [], FusionConfig(0.3, 1.0))
+            fuse([np.zeros(4)], [], 0.3, 1.0)
 
     def test_alpha_validated(self):
         with pytest.raises(InvalidConfigError):
-            FusionConfig(1.2, 1.0)
+            fuse([np.zeros(4)], [np.zeros(4)], 1.2, 1.0)
 
 
 class TestTemplates:
     def test_default_template(self):
-        parsed = parse_template_text(DEFAULT_TEMPLATE_TEXT)
+        parsed = resolve_template(DEFAULT_TEMPLATE_TEXT, IntTokenizer(64))
         assert parsed.reflective and parsed.has_prefix
 
     def test_plain_draft_only(self):
-        parsed = parse_template_text("${draft}")
+        parsed = resolve_template("${draft}", IntTokenizer(64))
         assert not parsed.reflective and not parsed.has_prefix
 
     def test_empty_probe_with_prefix(self):
-        parsed = parse_template_text("${draft} ${prefix} ${draft}")
+        parsed = resolve_template("${draft} ${prefix} ${draft}", IntTokenizer(64))
         assert parsed.reflective and parsed.has_prefix
 
     def test_probe_without_prefix(self):
-        parsed = parse_template_text("${draft} [BACK] ${draft}")
+        parsed = resolve_template("${draft} [BACK] ${draft}", IntTokenizer(64))
         assert parsed.reflective and not parsed.has_prefix
 
     def test_sentence_probe_resolves_words(self):
@@ -251,4 +249,4 @@ class TestTemplates:
     def test_malformed_templates_rejected(self):
         for text in ("", "no placeholders", "${draft} ${prefix}", "${draft} ${prefix} x ${draft} ${draft}"):
             with pytest.raises(InvalidConfigError):
-                parse_template_text(text)
+                resolve_template(text, IntTokenizer(64))
