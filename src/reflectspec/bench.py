@@ -107,6 +107,8 @@ class SweepSpec:
                 raise InvalidConfigError(f"sweep grid {name!r} must be non-empty")
         if not self.prompts:
             raise InvalidConfigError("sweep prompt set must be non-empty")
+        if self.prefix_len < 0:
+            raise InvalidConfigError("prefix_len must be >= 0")
 
 
 @dataclass

@@ -277,6 +277,8 @@ def build_environment(args, template_texts: list[str], prompt_texts: list[str]) 
 
 
 def cmd_decode(args) -> int:
+    if args.prefix_len < 0:
+        raise InvalidConfigError("prefix_len must be >= 0")
     env = build_environment(args, _template_text(args), _prompt_texts(args))
     base = build_model(env.base, corpus=env.corpus_docs)
     noise = divergence_noise_model(env.base)

@@ -8,16 +8,16 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .models import ModelSession
-from .tokens import sample, sampling_distribution
+from .tokens import distribution_block, inverse_cdf, sampling_distribution
 
 
 @dataclass(frozen=True)
 class DraftBundle:
     """A fixed-length draft: tokens plus the distribution each was drawn from.
 
-    ``draft_forward_count`` is the number of incremental forward calls the
-    draft session performed while producing this bundle (the first step reads
-    cached state, so it is gamma - 1).
+    ``draft_forward_count`` is the number of positions the draft session
+    computed while producing this bundle: gamma - 1, since the first token
+    reads cached state and the last is never fed.
     """
 
     tokens: tuple[int, ...]
@@ -46,25 +46,29 @@ def generate_draft(
 
     The session must already hold the committed prefix with cached state.
     Each step converts the cached next-token logits to a distribution at
-    ``temperature`` (0 means greedy via a one-hot), samples one token, and
-    feeds it back. The session is rolled back to the committed prefix before
-    returning; drafts are speculative state and never linger in the cache.
+    ``temperature`` (0 means greedy via a one-hot), picks one token by
+    inverse CDF, and feeds it back. The gamma uniforms come from one
+    ``rng.random(gamma)`` call, the stream gamma ``sample`` calls consume.
+    A one-hot, or a softmax of logits whose quotient by the temperature is
+    finite, is a distribution by construction, so the gamma rows are checked
+    once, as a block, with the same predicate and error as a per-token check.
+
+    The session is left holding the committed prefix plus the first gamma - 1
+    drafted tokens; ``engine.commit_and_prune`` keeps the accepted ones and
+    drops the rest, so no accepted position is computed twice.
     """
     if gamma < 1:
         raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
     if temperature < 0:
         raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
-    base_len = len(session)
     tokens: list[int] = []
     dists: list[np.ndarray] = []
-    forwards = 0
-    for i in range(gamma):
+    for i, u in enumerate(rng.random(gamma).tolist()):
         q = sampling_distribution(session.last_logits, temperature)
-        tok = sample(q, rng)
+        tok = inverse_cdf(q, u)
         tokens.append(tok)
         dists.append(q)
         if i < gamma - 1:
             session.forward([tok])
-            forwards += 1
-    session.truncate(base_len)
-    return DraftBundle(tuple(tokens), tuple(dists), forwards)
+    distribution_block(dists)
+    return DraftBundle(tuple(tokens), tuple(dists), gamma - 1)

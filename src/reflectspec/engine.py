@@ -10,6 +10,12 @@ The bonus is part of the committed prefix for the next round, and its cached
 logits provide the first original distribution of the next step, so the next
 verification pass feeds exactly the assembled sequence.
 
+The draft session keeps the positions it drafted: drafting leaves it holding
+the committed prefix plus the first gamma - 1 draft tokens, and the same
+prune cuts it back to the committed prefix plus the accepted ones. The next
+step feeds it only what it never saw: the bonus token, or the last draft
+token and the bonus when all gamma drafts were accepted.
+
 A step's gamma + 1 verifier distributions are one ``(gamma + 1, V)`` array,
 from ``fuse`` or, without reflection, one block softmax.
 
@@ -170,7 +176,7 @@ def decode(
 
     while len(stats.output_tokens) < config.max_new_tokens:
         start = time.perf_counter()
-        # Feed the draft session whatever was committed since its last sync.
+        # Feed the draft session the committed tokens it has not drafted.
         pending = committed[len(draft_session) :]
         draft_forwards = 0
         if pending:
@@ -203,6 +209,7 @@ def decode(
         kept = _truncate_step_tokens(step_tokens, config, len(stats.output_tokens))
         if len(kept) < len(step_tokens):
             target_session.truncate(committed_before + len(kept))
+            _trim(draft_session, committed_before + len(kept))
         wall = time.perf_counter() - start
         committed.extend(kept)
         stats.output_tokens.extend(kept)
@@ -238,25 +245,32 @@ def commit_and_prune(
     fed_len: int,
     result: VerificationResult,
 ) -> None:
-    """Prune the verification tail and commit the step's tokens.
+    """Prune both sessions to the accepted draft and commit the step's tokens.
 
     ``fed_len`` is the number of tokens the step's verification pass fed the
     target: the whole reflective layout, or the draft alone on a plain step.
-    The target session is truncated back to the committed prefix plus the
-    accepted draft tokens, which drops the rejected draft tokens and, on a
-    reflective step, the probe, the prefix replay, and the entire second
-    copy; the bonus token is then appended by the next forward, leaving its
-    logits cached for the following step. The draft session is trimmed to
-    the committed boundary (it normally already sits there, since drafting
-    rolls itself back).
+    Both sessions are truncated back to the committed prefix plus the
+    accepted draft tokens. On the target this drops the rejected draft
+    tokens and, on a reflective step, the probe, the prefix replay, and the
+    entire second copy; the bonus token is then appended by the next
+    forward, leaving its logits cached for the following step. The draft
+    session, which holds the committed prefix plus the first gamma - 1
+    drafts, loses the rejected drafts and keeps the accepted ones; when all
+    gamma were accepted it is already shorter and stays as it is.
     """
     committed_before = len(target_session) - fed_len
     if committed_before < 0:
         raise InternalConsistencyError("session shorter than the tail it supposedly holds")
-    target_session.truncate(committed_before + result.accepted_n)
+    keep = committed_before + result.accepted_n
+    target_session.truncate(keep)
     target_session.forward([result.bonus])
-    if len(draft_session) > committed_before:
-        draft_session.truncate(committed_before)
+    _trim(draft_session, keep)
+
+
+def _trim(session: ModelSession, length: int) -> None:
+    """Truncate ``session`` to ``length`` if it is longer."""
+    if len(session) > length:
+        session.truncate(length)
 
 
 def _decode_vanilla(

@@ -47,9 +47,9 @@ TABLE_LOGIT_HIGH = 4.0
 
 # Context windows each TableModel and NgramModel remembers, oldest evicted
 # first. The repeats a decode produces (a draft window re-read by the verify
-# pass, the second copy and prefix replay re-reading the first copy, a draft
-# re-fed after a rollback) all lie within about one step, so a small memo
-# catches them while memory stays flat however long the decode runs.
+# pass, the second copy and prefix replay re-reading the first copy) all lie
+# within about one step, so a small memo catches them while memory stays
+# flat however long the decode runs.
 TABLE_MEMO_WINDOWS = 64
 
 # Logit magnitude of the copy signal in ReflectionAwareModel. Chosen to

@@ -168,10 +168,13 @@ def sample(dist: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
     Consumes exactly one uniform from ``rng``; identical stream state and
     distribution always produce the identical token.
     """
-    p = validate_distribution(dist)
-    u = rng.random()
-    cdf = np.cumsum(p)
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    return inverse_cdf(validate_distribution(dist), rng.random())
+
+
+def inverse_cdf(p: np.ndarray, u: float) -> int:
+    """The token a uniform ``u`` in [0, 1) selects from an already validated
+    distribution ``p``, by inverse CDF over ascending token id."""
+    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
     if idx >= p.size:
         # Float dust: u landed beyond the accumulated total. The inverse CDF
         # answer is the last token with positive mass.

@@ -11,6 +11,20 @@ from reflectspec.models import (
 )
 
 
+class CountingModel(Model):
+    """Delegates to ``inner`` and counts ``next_logits`` calls: one per
+    position a session computes."""
+
+    def __init__(self, inner: Model):
+        self.vocab_size = inner.vocab_size
+        self.inner = inner
+        self.calls = 0
+
+    def next_logits(self, context):
+        self.calls += 1
+        return self.inner.next_logits(context)
+
+
 def make_divergence_pair(
     base_spec: ModelSpec,
     eta: float,

@@ -9,11 +9,17 @@ RNG discipline mirrors the package contract: PCG64 streams, inverse-CDF
 categorical draws consuming one uniform each, gamma per-position uniforms in
 exact-match and ratio-test verification plus one bonus draw, and a single
 bonus draw for typical verification.
+
+``ref_generate_draft`` is the one exception to sharing no code: it is the
+per-token draft loop on the package's own validating kernels, kept as the
+oracle for the one-pass loop in ``reflectspec.drafting``.
 """
 
 import math
 
 import numpy as np
+
+from reflectspec.tokens import sample, sampling_distribution
 
 
 def ref_softmax(values, temperature):
@@ -183,3 +189,24 @@ def ref_ngram_logits(pair_counts, ctx_counts, context, vocab_size, order, smooth
         counts[tok] = c
     total = ctx_counts.get(ctx, 0)
     return np.log((counts + smoothing) / (total + smoothing * vocab_size))
+
+
+def ref_generate_draft(session, gamma, temperature, rng):
+    """The per-token draft loop, with a rollback: (tokens, q rows).
+
+    Each token is drawn by the package's validating ``sample``, one
+    ``rng.random()`` at a time, and the session is truncated back to the
+    committed prefix before returning. ``generate_draft`` must agree with it
+    on tokens, rows and generator state.
+    """
+    base_len = len(session)
+    tokens, dists = [], []
+    for i in range(gamma):
+        q = sampling_distribution(session.last_logits, temperature)
+        tok = sample(q, rng)
+        tokens.append(tok)
+        dists.append(q)
+        if i < gamma - 1:
+            session.forward([tok])
+    session.truncate(base_len)
+    return tokens, dists

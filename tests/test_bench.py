@@ -143,6 +143,12 @@ class TestSweep:
         with pytest.raises(InvalidConfigError):
             make_spec(alphas=())
 
+    @pytest.mark.parametrize("text", [DEFAULT_TEMPLATE_TEXT, "${draft}"])
+    def test_negative_prefix_len_rejected(self, text):
+        template = resolve_template(text, IntTokenizer(VOCAB))
+        with pytest.raises(InvalidConfigError, match="prefix_len"):
+            make_spec(templates=(template,), prefix_len=-1)
+
     def test_vanilla_row_reports_mat_one(self):
         spec = make_spec(strategies=("vanilla",), max_new_tokens=8)
         (row,) = run_sweep(spec)

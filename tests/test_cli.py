@@ -167,6 +167,12 @@ class TestDecodeCommand:
         assert main(argv) == 1
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("template", [[], ["--template-inline", "${draft}"]])
+    def test_negative_prefix_len_is_runtime_error(self, capsys, template):
+        argv = ["decode", "--prompt", "1 2 3", "--prefix-len", "-1", "--max-tokens", "4"]
+        assert main(argv + template) == 1
+        assert "prefix_len must be >= 0" in capsys.readouterr().err
+
     def test_timing_flag_adds_wall_time(self, capsys):
         argv = ["decode", "--prompt", "1 2", "--max-tokens", "4"]
         main(argv)
@@ -240,6 +246,14 @@ class TestSweepCommand:
         rows = read_report(out, "csv")
         assert len(rows) == 2
         assert all(r["error"].startswith("InvalidConfigError: beta") for r in rows)
+
+    @pytest.mark.parametrize("template", [[], ["--template-inline", "${draft}"]])
+    def test_negative_prefix_len_is_runtime_error(self, tmp_path, capsys, template):
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--prompt", "1 2 3", "--prefix-len", "-1", "--out", str(out)]
+        assert main(argv + ["--max-tokens", "4"] + template) == 1
+        assert "prefix_len must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_requires_out(self, capsys):
         assert main(["sweep", "--prompt", "1"]) == 2

@@ -1,12 +1,15 @@
-"""Draft-loop tests: determinism, rollback, and the RNG replay oracle."""
+"""Draft-loop tests: determinism, kept positions, and the RNG replay oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from reference_impl import ref_generate_draft
 
 from reflectspec.drafting import generate_draft
 from reflectspec.errors import InvalidConfigError
-from reflectspec.models import ModelSession, TableModel
-from reflectspec.tokens import make_rng, sample, sampling_distribution
+from reflectspec.models import Model, ModelSession, TableModel
+from reflectspec.tokens import make_rng, sample, sampling_distribution, validate_distribution
 
 
 def fresh_session(vocab=16, seed=3, prefix=(1, 2, 3)):
@@ -18,6 +21,7 @@ def fresh_session(vocab=16, seed=3, prefix=(1, 2, 3)):
 def test_greedy_drafts_are_identical_across_calls():
     s = fresh_session()
     a = generate_draft(s, 5, 0.0, make_rng(0))
+    s.truncate(3)
     b = generate_draft(s, 5, 0.0, make_rng(99))
     assert a.tokens == b.tokens
     for qa, qb in zip(a.q_dists, b.q_dists):
@@ -31,11 +35,11 @@ def test_gamma_one_boundary():
     assert bundle.draft_forward_count == 0
 
 
-def test_session_rolled_back_and_forward_count():
+def test_session_keeps_drafts_and_forward_count():
     s = fresh_session()
     before = s.tokens
     bundle = generate_draft(s, 6, 0.8, make_rng(2))
-    assert s.tokens == before
+    assert s.tokens == before + list(bundle.tokens[:5])
     assert bundle.draft_forward_count == 5
 
 
@@ -78,3 +82,60 @@ def test_negative_temperature_rejected():
     s = fresh_session()
     with pytest.raises(InvalidConfigError):
         generate_draft(s, 2, -1.0, make_rng(0))
+
+
+class CoarseModel(Model):
+    """``inner``'s logits floored to integers, so rows tie at their maximum."""
+
+    def __init__(self, inner):
+        self.vocab_size = inner.vocab_size
+        self.inner = inner
+
+    def next_logits(self, context):
+        return np.floor(self.inner.next_logits(context))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    vocab=st.integers(2, 700),
+    gamma=st.integers(1, 8),
+    temperature=st.sampled_from([0.0]) | st.floats(0.05, 5.0),
+    coarse=st.booleans(),
+    model_seed=st.integers(0, 2**32),
+    seed=st.integers(0, 2**32),
+    prefix=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
+)
+def test_one_pass_draft_matches_per_token_reference(
+    vocab, gamma, temperature, coarse, model_seed, seed, prefix
+):
+    # The one-pass loop (one rng.random(gamma) call, inverse_cdf per row, one
+    # block check, drafts kept) against the per-token loop with a rollback.
+    model = TableModel(vocab, seed=model_seed)
+    if coarse:
+        model = CoarseModel(model)
+    prefix = [t % vocab for t in prefix]
+    sessions = [ModelSession(model), ModelSession(model)]
+    for s in sessions:
+        s.forward(prefix)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    bundle = generate_draft(sessions[0], gamma, temperature, rng)
+    ref_tokens, ref_dists = ref_generate_draft(sessions[1], gamma, temperature, ref_rng)
+    assert bundle.tokens == tuple(ref_tokens)
+    assert all(np.array_equal(q, r) for q, r in zip(bundle.q_dists, ref_dists, strict=True))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sessions[0].tokens == prefix + ref_tokens[: gamma - 1]
+    assert sessions[1].tokens == prefix
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    logits=st.lists(
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), min_size=1, max_size=64
+    ),
+    temperature=st.sampled_from([0.0]) | st.floats(1e-3, 1e3),
+)
+def test_sampling_distribution_is_valid_by_construction(logits, temperature):
+    # Why drafting checks its q rows once per step: a softmax or one-hot of
+    # finite logits always passes the per-row check. (|logit| / temperature
+    # must stay finite; the bounds keep it below the float64 range.)
+    validate_distribution(sampling_distribution(np.array(logits), temperature))

@@ -1,17 +1,17 @@
 """Decode-loop tests: baseline reduction, pruning contract, stats invariants."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from reference_impl import reference_decode
-from fixtures import make_divergence_pair
+from fixtures import CountingModel, make_divergence_pair
 
-from reflectspec.engine import DecodeConfig, RunStats, commit_and_prune, decode
+from reflectspec.engine import STRATEGIES, DecodeConfig, RunStats, commit_and_prune, decode
 from reflectspec.errors import InvalidConfigError
 from reflectspec.models import (
-    Model,
     ModelSession,
     ModelSpec,
     NgramModel,
@@ -29,19 +29,31 @@ MARKER = VOCAB - 1
 TEMPLATE = ReflectiveTemplate(prompt_tokens=(MARKER,), prefix_len=4)
 
 
-class SleepyModel(Model):
-    """Delegates to ``inner`` after sleeping ``seconds`` per call."""
+class SleepyModel(CountingModel):
+    """A ``CountingModel`` that sleeps ``seconds`` per call."""
 
     def __init__(self, inner, seconds):
-        self.vocab_size = inner.vocab_size
-        self.inner = inner
+        super().__init__(inner)
         self.seconds = seconds
-        self.calls = 0
 
     def next_logits(self, context):
-        self.calls += 1
         time.sleep(self.seconds)
-        return self.inner.next_logits(context)
+        return super().next_logits(context)
+
+
+def counted_decode(target, draft, prompt, config):
+    """``decode`` on counting models, asserting the position identity: the
+    target computes the prompt, every fed token and one bonus per step; the
+    draft computes the prompt and its counted forwards."""
+    t, d = CountingModel(target), CountingModel(draft)
+    out, stats = decode(t, d, prompt, config)
+    if config.strategy == "vanilla":
+        # No draft; each step's one fed token is the token it sampled.
+        assert (t.calls, d.calls) == (stats.prompt_len + stats.total_input_tokens, 0)
+    else:
+        assert t.calls == stats.prompt_len + stats.total_input_tokens + stats.num_steps
+        assert d.calls == stats.prompt_len + stats.total_draft_forwards
+    return out, stats
 
 
 def table_pair(eta=0.3, seed=11):
@@ -173,6 +185,36 @@ class TestCommitAndPrune:
         )
         assert target_session.tokens == committed + [3]
 
+    @pytest.mark.parametrize("gamma", [1, 2, 5])
+    def test_draft_session_keeps_accepted_drafts(self, gamma):
+        # Drafting leaves the draft session at committed + the first gamma - 1
+        # drafts; the prune keeps the accepted ones, and what stays cached is
+        # what a fresh replay computes, bit for bit.
+        target, draft = table_pair()
+        committed = [1, 2, 3, 4, 5]
+        tokens = tuple(range(6, 6 + gamma))
+        bundle = DraftBundle(tokens, tuple(one_hot(t, VOCAB) for t in tokens), gamma - 1)
+        layout = build_reflective_input(bundle, TEMPLATE, committed)
+        for accepted_n in range(gamma + 1):
+            target_session = ModelSession(target)
+            target_session.forward(committed + list(layout.full_sequence))
+            draft_session = ModelSession(draft)
+            draft_session.forward(committed + list(tokens[: gamma - 1]))
+            result = VerificationResult(
+                accepted_n=accepted_n,
+                bonus=9,
+                per_step_accepts=tuple(i < accepted_n for i in range(gamma)),
+                strategy="x",
+            )
+            commit_and_prune(target_session, draft_session, len(layout.full_sequence), result)
+            assert target_session.tokens == committed + list(tokens[:accepted_n]) + [9]
+            kept = committed + list(tokens[: min(accepted_n, gamma - 1)])
+            assert draft_session.tokens == kept
+            replay = ModelSession(draft).forward(kept)
+            for length in range(len(kept), 0, -1):
+                draft_session.truncate(length)
+                assert np.array_equal(draft_session.last_logits, replay[length - 1])
+
     def test_fresh_session_equivalence_across_steps(self):
         # After every step the target session must behave exactly like a
         # fresh session replaying only the committed tokens.
@@ -270,6 +312,45 @@ class TestStats:
         step_calls = draft.calls - stats.prompt_len  # the prompt is fed before any step
         assert step_calls == stats.total_draft_forwards > 0
         assert 0.002 * step_calls <= stats.total_wall_time <= outside
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("reflect", [True, False])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_counted_positions_match_stats(self, strategy, reflect, temperature):
+        # Every position either model computes is accounted for by the step
+        # stats, including a final step cut inside its accepted prefix by
+        # the budget or an end-of-sequence token.
+        target, draft = table_pair(eta=0.2)
+        prompt = [1, 2, 3]
+        cuts = 0
+        for gamma in range(1, 9):
+            config = base_config(
+                gamma=gamma,
+                strategy=strategy,
+                reflect=reflect,
+                temperature=temperature,
+                max_new_tokens=40,
+                seed=gamma,
+            )
+            out, stats = counted_decode(target, draft, prompt, config)
+            emitted = 0
+            for step in stats.steps:
+                # A step whose first token is an accepted draft token, seen
+                # for the first time: cut there by the budget and by EOS.
+                if step.accepted_n >= 1 and out[emitted] not in out[:emitted]:
+                    for cut in (
+                        replace(config, max_new_tokens=emitted + 1),
+                        replace(config, eos_token=out[emitted]),
+                    ):
+                        cut_out, cut_stats = counted_decode(target, draft, prompt, cut)
+                        assert cut_out == out[: emitted + 1]
+                        last = cut_stats.steps[-1]
+                        assert last.tokens_emitted == 1 < last.accepted_n + 1
+                        cuts += 1
+                    break
+                emitted += step.tokens_emitted
+        if strategy != "vanilla":
+            assert cuts >= 8
 
     def test_empty_stats_rejected(self):
         with pytest.raises(InvalidConfigError):
