@@ -8,7 +8,9 @@ row per cell, in a fixed grid order.
 
 Each process running a sweep builds the spec's base and noise models once
 and wraps them per cell; build errors land in the rows of the cells they
-affect, like any other package error.
+affect, like any other package error. ``SweepSpec.cell_config`` maps a
+cell's settings to a ``DecodeConfig`` and ``CellRunner.models`` builds its
+(target, draft) pair; the CLI's ``decode`` runs one cell through both.
 
 Determinism contract: every cell's RNG seed is derived by a documented
 stable hash of (seed axis value, the cell's per-axis indices in the
@@ -100,6 +102,7 @@ class SweepSpec:
     delta: float = 0.2
     entropy_source: str = "original"
     eos_token: int | None = None
+    exact_match_mode: str = "sample"
 
     def __post_init__(self) -> None:
         for name in ("alphas", "gammas", "strategies", "etas", "templates", "seeds"):
@@ -109,6 +112,28 @@ class SweepSpec:
             raise InvalidConfigError("sweep prompt set must be non-empty")
         if self.prefix_len < 0:
             raise InvalidConfigError("prefix_len must be >= 0")
+
+    def cell_config(
+        self, alpha: float, gamma: int, strategy: str, template: ReflectiveTemplate, seed: int
+    ) -> DecodeConfig:
+        """The decode settings of one cell: its grid values and the shared
+        settings. The template replays ``prefix_len`` committed tokens only
+        when it holds ``${prefix}``."""
+        return DecodeConfig(
+            gamma=gamma,
+            alpha=alpha,
+            temperature=self.temperature,
+            strategy=strategy,
+            epsilon=self.epsilon,
+            delta=self.delta,
+            template=replace(template, prefix_len=self.prefix_len if template.has_prefix else 0),
+            reflect=template.reflective,
+            entropy_source=self.entropy_source,
+            exact_match_mode=self.exact_match_mode,
+            max_new_tokens=self.max_new_tokens,
+            eos_token=self.eos_token,
+            seed=seed,
+        )
 
 
 @dataclass
@@ -176,7 +201,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
     """
     cells = sweep_cells(spec)
     if jobs <= 1 or len(cells) == 1:
-        runner = _CellRunner(spec)
+        runner = CellRunner(spec)
         return [runner.run(indices, values) for indices, values in cells]
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=jobs, initializer=_start_worker, initargs=(spec,)
@@ -184,7 +209,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
         return list(pool.map(_run_worker_cell, cells))
 
 
-class _CellRunner:
+class CellRunner:
     """Runs the cells of one sweep in one process, sharing its models."""
 
     def __init__(self, spec: SweepSpec):
@@ -211,25 +236,12 @@ class _CellRunner:
             mean_input_budget=None,
         )
         try:
-            target, draft = self._models(eta)
+            target, draft = self.models(eta)
             base_stream = cell_seed(seed, indices)
-            template = replace(template, prefix_len=spec.prefix_len if template.has_prefix else 0)
             steps: list[StepStats] = []
             for prompt_index, prompt in enumerate(spec.prompts):
-                config = DecodeConfig(
-                    gamma=gamma,
-                    alpha=alpha,
-                    temperature=spec.temperature,
-                    strategy=strategy,
-                    epsilon=spec.epsilon,
-                    delta=spec.delta,
-                    template=template,
-                    reflect=template.reflective,
-                    entropy_source=spec.entropy_source,
-                    max_new_tokens=spec.max_new_tokens,
-                    eos_token=spec.eos_token,
-                    seed=derive_seed(base_stream, "prompt", prompt_index),
-                )
+                prompt_seed = derive_seed(base_stream, "prompt", prompt_index)
+                config = spec.cell_config(alpha, gamma, strategy, template, prompt_seed)
                 _, stats = decode(target, draft, list(prompt), config)
                 steps.extend(stats.steps)
             run = RunStats(steps=steps)
@@ -247,7 +259,8 @@ class _CellRunner:
             row.error = f"{type(exc).__name__}: {exc}"
         return row
 
-    def _models(self, eta: float) -> tuple[Model, Model]:
+    def models(self, eta: float) -> tuple[Model, Model]:
+        """The (target, draft) pair at draft divergence ``eta``."""
         spec = self.spec
         if self._base_and_noise is None:
             base = build_model(spec.base, corpus=spec.corpus)
@@ -258,12 +271,12 @@ class _CellRunner:
 
 # The runner of a worker process's sweep, set by the pool initializer; the
 # parent process never sets it, and a worker serves one sweep only.
-_worker_runner: _CellRunner | None = None
+_worker_runner: CellRunner | None = None
 
 
 def _start_worker(spec: SweepSpec) -> None:
     global _worker_runner
-    _worker_runner = _CellRunner(spec)
+    _worker_runner = CellRunner(spec)
 
 
 def _run_worker_cell(cell: tuple[tuple[int, ...], tuple]) -> ReportRow:

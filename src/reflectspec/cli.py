@@ -7,16 +7,21 @@ length 4, draft length 5, temperature 0.8, and the ``[BACK]`` probe
 template. Without a corpus the CLI runs in raw-integer token mode over a
 seeded table model; with ``--corpus`` it builds a word tokenizer and
 count-based models from the file.
+
+``decode`` runs a one-cell sweep's cell: ``build_spec`` turns either
+command's flags into a ``SweepSpec``, so every decode flag means the same in
+a sweep. A decode is seeded with ``--seed`` itself, a sweep cell with a
+stream derived from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .bench import (
+    CellRunner,
     SweepSpec,
     acceptance_by_position,
     emit_report,
@@ -31,10 +36,10 @@ from .corpus import (
     load_corpus_documents,
     load_prompt_lines,
 )
-from .engine import DecodeConfig, decode
+from .engine import decode
 from .errors import InvalidConfigError, ReflectSpecError
-from .models import ModelSpec, build_model, divergence_noise_model, pair_models
-from .reflective import DEFAULT_TEMPLATE_TEXT, ReflectiveTemplate, resolve_template
+from .models import ModelSpec
+from .reflective import DEFAULT_TEMPLATE_TEXT, resolve_template
 from .selftest import run_all
 
 
@@ -183,18 +188,8 @@ def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Environment assembly
+# Settings assembly
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Environment:
-    tokenizer: IntTokenizer | WordTokenizer
-    base: ModelSpec
-    corpus_docs: list[list[int]] | None
-    templates: list[ReflectiveTemplate]
-    prompts: list[list[int]]
-    marker: int
 
 
 def _template_text(args, sweep: bool = False) -> list[str]:
@@ -229,9 +224,11 @@ def _prompt_texts(args, sweep: bool = False) -> list[str]:
     raise InvalidConfigError("decode needs --prompt or --prompt-file")
 
 
-def build_environment(args, template_texts: list[str], prompt_texts: list[str]) -> Environment:
-    """Build the tokenizer, the base model spec, and token-level inputs from
-    CLI arguments.
+def build_spec(
+    args, template_texts: list[str], prompt_texts: list[str], **grids
+) -> tuple[IntTokenizer | WordTokenizer, SweepSpec]:
+    """Build the tokenizer and the sweep spec of CLI arguments; ``grids``
+    gives the spec's grid axes (one value each for a single decode).
 
     In word mode the vocabulary grows while the corpus, templates, prompts,
     and marker are encoded, and is frozen before the base spec is made.
@@ -258,17 +255,26 @@ def build_environment(args, template_texts: list[str], prompt_texts: list[str]) 
     vocab_size = tokenizer.vocab_size if isinstance(tokenizer, WordTokenizer) else args.vocab_size
     if vocab_size < 2:
         raise InvalidConfigError("effective vocabulary must hold at least two tokens")
-    base = ModelSpec(
-        args.target_model, vocab_size, seed=args.seed, order=args.order, smoothing=args.smoothing
-    )
-    return Environment(
-        tokenizer=tokenizer,
-        base=base,
-        corpus_docs=corpus_docs,
-        templates=templates,
-        prompts=prompts,
+    spec = SweepSpec(
+        prompts=tuple(tuple(p) for p in prompts),
+        base=ModelSpec(
+            args.target_model, vocab_size, seed=args.seed, order=args.order, smoothing=args.smoothing
+        ),
+        templates=tuple(templates),
+        corpus=tuple(tuple(d) for d in corpus_docs) if corpus_docs else None,
+        beta=args.beta,
         marker=marker,
+        temperature=args.temperature,
+        prefix_len=args.prefix_len,
+        max_new_tokens=args.max_tokens,
+        epsilon=args.epsilon,
+        delta=args.delta,
+        entropy_source=args.entropy_source,
+        eos_token=args.eos_token,
+        exact_match_mode=args.match_mode,
+        **grids,
     )
+    return tokenizer, spec
 
 
 # ---------------------------------------------------------------------------
@@ -277,33 +283,23 @@ def build_environment(args, template_texts: list[str], prompt_texts: list[str]) 
 
 
 def cmd_decode(args) -> int:
-    if args.prefix_len < 0:
-        raise InvalidConfigError("prefix_len must be >= 0")
-    env = build_environment(args, _template_text(args), _prompt_texts(args))
-    base = build_model(env.base, corpus=env.corpus_docs)
-    noise = divergence_noise_model(env.base)
-    target, draft = pair_models(base, noise, args.eta, args.beta, env.marker)
-    template = env.templates[0]
-    config = DecodeConfig(
-        gamma=args.gamma,
-        alpha=args.alpha,
-        temperature=args.temperature,
-        strategy=args.strategy,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        template=replace(template, prefix_len=args.prefix_len if template.has_prefix else 0),
-        reflect=template.reflective,
-        entropy_source=args.entropy_source,
-        exact_match_mode=args.match_mode,
-        max_new_tokens=args.max_tokens,
-        eos_token=args.eos_token,
-        seed=args.seed,
+    tokenizer, spec = build_spec(
+        args,
+        _template_text(args),
+        _prompt_texts(args),
+        alphas=(args.alpha,),
+        gammas=(args.gamma,),
+        strategies=(args.strategy,),
+        etas=(args.eta,),
+        seeds=(args.seed,),
     )
-    output, stats = decode(target, draft, env.prompts[0], config)
+    target, draft = CellRunner(spec).models(args.eta)
+    config = spec.cell_config(args.alpha, args.gamma, args.strategy, spec.templates[0], args.seed)
+    output, stats = decode(target, draft, list(spec.prompts[0]), config)
 
     print("output tokens:", " ".join(str(t) for t in output))
-    if isinstance(env.tokenizer, WordTokenizer):
-        print("output text:", env.tokenizer.decode(output))
+    if isinstance(tokenizer, WordTokenizer):
+        print("output text:", tokenizer.decode(output))
     mat = mean_accepted_tokens(stats)
     print(f"steps: {stats.num_steps}  emitted: {stats.total_tokens_emitted}  mat: {mat:.4f}")
     if args.strategy != "vanilla":
@@ -326,26 +322,15 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    env = build_environment(args, _template_text(args, sweep=True), _prompt_texts(args, sweep=True))
-    spec = SweepSpec(
-        prompts=tuple(tuple(p) for p in env.prompts),
-        base=env.base,
+    _, spec = build_spec(
+        args,
+        _template_text(args, sweep=True),
+        _prompt_texts(args, sweep=True),
         alphas=_grid(args.alpha, float),
         gammas=_grid(args.gamma, int),
         strategies=_grid(args.strategy, str.strip),
         etas=_grid(args.eta, float),
-        templates=tuple(env.templates),
         seeds=_grid(args.seeds, int),
-        corpus=tuple(tuple(d) for d in env.corpus_docs) if env.corpus_docs else None,
-        beta=args.beta,
-        marker=env.marker,
-        temperature=args.temperature,
-        prefix_len=args.prefix_len,
-        max_new_tokens=args.max_tokens,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        entropy_source=args.entropy_source,
-        eos_token=args.eos_token,
     )
     rows = run_sweep(spec, jobs=args.jobs)
     emit_report(rows, args.format, args.out, include_timing=args.timing)

@@ -93,6 +93,7 @@ class DecodeConfig:
             raise InvalidConfigError(f"unknown entropy source {self.entropy_source!r}")
         if self.exact_match_mode not in ("sample", "greedy"):
             raise InvalidConfigError(f"unknown exact-match mode {self.exact_match_mode!r}")
+        TypicalConfig(self.epsilon, self.delta)  # range-checks epsilon and delta
 
 
 @dataclass

@@ -68,7 +68,6 @@ class VerificationResult:
     accepted_n: int
     bonus: int
     per_step_accepts: tuple[bool, ...]
-    strategy: str
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -133,7 +132,6 @@ def verify_exact_match(
         accepted_n=n,
         bonus=bonus,
         per_step_accepts=flags,
-        strategy="exact",
         diagnostics={"resampled": resampled},
     )
 
@@ -177,7 +175,6 @@ def verify_speculative_sampling(
         accepted_n=n,
         bonus=bonus,
         per_step_accepts=tuple(flags),
-        strategy="specsample",
         diagnostics={"ratios": ratios, "draws": draws},
     )
 
@@ -212,7 +209,6 @@ def verify_typical(
         accepted_n=n,
         bonus=bonus,
         per_step_accepts=flags,
-        strategy="typical",
         diagnostics={"thresholds": thresholds},
     )
 

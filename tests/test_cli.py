@@ -1,6 +1,7 @@
 """CLI contract tests: flags, defaults, exit codes, and output plumbing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,13 @@ class TestDecodeCommand:
         assert main(argv + template) == 1
         assert "prefix_len must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["exact", "specsample", "typical", "vanilla"])
+    @pytest.mark.parametrize("flag", [["--epsilon", "5"], ["--delta", "0"]])
+    def test_out_of_range_epsilon_delta_fail_every_strategy(self, capsys, strategy, flag):
+        argv = ["decode", "--prompt", "1 2 3", "--strategy", strategy, "--max-tokens", "4"]
+        assert main(argv + flag) == 1
+        assert f"error: {flag[0][2:]} must lie in (0, 1]" in capsys.readouterr().err
+
     def test_timing_flag_adds_wall_time(self, capsys):
         argv = ["decode", "--prompt", "1 2", "--max-tokens", "4"]
         main(argv)
@@ -247,6 +255,27 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert all(r["error"].startswith("InvalidConfigError: beta") for r in rows)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_of_range_delta_fails_every_cell(self, tmp_path, jobs):
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--prompt", "1 2 3", "--strategy", "exact,specsample,typical", "--delta", "0"]
+        assert main(argv + ["--max-tokens", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        rows = read_report(out, "csv")
+        assert len(rows) == 3
+        assert all(r["error"].startswith("InvalidConfigError: delta") for r in rows)
+
+    def test_match_mode_reaches_sweep_cells(self, tmp_path):
+        def report(mode, temperature):
+            out = tmp_path / f"{mode}-{temperature}.csv"
+            argv = ["sweep", "--prompt", "1 2 3", "--strategy", "exact", "--seeds", "0,1"]
+            argv += ["--max-tokens", "32", "--match-mode", mode, "--temperature", temperature]
+            assert main(argv + ["--out", str(out)]) == 0
+            return out.read_text()
+
+        assert report("greedy", "0.8") != report("sample", "0.8")
+        # At temperature 0 every distribution is one-hot: a draw is the argmax.
+        assert report("greedy", "0") == report("sample", "0")
+
     @pytest.mark.parametrize("template", [[], ["--template-inline", "${draft}"]])
     def test_negative_prefix_len_is_runtime_error(self, tmp_path, capsys, template):
         out = tmp_path / "report.csv"
@@ -272,19 +301,29 @@ CORPUS = "the cat sat on the mat\nthe dog sat on the rug\nthe cat ran to the dog
 
 
 class TestOnePair:
-    """``decode`` and ``sweep`` run on the same (target, draft) pair."""
+    """``decode`` and ``sweep`` run on the same (target, draft) pair and the
+    same ``DecodeConfig``."""
+
+    @staticmethod
+    def run_both(monkeypatch, tmp_path, flags):
+        """Run ``decode`` and ``sweep`` on ``flags``; return the pair and the
+        config each passed to the engine's ``decode`` (a sweep's last)."""
+        pairs, configs = {}, {}
+        for name, module in (("decode", cli), ("sweep", bench)):
+            def capture(target, draft, prompt, config, name=name, real=module.decode):
+                pairs[name] = (target, draft)
+                configs[name] = config
+                return real(target, draft, prompt, config)
+
+            monkeypatch.setattr(module, "decode", capture)
+        assert main(["decode"] + flags) == 0
+        assert main(["sweep", "--out", str(tmp_path / "r.csv")] + flags) == 0
+        return pairs, configs
 
     @pytest.mark.parametrize("target_model", ["table", "ngram"])
     @pytest.mark.parametrize("beta", ["0", "0.5"])
     @pytest.mark.parametrize("eta", ["0", "0.4", "1"])
     def test_decode_and_sweep_pairs_agree(self, monkeypatch, tmp_path, capsys, target_model, beta, eta):
-        pairs = {}
-        for name, module in (("decode", cli), ("sweep", bench)):
-            def capture(target, draft, prompt, config, name=name, real=module.decode):
-                pairs[name] = (target, draft)
-                return real(target, draft, prompt, config)
-
-            monkeypatch.setattr(module, "decode", capture)
         flags = ["--target-model", target_model, "--beta", beta, "--eta", eta, "--seed", "3"]
         prompt = "1 2 3"
         if target_model == "ngram":
@@ -293,8 +332,7 @@ class TestOnePair:
             flags += ["--corpus", str(corpus)]
             prompt = "the cat"
         flags += ["--prompt", prompt, "--max-tokens", "4"]
-        assert main(["decode"] + flags) == 0
-        assert main(["sweep", "--out", str(tmp_path / "r.csv")] + flags) == 0
+        pairs, _ = self.run_both(monkeypatch, tmp_path, flags)
         vocab = pairs["decode"][0].vocab_size
         marker = getattr(pairs["decode"][0], "marker", vocab - 1)
         rng = np.random.default_rng(0)
@@ -304,6 +342,27 @@ class TestOnePair:
             for ctx in (pre, pre + [marker] + pre[-2:]):
                 for got, want in zip(pairs["decode"], pairs["sweep"]):
                     assert np.array_equal(got.next_logits(ctx), want.next_logits(ctx))
+
+    @pytest.mark.parametrize("strategy", ["exact", "specsample", "typical", "vanilla"])
+    @pytest.mark.parametrize("template", [[], ["--template-inline", "${draft}"]])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ["--prefix-len", "4"],
+            ["--prefix-len", "0"],
+            ["--match-mode", "greedy"],
+            ["--entropy-source", "fused"],
+            ["--temperature", "0"],
+            ["--eos-token", "5"],
+            ["--epsilon", "0.5", "--delta", "0.7"],
+            ["--alpha", "0.6", "--gamma", "3", "--eta", "0.4", "--beta", "0.5"],
+        ],
+    )
+    def test_decode_and_sweep_configs_agree(self, monkeypatch, tmp_path, strategy, template, setting):
+        flags = ["--prompt", "1 2 3", "--max-tokens", "4", "--strategy", strategy]
+        _, configs = self.run_both(monkeypatch, tmp_path, flags + template + setting)
+        # A decode runs on --seed itself, a sweep cell on a seed derived from it.
+        assert replace(configs["decode"], seed=0) == replace(configs["sweep"], seed=0)
 
 
 class TestSelftest:

@@ -158,7 +158,7 @@ class TestCommitAndPrune:
         layout = build_reflective_input(bundle, ReflectiveTemplate((15,), 2), committed)
         target_session.forward(list(layout.full_sequence))
         result = VerificationResult(
-            accepted_n=1, bonus=9, per_step_accepts=(True, False, False), strategy="x"
+            accepted_n=1, bonus=9, per_step_accepts=(True, False, False)
         )
         commit_and_prune(
             target_session, draft_session, len(layout.full_sequence), result
@@ -178,7 +178,7 @@ class TestCommitAndPrune:
         layout = build_reflective_input(bundle, ReflectiveTemplate(), committed)
         target_session.forward(list(layout.full_sequence))
         result = VerificationResult(
-            accepted_n=0, bonus=3, per_step_accepts=(False,), strategy="x"
+            accepted_n=0, bonus=3, per_step_accepts=(False,)
         )
         commit_and_prune(
             target_session, draft_session, len(layout.full_sequence), result
@@ -204,7 +204,6 @@ class TestCommitAndPrune:
                 accepted_n=accepted_n,
                 bonus=9,
                 per_step_accepts=tuple(i < accepted_n for i in range(gamma)),
-                strategy="x",
             )
             commit_and_prune(target_session, draft_session, len(layout.full_sequence), result)
             assert target_session.tokens == committed + list(tokens[:accepted_n]) + [9]

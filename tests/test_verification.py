@@ -259,7 +259,7 @@ class TestVerificationResult:
     def test_leading_flag_invariant_enforced(self):
         with pytest.raises(InternalConsistencyError):
             VerificationResult(
-                accepted_n=2, bonus=0, per_step_accepts=(True, False, True), strategy="x"
+                accepted_n=2, bonus=0, per_step_accepts=(True, False, True)
             )
 
     def test_flags_after_rejection_are_recorded(self):
