@@ -158,13 +158,19 @@ def decode(
     """Run a full decode and return (emitted tokens, per-step statistics).
 
     Emitted tokens stop at ``max_new_tokens`` or just after the first
-    end-of-sequence token. Deterministic given (models, prompt, config).
+    end-of-sequence token, which must lie in the vocabulary. Deterministic
+    given (models, prompt, config).
     """
     prompt = [int(t) for t in prompt_tokens]
     if not prompt:
         raise InvalidConfigError("prompt must be non-empty")
     if target.vocab_size != draft.vocab_size:
         raise InvalidConfigError("target and draft models must share a vocabulary")
+    eos = config.eos_token
+    if eos is not None and not 0 <= eos < target.vocab_size:
+        raise InvalidConfigError(
+            f"eos_token {eos} outside vocabulary of size {target.vocab_size}"
+        )
     rng = make_rng(config.seed)
     target_session = ModelSession(target)
     target_session.forward(prompt)

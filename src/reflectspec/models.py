@@ -3,9 +3,10 @@
 A model maps a token prefix to next-token logits; all backends here are pure
 functions of (spec, prefix), so any claim about the decode pipeline can be
 checked by from-scratch recomputation. ``ModelSession`` plays the KV-cache
-role: it owns the committed token list plus memoized per-position logits,
-supports append-forward and truncate, and makes truncation semantics (the
-dropped tokens never existed) explicit.
+role: it owns the committed tokens, in one typed ``array.array`` buffer that
+it passes to ``next_logits`` as the context, plus memoized per-position
+logits, supports append-forward and truncate, and makes truncation semantics
+(the dropped tokens never existed) explicit.
 
 Backends:
 
@@ -28,6 +29,7 @@ read-only; callers that need to modify logits must copy them.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -95,15 +97,19 @@ class Model:
 class ModelSession:
     """A model's committed context plus per-position cached state.
 
-    Appending is incremental: ``forward`` computes logits only for the new
-    positions and memoizes them. ``truncate`` discards both tokens and cached
-    state beyond the kept length, after which the session behaves exactly as
-    if the dropped tokens were never fed.
+    The tokens live in one ``array.array`` of the narrowest unsigned type
+    that holds the model's vocabulary (``token_typecode``); ``forward``
+    passes that buffer to ``next_logits`` as the context, and ``tokens``
+    returns a list copy. Appending is incremental: ``forward`` computes
+    logits only for the new positions and memoizes them. ``truncate``
+    discards both tokens and cached state beyond the kept length, after
+    which the session behaves exactly as if the dropped tokens were never
+    fed.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self._tokens: list[int] = []
+        self._tokens = array(token_typecode(model.vocab_size))
         self._logit_cache: list[np.ndarray] = []
 
     def __len__(self) -> int:
@@ -111,7 +117,7 @@ class ModelSession:
 
     @property
     def tokens(self) -> list[int]:
-        return list(self._tokens)
+        return self._tokens.tolist()
 
     @property
     def last_logits(self) -> np.ndarray:
@@ -299,11 +305,14 @@ class ReflectionAwareModel(Model):
     draft, position by position. Matches whose continuation is the marker
     itself are skipped so the probe token never gets amplified.
 
-    The context must be a list or tuple. The copy search costs one C-level
-    reversal of the context plus, for each earlier occurrence of the tail's
-    last token, one slice comparison of the tail's length; no Python loop
-    runs over every position. ``tests/reference_impl.py`` keeps the plain
-    loop it must agree with.
+    The context is searched as a typed token buffer: a ``ModelSession``
+    passes its ``array.array`` as is, and any other sequence is converted
+    once. The search copies the buffer's bytes once and runs two C-level
+    ``bytes.rfind`` scans, one for the last marker and one for the nearest
+    earlier copy of the tail; a hit that is not at a token boundary, or
+    whose continuation is the marker, resumes the scan before it. No Python
+    loop runs over every position. ``tests/reference_impl.py`` keeps the
+    plain loop it must agree with.
     """
 
     def __init__(self, base: Model, marker: int, blend: float, boost: float = COPY_LOGIT_BOOST):
@@ -318,6 +327,8 @@ class ReflectionAwareModel(Model):
         self.marker = int(marker)
         self.blend = float(blend)
         self.boost = float(boost)
+        self._typecode = token_typecode(self.vocab_size)
+        self._mark = array(self._typecode, [self.marker]).tobytes()
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         base_logits = self.base.next_logits(context)
@@ -333,30 +344,36 @@ class ReflectionAwareModel(Model):
         return out
 
     def _copy_target(self, context: Sequence[int]) -> int | None:
-        # Reversed, the tail is everything before the first marker, and a
-        # match is an equal window past that marker. The nearest match is
-        # the first one list.index finds; its continuation is the token just
+        if not (isinstance(context, array) and context.typecode == self._typecode):
+            context = array(self._typecode, context)
+        size = context.itemsize
+        data = context.tobytes()
+        mark = self._mark
+        m = data.rfind(mark)
+        while m > 0 and m % size:  # a hit off a token boundary
+            m = data.rfind(mark, 0, m + size - 1)
+        if m < 0:
+            return None
+        tail = data[m + size :]
+        if not tail:
+            return None
+        n = len(tail)
+        # The copy and its continuation lie before the marker. A hit off a
+        # token boundary, or continued by the marker, resumes the scan
         # before it.
-        rev = context[::-1]
-        marker = self.marker
-        try:
-            n = rev.index(marker)
-        except ValueError:
-            return None
-        if n == 0:
-            return None
-        tail = rev[:n]
-        last = tail[0]
-        stop = len(rev) - n + 1
-        j = n + 1
-        while True:
-            try:
-                j = rev.index(last, j, stop)
-            except ValueError:
-                return None
-            if rev[j - 1] != marker and rev[j : j + n] == tail:
-                return rev[j - 1]
-            j += 1
+        s = data.rfind(tail, 0, max(m - size, 0))
+        while s >= 0:
+            nxt = s + n
+            if s % size == 0 and data[nxt : nxt + size] != mark:
+                return context[nxt // size]
+            s = data.rfind(tail, 0, nxt - 1)
+        return None
+
+
+def token_typecode(vocab_size: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds every token id
+    below ``vocab_size``."""
+    return next(code for code in "BHIQ" if vocab_size <= 1 << (8 * array(code).itemsize))
 
 
 def _remember(memo: dict, key: tuple, logits: np.ndarray) -> None:
@@ -398,10 +415,12 @@ def pair_models(
     The target is ``base``, wrapped in ``ReflectionAwareModel`` (copy blend
     ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
     ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
-    model unrelated to the target. ``BlendModel`` and ``ReflectionAwareModel``
-    validate the weights they take; a negative beta, which builds no
-    wrapper, is rejected here.
+    model unrelated to the target. An eta outside [0, 1] and a negative
+    beta, which builds no wrapper, are rejected here under their own names;
+    ``ReflectionAwareModel`` checks a beta above 1.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")
     if beta < 0:
         raise InvalidConfigError(f"beta must lie in [0, 1], got {beta!r}")
     draft = base if eta == 0 else BlendModel(base, noise, eta)

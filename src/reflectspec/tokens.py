@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Sequence
 
 import numpy as np
@@ -59,14 +60,21 @@ def derive_seed(*parts: object) -> int:
 def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a finite, non-empty float64 logit vector or ``(n, V)`` block,
     or raise ``InvalidLogitsError``."""
+    return _finite_logits(values)[0]
+
+
+def _finite_logits(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float]:
+    """``validate_logits`` plus the largest logit magnitude, which is the
+    reduction that checks finiteness (NaN and infinities propagate to it)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise InvalidLogitsError(
             f"logits must be a non-empty 1-D vector or (n, V) block, got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
+    peak = float(np.maximum.reduce(np.abs(arr), axis=None))
+    if not peak < math.inf:
         raise InvalidLogitsError("logits contain non-finite values")
-    return arr
+    return arr, peak
 
 
 def validate_distribution(probs: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -118,13 +126,21 @@ def _check_probabilities(arr: np.ndarray, ndim: int) -> np.ndarray:
 def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max-subtraction.
 
-    Requires ``temperature > 0``. Each row is renormalized once so its sum is
-    1 within ``KERNEL_TOL`` regardless of vocabulary size.
+    Requires ``temperature > 0``, and large enough that the scaled logits
+    and their spread stay finite: at most twice the largest logit magnitude
+    over the temperature. Each row is renormalized once so its sum is 1
+    within ``KERNEL_TOL`` regardless of vocabulary size.
     """
-    arr = validate_logits(logits)
+    arr, peak = _finite_logits(logits)
     if not temperature > 0:
         raise InvalidConfigError(f"temperature must be > 0, got {temperature!r}")
-    scaled = arr / float(temperature)
+    t = float(temperature)
+    if not 2.0 * peak / t < math.inf:
+        raise InvalidConfigError(
+            f"temperature {temperature!r} is too small for logits of magnitude "
+            f"{peak!r}: logits / temperature overflows"
+        )
+    scaled = arr / t
     scaled -= scaled.max(axis=-1, keepdims=True)
     exp = np.exp(scaled)
     return exp / exp.sum(axis=-1, keepdims=True)

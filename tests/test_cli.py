@@ -168,6 +168,23 @@ class TestDecodeCommand:
         assert main(argv) == 1
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--eta", "1.5"], "eta must lie in [0, 1], got 1.5"),
+            (["--eta", "-0.5"], "eta must lie in [0, 1], got -0.5"),
+            (["--eos-token", "999"], "eos_token 999 outside vocabulary of size 64"),
+            (["--eos-token", "-3"], "eos_token -3 outside vocabulary of size 64"),
+            (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
+        ],
+    )
+    def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
+        argv = ["decode", "--prompt", "1 2 3", "--max-tokens", "8"]
+        assert main(argv + flag) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert "Warning" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("template", [[], ["--template-inline", "${draft}"]])
     def test_negative_prefix_len_is_runtime_error(self, capsys, template):
         argv = ["decode", "--prompt", "1 2 3", "--prefix-len", "-1", "--max-tokens", "4"]
@@ -254,6 +271,23 @@ class TestSweepCommand:
         rows = read_report(out, "csv")
         assert len(rows) == 2
         assert all(r["error"].startswith("InvalidConfigError: beta") for r in rows)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--eta", "1.5"], "eta must lie in [0, 1], got 1.5"),
+            (["--eos-token", "999"], "eos_token 999 outside vocabulary of size 64"),
+            (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
+        ],
+    )
+    def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--prompt", "1 2 3", "--alpha", "0,0.3", "--strategy", "exact,vanilla"]
+        assert main(argv + flag + ["--max-tokens", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        rows = read_report(out, "csv")
+        assert len(rows) == 4
+        assert all(r["error"].startswith(f"InvalidConfigError: {message}") for r in rows)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_out_of_range_delta_fails_every_cell(self, tmp_path, jobs):

@@ -1,17 +1,19 @@
 """Decode-loop tests: baseline reduction, pruning contract, stats invariants."""
 
 import time
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference_impl import reference_decode
+from reference_impl import ref_copy_target, reference_decode
 from fixtures import CountingModel, make_divergence_pair
 
 from reflectspec.engine import STRATEGIES, DecodeConfig, RunStats, commit_and_prune, decode
 from reflectspec.errors import InvalidConfigError
 from reflectspec.models import (
+    BlendModel,
     ModelSession,
     ModelSpec,
     NgramModel,
@@ -38,6 +40,19 @@ class SleepyModel(CountingModel):
 
     def next_logits(self, context):
         time.sleep(self.seconds)
+        return super().next_logits(context)
+
+
+class RecordingReflectionModel(ReflectionAwareModel):
+    """A ``ReflectionAwareModel`` that keeps a copy of every context it is
+    asked about, in the type the caller passed."""
+
+    def __init__(self, base, marker, blend):
+        super().__init__(base, marker, blend)
+        self.contexts = []
+
+    def next_logits(self, context):
+        self.contexts.append(context[:])
         return super().next_logits(context)
 
 
@@ -403,7 +418,31 @@ class TestVariants:
         assert len(out) == 12
 
 
+class TestCopySearchInDecode:
+    @pytest.mark.parametrize("vocab", [VOCAB, 300])
+    @pytest.mark.parametrize("strategy", ["exact", "specsample", "typical"])
+    def test_every_target_context_matches_reference_scan(self, vocab, strategy):
+        base = TableModel(vocab, seed=11)
+        target = RecordingReflectionModel(base, vocab - 1, 0.5)
+        draft = BlendModel(base, TableModel(vocab, seed=12), 0.25)
+        template = ReflectiveTemplate(prompt_tokens=(vocab - 1,), prefix_len=3)
+        config = base_config(strategy=strategy, template=template, max_new_tokens=64)
+        decode(target, draft, [1, 2, 3, 4, 5], config)
+        assert target.contexts and all(type(c) is array for c in target.contexts)
+        want = [ref_copy_target(list(c), target.marker) for c in target.contexts]
+        assert [target._copy_target(c) for c in target.contexts] == want
+        assert 0 < want.count(None) < len(want)  # both outcomes occur
+
+
 class TestValidation:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("eos", [-1, VOCAB, 999])
+    def test_eos_token_outside_vocabulary(self, strategy, eos):
+        target, draft = table_pair()
+        config = base_config(strategy=strategy, eos_token=eos)
+        with pytest.raises(InvalidConfigError, match=f"^eos_token {eos} outside vocabulary of size {VOCAB}$"):
+            decode(target, draft, [1, 2, 3], config)
+
     def test_vocab_mismatch(self):
         with pytest.raises(InvalidConfigError):
             decode(TableModel(8, seed=0), TableModel(16, seed=0), [1], base_config())

@@ -1,6 +1,7 @@
 """Backend and session tests: determinism, causality, cache consistency."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from reflectspec.models import (
     TableModel,
     build_model,
     pair_models,
+    token_typecode,
 )
 from reflectspec.tokens import make_rng, softmax
 
@@ -54,6 +56,29 @@ class TestModelSession:
         s = ModelSession(TableModel(8, seed=1))
         out = s.forward([1, 2, 3])
         assert len(out) == 3 and all(v.shape == (8,) for v in out)
+        assert len(s) == 3
+
+    @pytest.mark.parametrize("vocab, itemsize", [(8, 1), (256, 1), (257, 2), (65536, 2), (65537, 4)])
+    def test_context_is_the_narrowest_typed_buffer(self, vocab, itemsize):
+        seen = []
+
+        class Recording(TableModel):
+            def next_logits(self, context):
+                seen.append((type(context), context.typecode, context.tolist()))
+                return super().next_logits(context)
+
+        s = ModelSession(Recording(vocab, seed=1))
+        s.forward([1, vocab - 1, 0])
+        code = token_typecode(vocab)
+        assert array(code).itemsize == itemsize
+        assert seen == [
+            (array, code, [1]),
+            (array, code, [1, vocab - 1]),
+            (array, code, [1, vocab - 1, 0]),
+        ]
+        tokens = s.tokens
+        assert type(tokens) is list and tokens == [1, vocab - 1, 0]
+        tokens.append(2)  # a copy: the session is unchanged
         assert len(s) == 3
 
     def test_rejects_out_of_vocab_tokens(self):
@@ -338,6 +363,12 @@ class TestDivergencePair:
         with pytest.raises(InvalidConfigError):
             make_divergence_pair(ModelSpec("table", 16), 1.5)
 
+    @pytest.mark.parametrize("eta", [1.5, -0.25, math.nan])
+    def test_pair_models_rejects_eta_outside_unit_interval(self, eta):
+        base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
+        with pytest.raises(InvalidConfigError, match=rf"^eta must lie in \[0, 1\], got {eta!r}$"):
+            pair_models(base, noise, eta, 0.5, 15)
+
     def test_pair_models_rejects_negative_beta(self):
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
         with pytest.raises(InvalidConfigError, match="beta"):
@@ -417,9 +448,25 @@ copy_tokens = st.lists(st.integers(0, COPY_MARKER), max_size=30)
 copy_tails = st.lists(st.integers(0, COPY_MARKER - 1), min_size=1, max_size=8)
 
 
-def assert_copy_target_matches_reference(ctx):
-    for c in (list(ctx), tuple(ctx)):
-        assert COPY_MODEL._copy_target(c) == ref_copy_target(c, COPY_MARKER)
+def assert_copy_target_matches_reference(ctx, model=COPY_MODEL):
+    """The copy target of ``ctx`` as a list, a tuple and the typed buffer a
+    ``ModelSession`` passes equals the reference scan's; returns it."""
+    want = ref_copy_target(ctx, model.marker)
+    for c in (list(ctx), tuple(ctx), array(token_typecode(model.vocab_size), ctx)):
+        assert model._copy_target(c) == want
+    return want
+
+
+# Above 256 tokens a token takes 2 or 4 bytes, so the bytes of the marker or
+# of a tail can also start inside a token: with marker 1, token 256 is
+# 00 01 00 00 and 65537 is 01 00 01 00 (little-endian). Only hits at token
+# boundaries count.
+WIDE_COPY_MARKER = 1
+WIDE_COPY_POOLS = {300: [0, 1, 2, 256, 257], 65538: [0, 1, 256, 257, 65537]}
+WIDE_COPY_MODELS = {
+    vocab: ReflectionAwareModel(TableModel(vocab, seed=1), WIDE_COPY_MARKER, 0.5)
+    for vocab in WIDE_COPY_POOLS
+}
 
 
 class TestCopyTargetDifferential:
@@ -448,6 +495,33 @@ class TestCopyTargetDifferential:
     )
     def test_tail_longer_than_text_before_marker(self, pre, tail):
         assert_copy_target_matches_reference(pre + [COPY_MARKER] + tail)
+
+    @pytest.mark.parametrize("vocab", sorted(WIDE_COPY_POOLS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_wide_vocabulary_contexts(self, vocab, data):
+        pool = st.sampled_from(WIDE_COPY_POOLS[vocab])
+        ctx = data.draw(st.lists(pool, max_size=24))
+        assert_copy_target_matches_reference(ctx, WIDE_COPY_MODELS[vocab])
+
+    @pytest.mark.parametrize(
+        "ctx, want",
+        [
+            # No marker token, but the bytes of 65537, 0 hold the marker's
+            # bytes 2 bytes into 65537.
+            ([0, 65537, 0], None),
+            # The same bytes again in the tail, after a real marker.
+            ([0, 65537, 0, 7, 1, 0, 65537, 0], 7),
+            # The tail [0] also matches 3 bytes into the first 0, where the
+            # bytes after it read as 256.
+            ([0, 0, 1, 1, 0], 0),
+            # The tail [256] also matches 3 bytes into the second 256, where
+            # the bytes after it read as 65536.
+            ([256, 256, 1, 256, 1, 256], 256),
+        ],
+    )
+    def test_unaligned_byte_matches_are_skipped(self, ctx, want):
+        assert assert_copy_target_matches_reference(ctx, WIDE_COPY_MODELS[65538]) == want
 
 
 class TestModelSpec:

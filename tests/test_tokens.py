@@ -89,6 +89,35 @@ class TestSoftmax:
             softmax(np.array([1.0, np.inf]), 1.0)
 
 
+    @pytest.mark.parametrize(
+        "logits, temperature",
+        [
+            ([0.5, -3.0, 2.0], 1e-310),  # the quotient overflows
+            ([1e308, 0.0], 1e-3),
+            ([1e308, -1e308], 1.0),  # the quotient is finite, its spread is not
+            ([[0.0, 1.0], [4.0, -1.0]], 5e-324),
+        ],
+    )
+    def test_overflowing_temperature_names_the_temperature(self, logits, temperature):
+        # Numeric warnings are errors under this suite, so none may be raised.
+        for kernel in (softmax, sampling_distribution):
+            with pytest.raises(InvalidConfigError, match=f"^temperature {temperature!r} is too small"):
+                kernel(np.array(logits), temperature)
+
+    @given(
+        st.lists(st.floats(min_value=-1e308, max_value=1e308), min_size=1, max_size=8),
+        st.floats(min_value=5e-324, max_value=1e3),
+    )
+    @settings(max_examples=300)
+    def test_finite_logits_give_a_distribution_or_a_temperature_error(self, values, temp):
+        try:
+            out = softmax(np.array(values), temp)
+        except InvalidConfigError as exc:
+            assert str(exc).startswith(f"temperature {temp!r} is too small")
+        else:
+            validate_distribution(out)
+
+
 class TestSamplingDistribution:
     def test_zero_temperature_is_one_hot_argmax(self):
         out = sampling_distribution(np.array([0.5, 3.0, 3.0]), 0.0)
