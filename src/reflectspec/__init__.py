@@ -59,7 +59,6 @@ from .tokens import (
     softmax,
 )
 from .verification import (
-    TypicalConfig,
     VerificationResult,
     exact_step_distribution,
     residual_distribution,

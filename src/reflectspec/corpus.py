@@ -71,10 +71,6 @@ class WordTokenizer:
             tok._add(word)
         return tok
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "WordTokenizer":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
-
     def _add(self, word: str) -> int:
         if word not in self._word_to_id:
             self._word_to_id[word] = len(self._id_to_word)

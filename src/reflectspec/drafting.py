@@ -13,16 +13,10 @@ from .tokens import distribution_block, inverse_cdf, sampling_distribution
 
 @dataclass(frozen=True)
 class DraftBundle:
-    """A fixed-length draft: tokens plus the distribution each was drawn from.
-
-    ``draft_forward_count`` is the number of positions the draft session
-    computed while producing this bundle: gamma - 1, since the first token
-    reads cached state and the last is never fed.
-    """
+    """A fixed-length draft: tokens plus the distribution each was drawn from."""
 
     tokens: tuple[int, ...]
     q_dists: tuple[np.ndarray, ...]
-    draft_forward_count: int
 
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.q_dists) or not self.tokens:
@@ -34,6 +28,13 @@ class DraftBundle:
     @property
     def gamma(self) -> int:
         return len(self.tokens)
+
+    @property
+    def draft_forward_count(self) -> int:
+        """The positions the draft session computed while producing this
+        bundle: gamma - 1, since the first token reads cached state and the
+        last is never fed."""
+        return len(self.tokens) - 1
 
 
 def generate_draft(
@@ -71,4 +72,4 @@ def generate_draft(
         if i < gamma - 1:
             session.forward([tok])
     distribution_block(dists)
-    return DraftBundle(tuple(tokens), tuple(dists), gamma - 1)
+    return DraftBundle(tuple(tokens), tuple(dists))

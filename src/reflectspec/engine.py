@@ -46,8 +46,8 @@ from .reflective import (
 )
 from .tokens import make_rng, sample, sampling_distribution, stack_rows
 from .verification import (
-    TypicalConfig,
     VerificationResult,
+    check_typical_range,
     verify_exact_match,
     verify_speculative_sampling,
     verify_typical,
@@ -93,7 +93,7 @@ class DecodeConfig:
             raise InvalidConfigError(f"unknown entropy source {self.entropy_source!r}")
         if self.exact_match_mode not in ("sample", "greedy"):
             raise InvalidConfigError(f"unknown exact-match mode {self.exact_match_mode!r}")
-        TypicalConfig(self.epsilon, self.delta)  # range-checks epsilon and delta
+        check_typical_range(self.epsilon, self.delta)
 
 
 @dataclass
@@ -326,9 +326,7 @@ def _verify(
             entropy_dists = fused  # unreflected, fused is softmax(original)
         else:
             entropy_dists = sampling_distribution(stack_rows(original), config.temperature)
-        return verify_typical(
-            fused, entropy_dists, bundle.tokens, TypicalConfig(config.epsilon, config.delta), rng
-        )
+        return verify_typical(fused, entropy_dists, bundle.tokens, config.epsilon, config.delta, rng)
     raise InvalidConfigError(f"unknown strategy {config.strategy!r}")
 
 

@@ -161,6 +161,8 @@ class ModelSession:
 class TableModel(Model):
     """Seeded hash-table backend: bounded logits per (seed, trailing context).
 
+    Logits are drawn uniformly from [``TABLE_LOGIT_LOW``, ``TABLE_LOGIT_HIGH``).
+
     The logits are a pure function of the window (the trailing ``order``
     tokens), so the model memoizes them per window, keyed by the window's
     token values: ``np.int64`` tokens hit the same entry as plain ints. The
@@ -169,25 +171,14 @@ class TableModel(Model):
     that need to modify logits must copy them.
     """
 
-    def __init__(
-        self,
-        vocab_size: int,
-        seed: int = 0,
-        order: int = 2,
-        low: float = TABLE_LOGIT_LOW,
-        high: float = TABLE_LOGIT_HIGH,
-    ):
+    def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
         if vocab_size < 2:
             raise InvalidConfigError("vocab_size must be >= 2")
         if order < 1:
             raise InvalidConfigError("context order must be >= 1")
-        if not low < high:
-            raise InvalidConfigError("logit range must be non-degenerate")
         self.vocab_size = vocab_size
         self.seed = int(seed)
         self.order = order
-        self.low = low
-        self.high = high
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
@@ -200,7 +191,7 @@ class TableModel(Model):
                 h.update(int(t).to_bytes(8, "little"))
             cell_seed = int.from_bytes(h.digest(), "little")
             gen = np.random.Generator(np.random.PCG64(cell_seed))
-            logits = gen.uniform(self.low, self.high, size=self.vocab_size)
+            logits = gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
             _remember(self._memo, key, logits)
         return logits
 
@@ -229,8 +220,8 @@ class NgramModel(Model):
         order: int = 2,
         smoothing: float = 1.0,
     ):
-        if smoothing <= 0:
-            raise InvalidConfigError(f"smoothing must be > 0, got {smoothing!r}")
+        if not 0 < smoothing < np.inf:
+            raise InvalidConfigError(f"smoothing must be finite and > 0, got {smoothing!r}")
         if vocab_size < 2:
             raise InvalidConfigError("vocab_size must be >= 2")
         if order < 1:
@@ -300,7 +291,8 @@ class ReflectionAwareModel(Model):
 
     When the context contains the marker token, the model locates the token
     that followed the most recent pre-marker occurrence of the post-marker
-    tail and blends ``blend`` of the way toward a logit spike on that token.
+    tail and blends ``blend`` of the way toward a logit spike of
+    ``COPY_LOGIT_BOOST`` on that token.
     With a draft copy replayed after the marker this re-emits the original
     draft, position by position. Matches whose continuation is the marker
     itself are skipped so the probe token never gets amplified.
@@ -315,7 +307,7 @@ class ReflectionAwareModel(Model):
     plain loop it must agree with.
     """
 
-    def __init__(self, base: Model, marker: int, blend: float, boost: float = COPY_LOGIT_BOOST):
+    def __init__(self, base: Model, marker: int, blend: float):
         if not 0 <= marker < base.vocab_size:
             raise InvalidConfigError(
                 f"marker {marker} outside vocabulary of size {base.vocab_size}"
@@ -326,7 +318,6 @@ class ReflectionAwareModel(Model):
         self.base = base
         self.marker = int(marker)
         self.blend = float(blend)
-        self.boost = float(boost)
         self._typecode = token_typecode(self.vocab_size)
         self._mark = array(self._typecode, [self.marker]).tobytes()
 
@@ -340,7 +331,7 @@ class ReflectionAwareModel(Model):
         # (1-blend)*base + blend*spike without building the spike: off the
         # copy token the spike adds 0.0, which changes no value.
         out = (1.0 - self.blend) * base_logits
-        out[copy_token] += self.blend * self.boost
+        out[copy_token] += self.blend * COPY_LOGIT_BOOST
         return out
 
     def _copy_target(self, context: Sequence[int]) -> int | None:
@@ -415,13 +406,12 @@ def pair_models(
     The target is ``base``, wrapped in ``ReflectionAwareModel`` (copy blend
     ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
     ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
-    model unrelated to the target. An eta outside [0, 1] and a negative
-    beta, which builds no wrapper, are rejected here under their own names;
-    ``ReflectionAwareModel`` checks a beta above 1.
+    model unrelated to the target. An eta or beta outside [0, 1], NaN
+    included, is rejected here under its own name.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")
-    if beta < 0:
+    if not 0.0 <= beta <= 1.0:
         raise InvalidConfigError(f"beta must lie in [0, 1], got {beta!r}")
     draft = base if eta == 0 else BlendModel(base, noise, eta)
     target = ReflectionAwareModel(base, marker, beta) if beta > 0 else base

@@ -70,32 +70,28 @@ class ReflectiveTemplate:
 
 @dataclass(frozen=True)
 class ReflectiveLayout:
-    """The assembled two-copy sequence with its segment bookkeeping.
+    """The assembled two-copy sequence: draft, probe, prefix, draft.
 
-    ``shift_len`` = gamma + template_len separates a draft token from its
-    mirror; ``m`` = shift_len + 1 is the 1-based index of the first
-    reflective logit. Segment fields are (start, stop) half-open spans into
-    ``full_sequence``.
+    ``shift_len`` is the distance between a draft token and its mirror in
+    the second copy (gamma plus the probe and prefix lengths), so the first
+    reflective logit sits at 1-based input index ``shift_len + 1``. The
+    draft length ``gamma`` is what follows the first ``shift_len`` tokens.
     """
 
     full_sequence: tuple[int, ...]
-    gamma: int
-    template_len: int
     shift_len: int
-    m: int
-    draft1_span: tuple[int, int]
-    probe_span: tuple[int, int]
-    prefix_span: tuple[int, int]
-    draft2_span: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.shift_len != self.gamma + self.template_len or self.m != self.shift_len + 1:
-            raise InternalConsistencyError("layout shift bookkeeping is inconsistent")
-        if len(self.full_sequence) != self.shift_len + self.gamma:
-            raise InternalConsistencyError("layout length does not match its segments")
-        for i in range(self.gamma):
-            if self.full_sequence[i] != self.full_sequence[i + self.shift_len]:
-                raise InternalConsistencyError("second draft copy does not mirror the first")
+        if not 1 <= self.gamma <= self.shift_len:
+            raise InternalConsistencyError(
+                f"layout draft length {self.gamma} outside [1, shift_len {self.shift_len}]"
+            )
+        if self.full_sequence[: self.gamma] != self.full_sequence[self.shift_len :]:
+            raise InternalConsistencyError("second draft copy does not mirror the first")
+
+    @property
+    def gamma(self) -> int:
+        return len(self.full_sequence) - self.shift_len
 
 
 def resolve_template(text: str, tokenizer) -> ReflectiveTemplate:
@@ -129,33 +125,20 @@ def build_reflective_input(
     template: ReflectiveTemplate,
     committed: Sequence[int],
 ) -> ReflectiveLayout:
-    """Assemble draft + probe + prefix + draft and compute shift bookkeeping.
+    """Assemble draft + probe + prefix + draft.
 
     The prefix segment replays the last ``template.prefix_len`` committed
     tokens; when fewer are committed, all of them are used (no padding).
     """
     tokens = [int(t) for t in draft.tokens]
-    gamma = len(tokens)
     prompt = [int(t) for t in template.prompt_tokens]
     if template.prefix_len > 0:
         prefix = [int(t) for t in committed[-template.prefix_len :]]
     else:
         prefix = []
-    full = tokens + prompt + prefix + tokens
-    template_len = len(prompt) + len(prefix)
-    shift_len = gamma + template_len
-    probe_start = gamma
-    prefix_start = probe_start + len(prompt)
     return ReflectiveLayout(
-        full_sequence=tuple(full),
-        gamma=gamma,
-        template_len=template_len,
-        shift_len=shift_len,
-        m=shift_len + 1,
-        draft1_span=(0, gamma),
-        probe_span=(probe_start, prefix_start),
-        prefix_span=(prefix_start, prefix_start + len(prefix)),
-        draft2_span=(shift_len, shift_len + gamma),
+        full_sequence=tuple(tokens + prompt + prefix + tokens),
+        shift_len=len(tokens) + len(prompt) + len(prefix),
     )
 
 

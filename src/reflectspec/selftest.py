@@ -20,7 +20,6 @@ from .errors import DegenerateResidualError
 from .reflective import ReflectiveTemplate, build_reflective_input
 from .tokens import make_rng, one_hot
 from .verification import (
-    TypicalConfig,
     exact_step_distribution,
     residual_distribution,
     typical_threshold,
@@ -96,7 +95,7 @@ def check_typical_thresholds(count: int = 200, seed: int = 11) -> CheckResult:
         dist = _random_distribution(rng, size)
         h = -sum(x * math.log(x) for x in dist if x > 0)  # independent entropy
         for eps, delta in grid:
-            got = typical_threshold(dist, TypicalConfig(eps, delta))
+            got = typical_threshold(dist, eps, delta)
             want = min(eps, delta * math.exp(-h))
             worst = max(worst, abs(got - want))
             if got > eps or got > delta or got <= 0:
@@ -117,9 +116,7 @@ def check_layout(cases: int = 500, seed: int = 23) -> CheckResult:
         prefix_len = int(rng.integers(0, 7))
         committed = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 20))]
         draft_tokens = tuple(int(t) for t in rng.integers(0, vocab, size=gamma))
-        bundle = DraftBundle(
-            draft_tokens, tuple(one_hot(t, vocab) for t in draft_tokens), gamma - 1
-        )
+        bundle = DraftBundle(draft_tokens, tuple(one_hot(t, vocab) for t in draft_tokens))
         template = ReflectiveTemplate(
             prompt_tokens=tuple(int(t) for t in rng.integers(0, vocab, size=prompt_len)),
             prefix_len=prefix_len,
@@ -129,15 +126,13 @@ def check_layout(cases: int = 500, seed: int = 23) -> CheckResult:
         actual_prefix = min(prefix_len, len(committed))
         if layout.shift_len != gamma + prompt_len + actual_prefix:
             return CheckResult("layout", False, "shift_len mismatch")
-        if layout.m != layout.shift_len + 1:
-            return CheckResult("layout", False, "m != shift_len + 1")
         if len(seq) != layout.shift_len + gamma:
             return CheckResult("layout", False, "budget != sequence length")
         for i in range(gamma):
             if seq[i] != seq[i + layout.shift_len]:
                 return CheckResult("layout", False, "draft copies differ")
     # 5-token draft, 3-token probe, 4-token prefix: budget must be 17.
-    bundle = DraftBundle(tuple(range(5)), tuple(one_hot(t, vocab) for t in range(5)), 4)
+    bundle = DraftBundle(tuple(range(5)), tuple(one_hot(t, vocab) for t in range(5)))
     template = ReflectiveTemplate(prompt_tokens=(20, 21, 22), prefix_len=4)
     layout = build_reflective_input(bundle, template, [10, 11, 12, 13, 14, 15])
     if len(layout.full_sequence) != 17:

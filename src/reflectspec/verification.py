@@ -40,39 +40,32 @@ from .tokens import distribution_block, entropy, sample, sample_rows, stack_rows
 from .tokens import validate_distribution
 
 
-@dataclass(frozen=True)
-class TypicalConfig:
-    """Entropy-threshold parameters; both must lie in (0, 1]."""
-
-    epsilon: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise InvalidConfigError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
-        if not 0.0 < self.delta <= 1.0:
-            raise InvalidConfigError(f"delta must lie in (0, 1], got {self.delta!r}")
+def check_typical_range(epsilon: float, delta: float) -> None:
+    """Raise ``InvalidConfigError`` unless epsilon and delta lie in (0, 1]."""
+    if not 0.0 < epsilon <= 1.0:
+        raise InvalidConfigError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    if not 0.0 < delta <= 1.0:
+        raise InvalidConfigError(f"delta must lie in (0, 1], got {delta!r}")
 
 
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of verifying one draft.
 
-    ``accepted_n`` counts the leading accepted draft tokens; ``bonus`` is the
-    extra token every step emits. ``per_step_accepts[i]`` records whether
-    position i would have been accepted in isolation, so the leading-true
-    count equals ``accepted_n``. ``diagnostics`` carries strategy-specific
-    per-position values (acceptance ratios, thresholds, or resampled tokens).
+    ``bonus`` is the extra token every step emits. ``per_step_accepts[i]``
+    records whether position i would have been accepted in isolation.
+    ``diagnostics`` carries strategy-specific per-position values
+    (acceptance ratios, thresholds, or resampled tokens).
     """
 
-    accepted_n: int
     bonus: int
     per_step_accepts: tuple[bool, ...]
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if _leading_true(self.per_step_accepts) != self.accepted_n:
-            raise InternalConsistencyError("accepted_n does not match leading accept flags")
+    @property
+    def accepted_n(self) -> int:
+        """The number of leading accepted draft tokens: the leading True flags."""
+        return _leading_true(self.per_step_accepts)
 
 
 def _leading_true(flags: Sequence[bool]) -> int:
@@ -99,9 +92,13 @@ def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return residual / mass
 
 
-def typical_threshold(entropy_source: np.ndarray, config: TypicalConfig) -> float:
-    """min(epsilon, delta * exp(-H(entropy_source))), the per-step gate."""
-    return min(config.epsilon, config.delta * float(np.exp(-entropy(entropy_source))))
+def typical_threshold(entropy_source: np.ndarray, epsilon: float, delta: float) -> float:
+    """min(epsilon, delta * exp(-H(entropy_source))), the per-step gate.
+
+    Epsilon and delta must lie in (0, 1].
+    """
+    check_typical_range(epsilon, delta)
+    return min(epsilon, delta * float(np.exp(-entropy(entropy_source))))
 
 
 def verify_exact_match(
@@ -129,7 +126,6 @@ def verify_exact_match(
     n = _leading_true(flags)
     bonus = picks[n] if greedy_match else sample_rows(p[n : n + 1], rng)[0]
     return VerificationResult(
-        accepted_n=n,
         bonus=bonus,
         per_step_accepts=flags,
         diagnostics={"resampled": resampled},
@@ -172,7 +168,6 @@ def verify_speculative_sampling(
         bonus_dist = p_dists[gamma]
     bonus = sample(bonus_dist, rng)
     return VerificationResult(
-        accepted_n=n,
         bonus=bonus,
         per_step_accepts=tuple(flags),
         diagnostics={"ratios": ratios, "draws": draws},
@@ -183,16 +178,17 @@ def verify_typical(
     p_dists: Sequence[np.ndarray],
     entropy_dists: Sequence[np.ndarray],
     draft_tokens: Sequence[int],
-    config: TypicalConfig,
+    epsilon: float,
+    delta: float,
     rng: np.random.Generator,
 ) -> VerificationResult:
     """Entropy-threshold acceptance.
 
     Position i is accepted when p_i(x_i) strictly exceeds
-    min(epsilon, delta * exp(-H(entropy_dists[i]))). The entropy source is
-    supplied by the caller, so it can be either the unfused original
-    distributions or the fused ones. The bonus is drawn from p at position
-    accepted_n.
+    min(epsilon, delta * exp(-H(entropy_dists[i]))), with epsilon and delta
+    in (0, 1]. The entropy source is supplied by the caller, so it can be
+    either the unfused original distributions or the fused ones. The bonus
+    is drawn from p at position accepted_n.
     """
     gamma = len(draft_tokens)
     _check_lengths(p_dists, gamma)
@@ -200,13 +196,12 @@ def verify_typical(
         raise InternalConsistencyError(
             f"need {gamma} entropy-source distributions, got {len(entropy_dists)}"
         )
-    thresholds = [typical_threshold(entropy_dists[i], config) for i in range(gamma)]
+    thresholds = [typical_threshold(entropy_dists[i], epsilon, delta) for i in range(gamma)]
     p_toks = _draft_token_probs(p_dists, draft_tokens)
     flags = tuple(p_tok > threshold for p_tok, threshold in zip(p_toks, thresholds))
     n = _leading_true(flags)
     bonus = sample(p_dists[n], rng)
     return VerificationResult(
-        accepted_n=n,
         bonus=bonus,
         per_step_accepts=flags,
         diagnostics={"thresholds": thresholds},

@@ -210,3 +210,23 @@ def ref_generate_draft(session, gamma, temperature, rng):
             session.forward([tok])
     session.truncate(base_len)
     return tokens, dists
+
+
+def ref_layout(draft, probe, prefix_len, committed):
+    """The two-copy layout, one segment at a time: (sequence, spans).
+
+    The segments are the draft, the probe, the last ``prefix_len`` committed
+    tokens (all of them when fewer are committed) and the draft again.
+    ``spans`` maps "draft1", "probe", "prefix" and "draft2" to (start, stop)
+    half-open spans into the sequence.
+    """
+    committed = [int(t) for t in committed]
+    prefix = committed[len(committed) - min(prefix_len, len(committed)) :]
+    sequence = []
+    spans = {}
+    segments = (("draft1", draft), ("probe", probe), ("prefix", prefix), ("draft2", draft))
+    for name, segment in segments:
+        start = len(sequence)
+        sequence.extend(int(t) for t in segment)
+        spans[name] = (start, len(sequence))
+    return tuple(sequence), spans

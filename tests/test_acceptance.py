@@ -23,7 +23,6 @@ from reflectspec.models import (
 from reflectspec.reflective import ReflectiveTemplate, build_reflective_input
 from reflectspec.tokens import derive_seed, make_rng, one_hot, sample
 from reflectspec.verification import (
-    TypicalConfig,
     exact_step_distribution,
     typical_threshold,
     verify_speculative_sampling,
@@ -120,9 +119,7 @@ def test_c3_layout_shift_correctness():
         prefix_len = int(rng.integers(0, 7))
         committed = [int(t) for t in rng.integers(0, VOCAB, size=int(rng.integers(1, 24)))]
         draft_tokens = tuple(int(t) for t in rng.integers(0, VOCAB, size=gamma))
-        bundle = DraftBundle(
-            draft_tokens, tuple(one_hot(t, VOCAB) for t in draft_tokens), gamma - 1
-        )
+        bundle = DraftBundle(draft_tokens, tuple(one_hot(t, VOCAB) for t in draft_tokens))
         template = ReflectiveTemplate(
             prompt_tokens=tuple(int(t) for t in rng.integers(0, VOCAB, size=prompt_len)),
             prefix_len=prefix_len,
@@ -130,9 +127,8 @@ def test_c3_layout_shift_correctness():
         layout = build_reflective_input(bundle, template, committed)
         for i in range(gamma):
             assert layout.full_sequence[i] == layout.full_sequence[i + layout.shift_len]
-        assert layout.m == layout.shift_len + 1
         assert len(layout.full_sequence) == layout.shift_len + gamma
-    bundle = DraftBundle(tuple(range(5)), tuple(one_hot(t, VOCAB) for t in range(5)), 4)
+    bundle = DraftBundle(tuple(range(5)), tuple(one_hot(t, VOCAB) for t in range(5)))
     layout = build_reflective_input(
         bundle, ReflectiveTemplate((40, 41, 42), 4), list(range(10, 20))
     )
@@ -235,7 +231,7 @@ def test_c6_typical_threshold_law():
         h = -sum(float(x) * math.log(float(x)) for x in dist if x > 0)
         for eps in (0.3, 0.6):
             for delta in (0.05, 0.2):
-                got = typical_threshold(dist, TypicalConfig(eps, delta))
+                got = typical_threshold(dist, eps, delta)
                 want = min(eps, delta * math.exp(-h))
                 worst = max(worst, abs(got - want))
                 assert got <= eps

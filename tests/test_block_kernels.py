@@ -27,7 +27,6 @@ from reflectspec.tokens import (
     softmax,
 )
 from reflectspec.verification import (
-    TypicalConfig,
     verify_exact_match,
     verify_speculative_sampling,
     verify_typical,
@@ -212,14 +211,14 @@ class TestErrorParity:
     def test_invalid_p_rows_typical(self, kind):
         p = [corrupt(row, kind) for row in valid_p()]
         with pytest.raises(InvalidDistributionError):
-            verify_typical(p, valid_p(), [0] * GAMMA, TypicalConfig(0.3, 0.2), make_rng(0))
+            verify_typical(p, valid_p(), [0] * GAMMA, 0.3, 0.2, make_rng(0))
 
     @pytest.mark.parametrize("row", range(GAMMA))
     def test_invalid_entropy_row_typical(self, row):
         entropy_dists = valid_p()
         entropy_dists[row] = corrupt(entropy_dists[row], "short")
         with pytest.raises(InvalidDistributionError):
-            verify_typical(valid_p(), entropy_dists, [0] * GAMMA, TypicalConfig(0.3, 0.2), make_rng(0))
+            verify_typical(valid_p(), entropy_dists, [0] * GAMMA, 0.3, 0.2, make_rng(0))
 
 
 def test_ragged_rows_within_a_side_are_rejected():

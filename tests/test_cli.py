@@ -147,6 +147,16 @@ class TestDecodeCommand:
         out = capsys.readouterr().out
         assert "output text:" in out
 
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_smoothing_is_runtime_error(self, tmp_path, capsys, smoothing):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(CORPUS, encoding="utf-8")
+        argv = ["decode", "--corpus", str(corpus), "--target-model", "ngram", "--prompt", "the cat"]
+        assert main(argv + ["--smoothing", smoothing]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: smoothing must be finite and > 0, got {smoothing}")
+        assert "Warning" not in captured.err and captured.out == ""
+
     def test_template_file(self, tmp_path, capsys):
         template = tmp_path / "probe.txt"
         template.write_text("${draft} 9 ${prefix} ${draft}\n", encoding="utf-8")
@@ -176,6 +186,8 @@ class TestDecodeCommand:
             (["--eos-token", "999"], "eos_token 999 outside vocabulary of size 64"),
             (["--eos-token", "-3"], "eos_token -3 outside vocabulary of size 64"),
             (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
+            (["--beta", "1.5"], "beta must lie in [0, 1], got 1.5"),
+            (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -279,6 +291,8 @@ class TestSweepCommand:
             (["--eta", "1.5"], "eta must lie in [0, 1], got 1.5"),
             (["--eos-token", "999"], "eos_token 999 outside vocabulary of size 64"),
             (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
+            (["--beta", "1.5"], "beta must lie in [0, 1], got 1.5"),
+            (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):
@@ -297,6 +311,21 @@ class TestSweepCommand:
         rows = read_report(out, "csv")
         assert len(rows) == 3
         assert all(r["error"].startswith("InvalidConfigError: delta") for r in rows)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_smoothing_fails_every_cell(self, tmp_path, capsys, jobs, smoothing):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(CORPUS, encoding="utf-8")
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--corpus", str(corpus), "--target-model", "ngram", "--prompt", "the cat"]
+        argv += ["--alpha", "0,0.3", "--smoothing", smoothing, "--max-tokens", "4"]
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        rows = read_report(out, "csv")
+        assert len(rows) == 2
+        message = f"InvalidConfigError: smoothing must be finite and > 0, got {smoothing}"
+        assert all(r["error"] == message for r in rows)
 
     def test_match_mode_reaches_sweep_cells(self, tmp_path):
         def report(mode, temperature):

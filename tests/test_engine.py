@@ -169,12 +169,10 @@ class TestCommitAndPrune:
         target_session.forward(committed)
         draft_session.forward(committed)
         tokens = (4, 5, 6)
-        bundle = DraftBundle(tokens, tuple(one_hot(t, 16) for t in tokens), 2)
+        bundle = DraftBundle(tokens, tuple(one_hot(t, 16) for t in tokens))
         layout = build_reflective_input(bundle, ReflectiveTemplate((15,), 2), committed)
         target_session.forward(list(layout.full_sequence))
-        result = VerificationResult(
-            accepted_n=1, bonus=9, per_step_accepts=(True, False, False)
-        )
+        result = VerificationResult(bonus=9, per_step_accepts=(True, False, False))
         commit_and_prune(
             target_session, draft_session, len(layout.full_sequence), result
         )
@@ -189,12 +187,10 @@ class TestCommitAndPrune:
         target_session.forward(committed)
         draft_session.forward(committed)
         tokens = (4,)
-        bundle = DraftBundle(tokens, (one_hot(4, 16),), 0)
+        bundle = DraftBundle(tokens, (one_hot(4, 16),))
         layout = build_reflective_input(bundle, ReflectiveTemplate(), committed)
         target_session.forward(list(layout.full_sequence))
-        result = VerificationResult(
-            accepted_n=0, bonus=3, per_step_accepts=(False,)
-        )
+        result = VerificationResult(bonus=3, per_step_accepts=(False,))
         commit_and_prune(
             target_session, draft_session, len(layout.full_sequence), result
         )
@@ -208,7 +204,7 @@ class TestCommitAndPrune:
         target, draft = table_pair()
         committed = [1, 2, 3, 4, 5]
         tokens = tuple(range(6, 6 + gamma))
-        bundle = DraftBundle(tokens, tuple(one_hot(t, VOCAB) for t in tokens), gamma - 1)
+        bundle = DraftBundle(tokens, tuple(one_hot(t, VOCAB) for t in tokens))
         layout = build_reflective_input(bundle, TEMPLATE, committed)
         for accepted_n in range(gamma + 1):
             target_session = ModelSession(target)
@@ -216,9 +212,7 @@ class TestCommitAndPrune:
             draft_session = ModelSession(draft)
             draft_session.forward(committed + list(tokens[: gamma - 1]))
             result = VerificationResult(
-                accepted_n=accepted_n,
-                bonus=9,
-                per_step_accepts=tuple(i < accepted_n for i in range(gamma)),
+                bonus=9, per_step_accepts=tuple(i < accepted_n for i in range(gamma))
             )
             commit_and_prune(target_session, draft_session, len(layout.full_sequence), result)
             assert target_session.tokens == committed + list(tokens[:accepted_n]) + [9]

@@ -248,6 +248,12 @@ class TestNgramModel:
         with pytest.raises(InvalidConfigError):
             NgramModel([[0, 1]], vocab_size=4, order=1, smoothing=0.0)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        message = f"^smoothing must be finite and > 0, got {smoothing!r}$"
+        with pytest.raises(InvalidConfigError, match=message):
+            NgramModel([[0, 1]], vocab_size=4, order=1, smoothing=smoothing)
+
     def test_empty_corpus(self):
         with pytest.raises(InvalidConfigError):
             NgramModel([], vocab_size=4, order=1, smoothing=1.0)
@@ -373,6 +379,12 @@ class TestDivergencePair:
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
         with pytest.raises(InvalidConfigError, match="beta"):
             pair_models(base, noise, 0.0, -0.5, 15)
+
+    @pytest.mark.parametrize("beta", [1.5, math.nan])
+    def test_pair_models_rejects_beta_above_one_or_nan(self, beta):
+        base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
+        with pytest.raises(InvalidConfigError, match=rf"^beta must lie in \[0, 1\], got {beta!r}$"):
+            pair_models(base, noise, 0.0, beta, 15)
 
     def test_pair_models_endpoints(self):
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)

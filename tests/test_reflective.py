@@ -1,9 +1,12 @@
 """Layout assembly, paired logit extraction, fusion, and template parsing."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_impl import ref_layout
 
 from reflectspec.corpus import IntTokenizer, WordTokenizer
 from reflectspec.drafting import DraftBundle
@@ -11,6 +14,7 @@ from reflectspec.errors import InternalConsistencyError, InvalidConfigError
 from reflectspec.models import ModelSession, TableModel
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
+    ReflectiveLayout,
     ReflectiveTemplate,
     build_reflective_input,
     fuse,
@@ -22,7 +26,7 @@ from reflectspec.tokens import make_rng, one_hot, softmax
 
 def bundle_for(tokens, vocab=32):
     toks = tuple(int(t) for t in tokens)
-    return DraftBundle(toks, tuple(one_hot(t, vocab) for t in toks), max(len(toks) - 1, 0))
+    return DraftBundle(toks, tuple(one_hot(t, vocab) for t in toks))
 
 
 class TestLayout:
@@ -35,9 +39,8 @@ class TestLayout:
             committed=[9, 9, p1, p2],
         )
         assert layout.full_sequence == (a, b, c, t1, t2, p1, p2, a, b, c)
-        assert layout.template_len == 4
         assert layout.shift_len == 7
-        assert layout.m == 8
+        assert layout.gamma == 3
 
     def test_degenerate_template(self):
         layout = build_reflective_input(
@@ -45,7 +48,6 @@ class TestLayout:
         )
         assert layout.full_sequence == (4, 5, 4, 5)
         assert layout.shift_len == 2
-        assert layout.m == 3
 
     def test_budget_five_three_four_five(self):
         layout = build_reflective_input(
@@ -60,7 +62,7 @@ class TestLayout:
             bundle_for([4]), ReflectiveTemplate(prompt_tokens=(9,), prefix_len=4), committed=[7]
         )
         assert layout.full_sequence == (4, 9, 7, 4)
-        assert layout.template_len == 2
+        assert layout.shift_len == 3
 
     def test_segment_spans(self):
         layout = build_reflective_input(
@@ -68,11 +70,14 @@ class TestLayout:
             ReflectiveTemplate(prompt_tokens=(10,), prefix_len=2),
             committed=[5, 6, 7],
         )
+        sequence, spans = ref_layout((1, 2), (10,), 2, [5, 6, 7])
+        assert layout.full_sequence == sequence
+        assert layout.shift_len == spans["draft2"][0]
         seq = layout.full_sequence
-        assert seq[slice(*layout.draft1_span)] == (1, 2)
-        assert seq[slice(*layout.probe_span)] == (10,)
-        assert seq[slice(*layout.prefix_span)] == (6, 7)
-        assert seq[slice(*layout.draft2_span)] == (1, 2)
+        assert seq[slice(*spans["draft1"])] == (1, 2)
+        assert seq[slice(*spans["probe"])] == (10,)
+        assert seq[slice(*spans["prefix"])] == (6, 7)
+        assert seq[slice(*spans["draft2"])] == (1, 2)
 
     @given(
         st.integers(min_value=1, max_value=10),
@@ -81,8 +86,11 @@ class TestLayout:
         st.integers(min_value=1, max_value=15),
         st.randoms(use_true_random=False),
     )
+    @example(gamma=3, prompt_len=2, prefix_len=6, clen=2, r=random.Random(0))
     @settings(max_examples=120)
     def test_invariants_hold_for_random_shapes(self, gamma, prompt_len, prefix_len, clen, r):
+        # Differential against the segment-by-segment reference, committed
+        # text shorter than the prefix included.
         vocab = 32
         draft = [r.randrange(vocab) for _ in range(gamma)]
         prompt = tuple(r.randrange(vocab) for _ in range(prompt_len))
@@ -90,11 +98,25 @@ class TestLayout:
         layout = build_reflective_input(
             bundle_for(draft), ReflectiveTemplate(prompt, prefix_len), committed
         )
-        assert layout.shift_len == layout.template_len + gamma
-        assert layout.m == layout.shift_len + 1
-        assert len(layout.full_sequence) == layout.shift_len + gamma
-        for i in range(gamma):
-            assert layout.full_sequence[i] == layout.full_sequence[i + layout.shift_len]
+        sequence, spans = ref_layout(draft, prompt, prefix_len, committed)
+        assert layout.full_sequence == sequence
+        assert layout.shift_len == spans["draft2"][0]
+        assert layout.gamma == gamma
+        prefix = committed[max(clen - prefix_len, 0) :] if prefix_len else []
+        segments = {"draft1": draft, "probe": prompt, "prefix": prefix, "draft2": draft}
+        for name, segment in segments.items():
+            assert layout.full_sequence[slice(*spans[name])] == tuple(segment), name
+
+    def test_copy_must_mirror_draft(self):
+        assert ReflectiveLayout((1, 2, 9, 1, 2), shift_len=3).gamma == 2
+        with pytest.raises(InternalConsistencyError, match="does not mirror"):
+            ReflectiveLayout((1, 2, 9, 1, 3), shift_len=3)
+
+    @pytest.mark.parametrize("shift_len", [5, 6, 2, 1])
+    def test_gamma_must_lie_between_one_and_shift_len(self, shift_len):
+        # A 5-token sequence leaves gamma 0, -1, 3 and 4: all outside [1, shift_len].
+        with pytest.raises(InternalConsistencyError, match="draft length"):
+            ReflectiveLayout((1, 1, 1, 1, 1), shift_len=shift_len)
 
 
 class TestPairedForward:
@@ -140,7 +162,7 @@ class TestPairedForward:
         layout = build_reflective_input(
             bundle, ReflectiveTemplate(prompt_tokens=(9,), prefix_len=0), committed
         )
-        assert layout.m == 3
+        assert layout.shift_len + 1 == 3  # 1-based index of the first reflective logit
         original, reflective = paired_forward(session, layout)
         assert len(original) == 2 and len(reflective) == 2
         # Outputs at absolute (1-based) input positions committed+2, committed+3.

@@ -1,5 +1,6 @@
 """Acceptance-strategy tests and the enumeration oracle for unbiasedness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflectspec.errors import DegenerateResidualError, InternalConsistencyError
+from reflectspec.errors import DegenerateResidualError, InvalidConfigError
 from reflectspec.tokens import make_rng, one_hot
 from reflectspec.verification import (
-    TypicalConfig,
     VerificationResult,
     exact_step_distribution,
     residual_distribution,
@@ -202,26 +202,23 @@ class TestTypical:
         vocab = 5
         draft = [2, 0]
         p = [one_hot(t, vocab) for t in draft] + [one_hot(1, vocab)]
-        cfg = TypicalConfig(0.3, 0.2)
-        res = verify_typical(p, p, draft, cfg, make_rng(0))
+        res = verify_typical(p, p, draft, 0.3, 0.2, make_rng(0))
         assert res.accepted_n == 2
         assert res.diagnostics["thresholds"] == [min(0.3, 0.2)] * 2
 
     def test_uniform_hand_case(self):
         uniform = np.full(4, 0.25)
-        cfg = TypicalConfig(0.3, 0.2)
         want = min(0.3, 0.2 * math.exp(-math.log(4)))
-        assert abs(typical_threshold(uniform, cfg) - want) <= 1e-15
+        assert abs(typical_threshold(uniform, 0.3, 0.2) - want) <= 1e-15
         assert abs(want - 0.05) <= 1e-15
-        res = verify_typical([uniform, uniform], [uniform, uniform], [3], cfg, make_rng(0))
+        res = verify_typical([uniform, uniform], [uniform, uniform], [3], 0.3, 0.2, make_rng(0))
         assert res.accepted_n == 1  # 0.25 > 0.05
 
     def test_vanishing_delta_accepts_all_positive_mass(self):
         rng = make_rng(4)
         dists = [rand_dist(rng, 6) for _ in range(4)]
         draft = [0, 1, 2]
-        cfg = TypicalConfig(0.3, 1e-12)
-        res = verify_typical(dists, dists, draft, cfg, make_rng(1))
+        res = verify_typical(dists, dists, draft, 0.3, 1e-12, make_rng(1))
         assert res.accepted_n == 3
 
     def test_threshold_law_random_sweep(self):
@@ -231,7 +228,7 @@ class TestTypical:
             dist = rand_dist(rng, size)
             for eps in (0.3, 0.6):
                 for delta in (0.05, 0.2):
-                    got = typical_threshold(dist, TypicalConfig(eps, delta))
+                    got = typical_threshold(dist, eps, delta)
                     h = -sum(x * math.log(x) for x in dist if x > 0)
                     assert abs(got - min(eps, delta * math.exp(-h))) <= 1e-12
                     assert 0 < got <= eps
@@ -240,27 +237,32 @@ class TestTypical:
     def test_entropy_source_is_separate_from_acceptance_source(self):
         flat = np.full(4, 0.25)
         sharp = np.array([0.97, 0.01, 0.01, 0.01])
-        cfg = TypicalConfig(0.9, 0.9)
         # Sharp entropy source: threshold ~0.9*exp(-0.16) ~ 0.77 rejects 0.25.
-        res = verify_typical([flat, flat], [sharp, sharp], [0], cfg, make_rng(0))
+        res = verify_typical([flat, flat], [sharp, sharp], [0], 0.9, 0.9, make_rng(0))
         assert res.accepted_n == 0
         # Flat entropy source: threshold 0.9*0.25=0.225 < 0.25 accepts.
-        res2 = verify_typical([flat, flat], [flat, flat], [0], cfg, make_rng(0))
+        res2 = verify_typical([flat, flat], [flat, flat], [0], 0.9, 0.9, make_rng(0))
         assert res2.accepted_n == 1
 
     def test_config_validated(self):
-        with pytest.raises(Exception):
-            TypicalConfig(0.0, 0.5)
-        with pytest.raises(Exception):
-            TypicalConfig(0.5, 1.5)
+        uniform = np.full(4, 0.25)
+        for name in ("epsilon", "delta"):
+            for bad in (0.0, 1.5, math.nan):
+                params = {"epsilon": 0.3, "delta": 0.2, name: bad}
+                message = rf"^{name} must lie in \(0, 1\], got {bad!r}$"
+                with pytest.raises(InvalidConfigError, match=message):
+                    typical_threshold(uniform, **params)
+                with pytest.raises(InvalidConfigError, match=message):
+                    verify_typical([uniform] * 2, [uniform] * 2, [3], rng=make_rng(0), **params)
 
 
 class TestVerificationResult:
-    def test_leading_flag_invariant_enforced(self):
-        with pytest.raises(InternalConsistencyError):
-            VerificationResult(
-                accepted_n=2, bonus=0, per_step_accepts=(True, False, True)
-            )
+    def test_accepted_n_counts_leading_true_flags(self):
+        cases = [f for n in range(1, 6) for f in itertools.product((False, True), repeat=n)]
+        assert len(cases) == 62
+        for flags in cases:
+            want = next((i for i, flag in enumerate(flags) if not flag), len(flags))
+            assert VerificationResult(bonus=0, per_step_accepts=flags).accepted_n == want
 
     def test_flags_after_rejection_are_recorded(self):
         vocab = 4
