@@ -51,7 +51,6 @@ from .reflective import (
 from .tokens import (
     derive_seed,
     entropy,
-    greedy,
     make_rng,
     one_hot,
     sample,

@@ -64,13 +64,6 @@ class WordTokenizer:
         self._word_to_id: dict[str, int] = {}
         self._id_to_word: list[str] = []
 
-    @classmethod
-    def from_text(cls, text: str) -> "WordTokenizer":
-        tok = cls()
-        for word in text.split():
-            tok._add(word)
-        return tok
-
     def _add(self, word: str) -> int:
         if word not in self._word_to_id:
             self._word_to_id[word] = len(self._id_to_word)

@@ -22,7 +22,12 @@ Backends:
   This is the toy stand-in for a model that regenerates its own draft after
   a reflection probe.
 
-The memoizing backends return arrays that are shared between calls and
+``TableModel`` and ``NgramModel`` each memoize up to ``MEMO_BYTES`` of
+logits, and never fewer than ``MEMO_MIN_WINDOWS`` windows
+(``memo_windows``), evicting the oldest window first. A reflective step
+re-reads its probe windows and the recently committed text, so a memo that
+spans many steps serves those repeats instead of computing them again. The
+memoizing backends return arrays that are shared between calls and
 read-only; callers that need to modify logits must copy them.
 """
 
@@ -47,12 +52,15 @@ from .tokens import derive_seed
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
 
-# Context windows each TableModel and NgramModel remembers, oldest evicted
-# first. The repeats a decode produces (a draft window re-read by the verify
-# pass, the second copy and prefix replay re-reading the first copy) all lie
-# within about one step, so a small memo catches them while memory stays
+# Logit bytes each TableModel and NgramModel memo may hold, oldest window
+# evicted first, and the fewest windows it keeps at any vocabulary size.
+# Within one step a window is re-read by the verify pass, the second copy
+# and the prefix replay; across steps the probe windows (``x [BACK]``,
+# ``[BACK] y``) and the recently committed text come back. 512 KiB keeps
+# 1024 windows at V=64, about seventy steps of misses, while memory stays
 # flat however long the decode runs.
-TABLE_MEMO_WINDOWS = 64
+MEMO_BYTES = 512 * 1024
+MEMO_MIN_WINDOWS = 64
 
 # Logit magnitude of the copy signal in ReflectionAwareModel. Chosen to
 # dominate the table-model range at full blend while leaving finite spread.
@@ -166,9 +174,9 @@ class TableModel(Model):
     The logits are a pure function of the window (the trailing ``order``
     tokens), so the model memoizes them per window, keyed by the window's
     token values: ``np.int64`` tokens hit the same entry as plain ints. The
-    memo holds at most ``TABLE_MEMO_WINDOWS`` windows and evicts the oldest
-    first. Returned arrays are shared between calls and read-only; callers
-    that need to modify logits must copy them.
+    memo holds at most ``memo_windows(vocab_size)`` windows and evicts the
+    oldest first. Returned arrays are shared between calls and read-only;
+    callers that need to modify logits must copy them.
     """
 
     def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
@@ -180,6 +188,7 @@ class TableModel(Model):
         self.seed = int(seed)
         self.order = order
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo_windows = memo_windows(vocab_size)
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         key = tuple(context[-self.order :])
@@ -192,7 +201,7 @@ class TableModel(Model):
             cell_seed = int.from_bytes(h.digest(), "little")
             gen = np.random.Generator(np.random.PCG64(cell_seed))
             logits = gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
-            _remember(self._memo, key, logits)
+            _remember(self._memo, key, logits, self._memo_windows)
         return logits
 
 
@@ -208,7 +217,7 @@ class NgramModel(Model):
         log((count(context, t) + smoothing) / (count(context) + smoothing * V))
 
     Like ``TableModel``, the model memoizes logits for at most
-    ``TABLE_MEMO_WINDOWS`` context windows (oldest evicted first, numpy
+    ``memo_windows(vocab_size)`` context windows (oldest evicted first, numpy
     integer tokens hit the plain-int entry); returned arrays are shared
     between calls and read-only.
     """
@@ -220,8 +229,7 @@ class NgramModel(Model):
         order: int = 2,
         smoothing: float = 1.0,
     ):
-        if not 0 < smoothing < np.inf:
-            raise InvalidConfigError(f"smoothing must be finite and > 0, got {smoothing!r}")
+        _check_smoothing(smoothing)
         if vocab_size < 2:
             raise InvalidConfigError("vocab_size must be >= 2")
         if order < 1:
@@ -250,6 +258,7 @@ class NgramModel(Model):
             self._pair_counts.setdefault(ctx, {})[gram[-1]] = count
             self._ctx_counts[ctx] = self._ctx_counts.get(ctx, 0) + count
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo_windows = memo_windows(vocab_size)
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         length = min(self.order, len(context))
@@ -263,7 +272,7 @@ class NgramModel(Model):
             logits = np.log(
                 (counts + self.smoothing) / (total + self.smoothing * self.vocab_size)
             )
-            _remember(self._memo, key, logits)
+            _remember(self._memo, key, logits, self._memo_windows)
         return logits
 
 
@@ -367,11 +376,23 @@ def token_typecode(vocab_size: int) -> str:
     return next(code for code in "BHIQ" if vocab_size <= 1 << (8 * array(code).itemsize))
 
 
-def _remember(memo: dict, key: tuple, logits: np.ndarray) -> None:
+def _check_smoothing(smoothing: float) -> None:
+    """Reject a smoothing that is not finite and positive, NaN included."""
+    if not 0 < smoothing < np.inf:
+        raise InvalidConfigError(f"smoothing must be finite and > 0, got {smoothing!r}")
+
+
+def memo_windows(vocab_size: int) -> int:
+    """Windows a logits memo keeps at ``vocab_size``: ``MEMO_BYTES`` of
+    float64 rows, but never fewer than ``MEMO_MIN_WINDOWS``."""
+    return max(MEMO_MIN_WINDOWS, MEMO_BYTES // (8 * vocab_size))
+
+
+def _remember(memo: dict, key: tuple, logits: np.ndarray, windows: int) -> None:
     """Make ``logits`` read-only and store them under ``key``, evicting the
-    oldest window once the memo holds ``TABLE_MEMO_WINDOWS``."""
+    oldest window (FIFO) once the memo holds ``windows``."""
     logits.flags.writeable = False
-    if len(memo) >= TABLE_MEMO_WINDOWS:
+    if len(memo) >= windows:
         del memo[next(iter(memo))]
     memo[key] = logits
 
@@ -423,8 +444,11 @@ def build_model(
 ) -> Model:
     """Construct a base backend from its spec.
 
-    ``corpus`` is required for the ngram kind and ignored otherwise.
+    ``corpus`` is required for the ngram kind and ignored otherwise. The
+    spec's smoothing is checked for every kind, although only the ngram
+    kind reads it, so a bad value fails the same way whatever the kind.
     """
+    _check_smoothing(spec.smoothing)
     if spec.kind == "table":
         return TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
     if spec.kind == "ngram":

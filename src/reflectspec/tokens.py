@@ -210,9 +210,3 @@ def sample_rows(block: np.ndarray, rng: np.random.Generator) -> list[int]:
     for i in np.flatnonzero(picks >= block.shape[-1]).tolist():
         picks[i] = np.nonzero(block[i])[0][-1]
     return picks.tolist()
-
-
-def greedy(dist: Sequence[float] | np.ndarray) -> int:
-    """Index of the maximal probability; ties broken by lowest token id."""
-    p = validate_distribution(dist)
-    return int(np.argmax(p))

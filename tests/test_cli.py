@@ -188,6 +188,9 @@ class TestDecodeCommand:
             (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
             (["--beta", "1.5"], "beta must lie in [0, 1], got 1.5"),
             (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
+            # The default target is a table model, which never reads smoothing.
+            (["--smoothing", "nan"], "smoothing must be finite and > 0, got nan"),
+            (["--smoothing", "-5"], "smoothing must be finite and > 0, got -5.0"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -293,6 +296,8 @@ class TestSweepCommand:
             (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
             (["--beta", "1.5"], "beta must lie in [0, 1], got 1.5"),
             (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
+            (["--smoothing", "nan"], "smoothing must be finite and > 0, got nan"),
+            (["--smoothing", "-5"], "smoothing must be finite and > 0, got -5.0"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):

@@ -10,6 +10,7 @@ import pytest
 from reference_impl import ref_copy_target, reference_decode
 from fixtures import CountingModel, make_divergence_pair
 
+from reflectspec import engine, models
 from reflectspec.engine import STRATEGIES, DecodeConfig, RunStats, commit_and_prune, decode
 from reflectspec.errors import InvalidConfigError
 from reflectspec.models import (
@@ -19,6 +20,9 @@ from reflectspec.models import (
     NgramModel,
     ReflectionAwareModel,
     TableModel,
+    build_model,
+    divergence_noise_model,
+    pair_models,
 )
 from reflectspec.bench import mean_accepted_tokens
 from reflectspec.drafting import DraftBundle
@@ -426,6 +430,78 @@ class TestCopySearchInDecode:
         want = [ref_copy_target(list(c), target.marker) for c in target.contexts]
         assert [target._copy_target(c) for c in target.contexts] == want
         assert 0 < want.count(None) < len(want)  # both outcomes occur
+
+
+MEMO_VOCAB = 64
+MEMO_CORPUS = [
+    [int(t) for t in make_rng(doc).integers(0, MEMO_VOCAB - 1, size=200)] for doc in range(4)
+]
+
+
+def memo_pair(kind, windows=None):
+    """A freshly built (target, draft) pair at V=64: a table base behind the
+    copy target, or an n-gram base with a plain target. ``windows`` forces
+    the size of both memos."""
+    spec = ModelSpec(kind, MEMO_VOCAB, seed=3, order=2)
+    with pytest.MonkeyPatch.context() as mp:
+        if windows is not None:
+            mp.setattr(models, "memo_windows", lambda vocab_size: windows)
+        base = build_model(spec, corpus=MEMO_CORPUS if kind == "ngram" else None)
+        noise = divergence_noise_model(spec)
+    beta = 0.5 if kind == "table" else 0.0
+    return pair_models(base, noise, 0.4, beta, MEMO_VOCAB - 1)
+
+
+def memo_cases():
+    """Every strategy under the reflective template and the plain one, each
+    with its own prompt and seed."""
+    template = ReflectiveTemplate(prompt_tokens=(MEMO_VOCAB - 1,), prefix_len=3)
+    cases = []
+    for i, strategy in enumerate(STRATEGIES):
+        for reflect in (True, False):
+            config = base_config(
+                strategy=strategy, template=template, reflect=reflect, gamma=5,
+                max_new_tokens=160, seed=20 + 2 * i + reflect,
+            )
+            cases.append(([i + 1, 2 * i + 3, 40 + 3 * i + reflect], config))
+    return cases
+
+
+def decode_with_end_state(target, draft, prompt, config):
+    """``decode``'s tokens and the state its generator ended in."""
+    made = []
+
+    def recording_rng(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "make_rng", recording_rng)
+        out, _ = decode(target, draft, prompt, config)
+    assert len(made) == 1
+    return out, made[0].bit_generator.state
+
+
+class TestMemoTransparency:
+    """The logits memos live as long as the models, across decodes, so a
+    pair that has already decoded must act exactly like a new one."""
+
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    @pytest.mark.parametrize("windows", [None, 1])
+    def test_warm_pair_decodes_like_a_fresh_pair(self, kind, windows):
+        warm_target, warm_draft = memo_pair(kind, windows)
+        memos = [m._memo for m in (warm_draft.primary, warm_draft.secondary)]
+        cases = memo_cases()
+        # Each case runs after every case before it in the list, on the
+        # shared pair; the last case warms the pair for the first. The fresh
+        # pair has the default memo size.
+        for prompt, config in cases[-1:] + cases:
+            warm = decode_with_end_state(warm_target, warm_draft, prompt, config)
+            fresh = decode_with_end_state(*memo_pair(kind), prompt, config)
+            assert warm == fresh, (config.strategy, config.reflect)
+        # Both memos have filled and evicted.
+        full = windows or models.memo_windows(MEMO_VOCAB)
+        assert [len(memo) for memo in memos] == [full, full]
 
 
 class TestValidation:

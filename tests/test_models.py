@@ -16,7 +16,6 @@ from reflectspec.errors import (
     SessionRangeError,
 )
 from reflectspec.models import (
-    TABLE_MEMO_WINDOWS,
     BlendModel,
     ModelSession,
     ModelSpec,
@@ -24,6 +23,7 @@ from reflectspec.models import (
     ReflectionAwareModel,
     TableModel,
     build_model,
+    memo_windows,
     pair_models,
     token_typecode,
 )
@@ -177,27 +177,76 @@ class TestTableModel:
         assert np.array_equal(m.next_logits([9, 1, 2]), m.next_logits([5, 1, 2]))
 
 
+def distinct_windows(vocab, order, count, seed):
+    """``count`` distinct token windows: every one-token window (a context
+    at a sequence start) below ``min(vocab, 8)``, then random ``order``-token
+    windows."""
+    rng = make_rng(seed)
+    windows = {(a,) for a in range(min(vocab, 8))}
+    while len(windows) < count:
+        windows.add(tuple(int(t) for t in rng.integers(0, vocab, size=order)))
+    return [list(w) for w in sorted(windows)]
+
+
+def assert_memo_matches_fresh(m, fresh_logits, vocab, seed):
+    """Query more distinct windows than ``m``'s memo holds, twice in
+    shuffled order and once more under a longer context, each against
+    ``fresh_logits(window)``; the memo ends full."""
+    capacity = memo_windows(vocab)
+    windows = distinct_windows(vocab, m.order, 2 * capacity, seed)
+    assert len(windows) > capacity
+    rng = make_rng(seed + 1)
+    for _ in range(2):
+        for i in rng.permutation(len(windows)):
+            w = windows[i]
+            fresh = fresh_logits(w)
+            assert np.array_equal(m.next_logits(w), fresh)
+            if len(w) == m.order:
+                assert np.array_equal(m.next_logits([int(rng.integers(vocab))] + w), fresh)
+    assert len(m._memo) == capacity
+
+
+def assert_memo_stays_bounded(m, vocab):
+    capacity = memo_windows(vocab)
+    for w in distinct_windows(vocab, m.order, 2 * capacity, seed=0):
+        m.next_logits(w)
+        assert len(m._memo) <= capacity
+    assert len(m._memo) == capacity
+
+
+class TestMemoBudget:
+    @pytest.mark.parametrize("vocab,windows", [(8, 8192), (64, 1024), (401, 163), (4096, 64)])
+    def test_windows_per_vocabulary(self, vocab, windows):
+        assert memo_windows(vocab) == windows
+
+    @pytest.mark.parametrize("vocab", [8, 64, 401, 4096])
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_resident_bytes_stay_within_budget(self, kind, vocab):
+        # Order 5 gives V=8 more windows (8**5) than its 8192-window memo.
+        if kind == "table":
+            m = TableModel(vocab, seed=1, order=5)
+        else:
+            m = NgramModel([[0, 1, 2, 3, 4, 5, 6, 7, 1, 3]], vocab, order=5)
+        budget = max(512 * 1024, 64 * 8 * vocab)
+        for w in distinct_windows(vocab, 5, memo_windows(vocab) + 50, seed=2):
+            m.next_logits(w)
+        assert len(m._memo) == memo_windows(vocab)
+        assert sum(a.nbytes for a in m._memo.values()) <= budget
+
+
 class TestTableMemo:
     def test_matches_fresh_instance_in_shuffled_order_and_after_eviction(self):
-        m = TableModel(8, seed=4, order=2)
-        windows = [[a] for a in range(8)] + [[a, b] for a in range(8) for b in range(8)]
-        assert len(windows) > TABLE_MEMO_WINDOWS
-        rng = make_rng(3)
-        for _ in range(2):
-            for i in rng.permutation(len(windows)):
-                w = windows[i]
-                fresh = TableModel(8, seed=4, order=2).next_logits(w)
-                assert np.array_equal(m.next_logits(w), fresh)
-                if len(w) == 2:
-                    assert np.array_equal(m.next_logits([int(rng.integers(8))] + w), fresh)
+        for vocab in (64, 1024):
+            m = TableModel(vocab, seed=4, order=2)
+
+            def fresh(w):
+                return TableModel(vocab, seed=4, order=2).next_logits(w)
+
+            assert_memo_matches_fresh(m, fresh, vocab, seed=3)
 
     def test_never_exceeds_bound(self):
-        m = TableModel(16, seed=1, order=3)
-        rng = make_rng(0)
-        for _ in range(4 * TABLE_MEMO_WINDOWS):
-            m.next_logits(random_context(rng, 16))
-            assert len(m._memo) <= TABLE_MEMO_WINDOWS
-        assert len(m._memo) == TABLE_MEMO_WINDOWS
+        for vocab in (64, 4096):
+            assert_memo_stays_bounded(TableModel(vocab, seed=1, order=3), vocab)
 
     def test_returned_logits_are_read_only(self):
         m = TableModel(8, seed=2)
@@ -298,33 +347,25 @@ class TestNgramDifferential:
             NgramModel([0, -1], 4, order=1)
 
 
-def ngram_memo_model():
+def ngram_memo_model(vocab=8):
     rng = make_rng(9)
-    docs = [random_context(rng, 8, 40) for _ in range(5)]
-    return NgramModel(docs, 8, order=2, smoothing=0.5), docs
+    docs = [random_context(rng, vocab, 40) for _ in range(5)]
+    return NgramModel(docs, vocab, order=2, smoothing=0.5), docs
 
 
 class TestNgramMemo:
     def test_matches_fresh_instance_in_shuffled_order_and_after_eviction(self):
-        m, docs = ngram_memo_model()
-        windows = [[a] for a in range(8)] + [[a, b] for a in range(8) for b in range(8)]
-        assert len(windows) > TABLE_MEMO_WINDOWS
-        rng = make_rng(3)
-        for _ in range(2):
-            for i in rng.permutation(len(windows)):
-                w = windows[i]
-                fresh = NgramModel(docs, 8, order=2, smoothing=0.5).next_logits(w)
-                assert np.array_equal(m.next_logits(w), fresh)
-                if len(w) == 2:
-                    assert np.array_equal(m.next_logits([int(rng.integers(8))] + w), fresh)
+        for vocab in (64, 1024):
+            m, docs = ngram_memo_model(vocab)
+
+            def fresh(w):
+                return NgramModel(docs, vocab, order=2, smoothing=0.5).next_logits(w)
+
+            assert_memo_matches_fresh(m, fresh, vocab, seed=3)
 
     def test_never_exceeds_bound(self):
-        m = NgramModel([[0, 1, 2, 3]], 16, order=3)
-        rng = make_rng(0)
-        for _ in range(4 * TABLE_MEMO_WINDOWS):
-            m.next_logits(random_context(rng, 16))
-            assert len(m._memo) <= TABLE_MEMO_WINDOWS
-        assert len(m._memo) == TABLE_MEMO_WINDOWS
+        for vocab in (64, 4096):
+            assert_memo_stays_bounded(NgramModel([[0, 1, 2, 3]], vocab, order=3), vocab)
 
     def test_returned_logits_are_read_only(self):
         m, _ = ngram_memo_model()
@@ -544,6 +585,14 @@ class TestModelSpec:
             ModelSpec("table", 8, order=0)
         with pytest.raises(InvalidConfigError):
             ModelSpec("nope", 8)
+
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, 0.0, -5.0])
+    def test_build_checks_smoothing_for_every_kind(self, kind, smoothing):
+        spec = ModelSpec(kind, 8, smoothing=smoothing)
+        message = f"^smoothing must be finite and > 0, got {smoothing!r}$"
+        with pytest.raises(InvalidConfigError, match=message):
+            build_model(spec, corpus=[[0, 1, 2]])
 
     def test_build_all_kinds(self):
         assert build_model(ModelSpec("table", 8)).vocab_size == 8

@@ -255,7 +255,8 @@ class TestTemplates:
         assert parsed.reflective and not parsed.has_prefix
 
     def test_sentence_probe_resolves_words(self):
-        tok = WordTokenizer.from_text("alpha beta")
+        tok = WordTokenizer()
+        tok.encode("alpha beta", extend=True)
         resolved = resolve_template(
             "${draft} Oh! I made a mistake! The correct answer is: ${prefix} ${draft}", tok
         )

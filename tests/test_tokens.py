@@ -17,7 +17,6 @@ from reflectspec.errors import (
 from reflectspec.tokens import (
     derive_seed,
     entropy,
-    greedy,
     make_rng,
     one_hot,
     sample,
@@ -191,7 +190,19 @@ class TestSample:
         assert all(sample(dist, rng) in (0, 1) for _ in range(2000))
 
 
+def greedy(values) -> int:
+    """The token temperature-0 sampling picks from ``values``: the one-hot
+    ``sampling_distribution(values, 0)`` must put all mass on one id."""
+    one_hot_row = sampling_distribution(np.asarray(values), 0.0)
+    (picks,) = np.nonzero(one_hot_row)
+    assert one_hot_row.sum() == 1.0 and len(picks) == 1
+    return int(picks[0])
+
+
 class TestGreedy:
+    """Ties and argmax of the production greedy path, temperature-0
+    ``sampling_distribution``."""
+
     def test_simple(self):
         assert greedy(np.array([0.1, 0.7, 0.2])) == 1
 
