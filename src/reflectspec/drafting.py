@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .models import ModelSession
-from .tokens import distribution_block, inverse_cdf, sampling_distribution
+from .tokens import inverse_cdf, sampling_distribution
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,6 @@ class DraftBundle:
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.q_dists) or not self.tokens:
             raise InvalidConfigError("draft tokens and distributions must align and be non-empty")
-        for tok, q in zip(self.tokens, self.q_dists):
-            if q[tok] <= 0.0:
-                raise InvalidConfigError(f"draft token {tok} has zero draft probability")
 
     @property
     def gamma(self) -> int:
@@ -50,9 +47,9 @@ def generate_draft(
     ``temperature`` (0 means greedy via a one-hot), picks one token by
     inverse CDF, and feeds it back. The gamma uniforms come from one
     ``rng.random(gamma)`` call, the stream gamma ``sample`` calls consume.
-    A one-hot, or a softmax of logits whose quotient by the temperature is
-    finite, is a distribution by construction, so the gamma rows are checked
-    once, as a block, with the same predicate and error as a per-token check.
+    A one-hot, or a softmax of logits that ``softmax`` has just checked, is a
+    distribution by construction, so the rows are not checked again; the
+    verifiers validate them as one block where they enter.
 
     The session is left holding the committed prefix plus the first gamma - 1
     drafted tokens; ``engine.commit_and_prune`` keeps the accepted ones and
@@ -71,5 +68,4 @@ def generate_draft(
         dists.append(q)
         if i < gamma - 1:
             session.forward([tok])
-    distribution_block(dists)
     return DraftBundle(tuple(tokens), tuple(dists))

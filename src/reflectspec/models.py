@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,6 +188,7 @@ class TableModel(Model):
         self.seed = int(seed)
         self.order = order
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo_keys: deque[tuple[int, ...]] = deque()
         self._memo_windows = memo_windows(vocab_size)
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
@@ -201,7 +202,7 @@ class TableModel(Model):
             cell_seed = int.from_bytes(h.digest(), "little")
             gen = np.random.Generator(np.random.PCG64(cell_seed))
             logits = gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
-            _remember(self._memo, key, logits, self._memo_windows)
+            _remember(self._memo, self._memo_keys, key, logits, self._memo_windows)
         return logits
 
 
@@ -258,6 +259,7 @@ class NgramModel(Model):
             self._pair_counts.setdefault(ctx, {})[gram[-1]] = count
             self._ctx_counts[ctx] = self._ctx_counts.get(ctx, 0) + count
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo_keys: deque[tuple[int, ...]] = deque()
         self._memo_windows = memo_windows(vocab_size)
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
@@ -272,7 +274,7 @@ class NgramModel(Model):
             logits = np.log(
                 (counts + self.smoothing) / (total + self.smoothing * self.vocab_size)
             )
-            _remember(self._memo, key, logits, self._memo_windows)
+            _remember(self._memo, self._memo_keys, key, logits, self._memo_windows)
         return logits
 
 
@@ -388,13 +390,15 @@ def memo_windows(vocab_size: int) -> int:
     return max(MEMO_MIN_WINDOWS, MEMO_BYTES // (8 * vocab_size))
 
 
-def _remember(memo: dict, key: tuple, logits: np.ndarray, windows: int) -> None:
+def _remember(memo: dict, keys: deque, key: tuple, logits: np.ndarray, windows: int) -> None:
     """Make ``logits`` read-only and store them under ``key``, evicting the
-    oldest window (FIFO) once the memo holds ``windows``."""
+    oldest window (FIFO) once the memo holds ``windows``. ``keys`` lists the
+    keys oldest first: ``next(iter(memo))`` would walk every deleted slot."""
     logits.flags.writeable = False
     if len(memo) >= windows:
-        del memo[next(iter(memo))]
+        del memo[keys.popleft()]
     memo[key] = logits
+    keys.append(key)
 
 
 def _as_documents(corpus: Sequence[int] | Sequence[Sequence[int]]) -> list[list[int]]:

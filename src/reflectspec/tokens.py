@@ -4,8 +4,7 @@ Conventions used throughout the package:
 
 - A token is a plain ``int`` in ``[0, vocab_size)``.
 - A logit vector is a 1-D ``float64`` ndarray of finite unnormalized scores.
-  A logit block is an ``(n, V)`` ``float64`` ndarray, row i for position i;
-  it is validated once, where it enters the kernels, not row by row.
+  A logit block is an ``(n, V)`` ``float64`` ndarray, row i for position i.
 - A distribution is a 1-D ``float64`` ndarray of non-negative probabilities
   summing to 1 within ``VALIDATE_TOL``; a distribution block has one per row.
 - Entropy is measured in nats.
@@ -14,6 +13,13 @@ Conventions used throughout the package:
   sampling operation is bit-reproducible across platforms.
 - Categorical sampling is inverse-CDF over ascending token id and consumes
   exactly one uniform draw per sampled token.
+
+Arrays are validated once, where they enter: ``validate_logits``,
+``softmax`` and ``logit_block`` check logits, ``validate_distribution`` and
+``distribution_block`` distributions, and ``entropy`` and ``sample`` their
+argument. ``row_entropy``, ``inverse_cdf`` and ``sample_rows`` trust an
+already validated row or block; a softmax or one-hot of validated logits is
+a distribution by construction.
 """
 
 from __future__ import annotations
@@ -111,16 +117,18 @@ def _check_probabilities(arr: np.ndarray, ndim: int) -> np.ndarray:
         raise InvalidDistributionError(
             f"distribution must be a non-empty {ndim}-D sequence, got shape {arr.shape}"
         )
+    # A minimum >= 0 rules out NaN and -inf and a total near 1 rules out +inf,
+    # so one min and one sum pass a valid array; the rest names the fault.
+    low = arr.min()
+    totals = arr.sum(axis=-1).tolist()
+    off = [t for t in (totals if ndim == 2 else [totals]) if abs(t - 1.0) > VALIDATE_TOL]
+    if low >= 0.0 and not off:
+        return arr
     if not np.isfinite(arr).all():
         raise InvalidDistributionError("distribution contains non-finite values")
-    low = arr.min()
     if low < 0.0:
         raise InvalidDistributionError(f"negative probability {low!r}")
-    totals = arr.sum(axis=-1).tolist()
-    for total in totals if ndim == 2 else [totals]:
-        if abs(total - 1.0) > VALIDATE_TOL:
-            raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-    return arr
+    raise InvalidDistributionError(f"probabilities sum to {off[0]!r}, not 1")
 
 
 def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -173,7 +181,11 @@ def sampling_distribution(logits: Sequence[float] | np.ndarray, temperature: flo
 
 def entropy(dist: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy in nats, with the 0*log(0) = 0 convention."""
-    p = validate_distribution(dist)
+    return row_entropy(validate_distribution(dist))
+
+
+def row_entropy(p: np.ndarray) -> float:
+    """``entropy`` of an already validated distribution."""
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -190,7 +202,7 @@ def sample(dist: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
 def inverse_cdf(p: np.ndarray, u: float) -> int:
     """The token a uniform ``u`` in [0, 1) selects from an already validated
     distribution ``p``, by inverse CDF over ascending token id."""
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+    idx = int(p.cumsum().searchsorted(u, "right"))
     if idx >= p.size:
         # Float dust: u landed beyond the accumulated total. The inverse CDF
         # answer is the last token with positive mass.
@@ -198,13 +210,10 @@ def inverse_cdf(p: np.ndarray, u: float) -> int:
     return idx
 
 
-def sample_rows(block: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """``sample`` on each row of an already validated distribution block.
-
-    One ``rng.random(n)`` call yields the stream n ``sample`` calls consume.
-    """
-    u = rng.random(len(block))
-    cdf = np.cumsum(block, axis=-1)
+def sample_rows(block: np.ndarray, u: np.ndarray) -> list[int]:
+    """``inverse_cdf`` of row i of a validated block at ``u[i]``: given one
+    ``rng.random(n)``, the tokens n ``sample`` calls would draw."""
+    cdf = block.cumsum(axis=-1)
     # On a non-decreasing row this count is searchsorted(row, u, side="right").
     picks = (cdf <= u[:, None]).sum(axis=-1)
     for i in np.flatnonzero(picks >= block.shape[-1]).tolist():

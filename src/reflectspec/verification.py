@@ -16,11 +16,15 @@ then emits one bonus token, so a step yields accepted_n + 1 tokens total.
 sampling by summation, with no sampling at all; it is the enumeration oracle
 used to prove unbiasedness.
 
-Verifiers take the step's distributions as one ``(gamma + 1, V)`` block.
+Verifiers take the step's distributions as one ``(gamma + 1, V)`` block and
+validate each input block once per call, at entry; the row work after that
+(ratios, residual, thresholds, the bonus draw) trusts the validated rows. An
+invalid row raises wherever it sits, even past the first rejection.
 
 RNG consumption is fixed per call regardless of where rejection happens:
 exact match and speculative sampling consume gamma + 1 uniforms (gamma
-per-position draws plus the bonus), typical sampling consumes 1. This keeps
+per-position draws plus the bonus; exact match takes all of them in one
+``rng.random(gamma + 1)`` call), typical sampling consumes 1. This keeps
 seeded runs reproducible and comparable.
 """
 
@@ -31,13 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateResidualError,
-    InternalConsistencyError,
-    InvalidConfigError,
-)
-from .tokens import distribution_block, entropy, sample, sample_rows, stack_rows
-from .tokens import validate_distribution
+from .errors import DegenerateResidualError, InternalConsistencyError, InvalidConfigError
+from .tokens import distribution_block, inverse_cdf, row_entropy, sample_rows, validate_distribution
 
 
 def check_typical_range(epsilon: float, delta: float) -> None:
@@ -69,12 +68,7 @@ class VerificationResult:
 
 
 def _leading_true(flags: Sequence[bool]) -> int:
-    n = 0
-    for flag in flags:
-        if not flag:
-            return n
-        n += 1
-    return n
+    return (*flags, False).index(False)
 
 
 def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -83,6 +77,11 @@ def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = validate_distribution(q)
     if p.shape != q.shape:
         raise InternalConsistencyError("residual requires equal-size distributions")
+    return _residual(p, q)
+
+
+def _residual(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``residual_distribution`` of two validated rows of one vocabulary."""
     residual = np.maximum(p - q, 0.0)
     mass = float(residual.sum())
     if mass < 1e-12:
@@ -98,7 +97,12 @@ def typical_threshold(entropy_source: np.ndarray, epsilon: float, delta: float) 
     Epsilon and delta must lie in (0, 1].
     """
     check_typical_range(epsilon, delta)
-    return min(epsilon, delta * float(np.exp(-entropy(entropy_source))))
+    return _threshold(validate_distribution(entropy_source), epsilon, delta)
+
+
+def _threshold(h: np.ndarray, epsilon: float, delta: float) -> float:
+    """``typical_threshold`` of a validated row, for a checked epsilon and delta."""
+    return min(epsilon, delta * float(np.exp(-row_entropy(h))))
 
 
 def verify_exact_match(
@@ -121,15 +125,12 @@ def verify_exact_match(
         picks = p.argmax(axis=-1).tolist()
         resampled = picks[:gamma]
     else:
-        resampled = sample_rows(p[:gamma], rng)
+        u = rng.random(gamma + 1)
+        resampled = sample_rows(p[:gamma], u[:gamma])
     flags = tuple(resampled[i] == draft_tokens[i] for i in range(gamma))
     n = _leading_true(flags)
-    bonus = picks[n] if greedy_match else sample_rows(p[n : n + 1], rng)[0]
-    return VerificationResult(
-        bonus=bonus,
-        per_step_accepts=flags,
-        diagnostics={"resampled": resampled},
-    )
+    bonus = picks[n] if greedy_match else inverse_cdf(p[n], u[gamma])
+    return VerificationResult(bonus, flags, {"resampled": resampled})
 
 
 def verify_speculative_sampling(
@@ -150,28 +151,24 @@ def verify_speculative_sampling(
     _check_lengths(p_dists, gamma)
     if len(q_dists) < gamma:
         raise InternalConsistencyError(f"need {gamma} draft distributions, got {len(q_dists)}")
+    p = distribution_block(p_dists)
+    q = distribution_block(q_dists[:gamma])
+    if q.shape[-1] != p.shape[-1]:
+        raise InternalConsistencyError("residual requires equal-size distributions")
     draws = rng.random(gamma).tolist()
-    p_toks = _draft_token_probs(p_dists, draft_tokens)
     ratios = []
     for i, tok in enumerate(draft_tokens):
-        q_tok = float(q_dists[i][tok])
+        q_tok = q.item(i, tok)
         if q_tok <= 0.0:
             raise InternalConsistencyError(
                 f"draft token {tok} has zero draft probability at position {i}"
             )
-        ratios.append(min(1.0, p_toks[i] / q_tok))
+        ratios.append(min(1.0, p.item(i, tok) / q_tok))
     flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
     n = _leading_true(flags)
-    if n < gamma:
-        bonus_dist = residual_distribution(p_dists[n], q_dists[n])
-    else:
-        bonus_dist = p_dists[gamma]
-    bonus = sample(bonus_dist, rng)
-    return VerificationResult(
-        bonus=bonus,
-        per_step_accepts=tuple(flags),
-        diagnostics={"ratios": ratios, "draws": draws},
-    )
+    bonus_dist = _residual(p[n], q[n]) if n < gamma else p[gamma]
+    bonus = inverse_cdf(bonus_dist, rng.random())
+    return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws})
 
 
 def verify_typical(
@@ -196,16 +193,15 @@ def verify_typical(
         raise InternalConsistencyError(
             f"need {gamma} entropy-source distributions, got {len(entropy_dists)}"
         )
-    thresholds = [typical_threshold(entropy_dists[i], epsilon, delta) for i in range(gamma)]
-    p_toks = _draft_token_probs(p_dists, draft_tokens)
-    flags = tuple(p_tok > threshold for p_tok, threshold in zip(p_toks, thresholds))
+    check_typical_range(epsilon, delta)
+    p = distribution_block(p_dists)
+    # The engine passes the fused block as both when entropy comes from it.
+    h = p if entropy_dists is p_dists else distribution_block(entropy_dists[:gamma])
+    thresholds = [_threshold(h[i], epsilon, delta) for i in range(gamma)]
+    flags = tuple(p.item(i, tok) > thresholds[i] for i, tok in enumerate(draft_tokens))
     n = _leading_true(flags)
-    bonus = sample(p_dists[n], rng)
-    return VerificationResult(
-        bonus=bonus,
-        per_step_accepts=flags,
-        diagnostics={"thresholds": thresholds},
-    )
+    bonus = inverse_cdf(p[n], rng.random())
+    return VerificationResult(bonus, flags, {"thresholds": thresholds})
 
 
 def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -224,13 +220,7 @@ def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     reject_mass = 1.0 - float(accepted.sum())
     if reject_mass <= 1e-15:
         return accepted / accepted.sum()
-    return accepted + reject_mass * residual_distribution(p, q)
-
-
-def _draft_token_probs(dists: Sequence[np.ndarray], tokens: Sequence[int]) -> list[float]:
-    """dists[i][tokens[i]] for every draft position i, in one indexing step."""
-    gamma = len(tokens)
-    return stack_rows(dists[:gamma])[np.arange(gamma), tokens].tolist()
+    return accepted + reject_mass * _residual(p, q)
 
 
 def _check_lengths(p_dists: Sequence[np.ndarray], gamma: int) -> None:

@@ -13,13 +13,21 @@ bonus draw for typical verification.
 ``ref_generate_draft`` is the one exception to sharing no code: it is the
 per-token draft loop on the package's own validating kernels, kept as the
 oracle for the one-pass loop in ``reflectspec.drafting``.
+
+``ref_verify_exact_match``, ``ref_verify_speculative_sampling`` and
+``ref_verify_typical`` are the three verifiers computed row by row with
+inline kernels, each categorical draw one ``ref_sample``. They return the
+package's ``VerificationResult`` and raise its ``DegenerateResidualError``,
+so the block verifiers can be compared with them field for field.
 """
 
 import math
 
 import numpy as np
 
+from reflectspec.errors import DegenerateResidualError
 from reflectspec.tokens import sample, sampling_distribution
+from reflectspec.verification import VerificationResult
 
 
 def ref_softmax(values, temperature):
@@ -230,3 +238,63 @@ def ref_layout(draft, probe, prefix_len, committed):
         sequence.extend(int(t) for t in segment)
         spans[name] = (start, len(sequence))
     return tuple(sequence), spans
+
+
+def _leading_accepts(flags):
+    return next((i for i, flag in enumerate(flags) if not flag), len(flags))
+
+
+def ref_verify_exact_match(p_dists, draft_tokens, rng, greedy_match=False):
+    """Exact match, row by row: a ``ref_sample`` (or argmax) per draft
+    position, then one more from the row of the first mismatch."""
+    gamma = len(draft_tokens)
+    if greedy_match:
+        resampled = [int(np.argmax(p_dists[i])) for i in range(gamma)]
+    else:
+        resampled = [ref_sample(p_dists[i], rng) for i in range(gamma)]
+    flags = tuple(resampled[i] == draft_tokens[i] for i in range(gamma))
+    n = _leading_accepts(flags)
+    bonus = int(np.argmax(p_dists[n])) if greedy_match else ref_sample(p_dists[n], rng)
+    return VerificationResult(bonus, flags, {"resampled": resampled})
+
+
+def ref_verify_speculative_sampling(p_dists, q_dists, draft_tokens, rng):
+    """The ratio test, row by row, with the bonus from the residual
+    norm(max(0, p_n - q_n)) at the first rejection n."""
+    gamma = len(draft_tokens)
+    draws = rng.random(gamma).tolist()
+    ratios = [
+        min(1.0, float(p_dists[i][tok]) / float(q_dists[i][tok]))
+        for i, tok in enumerate(draft_tokens)
+    ]
+    flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
+    n = _leading_accepts(flags)
+    if n < gamma:
+        residual = np.maximum(np.asarray(p_dists[n]) - np.asarray(q_dists[n]), 0.0)
+        mass = float(residual.sum())
+        if mass < 1e-12:
+            raise DegenerateResidualError(
+                "residual distribution has no mass; p and q coincide where a rejection occurred"
+            )
+        bonus_dist = residual / mass
+    else:
+        bonus_dist = p_dists[gamma]
+    bonus = ref_sample(bonus_dist, rng)
+    return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws})
+
+
+def ref_verify_typical(p_dists, entropy_dists, draft_tokens, epsilon, delta, rng):
+    """Typical acceptance, row by row: p_i(x_i) against
+    min(epsilon, delta * exp(-H_i)), each H_i summed over its own nonzero
+    entries as one array."""
+    thresholds = []
+    for i in range(len(draft_tokens)):
+        h = np.asarray(entropy_dists[i], dtype=np.float64)
+        nz = h[h > 0.0]
+        entropy = float(-(nz * np.log(nz)).sum())
+        thresholds.append(min(epsilon, delta * float(np.exp(-entropy))))
+    flags = tuple(
+        float(p_dists[i][tok]) > thresholds[i] for i, tok in enumerate(draft_tokens)
+    )
+    bonus = ref_sample(p_dists[_leading_accepts(flags)], rng)
+    return VerificationResult(bonus, flags, {"thresholds": thresholds})

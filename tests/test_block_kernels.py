@@ -10,9 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import ref_fuse, ref_sample, ref_softmax
+from reference_impl import (
+    ref_fuse,
+    ref_sample,
+    ref_softmax,
+    ref_verify_exact_match,
+    ref_verify_speculative_sampling,
+    ref_verify_typical,
+)
 
 from reflectspec.errors import (
+    DegenerateResidualError,
     InternalConsistencyError,
     InvalidConfigError,
     InvalidDistributionError,
@@ -95,19 +103,15 @@ class TestBlockKernelsMatchRows:
     def test_sample_rows_matches_per_row_ref_sample(self, gamma, vocab, temperature, seed, stream):
         dists = ref_distributions(seed, gamma + 1, vocab, temperature)
         rng_block, rng_rows = make_rng(stream), make_rng(stream)
-        got = sample_rows(dists, rng_block)
+        got = sample_rows(dists, rng_block.random(len(dists)))
         want = [ref_sample(d, rng_rows) for d in dists]
         assert got == want
         assert rng_block.bit_generator.state == rng_rows.bit_generator.state
 
     def test_sample_rows_float_dust_takes_last_positive_token(self):
-        class FixedUniforms:
-            def random(self, size):
-                return np.full(size, 0.999999999999)
-
         # Row sums stop just short of 1, so each uniform lands past the CDF.
         block = np.array([[0.5, 0.4999999, 0.0], [0.9999999, 0.0, 0.0]])
-        assert sample_rows(block, FixedUniforms()) == [1, 0]
+        assert sample_rows(block, np.full(2, 0.999999999999)) == [1, 0]
 
     @given(gammas, vocabs, temperatures, seeds, seeds, st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -130,6 +134,92 @@ class TestBlockKernelsMatchRows:
         assert result.diagnostics["resampled"] == resampled
         assert (result.accepted_n, result.bonus) == (n, bonus)
         assert rng_block.bit_generator.state == rng_rows.bit_generator.state
+
+
+def outcome(verify, *args, **kwargs):
+    """What a verifier returned or raised, and the end state of its generator
+    (the last positional argument)."""
+    rng = args[-1]
+    try:
+        result = verify(*args, **kwargs)
+        got = (result.bonus, result.per_step_accepts, result.diagnostics)
+    except DegenerateResidualError as exc:
+        got = (type(exc), str(exc))
+    return got, rng.bit_generator.state
+
+
+def draft_case(seed, gamma, vocab, temperature, shared):
+    """(p block, q rows, draft tokens) for one step; with ``shared`` the
+    draft's rows are the verifier's own, so every position accepts more
+    often and the final row's bonus is reached."""
+    p = ref_distributions(seed, gamma + 1, vocab, temperature)
+    q = p[:gamma] if shared else ref_distributions(seed + 1, gamma, vocab, temperature)
+    aux = make_rng(seed + 7)
+    tokens = tuple(ref_sample(row, aux) for row in q)
+    return p, tuple(row.copy() for row in q), tokens
+
+
+class TestVerifiersMatchPerRowReference:
+    """The block verifiers against the per-row ones in ``reference_impl``:
+    equal bonus, flags, diagnostics and end generator state."""
+
+    @given(gammas, vocabs, temperatures, seeds, seeds, st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_match(self, gamma, vocab, temperature, seed, stream, shared, greedy_match):
+        p, _, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        got = outcome(verify_exact_match, p, tokens, make_rng(stream), greedy_match=greedy_match)
+        want = outcome(ref_verify_exact_match, p, tokens, make_rng(stream), greedy_match=greedy_match)
+        assert got == want
+
+    @given(gammas, vocabs, temperatures, seeds, seeds, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_speculative_sampling(self, gamma, vocab, temperature, seed, stream, shared):
+        p, q, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        got = outcome(verify_speculative_sampling, p, q, tokens, make_rng(stream))
+        want = outcome(ref_verify_speculative_sampling, p, q, tokens, make_rng(stream))
+        assert got == want
+
+    @given(
+        gammas, vocabs, temperatures, seeds, seeds, st.booleans(),
+        st.sampled_from(["fused", "original", "sparse"]),
+        st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_typical(self, gamma, vocab, temperature, seed, stream, shared, source, epsilon, delta):
+        p, _, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        # Entropy from the fused block itself or from a separate one. Zeros
+        # scattered among many nonzero entries change how a sum over the
+        # whole row groups its terms, so only the per-row sum over the
+        # nonzero entries reproduces the reference there.
+        if source == "fused":
+            h = p
+        elif source == "original":
+            h = ref_distributions(seed + 2, gamma + 1, vocab, max(temperature, 0.5))
+        else:
+            aux = make_rng(seed + 2)
+            h = aux.random((gamma + 1, vocab)) * (aux.random((gamma + 1, vocab)) < 0.5)
+            h[:, 0] += 1.0
+            h /= h.sum(axis=-1, keepdims=True)
+        got = outcome(verify_typical, p, h, tokens, epsilon, delta, make_rng(stream))
+        want = outcome(ref_verify_typical, p, h, tokens, epsilon, delta, make_rng(stream))
+        assert got == want
+
+    @given(gammas, st.data(), st.integers(min_value=3, max_value=700), seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_degenerate_residual(self, gamma, data, vocab, stream):
+        # The rejected row n puts 5e-13 of draft mass on a token p never
+        # emits, so the test always rejects it and the residual keeps 5e-13.
+        n = data.draw(st.integers(min_value=0, max_value=gamma - 1))
+        p = np.zeros((gamma + 1, vocab))
+        p[:, 1:] = 1.0 / (vocab - 1)
+        q = [row.copy() for row in p[:gamma]]
+        q[n][0] = 5e-13
+        q[n][1] -= 5e-13
+        tokens = tuple(0 if i == n else 1 for i in range(gamma))
+        got = outcome(verify_speculative_sampling, p, q, tokens, make_rng(stream))
+        want = outcome(ref_verify_speculative_sampling, p, q, tokens, make_rng(stream))
+        assert got == want
+        assert got[0][0] is DegenerateResidualError
 
 
 GAMMA = 3
@@ -219,6 +309,40 @@ class TestErrorParity:
         entropy_dists[row] = corrupt(entropy_dists[row], "short")
         with pytest.raises(InvalidDistributionError):
             verify_typical(valid_p(), entropy_dists, [0] * GAMMA, 0.3, 0.2, make_rng(0))
+
+    # Rows a verifier that checks only the rows it samples from lets through
+    # when the step rejects before them.
+    BAD_ROWS = {
+        "nan": [np.nan, 0.5, 0.5],
+        "sum-2.7": [0.9, 0.9, 0.9],
+        "negative": [0.5, 1.0, -0.5],
+        "short": [0.25, 0.25, 0.25],
+    }
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    def test_invalid_q_row_after_rejection_speculative_sampling(self, bad):
+        # Position 0 rejects (ratio 0.4 against the first uniform of
+        # make_rng(0)), and the bad row's ratio at token 0 is 1 or a NaN.
+        p = [np.array([0.5, 0.3, 0.2])] * 3
+        q = [np.array([0.2, 0.3, 0.5]), np.array(self.BAD_ROWS[bad])]
+        with pytest.raises(InvalidDistributionError):
+            verify_speculative_sampling(p, q, [2, 0], make_rng(0))
+
+    @pytest.mark.parametrize("row", [1, 2])
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    @pytest.mark.parametrize("strategy", ["specsample", "typical"])
+    def test_invalid_p_row_after_rejection(self, strategy, bad, row):
+        # Position 0 rejects under both tests: its token has p 0.01 against
+        # a draft probability of 0.98 and a typical threshold near 0.18.
+        p = [np.array([0.98, 0.01, 0.01]), np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.3, 0.2])]
+        valid = [dist.copy() for dist in p]
+        p[row] = np.array(self.BAD_ROWS[bad])
+        with pytest.raises(InvalidDistributionError):
+            if strategy == "specsample":
+                q = [np.array([0.01, 0.98, 0.01]), np.array([0.5, 0.3, 0.2])]
+                verify_speculative_sampling(p, q, [1, 0], make_rng(0))
+            else:
+                verify_typical(p, valid, [1, 0], 0.3, 0.2, make_rng(0))
 
 
 def test_ragged_rows_within_a_side_are_rejected():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fixtures import make_divergence_pair
 from reference_impl import ref_copy_target, ref_ngram_counts, ref_ngram_logits
 
+from reflectspec import models
 from reflectspec.errors import (
     InvalidConfigError,
     InvalidTokenError,
@@ -232,6 +233,27 @@ class TestMemoBudget:
             m.next_logits(w)
         assert len(m._memo) == memo_windows(vocab)
         assert sum(a.nbytes for a in m._memo.values()) <= budget
+
+
+class TestMemoEvictionOrder:
+    """The memo evicts in insertion order: a hit does not refresh a window,
+    and a window evicted and read again counts as new."""
+
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_oldest_inserted_window_goes_first(self, kind, monkeypatch):
+        monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 3)
+        if kind == "table":
+            m = TableModel(16, seed=1, order=2)
+        else:
+            m = NgramModel([[0, 1, 2, 3, 4, 5]], 16, order=2)
+        a, b, c, d, e = (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)
+        for window in (a, b, c, a, d):
+            m.next_logits(list(window))
+        assert list(m._memo) == [b, c, d]
+        for window in (b, a, e):
+            m.next_logits(list(window))
+        assert list(m._memo) == [d, a, e]
+        assert list(m._memo_keys) == [d, a, e]
 
 
 class TestTableMemo:
