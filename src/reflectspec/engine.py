@@ -21,9 +21,9 @@ from ``fuse`` or, without reflection, one block softmax.
 
 A step's wall time covers the whole step: the draft session's sync,
 drafting, assembly, the verification pass, fusion, verification, commit and
-the end-of-sequence or budget truncation (and, with ``debug_checks``, the
-causality replay). Wall times are toy-backend numbers; they are not
-comparable to production throughput and reports label them accordingly.
+the end-of-sequence or budget truncation. Wall times are toy-backend
+numbers; they are not comparable to production throughput and reports label
+them accordingly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .drafting import DraftBundle, generate_draft
 from .errors import InternalConsistencyError, InvalidConfigError
 from .models import Model, ModelSession
 from .reflective import (
-    ReflectiveLayout,
     ReflectiveTemplate,
     build_reflective_input,
     fuse,
@@ -54,10 +53,6 @@ from .verification import (
 )
 
 STRATEGIES = ("exact", "specsample", "typical", "vanilla")
-
-# Tolerance for the debug-mode check that the appended reflective tail does
-# not perturb the original-segment logits.
-CAUSALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,6 @@ class DecodeConfig:
     max_new_tokens: int = 64
     eos_token: int | None = None
     seed: int = 0
-    debug_checks: bool = False
     record_trace: bool = False
 
     def __post_init__(self) -> None:
@@ -98,27 +92,24 @@ class DecodeConfig:
 
 @dataclass
 class StepStats:
-    """Per-step accounting. tokens_emitted is accepted_n + 1 except on a
-    final step truncated by the budget or an end-of-sequence token."""
+    """The record of one step. tokens_emitted is accepted_n + 1 except on a
+    final step truncated by the budget or an end-of-sequence token.
+
+    Under ``record_trace`` a speculative step also keeps its draft tokens,
+    its original logits (``original[i]`` predicts draft position i, as the
+    verification pass computed it) and the verifier's result; otherwise they
+    stay empty. The committed text the step started from is the prompt plus
+    the tokens all earlier steps emitted.
+    """
 
     accepted_n: int
     tokens_emitted: int
     draft_forward_count: int
     input_tokens_fed: int
     wall_time: float
-
-
-@dataclass
-class StepTrace:
-    """Debug record of one step, kept only when tracing is enabled."""
-
-    committed_before: tuple[int, ...]
-    draft_tokens: tuple[int, ...]
-    full_sequence: tuple[int, ...] | None
-    original: list[np.ndarray]
-    reflective: list[np.ndarray] | None
-    fused: np.ndarray  # (gamma + 1, V) verifier distributions
-    result: VerificationResult
+    draft_tokens: tuple[int, ...] = ()
+    original: list[np.ndarray] | None = None
+    result: VerificationResult | None = None
 
 
 @dataclass
@@ -126,7 +117,6 @@ class RunStats:
     steps: list[StepStats] = field(default_factory=list)
     output_tokens: list[int] = field(default_factory=list)
     prompt_len: int = 0
-    trace: list[StepTrace] | None = None
 
     @property
     def num_steps(self) -> int:
@@ -179,7 +169,7 @@ def decode(
     draft_session = ModelSession(draft)
     draft_session.forward(prompt)
     committed = list(prompt)
-    stats = RunStats(prompt_len=len(prompt), trace=[] if config.record_trace else None)
+    stats = RunStats(prompt_len=len(prompt))
 
     while len(stats.output_tokens) < config.max_new_tokens:
         start = time.perf_counter()
@@ -192,8 +182,6 @@ def decode(
         bundle = generate_draft(draft_session, config.gamma, config.temperature, rng)
         draft_forwards += bundle.draft_forward_count
 
-        layout: ReflectiveLayout | None = None
-        reflective = None
         if config.reflect:
             layout = build_reflective_input(bundle, config.template, committed)
             original, reflective = paired_forward(target_session, layout)
@@ -206,9 +194,6 @@ def decode(
             fed = bundle.gamma
         result = _verify(config, fused, original, bundle, rng)
 
-        if config.debug_checks:
-            _assert_original_segment_clean(target, committed, bundle, original)
-
         committed_before = len(committed)
         commit_and_prune(target_session, draft_session, fed, result)
 
@@ -220,27 +205,16 @@ def decode(
         wall = time.perf_counter() - start
         committed.extend(kept)
         stats.output_tokens.extend(kept)
-        stats.steps.append(
-            StepStats(
-                accepted_n=result.accepted_n,
-                tokens_emitted=len(kept),
-                draft_forward_count=draft_forwards,
-                input_tokens_fed=fed,
-                wall_time=wall,
-            )
+        step = StepStats(
+            accepted_n=result.accepted_n,
+            tokens_emitted=len(kept),
+            draft_forward_count=draft_forwards,
+            input_tokens_fed=fed,
+            wall_time=wall,
         )
-        if stats.trace is not None:
-            stats.trace.append(
-                StepTrace(
-                    committed_before=tuple(committed[:committed_before]),
-                    draft_tokens=bundle.tokens,
-                    full_sequence=layout.full_sequence if layout else None,
-                    original=original,
-                    reflective=reflective,
-                    fused=fused,
-                    result=result,
-                )
-            )
+        if config.record_trace:
+            step.draft_tokens, step.original, step.result = bundle.tokens, original, result
+        stats.steps.append(step)
         if _hit_eos(kept, config.eos_token) or len(kept) < len(step_tokens):
             break
     return list(stats.output_tokens), stats
@@ -287,7 +261,7 @@ def _decode_vanilla(
     prompt_len: int,
 ) -> tuple[list[int], RunStats]:
     """Plain autoregressive decoding: one token per forward pass."""
-    stats = RunStats(prompt_len=prompt_len, trace=None)
+    stats = RunStats(prompt_len=prompt_len)
     while len(stats.output_tokens) < config.max_new_tokens:
         start = time.perf_counter()
         dist = sampling_distribution(target_session.last_logits, config.temperature)
@@ -328,24 +302,6 @@ def _verify(
             entropy_dists = sampling_distribution(stack_rows(original), config.temperature)
         return verify_typical(fused, entropy_dists, bundle.tokens, config.epsilon, config.delta, rng)
     raise InvalidConfigError(f"unknown strategy {config.strategy!r}")
-
-
-def _assert_original_segment_clean(
-    target: Model,
-    committed: list[int],
-    bundle: DraftBundle,
-    original: list[np.ndarray],
-) -> None:
-    """Debug check: replaying only committed + draft reproduces the original
-    logits, i.e. the appended reflective tail changed nothing upstream."""
-    fresh = ModelSession(target)
-    fresh.forward(committed)
-    reference = [fresh.last_logits] + fresh.forward(list(bundle.tokens))
-    for got, want in zip(original, reference):
-        if float(np.max(np.abs(got - want))) > CAUSALITY_TOL:
-            raise InternalConsistencyError(
-                "reflective tail perturbed original-segment logits"
-            )
 
 
 def _truncate_step_tokens(

@@ -1,14 +1,18 @@
-"""Independent reference decoder: plain draft-then-verify, no reflection.
+"""Independent reference implementations, computed from scratch.
 
-Written directly against ``Model.next_logits`` with its own inline kernels,
-deliberately sharing no code with the engine module. Used as the oracle for
-the baseline-reduction checks: with fusion weight 0 the full pipeline must
-reproduce this loop token for token under the same seed.
+``reference_decode`` is the whole draft-then-verify loop written directly
+against ``Model.next_logits``: no session and no cache, every logit vector
+computed from its full context. It covers plain and reflective decodes (the
+probe, the prefix replay and alpha fusion through ``ref_fuse``), all four
+strategies, exact match in both modes, both typical entropy sources and an
+end-of-sequence token. It is the oracle for the engine: under the same seed
+``decode`` must reproduce its tokens and leave its generator in the same
+state.
 
 RNG discipline mirrors the package contract: PCG64 streams, inverse-CDF
 categorical draws consuming one uniform each, gamma per-position uniforms in
 exact-match and ratio-test verification plus one bonus draw, and a single
-bonus draw for typical verification.
+bonus draw for typical verification. Greedy exact match draws nothing.
 
 ``ref_generate_draft`` is the one exception to sharing no code: it is the
 per-token draft loop on the package's own validating kernels, kept as the
@@ -20,8 +24,6 @@ inline kernels, each categorical draw one ``ref_sample``. They return the
 package's ``VerificationResult`` and raise its ``DegenerateResidualError``,
 so the block verifiers can be compared with them field for field.
 """
-
-import math
 
 import numpy as np
 
@@ -62,10 +64,6 @@ def ref_sample(dist, rng):
     return idx
 
 
-def ref_entropy(dist):
-    return -sum(float(p) * math.log(float(p)) for p in dist if p > 0)
-
-
 def reference_decode(
     target,
     draft,
@@ -78,62 +76,78 @@ def reference_decode(
     max_new_tokens,
     epsilon=0.3,
     delta=0.2,
+    alpha=0.0,
+    reflect=False,
+    probe=(),
+    prefix_len=0,
+    entropy_source="original",
+    exact_match_mode="sample",
+    eos_token=None,
+    rng=None,
 ):
-    """Plain speculative decoding; returns (tokens, per-step accepted counts)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    """Speculative (or, for "vanilla", plain) decoding from scratch; returns
+    (tokens, per-step accepted counts).
+
+    With ``reflect`` each step reads the original logits of the draft and
+    the reflective logits at its mirror in ``ref_layout``'s second copy, and
+    verifies against their ``ref_fuse``; without it, against the softmax of
+    the original logits. Emission stops at ``max_new_tokens`` or just after
+    the first ``eos_token``. Draws come from ``rng`` when given, so a caller
+    can read the state it ends in, else from a PCG64 stream of ``seed``.
+    """
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(seed))
     committed = list(prompt)
     emitted = []
     accepted_ns = []
     while len(emitted) < max_new_tokens:
-        draft_tokens = []
-        q_dists = []
-        for i in range(gamma):
-            q = ref_softmax(draft.next_logits(committed + draft_tokens), temperature)
-            tok = ref_sample(q, rng)
-            q_dists.append(q)
-            draft_tokens.append(tok)
-        p_dists = [
-            ref_softmax(target.next_logits(committed + draft_tokens[:i]), temperature)
-            for i in range(gamma + 1)
-        ]
-        if strategy == "specsample":
-            draws = [rng.random() for _ in range(gamma)]
-            n = gamma
-            for i in range(gamma):
-                ratio = min(1.0, p_dists[i][draft_tokens[i]] / q_dists[i][draft_tokens[i]])
-                if draws[i] > ratio:
-                    n = i
-                    break
-            if n < gamma:
-                residual = np.maximum(p_dists[n] - q_dists[n], 0.0)
-                bonus_dist = residual / residual.sum()
-            else:
-                bonus_dist = p_dists[gamma]
-            bonus = ref_sample(bonus_dist, rng)
-        elif strategy == "exact":
-            resampled = [ref_sample(p_dists[i], rng) for i in range(gamma)]
-            n = gamma
-            for i in range(gamma):
-                if resampled[i] != draft_tokens[i]:
-                    n = i
-                    break
-            bonus = ref_sample(p_dists[n], rng)
-        elif strategy == "typical":
-            n = gamma
-            for i in range(gamma):
-                threshold = min(epsilon, delta * math.exp(-ref_entropy(p_dists[i])))
-                if not p_dists[i][draft_tokens[i]] > threshold:
-                    n = i
-                    break
-            bonus = ref_sample(p_dists[n], rng)
+        if strategy == "vanilla":
+            p = ref_softmax(target.next_logits(committed), temperature)
+            n, step_tokens = 0, [ref_sample(p, rng)]
         else:
-            raise ValueError(strategy)
-        step_tokens = draft_tokens[:n] + [bonus]
-        budget = max_new_tokens - len(emitted)
-        step_tokens = step_tokens[:budget]
-        emitted.extend(step_tokens)
-        committed.extend(step_tokens)
+            draft_tokens = []
+            q_dists = []
+            for _ in range(gamma):
+                q = ref_softmax(draft.next_logits(committed + draft_tokens), temperature)
+                q_dists.append(q)
+                draft_tokens.append(ref_sample(q, rng))
+            original = [
+                target.next_logits(committed + draft_tokens[:i]) for i in range(gamma + 1)
+            ]
+            original_dists = [ref_softmax(o, temperature) for o in original]
+            if reflect:
+                sequence, spans = ref_layout(draft_tokens, probe, prefix_len, committed)
+                mirror = spans["draft2"][0]
+                reflective = [
+                    target.next_logits(committed + list(sequence[: mirror + i]))
+                    for i in range(gamma + 1)
+                ]
+                p_dists = ref_fuse(original, reflective, alpha, temperature)
+            else:
+                p_dists = original_dists
+            if strategy == "exact":
+                greedy = exact_match_mode == "greedy" or temperature == 0
+                result = ref_verify_exact_match(p_dists, draft_tokens, rng, greedy_match=greedy)
+            elif strategy == "specsample":
+                result = ref_verify_speculative_sampling(p_dists, q_dists, draft_tokens, rng)
+            elif strategy == "typical":
+                entropy_dists = original_dists if entropy_source == "original" else p_dists
+                result = ref_verify_typical(
+                    p_dists, entropy_dists, draft_tokens, epsilon, delta, rng
+                )
+            else:
+                raise ValueError(strategy)
+            n = result.accepted_n
+            step_tokens = draft_tokens[:n] + [result.bonus]
+        kept = step_tokens[: max_new_tokens - len(emitted)]
+        hit_eos = eos_token is not None and eos_token in kept
+        if hit_eos:
+            kept = kept[: kept.index(eos_token) + 1]
+        emitted.extend(kept)
+        committed.extend(kept)
         accepted_ns.append(n)
+        if hit_eos or len(kept) < len(step_tokens):
+            break
     return emitted, accepted_ns
 
 

@@ -203,15 +203,17 @@ def test_c5_cache_prune_contract():
                 seed=derive_seed("prune-run", name, run),
                 record_trace=True,
             )
-            _, stats = decode(target, draft, prompt, config)
-            for trace in stats.trace:
+            out, stats = decode(target, draft, prompt, config)
+            emitted = 0
+            for step in stats.steps:
                 fresh = ModelSession(target)
-                fresh.forward(list(trace.committed_before))
-                diff = float(np.max(np.abs(fresh.last_logits - trace.original[0])))
+                fresh.forward(prompt + out[:emitted])
+                diff = float(np.max(np.abs(fresh.last_logits - step.original[0])))
                 assert diff <= 1e-12, (name, diff)
-                regrown = fresh.forward(list(trace.draft_tokens))
-                for got, want in zip(trace.original[1:], regrown):
+                regrown = fresh.forward(list(step.draft_tokens))
+                for got, want in zip(step.original[1:], regrown):
                     assert float(np.max(np.abs(got - want))) <= 1e-12, name
+                emitted += step.tokens_emitted
                 steps_checked += 1
                 if steps_checked >= 50:
                     break

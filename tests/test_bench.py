@@ -121,13 +121,15 @@ class TestSweep:
         assert rows[1].error is not None and "bogus" in rows[1].error
         assert rows[1].mat is None
 
-    def test_internal_error_fails_the_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_internal_error_fails_the_sweep(self, monkeypatch, jobs):
         def broken_decode(*args, **kwargs):
             raise InternalConsistencyError("injected bookkeeping fault")
 
         monkeypatch.setattr(bench, "decode", broken_decode)
         with pytest.raises(InternalConsistencyError, match="injected"):
-            run_sweep(make_spec(), jobs=1)
+            # Two cells, so jobs=2 runs them in worker processes.
+            run_sweep(make_spec(alphas=(0.0, 0.3)), jobs=jobs)
 
     def test_mat_bounds_and_acceptance_rates(self):
         spec = make_spec(etas=(0.5,))

@@ -6,13 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_impl import ref_copy_target, reference_decode
 from fixtures import CountingModel, make_divergence_pair
 
 from reflectspec import engine, models
 from reflectspec.engine import STRATEGIES, DecodeConfig, RunStats, commit_and_prune, decode
-from reflectspec.errors import InvalidConfigError
+from reflectspec.errors import DegenerateResidualError, InvalidConfigError
 from reflectspec.models import (
     BlendModel,
     ModelSession,
@@ -77,6 +79,12 @@ def counted_decode(target, draft, prompt, config):
 
 def table_pair(eta=0.3, seed=11):
     return make_divergence_pair(ModelSpec("table", VOCAB, seed=seed, order=2), eta)
+
+
+def copy_pair():
+    """A new table pair at eta 0.4 whose target copies drafts after ``MARKER``."""
+    base_target, draft = table_pair(eta=0.4)
+    return ReflectionAwareModel(base_target, MARKER, 0.5), draft
 
 
 def base_config(**kw):
@@ -232,41 +240,17 @@ class TestCommitAndPrune:
         # fresh session replaying only the committed tokens.
         target, draft = table_pair()
         config = base_config(record_trace=True, max_new_tokens=20)
-        out, stats = decode(target, draft, [1, 2, 3], config)
-        for trace in stats.trace:
-            fresh = ModelSession(target)
-            fresh.forward(list(trace.committed_before))
-            assert np.max(np.abs(fresh.last_logits - trace.original[0])) <= 1e-12
-            regrown = fresh.forward(list(trace.draft_tokens))
-            for got, want in zip(trace.original[1:], regrown):
-                assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_committed_prefixes_grow_append_only(self):
-        target, draft = table_pair()
-        config = base_config(record_trace=True)
         prompt = [1, 2, 3]
         out, stats = decode(target, draft, prompt, config)
-        previous = None
-        for trace in stats.trace:
-            current = list(trace.committed_before)
-            if previous is not None:
-                assert current[: len(previous)] == previous
-            previous = current
-        # The final committed prefix is itself a prefix of prompt + output.
-        assert previous == (prompt + out)[: len(previous)]
-
-
-class TestDebugChecks:
-    def test_reflective_tail_never_perturbs_original_segment(self):
-        target, draft = table_pair()
-        config = base_config(debug_checks=True, max_new_tokens=16)
-        decode(target, draft, [1, 2, 3], config)  # raises on violation
-
-    def test_debug_checks_cover_reflection_aware_backend(self):
-        base_target, draft = table_pair(eta=0.4)
-        target = ReflectionAwareModel(base_target, MARKER, 0.5)
-        config = base_config(debug_checks=True, max_new_tokens=16)
-        decode(target, draft, [1, 2, 3], config)
+        emitted = 0
+        for step in stats.steps:
+            fresh = ModelSession(target)
+            fresh.forward(prompt + out[:emitted])
+            assert np.max(np.abs(fresh.last_logits - step.original[0])) <= 1e-12
+            regrown = fresh.forward(list(step.draft_tokens))
+            for got, want in zip(step.original[1:], regrown):
+                assert np.max(np.abs(got - want)) <= 1e-12
+            emitted += step.tokens_emitted
 
 
 class TestTermination:
@@ -387,7 +371,7 @@ class TestVariants:
                 record_trace=True,
             )
             _, stats = decode(target, draft, [1, 2, 3], config)
-            thresholds[source] = stats.trace[0].result.diagnostics["thresholds"]
+            thresholds[source] = stats.steps[0].result.diagnostics["thresholds"]
         assert thresholds["original"] != thresholds["fused"]
         assert max(thresholds["fused"]) > 2 * max(thresholds["original"])
 
@@ -502,6 +486,138 @@ class TestMemoTransparency:
         # Both memos have filled and evicted.
         full = windows or models.memo_windows(MEMO_VOCAB)
         assert [len(memo) for memo in memos] == [full, full]
+
+
+@st.composite
+def reference_cases(draw):
+    """A copy-backend target over a table base, its blended draft, a prompt
+    and a config: any strategy, gamma 1-8, temperature 0 or above, alpha 0,
+    1 or between, the reflective template (the probe ends in the marker, and
+    the prefix may outrun the prompt) or the plain one, and a budget and an
+    end-of-sequence token that can cut a step inside its accepted prefix."""
+    vocab = draw(st.sampled_from([4, 7, 16, 64, 300]))
+    token = st.integers(min_value=0, max_value=vocab - 1)
+    models = dict(
+        vocab=vocab,
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        order=draw(st.integers(min_value=1, max_value=3)),
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        eta=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+    template = ReflectiveTemplate(
+        prompt_tokens=(*draw(st.lists(token, max_size=2)), vocab - 1),
+        prefix_len=draw(st.integers(min_value=0, max_value=8)),
+    )
+    config = DecodeConfig(
+        gamma=draw(st.integers(min_value=1, max_value=8)),
+        alpha=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))),
+        temperature=draw(st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=3.0))),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        epsilon=draw(st.floats(min_value=0.01, max_value=1.0)),
+        delta=draw(st.floats(min_value=0.01, max_value=1.0)),
+        template=template,
+        reflect=draw(st.booleans()),
+        entropy_source=draw(st.sampled_from(["original", "fused"])),
+        exact_match_mode=draw(st.sampled_from(["sample", "greedy"])),
+        max_new_tokens=draw(st.integers(min_value=1, max_value=24)),
+        eos_token=draw(st.one_of(st.none(), token)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    prompt = draw(st.lists(token, min_size=1, max_size=4))
+    return models, prompt, config
+
+
+def reference_pair(vocab, seed, order, beta, eta):
+    """A new (target, draft) pair: the copy backend (marker ``vocab - 1``)
+    over a table base, and the base blended with an unrelated table."""
+    base = TableModel(vocab, seed=seed, order=order)
+    noise = TableModel(vocab, seed=seed + 1, order=order)
+    return ReflectionAwareModel(base, vocab - 1, beta), BlendModel(base, noise, eta)
+
+
+def reference_with_end_state(target, draft, prompt, config):
+    """``reference_decode``'s tokens under ``config``, and the state its
+    generator ended in."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    out, _ = reference_decode(
+        target,
+        draft,
+        prompt,
+        gamma=config.gamma,
+        temperature=config.temperature,
+        strategy=config.strategy,
+        seed=config.seed,
+        max_new_tokens=config.max_new_tokens,
+        epsilon=config.epsilon,
+        delta=config.delta,
+        alpha=config.alpha,
+        reflect=config.reflect,
+        probe=config.template.prompt_tokens,
+        prefix_len=config.template.prefix_len,
+        entropy_source=config.entropy_source,
+        exact_match_mode=config.exact_match_mode,
+        eos_token=config.eos_token,
+        rng=rng,
+    )
+    return out, rng.bit_generator.state
+
+
+class TestReferenceDecode:
+    """``decode`` against the from-scratch reference loop, which uses no
+    session and computes every position from its full context."""
+
+    @given(reference_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_decode_matches_reference(self, case):
+        models, prompt, config = case
+        try:
+            got = decode_with_end_state(*reference_pair(**models), prompt, config)
+        except DegenerateResidualError:
+            # At temperature 0, p and q are one-hots and a rejected token has
+            # p = 0, so the residual is all of p.
+            assert config.temperature > 0, "a temperature-0 draft left an empty residual"
+            with pytest.raises(DegenerateResidualError):
+                reference_with_end_state(*reference_pair(**models), prompt, config)
+            return
+        assert got == reference_with_end_state(*reference_pair(**models), prompt, config)
+
+    def test_typical_entropy_sources_match_reference(self):
+        # At this seed the entropy source changes the output, so the
+        # reference must read the same source as the engine.
+        outs = []
+        for source in ("original", "fused"):
+            config = base_config(strategy="typical", alpha=0.6, entropy_source=source, seed=3)
+            got = decode_with_end_state(*copy_pair(), [1, 2, 3], config)
+            assert got == reference_with_end_state(*copy_pair(), [1, 2, 3], config)
+            outs.append(got[0])
+        assert outs[0] != outs[1]
+
+
+class TestTraceTransparency:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("reflect", [True, False])
+    def test_record_trace_changes_nothing_observable(self, strategy, reflect):
+        target, draft = copy_pair()
+        prompt = [1, 2, 3]
+        runs = {}
+        for traced in (False, True):
+            config = base_config(
+                strategy=strategy, reflect=reflect, max_new_tokens=40, record_trace=traced
+            )
+            end = decode_with_end_state(target, draft, prompt, config)
+            _, stats = decode(target, draft, prompt, config)
+            accounting = [
+                (s.accepted_n, s.tokens_emitted, s.draft_forward_count, s.input_tokens_fed)
+                for s in stats.steps
+            ]
+            runs[traced] = (end, accounting, stats.steps)
+        assert runs[True][:2] == runs[False][:2]
+        for step in runs[False][2]:
+            assert (step.draft_tokens, step.original, step.result) == ((), None, None)
+        if strategy != "vanilla":
+            for step in runs[True][2]:
+                assert len(step.draft_tokens) == len(step.original) - 1 == 4
+                assert step.result.accepted_n == step.accepted_n
 
 
 class TestValidation:
