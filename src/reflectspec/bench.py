@@ -27,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -165,20 +166,12 @@ class ReportRow:
 
 def sweep_cells(spec: SweepSpec) -> list[tuple[tuple[int, ...], tuple]]:
     """Enumerate (axis indices, axis values) in canonical grid order."""
-    cells = []
-    for ia, alpha in enumerate(spec.alphas):
-        for ig, gamma in enumerate(spec.gammas):
-            for istrat, strategy in enumerate(spec.strategies):
-                for ieta, eta in enumerate(spec.etas):
-                    for itmpl, template in enumerate(spec.templates):
-                        for seed in spec.seeds:
-                            cells.append(
-                                (
-                                    (ia, ig, istrat, ieta, itmpl),
-                                    (alpha, gamma, strategy, eta, template, seed),
-                                )
-                            )
-    return cells
+    axes = (spec.alphas, spec.gammas, spec.strategies, spec.etas, spec.templates)
+    return [
+        (indices, tuple(axis[i] for axis, i in zip(axes, indices)) + (seed,))
+        for indices in itertools.product(*(range(len(axis)) for axis in axes))
+        for seed in spec.seeds
+    ]
 
 
 def cell_seed(seed: int, indices: tuple[int, ...]) -> int:

@@ -246,19 +246,16 @@ def build_spec(
     for prompt in prompts:
         if not prompt:
             raise InvalidConfigError("prompts must hold at least one token")
-    if args.marker is not None:
-        marker = args.marker
-    elif isinstance(tokenizer, WordTokenizer):
+    marker = args.marker
+    if marker is None:
         marker = tokenizer.encode(BACK_WORD, extend=True)[0]
-    else:
-        marker = tokenizer.specials[BACK_WORD]
-    vocab_size = tokenizer.vocab_size if isinstance(tokenizer, WordTokenizer) else args.vocab_size
-    if vocab_size < 2:
+    if tokenizer.vocab_size < 2:
         raise InvalidConfigError("effective vocabulary must hold at least two tokens")
     spec = SweepSpec(
         prompts=tuple(tuple(p) for p in prompts),
         base=ModelSpec(
-            args.target_model, vocab_size, seed=args.seed, order=args.order, smoothing=args.smoothing
+            args.target_model, tokenizer.vocab_size, seed=args.seed, order=args.order,
+            smoothing=args.smoothing,
         ),
         templates=tuple(templates),
         corpus=tuple(tuple(d) for d in corpus_docs) if corpus_docs else None,

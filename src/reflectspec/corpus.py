@@ -8,8 +8,11 @@ Two tokenization modes cover every input the package reads:
   tokenizer; novel words can extend the vocabulary while models are still
   unbuilt (``extend=True``).
 - ``IntTokenizer``: raw integer mode for synthetic runs. Tokens are written
-  as decimal ids; a small special-word table (by default ``[BACK]`` mapping
-  to the highest id) lets the stock probe template work without a corpus.
+  as decimal ids; ``[BACK]`` maps to the highest id, so the stock probe
+  template works without a corpus.
+
+Both give ``vocab_size`` and ``encode(text, extend=True)``, which is all the
+CLI needs to build a sweep spec.
 """
 
 from __future__ import annotations
@@ -22,30 +25,26 @@ BACK_WORD = "[BACK]"
 
 
 class IntTokenizer:
-    """Tokens written as decimal ids, plus a special-word table."""
+    """Tokens written as decimal ids; ``[BACK]`` names the highest id."""
 
-    def __init__(self, vocab_size: int, specials: dict[str, int] | None = None):
+    def __init__(self, vocab_size: int):
         if vocab_size < 2:
             raise InvalidConfigError("vocab_size must be >= 2")
         self.vocab_size = vocab_size
-        self.specials = dict(specials) if specials is not None else {BACK_WORD: vocab_size - 1}
-        for word, tid in self.specials.items():
-            if not 0 <= tid < vocab_size:
-                raise InvalidConfigError(f"special {word!r} id {tid} outside vocabulary")
 
     def encode(self, text: str, extend: bool = False) -> list[int]:
         # ``extend`` is accepted for interface parity with WordTokenizer;
         # integer vocabularies are fixed at construction.
         out = []
         for word in text.split():
-            if word in self.specials:
-                out.append(self.specials[word])
+            if word == BACK_WORD:
+                out.append(self.vocab_size - 1)
                 continue
             try:
                 tid = int(word)
             except ValueError:
                 raise InvalidTokenError(
-                    f"{word!r} is neither an integer token nor a registered special"
+                    f"{word!r} is neither an integer token nor {BACK_WORD}"
                 ) from None
             if not 0 <= tid < self.vocab_size:
                 raise InvalidTokenError(f"token {tid} outside vocabulary of size {self.vocab_size}")
@@ -53,8 +52,7 @@ class IntTokenizer:
         return out
 
     def decode(self, ids: list[int]) -> str:
-        reverse = {tid: word for word, tid in self.specials.items()}
-        return " ".join(reverse.get(t, str(t)) for t in ids)
+        return " ".join(BACK_WORD if t == self.vocab_size - 1 else str(t) for t in ids)
 
 
 class WordTokenizer:

@@ -21,9 +21,9 @@ from ``fuse`` or, without reflection, one block softmax.
 
 A step's wall time covers the whole step: the draft session's sync,
 drafting, assembly, the verification pass, fusion, verification, commit and
-the end-of-sequence or budget truncation. Wall times are toy-backend
-numbers; they are not comparable to production throughput and reports label
-them accordingly.
+the cut to the budget and the end-of-sequence token. Wall times are
+toy-backend numbers; they are not comparable to production throughput and
+reports label them accordingly.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ class DecodeConfig:
             raise InvalidConfigError("alpha must lie in [0, 1]")
         if self.temperature < 0:
             raise InvalidConfigError("temperature must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if self.entropy_source not in ("original", "fused"):
             raise InvalidConfigError(f"unknown entropy source {self.entropy_source!r}")
         if self.exact_match_mode not in ("sample", "greedy"):
@@ -194,14 +196,10 @@ def decode(
             fed = bundle.gamma
         result = _verify(config, fused, original, bundle, rng)
 
-        committed_before = len(committed)
         commit_and_prune(target_session, draft_session, fed, result)
 
         step_tokens = list(bundle.tokens[: result.accepted_n]) + [result.bonus]
-        kept = _truncate_step_tokens(step_tokens, config, len(stats.output_tokens))
-        if len(kept) < len(step_tokens):
-            target_session.truncate(committed_before + len(kept))
-            _trim(draft_session, committed_before + len(kept))
+        kept = _cut(step_tokens, config, len(stats.output_tokens))
         wall = time.perf_counter() - start
         committed.extend(kept)
         stats.output_tokens.extend(kept)
@@ -215,7 +213,9 @@ def decode(
         if config.record_trace:
             step.draft_tokens, step.original, step.result = bundle.tokens, original, result
         stats.steps.append(step)
-        if _hit_eos(kept, config.eos_token) or len(kept) < len(step_tokens):
+        # A cut step is the last: the sessions keep its uncut tokens, and
+        # nothing reads them again.
+        if len(kept) < len(step_tokens) or kept[-1] == config.eos_token:
             break
     return list(stats.output_tokens), stats
 
@@ -245,13 +245,8 @@ def commit_and_prune(
     keep = committed_before + result.accepted_n
     target_session.truncate(keep)
     target_session.forward([result.bonus])
-    _trim(draft_session, keep)
-
-
-def _trim(session: ModelSession, length: int) -> None:
-    """Truncate ``session`` to ``length`` if it is longer."""
-    if len(session) > length:
-        session.truncate(length)
+    if len(draft_session) > keep:
+        draft_session.truncate(keep)
 
 
 def _decode_vanilla(
@@ -278,7 +273,7 @@ def _decode_vanilla(
                 wall_time=wall,
             )
         )
-        if config.eos_token is not None and token == config.eos_token:
+        if token == config.eos_token:
             break
     return list(stats.output_tokens), stats
 
@@ -304,15 +299,10 @@ def _verify(
     raise InvalidConfigError(f"unknown strategy {config.strategy!r}")
 
 
-def _truncate_step_tokens(
-    step_tokens: list[int], config: DecodeConfig, already_emitted: int
-) -> list[int]:
-    budget = config.max_new_tokens - already_emitted
-    kept = step_tokens[:budget]
-    if config.eos_token is not None and config.eos_token in kept:
+def _cut(step_tokens: list[int], config: DecodeConfig, emitted: int) -> list[int]:
+    """The tokens a step emits: ``step_tokens`` cut to the budget left after
+    ``emitted`` tokens, then just after the first end-of-sequence token."""
+    kept = step_tokens[: config.max_new_tokens - emitted]
+    if config.eos_token in kept:
         kept = kept[: kept.index(config.eos_token) + 1]
     return kept
-
-
-def _hit_eos(tokens: list[int], eos_token: int | None) -> bool:
-    return eos_token is not None and eos_token in tokens

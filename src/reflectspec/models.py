@@ -11,9 +11,9 @@ logits, supports append-forward and truncate, and makes truncation semantics
 Backends:
 
 - ``TableModel``: logits are a seeded hash of the trailing ``order`` context
-  tokens, drawn uniformly from a bounded range, and memoized per window.
+  tokens, drawn uniformly from a bounded range.
 - ``NgramModel``: counts-based log-probabilities with additive smoothing,
-  built from a tokenized corpus, and memoized per context window.
+  built from a tokenized corpus.
 - ``BlendModel``: convex combination of two backends' logits; used to build
   draft models of controllable quality.
 - ``ReflectionAwareModel``: wraps a base backend and, whenever the context
@@ -22,13 +22,8 @@ Backends:
   This is the toy stand-in for a model that regenerates its own draft after
   a reflection probe.
 
-``TableModel`` and ``NgramModel`` each memoize up to ``MEMO_BYTES`` of
-logits, and never fewer than ``MEMO_MIN_WINDOWS`` windows
-(``memo_windows``), evicting the oldest window first. A reflective step
-re-reads its probe windows and the recently committed text, so a memo that
-spans many steps serves those repeats instead of computing them again. The
-memoizing backends return arrays that are shared between calls and
-read-only; callers that need to modify logits must copy them.
+``TableModel`` and ``NgramModel`` share the ``WindowModel`` base, which
+holds the one logits memo and states its policy.
 """
 
 from __future__ import annotations
@@ -52,8 +47,8 @@ from .tokens import derive_seed
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
 
-# Logit bytes each TableModel and NgramModel memo may hold, oldest window
-# evicted first, and the fewest windows it keeps at any vocabulary size.
+# Logit bytes each WindowModel memo may hold, and the fewest windows it
+# keeps at any vocabulary size.
 # Within one step a window is re-read by the verify pass, the second copy
 # and the prefix replay; across steps the probe windows (``x [BACK]``,
 # ``[BACK] y``) and the recently committed text come back. 512 KiB keeps
@@ -166,28 +161,28 @@ class ModelSession:
         del self._logit_cache[keep_length:]
 
 
-class TableModel(Model):
-    """Seeded hash-table backend: bounded logits per (seed, trailing context).
+class WindowModel(Model):
+    """A backend whose logits are a pure function of the window: the
+    trailing ``order`` context tokens, or the whole context when it is
+    shorter. Subclasses give the formula as ``window_logits(window)``.
 
-    Logits are drawn uniformly from [``TABLE_LOGIT_LOW``, ``TABLE_LOGIT_HIGH``).
-
-    The logits are a pure function of the window (the trailing ``order``
-    tokens), so the model memoizes them per window, keyed by the window's
-    token values: ``np.int64`` tokens hit the same entry as plain ints. The
-    memo holds at most ``memo_windows(vocab_size)`` windows and evicts the
-    oldest first. Returned arrays are shared between calls and read-only;
-    callers that need to modify logits must copy them.
+    ``next_logits`` memoizes the logits per window, keyed by the window's
+    token values, so ``np.int64`` tokens and a session's typed ``array`` hit
+    the plain-int entry. The memo holds up to ``MEMO_BYTES`` of logits but
+    never fewer than ``MEMO_MIN_WINDOWS`` windows (``memo_windows``). It
+    evicts the oldest inserted window first; a hit does not refresh it.
+    Returned arrays are shared between calls and read-only.
     """
 
-    def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
+    def __init__(self, vocab_size: int, order: int):
         if vocab_size < 2:
             raise InvalidConfigError("vocab_size must be >= 2")
         if order < 1:
             raise InvalidConfigError("context order must be >= 1")
         self.vocab_size = vocab_size
-        self.seed = int(seed)
         self.order = order
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
         self._memo_keys: deque[tuple[int, ...]] = deque()
         self._memo_windows = memo_windows(vocab_size)
 
@@ -195,18 +190,43 @@ class TableModel(Model):
         key = tuple(context[-self.order :])
         logits = self._memo.get(key)
         if logits is None:
-            h = hashlib.blake2b(digest_size=8)
-            h.update(self.seed.to_bytes(8, "little", signed=True))
-            for t in key:
-                h.update(int(t).to_bytes(8, "little"))
-            cell_seed = int.from_bytes(h.digest(), "little")
-            gen = np.random.Generator(np.random.PCG64(cell_seed))
-            logits = gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
-            _remember(self._memo, self._memo_keys, key, logits, self._memo_windows)
+            logits = self.window_logits(key)
+            logits.flags.writeable = False
+            if len(self._memo) >= self._memo_windows:
+                del self._memo[self._memo_keys.popleft()]
+            self._memo[key] = logits
+            self._memo_keys.append(key)
         return logits
 
+    def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+        """Fresh logits predicting the token after ``window``."""
+        raise NotImplementedError
 
-class NgramModel(Model):
+
+class TableModel(WindowModel):
+    """Seeded hash-table backend: bounded logits per (seed, window).
+
+    Logits are drawn uniformly from [``TABLE_LOGIT_LOW``, ``TABLE_LOGIT_HIGH``)
+    by a generator seeded from a hash of the seed and the window. The seed
+    is hashed as a signed 64-bit integer, so it must lie in [-2**63, 2**63).
+    """
+
+    def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
+        super().__init__(vocab_size, order)
+        if not -(2**63) <= seed < 2**63:
+            raise InvalidConfigError(f"seed must lie in [-2**63, 2**63), got {seed}")
+        self.seed = int(seed)
+
+    def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+        h = hashlib.blake2b(digest_size=8)
+        h.update(self.seed.to_bytes(8, "little", signed=True))
+        for t in window:
+            h.update(int(t).to_bytes(8, "little"))
+        gen = np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
+        return gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
+
+
+class NgramModel(WindowModel):
     """Count-based backend with additive smoothing.
 
     ``order`` is the context length: predictions condition on up to ``order``
@@ -216,11 +236,6 @@ class NgramModel(Model):
     returned logits are exact log-probabilities:
 
         log((count(context, t) + smoothing) / (count(context) + smoothing * V))
-
-    Like ``TableModel``, the model memoizes logits for at most
-    ``memo_windows(vocab_size)`` context windows (oldest evicted first, numpy
-    integer tokens hit the plain-int entry); returned arrays are shared
-    between calls and read-only.
     """
 
     def __init__(
@@ -231,10 +246,7 @@ class NgramModel(Model):
         smoothing: float = 1.0,
     ):
         _check_smoothing(smoothing)
-        if vocab_size < 2:
-            raise InvalidConfigError("vocab_size must be >= 2")
-        if order < 1:
-            raise InvalidConfigError("context order must be >= 1")
+        super().__init__(vocab_size, order)
         docs = _as_documents(corpus)
         if not docs:
             raise InvalidConfigError("corpus must be non-empty")
@@ -242,8 +254,6 @@ class NgramModel(Model):
             if min(doc) < 0 or max(doc) >= vocab_size:
                 bad = next(t for t in doc if not 0 <= t < vocab_size)
                 raise InvalidTokenError(f"corpus token {bad} outside vocabulary")
-        self.vocab_size = vocab_size
-        self.order = order
         self.smoothing = float(smoothing)
         # Every (context, token) pair is an n-gram of length 1 to order + 1;
         # one Counter over the per-length windows of each document counts
@@ -258,24 +268,13 @@ class NgramModel(Model):
             ctx = gram[:-1]
             self._pair_counts.setdefault(ctx, {})[gram[-1]] = count
             self._ctx_counts[ctx] = self._ctx_counts.get(ctx, 0) + count
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
-        self._memo_keys: deque[tuple[int, ...]] = deque()
-        self._memo_windows = memo_windows(vocab_size)
 
-    def next_logits(self, context: Sequence[int]) -> np.ndarray:
-        length = min(self.order, len(context))
-        key = tuple(context[len(context) - length :])
-        logits = self._memo.get(key)
-        if logits is None:
-            counts = np.zeros(self.vocab_size, dtype=np.float64)
-            for tok, c in self._pair_counts.get(key, {}).items():
-                counts[tok] = c
-            total = self._ctx_counts.get(key, 0)
-            logits = np.log(
-                (counts + self.smoothing) / (total + self.smoothing * self.vocab_size)
-            )
-            _remember(self._memo, self._memo_keys, key, logits, self._memo_windows)
-        return logits
+    def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+        counts = np.zeros(self.vocab_size, dtype=np.float64)
+        for tok, c in self._pair_counts.get(window, {}).items():
+            counts[tok] = c
+        total = self._ctx_counts.get(window, 0)
+        return np.log((counts + self.smoothing) / (total + self.smoothing * self.vocab_size))
 
 
 class BlendModel(Model):
@@ -388,17 +387,6 @@ def memo_windows(vocab_size: int) -> int:
     """Windows a logits memo keeps at ``vocab_size``: ``MEMO_BYTES`` of
     float64 rows, but never fewer than ``MEMO_MIN_WINDOWS``."""
     return max(MEMO_MIN_WINDOWS, MEMO_BYTES // (8 * vocab_size))
-
-
-def _remember(memo: dict, keys: deque, key: tuple, logits: np.ndarray, windows: int) -> None:
-    """Make ``logits`` read-only and store them under ``key``, evicting the
-    oldest window (FIFO) once the memo holds ``windows``. ``keys`` lists the
-    keys oldest first: ``next(iter(memo))`` would walk every deleted slot."""
-    logits.flags.writeable = False
-    if len(memo) >= windows:
-        del memo[keys.popleft()]
-    memo[key] = logits
-    keys.append(key)
 
 
 def _as_documents(corpus: Sequence[int] | Sequence[Sequence[int]]) -> list[list[int]]:

@@ -19,6 +19,7 @@ from reflectspec.bench import (
     read_report,
     render_report,
     run_sweep,
+    sweep_cells,
     write_decode_stats,
 )
 from reflectspec.engine import DecodeConfig, RunStats, StepStats, decode
@@ -107,6 +108,34 @@ class TestSweep:
             (0.0, 0), (0.0, 1), (0.3, 0), (0.3, 1)
         ]
         assert [r.to_dict() for r in rows1] == [r.to_dict() for r in rows2]
+
+    def test_cells_follow_the_canonical_axis_order(self):
+        tok = IntTokenizer(VOCAB)
+        spec = make_spec(
+            alphas=(0.0, 0.3),
+            gammas=(2, 5),
+            strategies=("exact", "typical"),
+            etas=(0.0, 0.4),
+            templates=tuple(
+                resolve_template(text, tok) for text in (DEFAULT_TEMPLATE_TEXT, "${draft}")
+            ),
+            seeds=(7, 3),
+        )
+        want = []
+        for ia, alpha in enumerate(spec.alphas):
+            for ig, gamma in enumerate(spec.gammas):
+                for istrat, strategy in enumerate(spec.strategies):
+                    for ieta, eta in enumerate(spec.etas):
+                        for itmpl, template in enumerate(spec.templates):
+                            for seed in spec.seeds:
+                                want.append(
+                                    (
+                                        (ia, ig, istrat, ieta, itmpl),
+                                        (alpha, gamma, strategy, eta, template, seed),
+                                    )
+                                )
+        assert len(want) == 64
+        assert sweep_cells(spec) == want
 
     def test_parallel_jobs_match_serial(self):
         spec = make_spec(alphas=(0.0, 0.3), prompts=((1, 2, 3),), max_new_tokens=8)

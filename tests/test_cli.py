@@ -191,6 +191,11 @@ class TestDecodeCommand:
             # The default target is a table model, which never reads smoothing.
             (["--smoothing", "nan"], "smoothing must be finite and > 0, got nan"),
             (["--smoothing", "-5"], "smoothing must be finite and > 0, got -5.0"),
+            # The seed seeds the table model as a signed 64-bit integer and
+            # the decode's generator, which takes no negative seed.
+            (["--seed", str(2**63)], f"seed must lie in [-2**63, 2**63), got {2**63}"),
+            (["--seed", "99999999999999999999999"], "seed must lie in [-2**63, 2**63), got 99999999999999999999999"),
+            (["--seed", "-5"], "seed must be >= 0, got -5"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -298,6 +303,7 @@ class TestSweepCommand:
             (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
             (["--smoothing", "nan"], "smoothing must be finite and > 0, got nan"),
             (["--smoothing", "-5"], "smoothing must be finite and > 0, got -5.0"),
+            (["--seed", "99999999999999999999999"], "seed must lie in [-2**63, 2**63), got 99999999999999999999999"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):
@@ -307,6 +313,17 @@ class TestSweepCommand:
         rows = read_report(out, "csv")
         assert len(rows) == 4
         assert all(r["error"].startswith(f"InvalidConfigError: {message}") for r in rows)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_seed_runs_every_cell(self, tmp_path, jobs):
+        # Cells seed their decodes from streams derived from the seed, which
+        # are never negative; the table model takes a negative seed.
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--prompt", "1 2 3", "--alpha", "0,0.3", "--seed", "-5"]
+        assert main(argv + ["--max-tokens", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        rows = read_report(out, "csv")
+        assert len(rows) == 2
+        assert all(not r["error"] and r["output_tokens"] == 4 for r in rows)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_out_of_range_delta_fails_every_cell(self, tmp_path, jobs):

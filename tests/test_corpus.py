@@ -30,10 +30,6 @@ class TestIntTokenizer:
         with pytest.raises(InvalidTokenError):
             tok.encode("abc")
 
-    def test_custom_specials(self):
-        tok = IntTokenizer(8, specials={"<eos>": 0})
-        assert tok.encode("<eos> 3") == [0, 3]
-
 
 class TestWordTokenizer:
     def test_first_appearance_order(self):

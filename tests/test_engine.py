@@ -649,3 +649,7 @@ class TestValidation:
             DecodeConfig(max_new_tokens=0)
         with pytest.raises(InvalidConfigError):
             DecodeConfig(entropy_source="bogus")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfigError, match="^seed must be >= 0, got -1$"):
+            DecodeConfig(seed=-1)

@@ -177,6 +177,16 @@ class TestTableModel:
         m = TableModel(16, seed=3, order=2)
         assert np.array_equal(m.next_logits([9, 1, 2]), m.next_logits([5, 1, 2]))
 
+    @pytest.mark.parametrize("seed", [-(2**63), -1, 0, 2**63 - 1])
+    def test_signed_64_bit_seeds_build(self, seed):
+        logits = TableModel(8, seed=seed).next_logits([1, 2])
+        assert logits.min() >= -4.0 and logits.max() <= 4.0
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63, 10**23])
+    def test_seed_outside_signed_64_bits_rejected(self, seed):
+        with pytest.raises(InvalidConfigError, match=rf"^seed must lie in .* got {seed}$"):
+            TableModel(8, seed=seed)
+
 
 def distinct_windows(vocab, order, count, seed):
     """``count`` distinct token windows: every one-token window (a context
@@ -213,6 +223,49 @@ def assert_memo_stays_bounded(m, vocab):
         m.next_logits(w)
         assert len(m._memo) <= capacity
     assert len(m._memo) == capacity
+
+
+WINDOW_VOCAB = 16
+WINDOW_ORDER = 3
+WINDOW_DOCS = [[1, 5, 7, 9, 5, 7], [5, 7, 9, 2, 6, 7, 9, 1], [3, 5, 6]]
+
+
+def window_backend(kind):
+    if kind == "table":
+        return TableModel(WINDOW_VOCAB, seed=6, order=WINDOW_ORDER)
+    return NgramModel(WINDOW_DOCS, WINDOW_VOCAB, order=WINDOW_ORDER, smoothing=0.5)
+
+
+class TestWindowKey:
+    """A context's memo key is its window: the trailing ``order`` tokens, or
+    the whole context when it is shorter, as plain ints whatever the
+    sequence type."""
+
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_every_context_form_hits_its_window_entry(self, kind):
+        m = window_backend(kind)
+        fresh = window_backend(kind)
+        # Shorter than the order (empty only for the n-gram: a session never
+        # asks a table about an empty context), equal to it, and windows
+        # that differ only in their oldest token.
+        windows = [(5,), (5, 7), (5, 7, 9), (6, 7, 9)]
+        if kind == "ngram":
+            windows.insert(0, ())
+        typecode = token_typecode(WINDOW_VOCAB)
+        for n, window in enumerate(windows, 1):
+            contexts = [window]
+            if len(window) == WINDOW_ORDER:
+                contexts += [(3,) + window, (1, 2, 8) + window]
+            first = m.next_logits(list(window))
+            for ctx in contexts:
+                for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
+                    assert m.next_logits(form) is first, (window, form)
+            assert len(m._memo) == n and list(m._memo)[-1] == window
+            assert all(type(t) is int for t in list(m._memo)[-1])
+            assert np.array_equal(first, fresh.next_logits(list(contexts[-1])))
+        # Windows that differ only in their oldest token are separate entries
+        # with separate logits.
+        assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
 
 
 class TestMemoBudget:
