@@ -29,6 +29,7 @@ import csv
 import io
 import itertools
 import json
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -57,6 +58,7 @@ REPORT_COLUMNS = (
     "error",
 )
 TIMING_COLUMNS = ("tokens_per_s", "wall_time_s")
+REPORT_FORMATS = ("csv", "json")
 
 
 def mean_accepted_tokens(stats: RunStats) -> float:
@@ -197,7 +199,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
         runner = CellRunner(spec)
         return [runner.run(indices, values) for indices, values in cells]
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_start_worker, initargs=(spec,)
+        max_workers=min(jobs, len(cells)), initializer=_start_worker, initargs=(spec,)
     ) as pool:
         return list(pool.map(_run_worker_cell, cells))
 
@@ -232,10 +234,13 @@ class CellRunner:
             target, draft = self.models(eta)
             base_stream = cell_seed(seed, indices)
             steps: list[StepStats] = []
+            wall_time = 0.0
             for prompt_index, prompt in enumerate(spec.prompts):
                 prompt_seed = derive_seed(base_stream, "prompt", prompt_index)
                 config = spec.cell_config(alpha, gamma, strategy, template, prompt_seed)
+                start = time.perf_counter()
                 _, stats = decode(target, draft, list(prompt), config)
+                wall_time += time.perf_counter() - start
                 steps.extend(stats.steps)
             run = RunStats(steps=steps)
             row.total_steps = run.num_steps
@@ -243,7 +248,7 @@ class CellRunner:
             row.mat = mean_accepted_tokens(run)
             row.acceptance_by_position = tuple(acceptance_by_position(steps, gamma))
             row.mean_input_budget = run.total_input_tokens / run.num_steps
-            row.wall_time_s = run.total_wall_time
+            row.wall_time_s = wall_time
             if row.wall_time_s > 0:
                 row.tokens_per_s = row.output_tokens / row.wall_time_s
         except InternalConsistencyError:
@@ -285,21 +290,21 @@ def render_report(
     rows: Sequence[ReportRow], fmt: str, include_timing: bool = False
 ) -> str:
     """Serialize rows to CSV or JSON text with a stable schema."""
+    if fmt not in REPORT_FORMATS:
+        raise InvalidConfigError(f"unknown report format {fmt!r}")
     if not rows:
         raise InvalidConfigError("cannot emit an empty report")
     columns = REPORT_COLUMNS + (TIMING_COLUMNS if include_timing else ())
     if fmt == "json":
         payload = [row.to_dict(include_timing=include_timing) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            d = row.to_dict(include_timing=include_timing)
-            writer.writerow([_csv_cell(d[c]) for c in columns])
-        return buf.getvalue()
-    raise InvalidConfigError(f"unknown report format {fmt!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        d = row.to_dict(include_timing=include_timing)
+        writer.writerow([_csv_cell(d[c]) for c in columns])
+    return buf.getvalue()
 
 
 def emit_report(
@@ -315,13 +320,12 @@ def emit_report(
 
 def read_report(path: str | Path, fmt: str) -> list[dict]:
     """Parse a report file back into row dictionaries (lossless round trip)."""
+    if fmt not in REPORT_FORMATS:
+        raise InvalidConfigError(f"unknown report format {fmt!r}")
     text = Path(path).read_text(encoding="utf-8")
     if fmt == "json":
         return json.load(io.StringIO(text))
-    if fmt == "csv":
-        reader = csv.DictReader(io.StringIO(text))
-        return [_parse_csv_row(raw) for raw in reader]
-    raise InvalidConfigError(f"unknown report format {fmt!r}")
+    return [_parse_csv_row(raw) for raw in csv.DictReader(io.StringIO(text))]
 
 
 def _csv_cell(value) -> str:

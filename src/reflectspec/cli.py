@@ -8,9 +8,11 @@ template. Without a corpus the CLI runs in raw-integer token mode over a
 seeded table model; with ``--corpus`` it builds a word tokenizer and
 count-based models from the file.
 
-``decode`` runs a one-cell sweep's cell: ``build_spec`` turns either
-command's flags into a ``SweepSpec``, so every decode flag means the same in
-a sweep. A decode is seeded with ``--seed`` itself, a sweep cell with a
+``decode`` and ``sweep`` take the same setting flags, defined once in
+``_add_setting_args``: grid flags take comma-separated values, and
+templates and prompts repeat. ``build_spec`` turns them into a
+``SweepSpec``; ``decode`` runs its one cell and refuses a second value of
+any setting. A decode is seeded with ``--seed`` itself, a sweep cell with a
 stream derived from it.
 """
 
@@ -18,15 +20,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .bench import (
+    REPORT_FORMATS,
     CellRunner,
     SweepSpec,
     acceptance_by_position,
     emit_report,
     mean_accepted_tokens,
     run_sweep,
+    sweep_cells,
     write_decode_stats,
 )
 from .corpus import (
@@ -36,9 +41,9 @@ from .corpus import (
     load_corpus_documents,
     load_prompt_lines,
 )
-from .engine import decode
+from .engine import ENTROPY_SOURCES, EXACT_MATCH_MODES, STRATEGIES, decode
 from .errors import InvalidConfigError, ReflectSpecError
-from .models import ModelSpec
+from .models import MODEL_KINDS, ModelSpec
 from .reflective import DEFAULT_TEMPLATE_TEXT, resolve_template
 from .selftest import run_all
 
@@ -64,10 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decode = sub.add_parser("decode", help="run a single decode and print tokens plus stats")
-    _add_model_args(p_decode)
-    _add_decode_args(p_decode)
-    p_decode.add_argument("--prompt", help="prompt text (tokens in the active tokenizer)")
-    p_decode.add_argument("--prompt-file", help="file whose first line is the prompt")
+    _add_setting_args(p_decode)
     p_decode.add_argument("--out", help="write a decode stats JSON file here")
     p_decode.add_argument(
         "--full-stats",
@@ -81,13 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.set_defaults(func=cmd_decode)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and write a report file")
-    _add_model_args(p_sweep)
-    _add_decode_args(p_sweep, sweep=True)
-    p_sweep.add_argument("--prompt", action="append", default=[], help="add one prompt (repeatable)")
-    p_sweep.add_argument("--prompt-file", help="prompt set file, one prompt per line")
-    p_sweep.add_argument("--seeds", default="0", help="comma-separated seed grid")
+    _add_setting_args(p_sweep)
+    p_sweep.add_argument("--seeds", type=_grid(int), default="0", help="comma-separated seed grid")
     p_sweep.add_argument("--out", required=True, help="report file path")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
+    p_sweep.add_argument("--format", choices=REPORT_FORMATS, default="csv", help="report format")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_sweep.add_argument(
         "--timing",
@@ -102,10 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
+def _add_setting_args(p: argparse.ArgumentParser) -> None:
+    """The settings of a decode, shared by ``decode`` and ``sweep``."""
     p.add_argument(
         "--target-model",
-        choices=("table", "ngram"),
+        choices=MODEL_KINDS,
         default="table",
         help="target backend (ngram requires --corpus)",
     )
@@ -126,47 +126,39 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
         help="marker token id for the reflection-aware wrapper (default: the [BACK] token)",
     )
     p.add_argument("--corpus", help="corpus file: whitespace tokens, one document per line")
-
-
-def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
-    if sweep:
-        p.add_argument("--alpha", default="0.3", help="comma-separated alpha grid")
-        p.add_argument("--gamma", default="5", help="comma-separated draft length grid")
-        p.add_argument(
-            "--strategy",
-            default="specsample",
-            help="comma-separated strategies from: exact,specsample,typical,vanilla",
-        )
-        p.add_argument("--eta", default="0", help="comma-separated draft divergence grid")
-        p.add_argument(
-            "--template-inline",
-            action="append",
-            default=[],
-            help="add a template variant written inline (repeatable)",
-        )
-        p.add_argument(
-            "--template-file",
-            action="append",
-            default=[],
-            help="add a template variant from a file (repeatable)",
-        )
-    else:
-        p.add_argument("--alpha", type=float, default=0.3, help="reflective fusion weight")
-        p.add_argument("--gamma", type=int, default=5, help="draft tokens per step")
-        p.add_argument(
-            "--eta",
-            type=float,
-            default=0.0,
-            help="draft divergence: 0 drafts with the target's base, 1 with an unrelated table",
-        )
-        p.add_argument(
-            "--strategy",
-            choices=("exact", "specsample", "typical", "vanilla"),
-            default="specsample",
-            help="verification strategy (vanilla = no speculation)",
-        )
-        p.add_argument("--template-inline", help="template text, e.g. '${draft} [BACK] ${prefix} ${draft}'")
-        p.add_argument("--template-file", help="read the template from a file")
+    p.add_argument(
+        "--alpha", type=_grid(float), default="0.3", help="comma-separated reflective fusion weights"
+    )
+    p.add_argument(
+        "--gamma", type=_grid(int), default="5", help="comma-separated draft tokens per step"
+    )
+    p.add_argument(
+        "--strategy",
+        type=_grid(_strategy),
+        default="specsample",
+        help=f"comma-separated verification strategies from {','.join(STRATEGIES)} "
+        "(vanilla = no speculation)",
+    )
+    p.add_argument(
+        "--eta",
+        type=_grid(float),
+        default="0",
+        help="comma-separated draft divergences: 0 drafts with the target's base, "
+        "1 with an unrelated table",
+    )
+    p.add_argument(
+        "--template-inline",
+        action="append",
+        default=[],
+        help="template text, e.g. '${draft} [BACK] ${prefix} ${draft}' (repeatable)",
+    )
+    p.add_argument(
+        "--template-file", action="append", default=[], help="read a template from a file (repeatable)"
+    )
+    p.add_argument(
+        "--prompt", action="append", default=[], help="prompt text in the active tokenizer (repeatable)"
+    )
+    p.add_argument("--prompt-file", help="prompt set file, one prompt per line")
     p.add_argument("--temperature", type=float, default=0.8, help="sampling temperature (0 = greedy)")
     p.add_argument("--epsilon", type=float, default=0.3, help="typical-sampling probability cap")
     p.add_argument("--delta", type=float, default=0.2, help="typical-sampling entropy scale")
@@ -175,16 +167,36 @@ def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--eos-token", type=int, default=None, help="stop after this token id")
     p.add_argument(
         "--entropy-source",
-        choices=("original", "fused"),
+        choices=ENTROPY_SOURCES,
         default="original",
         help="distribution whose entropy gates typical sampling",
     )
     p.add_argument(
         "--match-mode",
-        choices=("sample", "greedy"),
+        choices=EXACT_MATCH_MODES,
         default="sample",
         help="exact-match verification draws samples or takes the argmax",
     )
+
+
+def _grid(parse):
+    """An argparse type: comma-separated ``parse`` values, empty items skipped."""
+
+    def grid(text: str) -> tuple:
+        try:
+            return tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} grid: {text!r}") from None
+
+    return grid
+
+
+def _strategy(text: str) -> str:
+    if text not in STRATEGIES:
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy {text!r} (choose from {', '.join(STRATEGIES)})"
+        )
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -192,47 +204,19 @@ def _add_decode_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _template_text(args, sweep: bool = False) -> list[str]:
-    if sweep:
-        texts = list(args.template_inline)
-        for path in args.template_file:
-            texts.append(Path(path).read_text(encoding="utf-8").strip())
-        return texts or [DEFAULT_TEMPLATE_TEXT]
-    if args.template_inline and args.template_file:
-        raise InvalidConfigError("give either --template-inline or --template-file, not both")
-    if args.template_inline:
-        return [args.template_inline]
-    if args.template_file:
-        return [Path(args.template_file).read_text(encoding="utf-8").strip()]
-    return [DEFAULT_TEMPLATE_TEXT]
-
-
-def _prompt_texts(args, sweep: bool = False) -> list[str]:
-    if sweep:
-        texts = list(args.prompt)
-        if args.prompt_file:
-            texts.extend(load_prompt_lines(args.prompt_file))
-        if not texts:
-            raise InvalidConfigError("sweep needs --prompt or --prompt-file")
-        return texts
-    if args.prompt and args.prompt_file:
-        raise InvalidConfigError("give either --prompt or --prompt-file, not both")
-    if args.prompt:
-        return [args.prompt]
-    if args.prompt_file:
-        return [load_prompt_lines(args.prompt_file)[0]]
-    raise InvalidConfigError("decode needs --prompt or --prompt-file")
-
-
-def build_spec(
-    args, template_texts: list[str], prompt_texts: list[str], **grids
-) -> tuple[IntTokenizer | WordTokenizer, SweepSpec]:
-    """Build the tokenizer and the sweep spec of CLI arguments; ``grids``
-    gives the spec's grid axes (one value each for a single decode).
+def build_spec(args, seeds: tuple[int, ...]) -> tuple[IntTokenizer | WordTokenizer, SweepSpec]:
+    """Build the tokenizer and the sweep spec of CLI arguments over ``seeds``.
 
     In word mode the vocabulary grows while the corpus, templates, prompts,
     and marker are encoded, and is frozen before the base spec is made.
     """
+    template_texts = list(args.template_inline)
+    template_texts += [Path(path).read_text(encoding="utf-8").strip() for path in args.template_file]
+    prompt_texts = list(args.prompt)
+    if args.prompt_file:
+        prompt_texts.extend(load_prompt_lines(args.prompt_file))
+    if not prompt_texts:
+        raise InvalidConfigError(f"{args.command} needs --prompt or --prompt-file")
     corpus_docs = None
     if args.corpus:
         tokenizer: IntTokenizer | WordTokenizer = WordTokenizer()
@@ -241,7 +225,7 @@ def build_spec(
         if args.target_model == "ngram":
             raise InvalidConfigError("ngram models require --corpus")
         tokenizer = IntTokenizer(args.vocab_size)
-    templates = [resolve_template(text, tokenizer) for text in template_texts]
+    templates = [resolve_template(text, tokenizer) for text in template_texts or [DEFAULT_TEMPLATE_TEXT]]
     prompts = [tokenizer.encode(text, extend=True) for text in prompt_texts]
     for prompt in prompts:
         if not prompt:
@@ -257,7 +241,12 @@ def build_spec(
             args.target_model, tokenizer.vocab_size, seed=args.seed, order=args.order,
             smoothing=args.smoothing,
         ),
+        alphas=args.alpha,
+        gammas=args.gamma,
+        strategies=args.strategy,
+        etas=args.eta,
         templates=tuple(templates),
+        seeds=seeds,
         corpus=tuple(tuple(d) for d in corpus_docs) if corpus_docs else None,
         beta=args.beta,
         marker=marker,
@@ -269,7 +258,6 @@ def build_spec(
         entropy_source=args.entropy_source,
         eos_token=args.eos_token,
         exact_match_mode=args.match_mode,
-        **grids,
     )
     return tokenizer, spec
 
@@ -280,26 +268,30 @@ def build_spec(
 
 
 def cmd_decode(args) -> int:
-    tokenizer, spec = build_spec(
-        args,
-        _template_text(args),
-        _prompt_texts(args),
-        alphas=(args.alpha,),
-        gammas=(args.gamma,),
-        strategies=(args.strategy,),
-        etas=(args.eta,),
-        seeds=(args.seed,),
-    )
-    target, draft = CellRunner(spec).models(args.eta)
-    config = spec.cell_config(args.alpha, args.gamma, args.strategy, spec.templates[0], args.seed)
+    tokenizer, spec = build_spec(args, seeds=(args.seed,))
+    for flag, values in (
+        ("--alpha", spec.alphas),
+        ("--gamma", spec.gammas),
+        ("--strategy", spec.strategies),
+        ("--eta", spec.etas),
+        ("--template-inline or --template-file", spec.templates),
+        ("--prompt or --prompt-file", spec.prompts),
+    ):
+        if len(values) > 1:
+            raise InvalidConfigError(f"decode takes one value of {flag}, got {len(values)}")
+    [(_, (alpha, gamma, strategy, eta, template, seed))] = sweep_cells(spec)
+    target, draft = CellRunner(spec).models(eta)
+    config = spec.cell_config(alpha, gamma, strategy, template, seed)
+    start = time.perf_counter()
     output, stats = decode(target, draft, list(spec.prompts[0]), config)
+    wall_time = time.perf_counter() - start
 
     print("output tokens:", " ".join(str(t) for t in output))
     if isinstance(tokenizer, WordTokenizer):
         print("output text:", tokenizer.decode(output))
     mat = mean_accepted_tokens(stats)
     print(f"steps: {stats.num_steps}  emitted: {stats.total_tokens_emitted}  mat: {mat:.4f}")
-    if args.strategy != "vanilla":
+    if strategy != "vanilla":
         rates = acceptance_by_position(stats.steps, config.gamma)
         print("acceptance by position:", " ".join(f"{r:.3f}" for r in rates))
         print(f"mean input budget/step: {stats.total_input_tokens / stats.num_steps:.2f}")
@@ -308,10 +300,7 @@ def cmd_decode(args) -> int:
         for i, s in enumerate(stats.steps):
             print(f"  step {i}: accepted {s.accepted_n}, emitted {s.tokens_emitted}")
     if args.timing:
-        print(
-            f"wall time: {stats.total_wall_time:.4f}s "
-            "(toy backends; not a production throughput number)"
-        )
+        print(f"wall time: {wall_time:.4f}s (toy backends; not a production throughput number)")
     if args.out:
         write_decode_stats(stats, args.out, include_diagnostics=args.full_stats)
         print(f"stats written to {args.out}")
@@ -319,16 +308,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, spec = build_spec(
-        args,
-        _template_text(args, sweep=True),
-        _prompt_texts(args, sweep=True),
-        alphas=_grid(args.alpha, float),
-        gammas=_grid(args.gamma, int),
-        strategies=_grid(args.strategy, str.strip),
-        etas=_grid(args.eta, float),
-        seeds=_grid(args.seeds, int),
-    )
+    _, spec = build_spec(args, seeds=args.seeds)
     rows = run_sweep(spec, jobs=args.jobs)
     emit_report(rows, args.format, args.out, include_timing=args.timing)
     failures = [r for r in rows if r.error]
@@ -342,11 +322,6 @@ def cmd_selftest(args) -> int:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail}")
     return 0 if all(r.passed for r in results) else 1
-
-
-def _grid(text: str, parse) -> tuple:
-    """Values of a comma-separated grid flag; empty items are skipped."""
-    return tuple(parse(v) for v in text.split(",") if v.strip())
 
 
 if __name__ == "__main__":

@@ -53,6 +53,8 @@ from .verification import (
 )
 
 STRATEGIES = ("exact", "specsample", "typical", "vanilla")
+ENTROPY_SOURCES = ("original", "fused")
+EXACT_MATCH_MODES = ("sample", "greedy")
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class DecodeConfig:
     delta: float = 0.2
     template: ReflectiveTemplate = ReflectiveTemplate()
     reflect: bool = True
-    entropy_source: str = "original"  # or "fused"
-    exact_match_mode: str = "sample"  # or "greedy"
+    entropy_source: str = "original"  # one of ENTROPY_SOURCES
+    exact_match_mode: str = "sample"  # one of EXACT_MATCH_MODES
     max_new_tokens: int = 64
     eos_token: int | None = None
     seed: int = 0
@@ -85,9 +87,9 @@ class DecodeConfig:
             raise InvalidConfigError("temperature must be >= 0")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.entropy_source not in ("original", "fused"):
+        if self.entropy_source not in ENTROPY_SOURCES:
             raise InvalidConfigError(f"unknown entropy source {self.entropy_source!r}")
-        if self.exact_match_mode not in ("sample", "greedy"):
+        if self.exact_match_mode not in EXACT_MATCH_MODES:
             raise InvalidConfigError(f"unknown exact-match mode {self.exact_match_mode!r}")
         check_typical_range(self.epsilon, self.delta)
 

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import multiprocessing
+import time
 
 import pytest
 from fixtures import make_divergence_pair
@@ -142,6 +143,49 @@ class TestSweep:
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+    @pytest.mark.parametrize("jobs, alphas, workers", [(64, (0.0, 0.3), 2), (2, (0.0, 0.3, 0.6), 2)])
+    def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, jobs, alphas, workers):
+        """A fork pool starts all its workers at the first submit, so the
+        pool size is what the sweep asks for. The stand-in runs in-process."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(bench, "_worker_runner", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = make_spec(alphas=alphas, prompts=((1, 2, 3),), max_new_tokens=8)
+        rows = run_sweep(spec, jobs=jobs)
+        assert started == [workers]
+        assert dicts(rows) == dicts(run_sweep(spec, jobs=1))
+
+    def test_wall_time_covers_whole_decode_calls(self, monkeypatch):
+        pause = 0.02
+        step_time = []
+
+        def slow_decode(target, draft, prompt, config):
+            output, stats = decode(target, draft, prompt, config)
+            step_time.append(stats.total_wall_time)
+            time.sleep(pause)  # inside the decode call, outside every step
+            return output, stats
+
+        monkeypatch.setattr(bench, "decode", slow_decode)
+        [row] = run_sweep(make_spec(max_new_tokens=8))
+        assert len(step_time) == 3
+        assert row.wall_time_s >= sum(step_time) + 3 * pause
+        assert row.tokens_per_s == row.output_tokens / row.wall_time_s
 
     def test_cell_failure_recorded_in_row(self):
         spec = make_spec(strategies=("specsample", "bogus"))

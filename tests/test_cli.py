@@ -1,6 +1,7 @@
 """CLI contract tests: flags, defaults, exit codes, and output plumbing."""
 
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -45,9 +46,9 @@ class TestParser:
 
     def test_reference_defaults(self):
         args = build_parser().parse_args(["decode", "--prompt", "1 2 3"])
-        assert args.alpha == 0.3
+        assert args.alpha == (0.3,)
         assert args.prefix_len == 4
-        assert args.gamma == 5
+        assert args.gamma == (5,)
         assert args.temperature == 0.8
 
     def test_unknown_flag_is_usage_error(self):
@@ -62,6 +63,38 @@ class TestParser:
     def test_removed_flags_are_usage_errors(self):
         assert main(["decode", "--prompt", "1", "--draft-model", "noisy"]) == 2
         assert main(["sweep", "--prompt", "1", "--out", "r.csv", "--eta-grid", "0,1"]) == 2
+
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    @pytest.mark.parametrize(
+        "flag", [["--alpha", "abc"], ["--gamma", "5,x"], ["--strategy", "specsample,bogus"]]
+    )
+    def test_malformed_grid_value_is_usage_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "r.csv"
+        argv = [command, "--prompt", "1"] + (["--out", str(out)] if command == "sweep" else [])
+        assert main(argv + flag) == 2
+        assert f"argument {flag[0]}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_seed_grid_is_usage_error(self, tmp_path):
+        argv = ["sweep", "--prompt", "1", "--out", str(tmp_path / "r.csv"), "--seeds", "0,x"]
+        assert main(argv) == 2
+
+    def test_decode_and_sweep_define_the_same_setting_flags(self):
+        """The setting flags are defined once; each command adds only its own
+        output and run options."""
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def settings(name, own):
+            return [
+                (a.option_strings, a.default, a.help, a.choices)
+                for a in commands[name]._actions
+                if not set(a.option_strings) & own
+            ]
+
+        decode_settings = settings("decode", {"--out", "--full-stats", "--timing", "--verbose"})
+        assert decode_settings == settings("sweep", {"--seeds", "--out", "--format", "--jobs", "--timing"})
+        flags = {f for option_strings, *_ in decode_settings for f in option_strings}
+        assert {"--alpha", "--strategy", "--prompt", "--prompt-file", "--template-file"} <= flags
 
 
 class TestDecodeCommand:
@@ -218,12 +251,47 @@ class TestDecodeCommand:
         assert main(argv + flag) == 1
         assert f"error: {flag[0][2:]} must lie in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--prompt", "1", "--alpha", "0.3,0.5"], "--alpha"),
+            (["--prompt", "1", "--gamma", "3,5"], "--gamma"),
+            (["--prompt", "1", "--strategy", "exact,typical"], "--strategy"),
+            (["--prompt", "1", "--eta", "0,1"], "--eta"),
+            (["--prompt", "1", "--prompt", "2"], "--prompt"),
+            (["--prompt-file", "TWO_LINES"], "--prompt-file"),
+            (["--prompt", "1", "--template-inline", "${draft}", "--template-inline", "${draft} 9 ${draft}"],
+             "--template-inline"),
+            (["--prompt", "1", "--template-inline", "${draft}", "--template-file", "TEMPLATE"],
+             "--template-file"),
+        ],
+    )
+    def test_second_setting_value_is_runtime_error_naming_it(self, tmp_path, capsys, extra, flag):
+        (tmp_path / "prompts.txt").write_text("1 2\n3 4\n", encoding="utf-8")
+        (tmp_path / "probe.txt").write_text("${draft} 9 ${prefix} ${draft}\n", encoding="utf-8")
+        paths = {"TWO_LINES": str(tmp_path / "prompts.txt"), "TEMPLATE": str(tmp_path / "probe.txt")}
+        argv = ["decode", "--max-tokens", "4"] + [paths.get(a, a) for a in extra]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: decode takes one value of")
+        assert flag in captured.err and captured.out == ""
+
     def test_timing_flag_adds_wall_time(self, capsys):
         argv = ["decode", "--prompt", "1 2", "--max-tokens", "4"]
         main(argv)
         assert "wall time" not in capsys.readouterr().out
         main(argv + ["--timing"])
         assert "wall time" in capsys.readouterr().out
+
+    def test_timing_covers_the_whole_decode_call(self, monkeypatch, capsys):
+        def slow_decode(*args, real=cli.decode):
+            time.sleep(0.05)  # inside the decode call, outside every step
+            return real(*args)
+
+        monkeypatch.setattr(cli, "decode", slow_decode)
+        assert main(["decode", "--prompt", "1 2", "--max-tokens", "4", "--timing"]) == 0
+        [line] = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wall time:")]
+        assert float(line.split()[2].rstrip("s")) >= 0.05
 
 
 class TestSweepCommand:
