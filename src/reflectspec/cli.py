@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=_grid(int), default="0", help="comma-separated seed grid")
     p_sweep.add_argument("--out", required=True, help="report file path")
     p_sweep.add_argument("--format", choices=REPORT_FORMATS, default="csv", help="report format")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes (>= 1)")
     p_sweep.add_argument(
         "--timing",
         action="store_true",
@@ -180,15 +180,29 @@ def _add_setting_args(p: argparse.ArgumentParser) -> None:
 
 
 def _grid(parse):
-    """An argparse type: comma-separated ``parse`` values, empty items skipped."""
+    """An argparse type: comma-separated ``parse`` values, empty items
+    skipped; a grid with no items is a usage error naming its flag."""
 
     def grid(text: str) -> tuple:
         try:
-            return tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+            values = tuple(parse(v.strip()) for v in text.split(",") if v.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {parse.__name__} grid: {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"grid {text!r} holds no values")
+        return values
 
     return grid
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _strategy(text: str) -> str:

@@ -236,6 +236,10 @@ class NgramModel(WindowModel):
     returned logits are exact log-probabilities:
 
         log((count(context, t) + smoothing) / (count(context) + smoothing * V))
+
+    Every context the corpus never holds has the same logits,
+    log(smoothing / (smoothing * V)): they are computed once at construction
+    and all such windows share that one read-only row.
     """
 
     def __init__(
@@ -269,11 +273,19 @@ class NgramModel(WindowModel):
             self._pair_counts.setdefault(ctx, {})[gram[-1]] = count
             self._ctx_counts[ctx] = self._ctx_counts.get(ctx, 0) + count
 
+        self._count_free = self._logits({}, 0)
+        self._count_free.flags.writeable = False
+
     def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+        pairs = self._pair_counts.get(window)
+        if pairs is None:
+            return self._count_free
+        return self._logits(pairs, self._ctx_counts[window])
+
+    def _logits(self, pairs: dict[int, int], total: int) -> np.ndarray:
         counts = np.zeros(self.vocab_size, dtype=np.float64)
-        for tok, c in self._pair_counts.get(window, {}).items():
+        for tok, c in pairs.items():
             counts[tok] = c
-        total = self._ctx_counts.get(window, 0)
         return np.log((counts + self.smoothing) / (total + self.smoothing * self.vocab_size))
 
 
@@ -420,12 +432,15 @@ def pair_models(
     ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
     ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
     model unrelated to the target. An eta or beta outside [0, 1], NaN
-    included, is rejected here under its own name.
+    included, is rejected here under its own name, and so is a marker
+    outside the vocabulary, whatever beta is.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")
     if not 0.0 <= beta <= 1.0:
         raise InvalidConfigError(f"beta must lie in [0, 1], got {beta!r}")
+    if not 0 <= marker < base.vocab_size:
+        raise InvalidConfigError(f"marker {marker} outside vocabulary of size {base.vocab_size}")
     draft = base if eta == 0 else BlendModel(base, noise, eta)
     target = ReflectionAwareModel(base, marker, beta) if beta > 0 else base
     return target, draft

@@ -35,3 +35,24 @@ def make_divergence_pair(
     eta=1 a draft unrelated to the target."""
     base = build_model(base_spec, corpus=corpus)
     return pair_models(base, divergence_noise_model(base_spec), eta, 0.0, 0)
+
+
+def recording_pool(started: list) -> type:
+    """A stand-in for ``concurrent.futures.ProcessPoolExecutor`` that appends
+    each pool's ``max_workers`` to ``started`` and maps in-process."""
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    return RecordingPool

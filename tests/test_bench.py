@@ -6,7 +6,7 @@ import multiprocessing
 import time
 
 import pytest
-from fixtures import make_divergence_pair
+from fixtures import make_divergence_pair, recording_pool
 
 from reflectspec import bench
 from reflectspec.bench import (
@@ -149,23 +149,8 @@ class TestSweep:
         """A fork pool starts all its workers at the first submit, so the
         pool size is what the sweep asks for. The stand-in runs in-process."""
         started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
         monkeypatch.setattr(bench, "_worker_runner", None)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
         spec = make_spec(alphas=alphas, prompts=((1, 2, 3),), max_new_tokens=8)
         rows = run_sweep(spec, jobs=jobs)
         assert started == [workers]

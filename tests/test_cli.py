@@ -1,11 +1,13 @@
 """CLI contract tests: flags, defaults, exit codes, and output plumbing."""
 
+import concurrent.futures
 import json
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from fixtures import recording_pool
 
 from reflectspec import bench, cli
 from reflectspec.bench import read_report
@@ -50,6 +52,19 @@ class TestParser:
         assert args.prefix_len == 4
         assert args.gamma == (5,)
         assert args.temperature == 0.8
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in ("decode", "sweep") for f in ("--alpha", "--gamma", "--strategy", "--eta")]
+        + [("sweep", "--seeds")],
+    )
+    def test_empty_grid_is_usage_error_naming_the_flag(self, tmp_path, capsys, command, flag):
+        argv = [command, "--prompt", "1 2 3", "--max-tokens", "4", flag, " , "]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "report.csv")]
+        assert main(argv) == 2
+        assert f"error: argument {flag}: grid ' , ' holds no values" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["decode", "--bogus"]) == 2
@@ -229,6 +244,9 @@ class TestDecodeCommand:
             (["--seed", str(2**63)], f"seed must lie in [-2**63, 2**63), got {2**63}"),
             (["--seed", "99999999999999999999999"], "seed must lie in [-2**63, 2**63), got 99999999999999999999999"),
             (["--seed", "-5"], "seed must be >= 0, got -5"),
+            # The marker is checked whether or not beta builds the wrapper.
+            (["--marker", "999"], "marker 999 outside vocabulary of size 64"),
+            (["--marker", "-3", "--beta", "0.5"], "marker -3 outside vocabulary of size 64"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -351,6 +369,16 @@ class TestSweepCommand:
         assert main(argv + ["--strategy", "exact,"]) == 0
         assert len(read_report(out, "csv")) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
+        out = tmp_path / "report.csv"
+        argv = ["sweep", "--prompt", "1 2 3", "--alpha", "0,0.3", "--max-tokens", "4"]
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 2
+        assert f"error: argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_negative_beta_fails_every_cell(self, tmp_path, capsys, jobs):
         out = tmp_path / "report.csv"
@@ -372,6 +400,7 @@ class TestSweepCommand:
             (["--smoothing", "nan"], "smoothing must be finite and > 0, got nan"),
             (["--smoothing", "-5"], "smoothing must be finite and > 0, got -5.0"),
             (["--seed", "99999999999999999999999"], "seed must lie in [-2**63, 2**63), got 99999999999999999999999"),
+            (["--marker", "999"], "marker 999 outside vocabulary of size 64"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):

@@ -1,5 +1,6 @@
 """Backend and session tests: determinism, causality, cache consistency."""
 
+import itertools
 import math
 from array import array
 
@@ -188,23 +189,26 @@ class TestTableModel:
             TableModel(8, seed=seed)
 
 
-def distinct_windows(vocab, order, count, seed):
-    """``count`` distinct token windows: every one-token window (a context
-    at a sequence start) below ``min(vocab, 8)``, then random ``order``-token
-    windows."""
+def distinct_windows(vocab, order, count, seed, held=()):
+    """``count`` distinct token windows: ``count // 2`` drawn from ``held``
+    (all of them if fewer), every one-token window (a context at a sequence
+    start) below ``min(vocab, 8)``, then random ``order``-token windows."""
     rng = make_rng(seed)
-    windows = {(a,) for a in range(min(vocab, 8))}
+    held = sorted(tuple(w) for w in held)
+    picks = rng.choice(len(held), min(len(held), count // 2), replace=False) if held else ()
+    windows = {held[i] for i in picks} | {(a,) for a in range(min(vocab, 8))}
     while len(windows) < count:
         windows.add(tuple(int(t) for t in rng.integers(0, vocab, size=order)))
     return [list(w) for w in sorted(windows)]
 
 
-def assert_memo_matches_fresh(m, fresh_logits, vocab, seed):
-    """Query more distinct windows than ``m``'s memo holds, twice in
-    shuffled order and once more under a longer context, each against
-    ``fresh_logits(window)``; the memo ends full."""
+def assert_memo_matches_fresh(m, fresh_logits, vocab, seed, held=()):
+    """Query more distinct windows than ``m``'s memo holds, half of them
+    from ``held`` if it has that many, twice in shuffled order and once more
+    under a longer context, each against ``fresh_logits(window)``; the memo
+    ends full. Returns the windows."""
     capacity = memo_windows(vocab)
-    windows = distinct_windows(vocab, m.order, 2 * capacity, seed)
+    windows = distinct_windows(vocab, m.order, 2 * capacity, seed, held)
     assert len(windows) > capacity
     rng = make_rng(seed + 1)
     for _ in range(2):
@@ -215,6 +219,7 @@ def assert_memo_matches_fresh(m, fresh_logits, vocab, seed):
             if len(w) == m.order:
                 assert np.array_equal(m.next_logits([int(rng.integers(vocab))] + w), fresh)
     assert len(m._memo) == capacity
+    return windows
 
 
 def assert_memo_stays_bounded(m, vocab):
@@ -422,21 +427,53 @@ class TestNgramDifferential:
             NgramModel([0, -1], 4, order=1)
 
 
-def ngram_memo_model(vocab=8):
+class TestNgramCountFreeRow:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab=st.integers(2, 700) | st.just(401),
+        order=st.integers(1, 3),
+        smoothing=st.floats(0.01, 4.0),
+        data=st.data(),
+    )
+    def test_count_free_windows_share_one_read_only_row(self, vocab, order, smoothing, data):
+        token = st.integers(0, vocab - 1)
+        corpus = data.draw(st.lists(st.lists(token, min_size=1, max_size=30), min_size=1, max_size=4))
+        windows = data.draw(st.lists(st.lists(token, min_size=1, max_size=order), max_size=40))
+        m = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
+        pair_counts, ctx_counts = ref_ngram_counts(corpus, order)
+        unheld = (list(w) for w in itertools.product(range(vocab), repeat=order) if w not in pair_counts)
+        free = [w for w in windows if tuple(w) not in pair_counts] + list(itertools.islice(unheld, 1))
+        if not free:
+            return  # the corpus holds every window
+        row = m.next_logits(free[0])
+        assert not row.flags.writeable
+        assert np.array_equal(row, ref_ngram_logits(pair_counts, ctx_counts, free[0], vocab, order, smoothing))
+        assert all(m.next_logits(w) is row for w in free + free[::-1])
+        for held in pair_counts:
+            assert m.next_logits(list(held)) is not row
+
+
+def ngram_memo_model(vocab=8, documents=5):
     rng = make_rng(9)
-    docs = [random_context(rng, vocab, 40) for _ in range(5)]
+    docs = [random_context(rng, vocab, 40) for _ in range(documents)]
     return NgramModel(docs, vocab, order=2, smoothing=0.5), docs
 
 
 class TestNgramMemo:
     def test_matches_fresh_instance_in_shuffled_order_and_after_eviction(self):
+        # Every count-free window returns the same shared row, so only
+        # windows the corpus holds can show the memo confusing two windows:
+        # at least half the queried windows are held ones.
         for vocab in (64, 1024):
-            m, docs = ngram_memo_model(vocab)
+            m, docs = ngram_memo_model(vocab, documents=120)
+            pair_counts, ctx_counts = ref_ngram_counts(docs, 2)
 
             def fresh(w):
-                return NgramModel(docs, vocab, order=2, smoothing=0.5).next_logits(w)
+                return ref_ngram_logits(pair_counts, ctx_counts, w, vocab, 2, 0.5)
 
-            assert_memo_matches_fresh(m, fresh, vocab, seed=3)
+            held = [w for w in pair_counts if w]
+            windows = assert_memo_matches_fresh(m, fresh, vocab, seed=3, held=held)
+            assert 2 * sum(tuple(w) in pair_counts for w in windows) >= len(windows)
 
     def test_never_exceeds_bound(self):
         for vocab in (64, 4096):
@@ -501,6 +538,13 @@ class TestDivergencePair:
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
         with pytest.raises(InvalidConfigError, match=rf"^beta must lie in \[0, 1\], got {beta!r}$"):
             pair_models(base, noise, 0.0, beta, 15)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("marker", [16, -1])
+    def test_pair_models_rejects_marker_outside_vocabulary_at_any_beta(self, beta, marker):
+        base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
+        with pytest.raises(InvalidConfigError, match=f"^marker {marker} outside vocabulary of size 16$"):
+            pair_models(base, noise, 0.0, beta, marker)
 
     def test_pair_models_endpoints(self):
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
