@@ -57,7 +57,7 @@ def generate_draft(
     """
     if gamma < 1:
         raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
-    if temperature < 0:
+    if not temperature >= 0:
         raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
     tokens: list[int] = []
     dists: list[np.ndarray] = []

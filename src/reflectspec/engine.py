@@ -8,13 +8,18 @@ draft tokens, and the bonus token is appended; nothing of the probe, the
 positional prefix replay, or the second draft copy survives in any cache.
 The bonus is part of the committed prefix for the next round, and its cached
 logits provide the first original distribution of the next step, so the next
-verification pass feeds exactly the assembled sequence.
+verification pass feeds exactly the assembled sequence. A vanilla step is a
+step with an empty draft: it feeds nothing and emits only its bonus, drawn
+from the target's cached p_0, through the same commit, cut and count.
 
 The draft session keeps the positions it drafted: drafting leaves it holding
 the committed prefix plus the first gamma - 1 draft tokens, and the same
 prune cuts it back to the committed prefix plus the accepted ones. The next
 step feeds it only what it never saw: the bonus token, or the last draft
-token and the bonus when all gamma drafts were accepted.
+token and the bonus when all gamma drafts were accepted. So every decode
+computes, on the target, ``prompt_len + sum(input_tokens_fed) + steps``
+positions (a bonus per step) and, on the draft, ``prompt_len +
+sum(draft_forward_count)``.
 
 A step's gamma + 1 verifier distributions are one ``(gamma + 1, V)`` array,
 from ``fuse`` or, without reflection, one block softmax.
@@ -83,8 +88,8 @@ class DecodeConfig:
             raise InvalidConfigError("max_new_tokens must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidConfigError("alpha must lie in [0, 1]")
-        if self.temperature < 0:
-            raise InvalidConfigError("temperature must be >= 0")
+        if not self.temperature >= 0:
+            raise InvalidConfigError(f"temperature must be >= 0, got {self.temperature!r}")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if self.entropy_source not in ENTROPY_SOURCES:
@@ -99,11 +104,11 @@ class StepStats:
     """The record of one step. tokens_emitted is accepted_n + 1 except on a
     final step truncated by the budget or an end-of-sequence token.
 
-    Under ``record_trace`` a speculative step also keeps its draft tokens,
-    its original logits (``original[i]`` predicts draft position i, as the
-    verification pass computed it) and the verifier's result; otherwise they
-    stay empty. The committed text the step started from is the prompt plus
-    the tokens all earlier steps emitted.
+    Under ``record_trace`` a step also keeps its draft tokens, its original
+    logits (``original[i]`` predicts draft position i, as the verification
+    pass computed it; a vanilla step keeps one row, for its bonus) and the
+    verifier's result; otherwise they stay empty. The committed text the
+    step started from is the prompt plus the tokens all earlier steps emitted.
     """
 
     accepted_n: int
@@ -168,8 +173,6 @@ def decode(
     rng = make_rng(config.seed)
     target_session = ModelSession(target)
     target_session.forward(prompt)
-    if config.strategy == "vanilla":
-        return _decode_vanilla(target_session, config, rng, len(prompt))
     draft_session = ModelSession(draft)
     draft_session.forward(prompt)
     committed = list(prompt)
@@ -177,30 +180,35 @@ def decode(
 
     while len(stats.output_tokens) < config.max_new_tokens:
         start = time.perf_counter()
-        # Feed the draft session the committed tokens it has not drafted.
-        pending = committed[len(draft_session) :]
-        draft_forwards = 0
-        if pending:
-            draft_session.forward(pending)
-            draft_forwards += len(pending)
-        bundle = generate_draft(draft_session, config.gamma, config.temperature, rng)
-        draft_forwards += bundle.draft_forward_count
-
-        if config.reflect:
-            layout = build_reflective_input(bundle, config.template, committed)
-            original, reflective = paired_forward(target_session, layout)
-            fused = fuse(original, reflective, config.alpha, config.temperature)
-            fed = len(layout.full_sequence)
+        if config.strategy == "vanilla":
+            # An empty draft: the step emits only its bonus, drawn from p_0.
+            draft_tokens, draft_forwards, fed = (), 0, 0
+            original = [target_session.last_logits]
+            bonus = sample(sampling_distribution(original[0], config.temperature), rng)
+            result = VerificationResult(bonus, ())
         else:
-            first = target_session.last_logits
-            original = [first] + target_session.forward(list(bundle.tokens))
-            fused = sampling_distribution(stack_rows(original), config.temperature)
-            fed = bundle.gamma
-        result = _verify(config, fused, original, bundle, rng)
+            # Feed the draft session the committed tokens it has not drafted.
+            pending = committed[len(draft_session) :]
+            if pending:
+                draft_session.forward(pending)
+            bundle = generate_draft(draft_session, config.gamma, config.temperature, rng)
+            draft_tokens = bundle.tokens
+            draft_forwards = len(pending) + bundle.draft_forward_count
+            if config.reflect:
+                layout = build_reflective_input(bundle, config.template, committed)
+                original, reflective = paired_forward(target_session, layout)
+                fused = fuse(original, reflective, config.alpha, config.temperature)
+                fed = len(layout.full_sequence)
+            else:
+                first = target_session.last_logits
+                original = [first] + target_session.forward(list(bundle.tokens))
+                fused = sampling_distribution(stack_rows(original), config.temperature)
+                fed = bundle.gamma
+            result = _verify(config, fused, original, bundle, rng)
 
         commit_and_prune(target_session, draft_session, fed, result)
 
-        step_tokens = list(bundle.tokens[: result.accepted_n]) + [result.bonus]
+        step_tokens = list(draft_tokens[: result.accepted_n]) + [result.bonus]
         kept = _cut(step_tokens, config, len(stats.output_tokens))
         wall = time.perf_counter() - start
         committed.extend(kept)
@@ -213,7 +221,7 @@ def decode(
             wall_time=wall,
         )
         if config.record_trace:
-            step.draft_tokens, step.original, step.result = bundle.tokens, original, result
+            step.draft_tokens, step.original, step.result = draft_tokens, original, result
         stats.steps.append(step)
         # A cut step is the last: the sessions keep its uncut tokens, and
         # nothing reads them again.
@@ -231,15 +239,16 @@ def commit_and_prune(
     """Prune both sessions to the accepted draft and commit the step's tokens.
 
     ``fed_len`` is the number of tokens the step's verification pass fed the
-    target: the whole reflective layout, or the draft alone on a plain step.
-    Both sessions are truncated back to the committed prefix plus the
-    accepted draft tokens. On the target this drops the rejected draft
-    tokens and, on a reflective step, the probe, the prefix replay, and the
-    entire second copy; the bonus token is then appended by the next
-    forward, leaving its logits cached for the following step. The draft
-    session, which holds the committed prefix plus the first gamma - 1
-    drafts, loses the rejected drafts and keeps the accepted ones; when all
-    gamma were accepted it is already shorter and stays as it is.
+    target: the whole reflective layout, the draft alone on a plain step, or
+    0 on a vanilla step. Both sessions are truncated back to the committed
+    prefix plus the accepted draft tokens. On the target this drops the
+    rejected draft tokens and, on a reflective step, the probe, the prefix
+    replay, and the entire second copy; the bonus token is then appended by
+    the next forward, leaving its logits cached for the following step. The
+    draft session, which holds the committed prefix plus the first gamma - 1
+    drafts (only the prompt on a vanilla decode), loses the rejected drafts
+    and keeps the accepted ones; when all gamma were accepted it is already
+    shorter and stays as it is.
     """
     committed_before = len(target_session) - fed_len
     if committed_before < 0:
@@ -249,35 +258,6 @@ def commit_and_prune(
     target_session.forward([result.bonus])
     if len(draft_session) > keep:
         draft_session.truncate(keep)
-
-
-def _decode_vanilla(
-    target_session: ModelSession,
-    config: DecodeConfig,
-    rng: np.random.Generator,
-    prompt_len: int,
-) -> tuple[list[int], RunStats]:
-    """Plain autoregressive decoding: one token per forward pass."""
-    stats = RunStats(prompt_len=prompt_len)
-    while len(stats.output_tokens) < config.max_new_tokens:
-        start = time.perf_counter()
-        dist = sampling_distribution(target_session.last_logits, config.temperature)
-        token = sample(dist, rng)
-        target_session.forward([token])
-        wall = time.perf_counter() - start
-        stats.output_tokens.append(token)
-        stats.steps.append(
-            StepStats(
-                accepted_n=0,
-                tokens_emitted=1,
-                draft_forward_count=0,
-                input_tokens_fed=1,
-                wall_time=wall,
-            )
-        )
-        if token == config.eos_token:
-            break
-    return list(stats.output_tokens), stats
 
 
 def _verify(

@@ -170,7 +170,7 @@ def sampling_distribution(logits: Sequence[float] | np.ndarray, temperature: flo
     temperature 0 is the greedy limit, a one-hot on each row's argmax (lowest
     id wins ties).
     """
-    if temperature < 0:
+    if not temperature >= 0:
         raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
     if temperature == 0:
         arr = validate_logits(logits)

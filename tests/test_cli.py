@@ -234,6 +234,8 @@ class TestDecodeCommand:
             (["--eos-token", "999"], "eos_token 999 outside vocabulary of size 64"),
             (["--eos-token", "-3"], "eos_token -3 outside vocabulary of size 64"),
             (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
+            (["--temperature", "nan"], "temperature must be >= 0, got nan"),
+            (["--temperature", "-1"], "temperature must be >= 0, got -1.0"),
             (["--beta", "1.5"], "beta must lie in [0, 1], got 1.5"),
             (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
             # The default target is a table model, which never reads smoothing.
@@ -395,6 +397,8 @@ class TestSweepCommand:
             (["--eta", "1.5"], "eta must lie in [0, 1], got 1.5"),
             (["--eos-token", "999"], "eos_token 999 outside vocabulary of size 64"),
             (["--temperature", "1e-310"], "temperature 1e-310 is too small for logits"),
+            (["--temperature", "nan"], "temperature must be >= 0, got nan"),
+            (["--temperature", "-1"], "temperature must be >= 0, got -1.0"),
             (["--beta", "1.5"], "beta must lie in [0, 1], got 1.5"),
             (["--beta", "nan"], "beta must lie in [0, 1], got nan"),
             (["--smoothing", "nan"], "smoothing must be finite and > 0, got nan"),

@@ -84,6 +84,12 @@ def test_negative_temperature_rejected():
         generate_draft(s, 2, -1.0, make_rng(0))
 
 
+def test_nan_temperature_rejected_naming_it():
+    s = fresh_session()
+    with pytest.raises(InvalidConfigError, match="^temperature must be >= 0, got nan$"):
+        generate_draft(s, 2, float("nan"), make_rng(0))
+
+
 class CoarseModel(Model):
     """``inner``'s logits floored to integers, so rows tie at their maximum."""
 

@@ -68,12 +68,8 @@ def counted_decode(target, draft, prompt, config):
     draft computes the prompt and its counted forwards."""
     t, d = CountingModel(target), CountingModel(draft)
     out, stats = decode(t, d, prompt, config)
-    if config.strategy == "vanilla":
-        # No draft; each step's one fed token is the token it sampled.
-        assert (t.calls, d.calls) == (stats.prompt_len + stats.total_input_tokens, 0)
-    else:
-        assert t.calls == stats.prompt_len + stats.total_input_tokens + stats.num_steps
-        assert d.calls == stats.prompt_len + stats.total_draft_forwards
+    assert t.calls == stats.prompt_len + stats.total_input_tokens + stats.num_steps
+    assert d.calls == stats.prompt_len + stats.total_draft_forwards
     return out, stats
 
 
@@ -153,7 +149,7 @@ class TestForcedAcceptance:
         out, stats = decode(model, model, [1, 2], config)
         assert mean_accepted_tokens(stats) == 1.0
         assert len(out) == 30
-        assert all(s.input_tokens_fed == 1 for s in stats.steps)
+        assert all(s.input_tokens_fed == 0 for s in stats.steps)
 
 
 class TestDeterminism:
@@ -614,10 +610,19 @@ class TestTraceTransparency:
         assert runs[True][:2] == runs[False][:2]
         for step in runs[False][2]:
             assert (step.draft_tokens, step.original, step.result) == ((), None, None)
-        if strategy != "vanilla":
-            for step in runs[True][2]:
+        output, fresh_target, emitted = runs[True][0][0], copy_pair()[0], 0
+        for step in runs[True][2]:
+            assert step.result.accepted_n == step.accepted_n
+            if strategy == "vanilla":
+                # An empty draft: one row of p_0's logits, and the bonus emitted.
+                context = prompt + output[:emitted]
+                assert step.draft_tokens == ()
+                assert len(step.original) == 1
+                assert np.array_equal(step.original[0], fresh_target.next_logits(context))
+                assert step.result.bonus == output[emitted]
+            else:
                 assert len(step.draft_tokens) == len(step.original) - 1 == 4
-                assert step.result.accepted_n == step.accepted_n
+            emitted += step.tokens_emitted
 
 
 class TestValidation:
@@ -649,6 +654,11 @@ class TestValidation:
             DecodeConfig(max_new_tokens=0)
         with pytest.raises(InvalidConfigError):
             DecodeConfig(entropy_source="bogus")
+
+    @pytest.mark.parametrize("temperature, shown", [(-1, "-1"), (float("nan"), "nan")])
+    def test_out_of_range_temperature_rejected_naming_it(self, temperature, shown):
+        with pytest.raises(InvalidConfigError, match=f"^temperature must be >= 0, got {shown}$"):
+            DecodeConfig(temperature=temperature)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfigError, match="^seed must be >= 0, got -1$"):

@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from reflectspec.engine import DecodeConfig
+from reflectspec.models import TableModel
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
 
@@ -57,3 +60,15 @@ def test_workloads_build_and_run_under_the_tracer(perfbench):
     assert tracer.decodes == 2
     # Plain and reflective steps both commit through commit_and_prune.
     assert tracer.counts["commit_and_prune"] == tracer.counts["steps"] > 0
+
+
+def test_traced_check_takes_a_vanilla_decode(perfbench):
+    # Vanilla steps feed nothing and emit their bonus through the one commit
+    # path, so the benchmark's position identity holds for them too.
+    spans, _ = perfbench
+    tracer = spans.Tracer()
+    config = DecodeConfig(strategy="vanilla", max_new_tokens=5)
+    with tracer.installed():
+        output, stats = spans.traced_decode(tracer, TableModel(16), TableModel(16), [1, 2, 3], config)
+    assert len(output) == stats.num_steps == 5
+    assert tracer.counts["commit_and_prune"] == tracer.counts["steps"] == 5

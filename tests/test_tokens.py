@@ -126,6 +126,10 @@ class TestSamplingDistribution:
         with pytest.raises(InvalidConfigError):
             sampling_distribution(np.zeros(2), -0.5)
 
+    def test_nan_temperature_rejected_naming_it(self):
+        with pytest.raises(InvalidConfigError, match="^temperature must be >= 0, got nan$"):
+            sampling_distribution(np.zeros(2), float("nan"))
+
     def test_positive_temperature_matches_softmax(self):
         logits = np.array([0.1, -2.0, 1.0])
         assert np.array_equal(sampling_distribution(logits, 0.7), softmax(logits, 0.7))
