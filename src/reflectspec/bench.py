@@ -30,7 +30,7 @@ import io
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,23 +40,6 @@ from .models import Model, ModelSpec, build_model, divergence_noise_model, pair_
 from .reflective import ReflectiveTemplate
 from .tokens import derive_seed
 
-REPORT_COLUMNS = (
-    "alpha",
-    "gamma",
-    "strategy",
-    "eta",
-    "template",
-    "seed",
-    "prefix_len",
-    "temperature",
-    "num_prompts",
-    "total_steps",
-    "output_tokens",
-    "mat",
-    "acceptance_by_position",
-    "mean_input_budget",
-    "error",
-)
 TIMING_COLUMNS = ("tokens_per_s", "wall_time_s")
 REPORT_FORMATS = ("csv", "json")
 
@@ -141,6 +124,8 @@ class SweepSpec:
 
 @dataclass
 class ReportRow:
+    """One sweep cell's report row. The field order is the column order."""
+
     alpha: float
     gamma: int
     strategy: str
@@ -164,6 +149,9 @@ class ReportRow:
         out = {c: getattr(self, c) for c in columns}
         out["acceptance_by_position"] = list(self.acceptance_by_position)
         return out
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow) if f.name not in TIMING_COLUMNS)
 
 
 def sweep_cells(spec: SweepSpec) -> list[tuple[tuple[int, ...], tuple]]:

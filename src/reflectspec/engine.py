@@ -83,11 +83,11 @@ class DecodeConfig:
         if self.strategy not in STRATEGIES:
             raise InvalidConfigError(f"unknown strategy {self.strategy!r}")
         if self.gamma < 1:
-            raise InvalidConfigError("gamma must be >= 1")
+            raise InvalidConfigError(f"gamma must be >= 1, got {self.gamma}")
         if self.max_new_tokens < 1:
-            raise InvalidConfigError("max_new_tokens must be >= 1")
+            raise InvalidConfigError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidConfigError("alpha must lie in [0, 1]")
+            raise InvalidConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not self.temperature >= 0:
             raise InvalidConfigError(f"temperature must be >= 0, got {self.temperature!r}")
         if self.seed < 0:

@@ -229,11 +229,12 @@ class TableModel(WindowModel):
 class NgramModel(WindowModel):
     """Count-based backend with additive smoothing.
 
-    ``order`` is the context length: predictions condition on up to ``order``
-    trailing tokens, falling back to however many are available. Counts are
-    gathered per document, for every context length from 0 to ``order``, so
-    short queries near a sequence start still hit real statistics. The
-    returned logits are exact log-probabilities:
+    ``corpus`` is a sequence of documents, each a sequence of token ids;
+    empty documents are skipped. ``order`` is the context length: predictions
+    condition on up to ``order`` trailing tokens, falling back to however many
+    are available. Counts are gathered per document, for every context length
+    from 0 to ``order``, so short queries near a sequence start still hit real
+    statistics. The returned logits are exact log-probabilities:
 
         log((count(context, t) + smoothing) / (count(context) + smoothing * V))
 
@@ -244,14 +245,14 @@ class NgramModel(WindowModel):
 
     def __init__(
         self,
-        corpus: Sequence[int] | Sequence[Sequence[int]],
+        corpus: Sequence[Sequence[int]],
         vocab_size: int,
         order: int = 2,
         smoothing: float = 1.0,
     ):
         _check_smoothing(smoothing)
         super().__init__(vocab_size, order)
-        docs = _as_documents(corpus)
+        docs = [[int(t) for t in doc] for doc in corpus if len(doc) > 0]
         if not docs:
             raise InvalidConfigError("corpus must be non-empty")
         for doc in docs:
@@ -401,15 +402,6 @@ def memo_windows(vocab_size: int) -> int:
     return max(MEMO_MIN_WINDOWS, MEMO_BYTES // (8 * vocab_size))
 
 
-def _as_documents(corpus: Sequence[int] | Sequence[Sequence[int]]) -> list[list[int]]:
-    items = list(corpus)
-    if not items:
-        return []
-    if isinstance(items[0], (int, np.integer)):
-        return [[int(t) for t in items]]
-    return [[int(t) for t in doc] for doc in items if len(doc) > 0]
-
-
 def divergence_noise_model(base_spec: ModelSpec) -> TableModel:
     """The independent noise backend paired with a base model.
 
@@ -447,7 +439,7 @@ def pair_models(
 
 
 def build_model(
-    spec: ModelSpec, corpus: Sequence[int] | Sequence[Sequence[int]] | None = None
+    spec: ModelSpec, corpus: Sequence[Sequence[int]] | None = None
 ) -> Model:
     """Construct a base backend from its spec.
 

@@ -1,24 +1,25 @@
 """Built-in oracle suite, runnable without a test framework.
 
-These checks re-derive the package's core guarantees from first principles:
-the enumeration proof that speculative sampling is unbiased, the residual
-distribution identities, the entropy-threshold law, and the two-copy layout
-arithmetic. The CLI exposes them as the ``selftest`` subcommand and exits
-nonzero if any check fails.
+Four checks re-derive laws no decode checks as it runs: the enumeration
+proof that a speculative-sampling step is unbiased, the residual identities,
+the entropy-threshold law, and the exact law of a whole speculative decode,
+which must equal the target's autoregressive law. The CLI exposes them as
+the ``selftest`` subcommand and exits nonzero if any check fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drafting import DraftBundle
 from .errors import DegenerateResidualError
-from .reflective import ReflectiveTemplate, build_reflective_input
-from .tokens import make_rng, one_hot
+from .models import BlendModel, ReflectionAwareModel, TableModel
+from .tokens import make_rng, sampling_distribution
 from .verification import (
     exact_step_distribution,
     residual_distribution,
@@ -106,38 +107,54 @@ def check_typical_thresholds(count: int = 200, seed: int = 11) -> CheckResult:
     )
 
 
-def check_layout(cases: int = 500, seed: int = 23) -> CheckResult:
-    """Two-copy layout invariants over random shapes, plus the 5+3+4+5 case."""
-    rng = make_rng(seed)
-    vocab = 32
-    for _ in range(cases):
-        gamma = int(rng.integers(1, 11))
-        prompt_len = int(rng.integers(0, 13))
-        prefix_len = int(rng.integers(0, 7))
-        committed = [int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 20))]
-        draft_tokens = tuple(int(t) for t in rng.integers(0, vocab, size=gamma))
-        bundle = DraftBundle(draft_tokens, tuple(one_hot(t, vocab) for t in draft_tokens))
-        template = ReflectiveTemplate(
-            prompt_tokens=tuple(int(t) for t in rng.integers(0, vocab, size=prompt_len)),
-            prefix_len=prefix_len,
-        )
-        layout = build_reflective_input(bundle, template, committed)
-        seq = layout.full_sequence
-        actual_prefix = min(prefix_len, len(committed))
-        if layout.shift_len != gamma + prompt_len + actual_prefix:
-            return CheckResult("layout", False, "shift_len mismatch")
-        if len(seq) != layout.shift_len + gamma:
-            return CheckResult("layout", False, "budget != sequence length")
-        for i in range(gamma):
-            if seq[i] != seq[i + layout.shift_len]:
-                return CheckResult("layout", False, "draft copies differ")
-    # 5-token draft, 3-token probe, 4-token prefix: budget must be 17.
-    bundle = DraftBundle(tuple(range(5)), tuple(one_hot(t, vocab) for t in range(5)))
-    template = ReflectiveTemplate(prompt_tokens=(20, 21, 22), prefix_len=4)
-    layout = build_reflective_input(bundle, template, [10, 11, 12, 13, 14, 15])
-    if len(layout.full_sequence) != 17:
-        return CheckResult("layout", False, f"5+3+4+5 budget was {len(layout.full_sequence)}")
-    return CheckResult("layout", True, f"{cases} random shapes plus the 5+3+4+5 = 17 case")
+def check_decode_law(length: int = 3, temperature: float = 0.8) -> CheckResult:
+    """A whole speculative-sampling decode emits the target's own law.
+
+    ``law(ctx, n, gamma)`` is the exact law of the next ``n`` tokens after
+    ``ctx``, over every draft prefix weighted by q, accept count and bonus,
+    with the step that crosses the budget cut. At gamma 0 it is the target's
+    autoregressive law. The marker (2) enters the text, so the copy rule fires.
+    """
+    base = TableModel(3, seed=11)
+    target = ReflectionAwareModel(base, 2, 0.5)
+    draft = BlendModel(base, TableModel(3, seed=12), 0.4)
+
+    @functools.cache
+    def law(ctx: tuple[int, ...], n: int, gamma: int) -> dict[tuple[int, ...], float]:
+        if n <= 0:
+            return {(): 1.0}
+        out: dict[tuple[int, ...], float] = defaultdict(float)
+
+        def emit(tokens: tuple[int, ...], mass: float) -> None:
+            for rest, m in law(ctx + tokens, n - len(tokens), gamma).items():
+                out[(tokens + rest)[:n]] += mass * m
+
+        def walk(accepted: tuple[int, ...], mass: float) -> None:
+            p = sampling_distribution(target.next_logits(ctx + accepted), temperature)
+            if len(accepted) == gamma:  # all drafts accepted: the bonus comes from p
+                for t, pt in enumerate(p):
+                    emit(accepted + (t,), mass * pt)
+                return
+            q = sampling_distribution(draft.next_logits(ctx + accepted), temperature)
+            rejected = 0.0
+            for t, qt in enumerate(q):
+                ratio = min(1.0, p[t] / qt)
+                walk(accepted + (t,), mass * qt * ratio)
+                rejected += mass * qt * (1.0 - ratio)
+            for t, rt in enumerate(residual_distribution(p, q)):
+                emit(accepted + (t,), rejected * rt)
+
+        walk((), 1.0)
+        return out
+
+    start = time.perf_counter()
+    # The target gives every token mass, so ``want`` holds every output.
+    want, *laws = (law((0, 1), length, gamma) for gamma in range(4))
+    worst = max(float(abs(got.get(y, 0.0) - want[y])) for got in laws for y in want)
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-12 and elapsed < 5.0
+    detail = f"gamma 1-3 vs 0 over {len(want)} outputs, max error {worst:.3e}, {elapsed:.2f}s"
+    return CheckResult("decode-law", ok, detail)
 
 
 def run_all() -> list[CheckResult]:
@@ -145,5 +162,5 @@ def run_all() -> list[CheckResult]:
         check_unbiasedness(),
         check_residual(),
         check_typical_thresholds(),
-        check_layout(),
+        check_decode_law(),
     ]

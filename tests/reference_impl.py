@@ -181,15 +181,11 @@ def ref_copy_target(context, marker):
 def ref_ngram_counts(corpus, order):
     """Context and (context, token) counts of ``NgramModel``, by a plain loop.
 
-    ``corpus`` is one flat token list or a list of documents (empty ones
-    skipped). Every token is counted after each of its trailing contexts of
-    length 0 to ``order`` that lie inside its document.
+    ``corpus`` is a list of documents (empty ones skipped). Every token is
+    counted after each of its trailing contexts of length 0 to ``order`` that
+    lie inside its document.
     """
-    items = list(corpus)
-    if items and isinstance(items[0], (int, np.integer)):
-        docs = [[int(t) for t in items]]
-    else:
-        docs = [[int(t) for t in doc] for doc in items if len(doc) > 0]
+    docs = [[int(t) for t in doc] for doc in corpus if len(doc) > 0]
     pair_counts = {}
     ctx_counts = {}
     for doc in docs:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import json
 import multiprocessing
 import time
 
@@ -10,8 +11,6 @@ from fixtures import make_divergence_pair, recording_pool
 
 from reflectspec import bench
 from reflectspec.bench import (
-    REPORT_COLUMNS,
-    TIMING_COLUMNS,
     SweepSpec,
     cell_seed,
     decode_stats_dict,
@@ -311,12 +310,20 @@ class TestSweepModels:
 
 class TestReports:
     def test_csv_header_fixed(self, tmp_path):
+        # The column order README's "Reports and stats files" section states.
+        columns = (
+            "alpha,gamma,strategy,eta,template,seed,prefix_len,temperature,num_prompts,"
+            "total_steps,output_tokens,mat,acceptance_by_position,mean_input_budget,error"
+        )
+        timed = columns + ",tokens_per_s,wall_time_s"
         rows = run_sweep(make_spec(prompts=((1, 2, 3),), max_new_tokens=8))
         path = emit_report(rows, "csv", tmp_path / "r.csv")
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(REPORT_COLUMNS)
-        with_timing = render_report(rows, "csv", include_timing=True).splitlines()[0]
-        assert with_timing == ",".join(REPORT_COLUMNS + TIMING_COLUMNS)
+        assert path.read_text().splitlines()[0] == columns
+        assert render_report(rows, "csv", include_timing=True).splitlines()[0] == timed
+        [record] = json.loads(render_report(rows, "json"))
+        assert ",".join(record) == columns
+        [record] = json.loads(render_report(rows, "json", include_timing=True))
+        assert ",".join(record) == timed
 
     def test_json_round_trip(self, tmp_path):
         rows = run_sweep(make_spec(prompts=((1, 2, 3),), alphas=(0.0, 0.3), max_new_tokens=8))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from fixtures import recording_pool
 
-from reflectspec import bench, cli
+from reflectspec import bench, cli, verification
 from reflectspec.bench import read_report
 from reflectspec.cli import build_parser, main
+from reflectspec.selftest import check_decode_law
 
 DOCUMENTED_FLAGS = [
     "--target-model",
@@ -249,6 +250,10 @@ class TestDecodeCommand:
             # The marker is checked whether or not beta builds the wrapper.
             (["--marker", "999"], "marker 999 outside vocabulary of size 64"),
             (["--marker", "-3", "--beta", "0.5"], "marker -3 outside vocabulary of size 64"),
+            (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
+            (["--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
+            (["--gamma", "0"], "gamma must be >= 1, got 0"),
+            (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -405,12 +410,17 @@ class TestSweepCommand:
             (["--smoothing", "-5"], "smoothing must be finite and > 0, got -5.0"),
             (["--seed", "99999999999999999999999"], "seed must lie in [-2**63, 2**63), got 99999999999999999999999"),
             (["--marker", "999"], "marker 999 outside vocabulary of size 64"),
+            (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
+            (["--gamma", "0"], "gamma must be >= 1, got 0"),
+            (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):
         out = tmp_path / "report.csv"
-        argv = ["sweep", "--prompt", "1 2 3", "--alpha", "0,0.3", "--strategy", "exact,vanilla"]
-        assert main(argv + flag + ["--max-tokens", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        # The four cells come from the seed and strategy grids, which no flag
+        # under test sets, and the flag comes last, so it overrides a default.
+        argv = ["sweep", "--prompt", "1 2 3", "--seeds", "0,1", "--strategy", "exact,vanilla"]
+        assert main(argv + ["--max-tokens", "4", "--jobs", jobs, "--out", str(out)] + flag) == 0
         rows = read_report(out, "csv")
         assert len(rows) == 4
         assert all(r["error"].startswith(f"InvalidConfigError: {message}") for r in rows)
@@ -551,9 +561,33 @@ class TestOnePair:
         assert replace(configs["decode"], seed=0) == replace(configs["sweep"], seed=0)
 
 
+def biased_residual(p, q, real=verification._residual):
+    """The residual with a tenth of its mass moved to the uniform law."""
+    return 0.9 * real(p, q) + 0.1 / p.size
+
+
 class TestSelftest:
     def test_selftest_passes_on_clean_build(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
+        assert "[PASS] decode-law: " in out
         assert "[FAIL]" not in out
+
+    def test_decode_law_check_passes_within_time_bound(self):
+        start = time.perf_counter()
+        result = check_decode_law()
+        assert time.perf_counter() - start < 5.0
+        assert result.passed is True, result.detail
+
+    def test_decode_law_check_fails_on_biased_residual(self, monkeypatch):
+        monkeypatch.setattr(verification, "_residual", biased_residual)
+        result = check_decode_law()
+        assert result.passed is False, result.detail
+
+    def test_failing_check_exits_one_and_prints_fail(self, monkeypatch, capsys):
+        monkeypatch.setattr(verification, "_residual", biased_residual)
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert any(line.startswith("[FAIL] decode-law: ") for line in lines)

@@ -352,13 +352,13 @@ class TestNgramModel:
     def test_hand_count_repeated_token(self):
         # Corpus "a a a": after "a", P(a) = (2 + s) / (2 + s * V).
         for smoothing in (1.0, 0.25):
-            m = NgramModel([0, 0, 0], vocab_size=3, order=1, smoothing=smoothing)
+            m = NgramModel([[0, 0, 0]], vocab_size=3, order=1, smoothing=smoothing)
             p = math.exp(m.next_logits([0])[0])
             assert abs(p - (2 + smoothing) / (2 + smoothing * 3)) < 1e-12
 
     def test_hand_count_alternating(self):
         # Corpus "a b a b", order 2: after "a" the mass concentrates on "b".
-        m = NgramModel([0, 1, 0, 1], vocab_size=2, order=2, smoothing=1.0)
+        m = NgramModel([[0, 1, 0, 1]], vocab_size=2, order=2, smoothing=1.0)
         dist = softmax(m.next_logits([0]), 1.0)
         assert np.argmax(dist) == 1
         assert abs(dist[1] - 3 / 4) < 1e-12
@@ -392,14 +392,15 @@ class TestNgramModel:
 def ngram_cases(draw):
     """(corpus, vocab, order, smoothing, contexts) with edge cases drawn
     explicitly: tokens 0 and V-1, documents shorter than the order, single
-    tokens, empty documents, and flat as well as nested corpora."""
+    tokens, empty documents, and one-document as well as many-document
+    corpora."""
     vocab = draw(st.integers(2, 12))
     order = draw(st.integers(1, 3))
     token = st.one_of(st.just(0), st.just(vocab - 1), st.integers(0, vocab - 1))
     short_doc = st.lists(token, min_size=1, max_size=order)
     doc = st.one_of(short_doc, st.lists(token, max_size=20))
     if draw(st.booleans()):
-        corpus = draw(st.lists(token, min_size=1, max_size=30))
+        corpus = [draw(st.lists(token, min_size=1, max_size=30))]
     else:
         corpus = draw(st.lists(doc, min_size=1, max_size=6).filter(lambda ds: any(ds)))
     smoothing = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 4.0))
@@ -424,7 +425,7 @@ class TestNgramDifferential:
         with pytest.raises(InvalidTokenError, match="corpus token 4 "):
             NgramModel([[0, 1], [2, 4, 5]], 4, order=1)
         with pytest.raises(InvalidTokenError, match="corpus token -1 "):
-            NgramModel([0, -1], 4, order=1)
+            NgramModel([[0, -1]], 4, order=1)
 
 
 class TestNgramCountFreeRow:

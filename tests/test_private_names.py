@@ -1,8 +1,9 @@
-"""Every module-level private name in the package is used somewhere in it.
+"""Every module-level private name in the package is used somewhere in it,
+and every module-level import is read by its module.
 
-A private helper that nothing in ``src/`` calls any more is dead code; this
-test names it. It reads the sources with the standard ``ast`` module, so no
-linter is needed.
+A private helper that nothing in ``src/`` calls any more is dead code, and
+so is an import its module never reads; these tests name them. They read the
+sources with the standard ``ast`` module, so no linter is needed.
 """
 
 import ast
@@ -51,3 +52,22 @@ def test_every_module_level_private_name_is_used():
         and not any(name in used for j, used in enumerate(uses) if j != i)
     ]
     assert unused == []
+
+
+def test_every_module_level_import_is_read():
+    # ``__init__.py`` imports to re-export; ``from __future__`` sets a flag.
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []
