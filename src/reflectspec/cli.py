@@ -9,7 +9,7 @@ seeded table model; with ``--corpus`` it builds a word tokenizer and
 count-based models from the file.
 
 ``decode`` and ``sweep`` take the same setting flags, defined once in
-``_add_setting_args``: grid flags take comma-separated values, and
+``_add_setting_args``: each grid flag takes one comma-separated grid, and
 templates and prompts repeat. ``build_spec`` turns them into a
 ``SweepSpec``; ``decode`` runs its one cell and refuses a second value of
 any setting. A decode is seeded with ``--seed`` itself, a sweep cell with a
@@ -19,6 +19,7 @@ stream derived from it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -84,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and write a report file")
     _add_setting_args(p_sweep)
-    p_sweep.add_argument("--seeds", type=_grid(int), default="0", help="comma-separated seed grid")
+    p_sweep.add_argument(
+        "--seeds", type=_grid(int), action=_Once, default="0", help="comma-separated seed grid"
+    )
     p_sweep.add_argument("--out", required=True, help="report file path")
     p_sweep.add_argument("--format", choices=REPORT_FORMATS, default="csv", help="report format")
     p_sweep.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes (>= 1)")
@@ -127,21 +130,25 @@ def _add_setting_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--corpus", help="corpus file: whitespace tokens, one document per line")
     p.add_argument(
-        "--alpha", type=_grid(float), default="0.3", help="comma-separated reflective fusion weights"
+        "--alpha", type=_grid(_finite), action=_Once, default="0.3",
+        help="comma-separated reflective fusion weights",
     )
     p.add_argument(
-        "--gamma", type=_grid(int), default="5", help="comma-separated draft tokens per step"
+        "--gamma", type=_grid(int), action=_Once, default="5",
+        help="comma-separated draft tokens per step",
     )
     p.add_argument(
         "--strategy",
         type=_grid(_strategy),
+        action=_Once,
         default="specsample",
         help=f"comma-separated verification strategies from {','.join(STRATEGIES)} "
         "(vanilla = no speculation)",
     )
     p.add_argument(
         "--eta",
-        type=_grid(float),
+        type=_grid(_finite),
+        action=_Once,
         default="0",
         help="comma-separated draft divergences: 0 drafts with the target's base, "
         "1 with an unrelated table",
@@ -159,7 +166,7 @@ def _add_setting_args(p: argparse.ArgumentParser) -> None:
         "--prompt", action="append", default=[], help="prompt text in the active tokenizer (repeatable)"
     )
     p.add_argument("--prompt-file", help="prompt set file, one prompt per line")
-    p.add_argument("--temperature", type=float, default=0.8, help="sampling temperature (0 = greedy)")
+    p.add_argument("--temperature", type=_finite, default=0.8, help="sampling temperature (0 = greedy)")
     p.add_argument("--epsilon", type=float, default=0.3, help="typical-sampling probability cap")
     p.add_argument("--delta", type=float, default=0.2, help="typical-sampling entropy scale")
     p.add_argument("--prefix-len", type=int, default=4, help="committed tokens replayed before the second copy")
@@ -193,6 +200,33 @@ def _grid(parse):
         return values
 
     return grid
+
+
+class _Once(argparse.Action):
+    """Stores a grid flag's values. A second use of the flag is a usage
+    error: argparse would keep only the last grid."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # Until the flag is given, the namespace holds its unparsed default.
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(
+                self,
+                f"given more than once; give all its values in one comma-separated "
+                f"grid, e.g. {option_string} a,b",
+            )
+        setattr(namespace, self.dest, values)
+
+
+def _finite(text: str) -> float:
+    """A float that a strict JSON report can hold: NaN and the infinities
+    are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _jobs(text: str) -> int:

@@ -23,7 +23,12 @@ oracle for the one-pass loop in ``reflectspec.drafting``.
 inline kernels, each categorical draw one ``ref_sample``. They return the
 package's ``VerificationResult`` and raise its ``DegenerateResidualError``,
 so the block verifiers can be compared with them field for field.
+
+``ref_table_logits`` is ``TableModel``'s formula seeded the plain way, from
+the window's integer seed through numpy's own ``SeedSequence``.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -176,6 +181,16 @@ def ref_copy_target(context, marker):
             if nxt != marker:
                 return nxt
     return None
+
+
+def ref_table_logits(seed, window, vocab):
+    """Logits of a ``TableModel`` with ``seed`` after ``window``: a blake2b
+    hash of the signed 64-bit seed and each token as 8 little-endian bytes
+    seeds ``PCG64``, which draws ``vocab`` uniforms in [-4, 4)."""
+    data = seed.to_bytes(8, "little", signed=True)
+    data += b"".join(int(t).to_bytes(8, "little") for t in window)
+    window_seed = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    return np.random.Generator(np.random.PCG64(window_seed)).uniform(-4.0, 4.0, size=vocab)
 
 
 def ref_ngram_counts(corpus, order):

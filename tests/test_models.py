@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fixtures import make_divergence_pair
-from reference_impl import ref_copy_target, ref_ngram_counts, ref_ngram_logits
+from reference_impl import ref_copy_target, ref_ngram_counts, ref_ngram_logits, ref_table_logits
 
 from reflectspec import models
 from reflectspec.errors import (
+    InternalConsistencyError,
     InvalidConfigError,
     InvalidTokenError,
     SessionRangeError,
@@ -27,6 +28,7 @@ from reflectspec.models import (
     build_model,
     memo_windows,
     pair_models,
+    seed_sequence_words,
     token_typecode,
 )
 from reflectspec.tokens import make_rng, softmax
@@ -341,6 +343,104 @@ class TestTableMemo:
         plain = m.next_logits([3, 1, 2])
         assert m.next_logits([np.int64(1), np.int64(2)]) is plain
         assert len(m._memo) == 1
+
+
+def all_windows(vocab, order):
+    """Every window of length 0 to ``order``, shortest first."""
+    return [w for n in range(order + 1) for w in itertools.product(range(vocab), repeat=n)]
+
+
+def fill_memo_once(m):
+    """Query distinct windows until ``m``'s memo has evicted once."""
+    for w in itertools.islice(all_windows(m.vocab_size, m.order), m._memo_windows + 1):
+        m.next_logits(list(w))
+
+
+class TestSeedTable:
+    """A ``TableModel`` whose window space is small enough precomputes every
+    window's seed words the first time its memo evicts; the logits stay
+    those of ``Generator(PCG64(window_seed))``, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, "random"])
+    def test_seed_sequence_words_match_numpy(self, seed):
+        if seed == "random":
+            seeds = [int(s) for s in make_rng(7).integers(0, 2**64, size=300, dtype=np.uint64)]
+            seeds += [int(s) for s in make_rng(8).integers(0, 2**32, size=100)]
+        else:
+            seeds = [seed]
+        words = seed_sequence_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for s, row in zip(seeds, words):
+            expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes(), s
+
+    @pytest.mark.parametrize("seed", [-(2**63), -1, 0, 2**63 - 1])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("vocab", [2, 3, 16, 64])
+    def test_window_logits_match_reference_before_and_after_the_table(
+        self, monkeypatch, vocab, order, seed
+    ):
+        # A one-window memo evicts on the second distinct window, whatever V.
+        monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 1)
+        m = TableModel(vocab, seed=seed, order=order)
+        windows = all_windows(vocab, order)
+        expected = [ref_table_logits(seed, w, vocab).tobytes() for w in windows]
+        assert [m.window_logits(w).tobytes() for w in windows] == expected
+        assert m._seed_words is None
+        fill_memo_once(m)
+        assert m._seed_words is not None and m._seed_words.shape == (len(windows), 4)
+        assert [m.window_logits(w).tobytes() for w in windows] == expected
+        for w, logits in zip(windows[1:], expected[1:]):
+            assert m.next_logits(list(w)).tobytes() == logits
+        # A token outside the vocabulary has no row: it is hashed as before.
+        for w in [(vocab,), (0, vocab + 5)][:order]:
+            assert m.window_logits(w).tobytes() == ref_table_logits(seed, w, vocab).tobytes()
+
+    def test_built_when_the_memo_first_evicts(self):
+        m = TableModel(64, seed=4, order=2)
+        for w in all_windows(64, 2)[1 : memo_windows(64) + 1]:
+            m.next_logits(list(w))
+        assert len(m._memo) == memo_windows(64) and m._seed_words is None
+        m.next_logits([63, 63])
+        assert len(m._memo) == memo_windows(64) and m._seed_words is not None
+        assert m._seed_words.dtype == np.uint64 and m._seed_words.nbytes == 32 * 4161
+
+    def test_a_memo_that_never_fills_builds_none(self):
+        m = TableModel(16, seed=4, order=2)
+        for _ in range(3):
+            for w in all_windows(16, 2)[1:]:
+                m.next_logits(list(w))
+        assert len(m._memo) == 272 < memo_windows(16)
+        assert m._seed_words is None
+
+    @pytest.mark.parametrize("vocab, order", [(401, 2), (64, 3)])
+    def test_large_window_spaces_never_build_one(self, vocab, order):
+        m = TableModel(vocab, seed=4, order=order)
+        for w in distinct_windows(vocab, order, memo_windows(vocab) + 50, seed=2):
+            m.next_logits(w)
+        assert len(m._memo) == memo_windows(vocab)
+        assert m._seed_words is None
+
+    @pytest.mark.parametrize("vocab, order, builds", [(127, 2, True), (128, 2, False), (2, 13, True)])
+    def test_table_fits_in_the_memo_budget(self, monkeypatch, vocab, order, builds):
+        # 32 bytes a window: 16,257 windows at V=127 and 16,383 at V=2 and
+        # order 13 fit in 512 KiB; 16,513 at V=128 do not.
+        monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 1)
+        m = TableModel(vocab, seed=4, order=order)
+        fill_memo_once(m)
+        assert (m._seed_words is not None) == builds
+
+    def test_seed_row_serves_only_pcg64s_request(self):
+        row = seed_sequence_words(np.array([5], dtype=np.uint64))[0]
+        assert models._SeedRow(row).generate_state(4, np.uint64) is row
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64)]:
+            with pytest.raises(InternalConsistencyError, match="seed row asked for"):
+                models._SeedRow(row).generate_state(n_words, dtype)
+
+    def test_memo_after_the_table_matches_the_reference(self):
+        m = TableModel(64, seed=4, order=2)
+        assert_memo_matches_fresh(m, lambda w: ref_table_logits(4, w, 64), 64, seed=3)
+        assert m._seed_words is not None
 
 
 class TestNgramModel:
