@@ -29,7 +29,6 @@ holds the one logits memo and states its policy.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -172,9 +171,7 @@ class WindowModel(Model):
     the plain-int entry. The memo holds up to ``MEMO_BYTES`` of logits but
     never fewer than ``MEMO_MIN_WINDOWS`` windows (``memo_windows``). It
     evicts the oldest inserted window first; a hit does not refresh it.
-    Returned arrays are shared between calls and read-only. A memo that
-    evicts is one that misses on new windows: ``TableModel`` then builds
-    its seed table, which leaves the memo and this policy as they are.
+    Returned arrays are shared between calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -215,16 +212,16 @@ class TableModel(WindowModel):
     64-bit integer, so it must lie in [-2**63, 2**63).
 
     Seeding PCG64 from an integer runs numpy's ``SeedSequence``, which costs
-    more than the draw. So the first time the memo evicts, a model whose
-    windows of length 0 to ``order`` fit in ``MEMO_BYTES`` at 32 bytes each
-    (4,161 windows and 133 KB at V=64 and order 2) builds its seed table:
-    the four ``SeedSequence(window_seed).generate_state(4, np.uint64)`` words
-    of every window, computed in one vectorized pass
-    (``seed_sequence_words``). Each later miss hands PCG64 its window's row
-    in place of the ``SeedSequence``; numpy still seeds the generator and
-    makes every draw, so the logits are bit-identical. A model that never
-    fills its memo builds no table, and larger window spaces (V=401 at order
-    2, V=64 at order 3) always seed from the integer.
+    more than the draw. So a model whose windows of length 0 to ``order``
+    fit in ``MEMO_BYTES`` at 32 bytes each (4,161 windows and 133 KB at V=64
+    and order 2) keeps one row of seed words per window, zero until the
+    window's first miss fills it with
+    ``SeedSequence(window_seed).generate_state(4, np.uint64)``. Every miss
+    hands PCG64 its window's row in place of the ``SeedSequence``; numpy
+    still seeds the generator and makes every draw, so the logits are
+    bit-identical. A window with a token outside the vocabulary, and every
+    window of a larger space (V=401 at order 2, V=64 at order 3), seeds from
+    the integer.
     """
 
     def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
@@ -233,30 +230,40 @@ class TableModel(WindowModel):
             raise InvalidConfigError(f"seed must lie in [-2**63, 2**63), got {seed}")
         self.seed = int(seed)
         self._seed_bytes = self.seed.to_bytes(8, "little", signed=True)
-        self._n_windows = sum(vocab_size**n for n in range(order + 1))
-        self._table_fits = 32 * self._n_windows <= MEMO_BYTES
-        self._seed_words: np.ndarray | None = None
+        # Counting stops once the rows overflow the budget, so a huge order
+        # never sums huge powers of V.
+        n_windows = 0
+        for n in range(order + 1):
+            n_windows += vocab_size**n
+            if 32 * n_windows > MEMO_BYTES:
+                break
+        fits = 32 * n_windows <= MEMO_BYTES
+        self._rows = np.zeros((n_windows, 4), np.uint64) if fits else None
 
     def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
-        words = self._seed_words
-        # Built as the memo first evicts, if every window's 32-byte row fits.
-        if words is None and self._table_fits and len(self._memo) >= self._memo_windows:
-            words = self._seed_words = self._seed_table()
-        seed = self._window_seed(window) if words is None else self._seed_row(words, window)
-        gen = np.random.Generator(np.random.PCG64(seed))
+        gen = np.random.Generator(np.random.PCG64(self._seed(window)))
         return gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
 
-    def _seed_row(self, words: np.ndarray, window: tuple[int, ...]) -> _SeedRow | int:
-        """The window's seed-table row. Windows are numbered shortest first,
-        then in token order: the bijective base-V numeral of the window, with
-        digits t + 1. A token outside the vocabulary has no row, so such a
-        window is hashed."""
+    def _seed(self, window: tuple[int, ...]) -> _SeedRow | int:
+        """The window's seed row, filled on its first miss, or its integer
+        seed when it has none. Rows are numbered shortest first, then in
+        token order: the bijective base-V numeral of the window, with digits
+        t + 1."""
+        rows = self._rows
+        if rows is None:
+            return self._window_seed(window)
         index = 0
         for t in window:
             if not 0 <= t < self.vocab_size:
                 return self._window_seed(window)
             index = index * self.vocab_size + t + 1
-        return _SeedRow(words[index])
+        # A zero first word marks an unfilled row. A filled row starts with 0
+        # once in 2**64, and is then refilled with the same words each miss.
+        if rows.item(index, 0) == 0:
+            np.random.bit_generator.ISeedSequence.register(_SeedRow)
+            seq = np.random.SeedSequence(self._window_seed(window))
+            rows[index] = seq.generate_state(4, np.uint64)
+        return _SeedRow(rows[index])
 
     def _window_seed(self, window: Iterable[int]) -> int:
         h = hashlib.blake2b(self._seed_bytes, digest_size=8)
@@ -264,23 +271,14 @@ class TableModel(WindowModel):
             h.update(int(t).to_bytes(8, "little"))
         return int.from_bytes(h.digest(), "little")
 
-    def _seed_table(self) -> np.ndarray:
-        """Every window's seed words, one row each, in window-index order."""
-        windows = itertools.chain.from_iterable(
-            itertools.product(range(self.vocab_size), repeat=n) for n in range(self.order + 1)
-        )
-        seeds = np.fromiter(map(self._window_seed, windows), np.uint64, self._n_windows)
-        np.random.bit_generator.ISeedSequence.register(_SeedRow)
-        return seed_sequence_words(seeds)
-
 
 class _SeedRow:
-    """A seed sequence whose state is one precomputed seed-table row.
+    """A seed sequence whose state is one filled seed row.
 
     ``PCG64`` asks its seed sequence for four uint64 words and reads the
     array's memory, so the row must be one contiguous uint64 row. The
-    class is registered as numpy's ``ISeedSequence`` when a seed table is
-    built, not at import: numpy imports ``numpy.random`` on first use.
+    class is registered as numpy's ``ISeedSequence`` when a row is filled,
+    not at import: numpy imports ``numpy.random`` on first use.
     """
 
     __slots__ = ("row",)
@@ -292,58 +290,6 @@ class _SeedRow:
         if n_words != 4 or dtype is not np.uint64:
             raise InternalConsistencyError(f"seed row asked for {n_words} words of {dtype}")
         return self.row
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
-    uint64 seed ``s`` of ``seeds``, as one ``(len(seeds), 4)`` uint64 array.
-
-    A vectorized port of SeedSequence's entropy pool of four 32-bit words.
-    A seed is one or two words of entropy, low word first; a missing high
-    word hashes as 0, just as the pool pads with 0, so every seed takes the
-    same path. The 32-bit arithmetic runs on uint64 arrays masked to 32
-    bits, and the hash constants on Python ints, so no numpy scalar
-    overflows.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # Wraps modulo 2**64 below zero, which keeps the low 32 bits right.
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros_like(seeds)
-    pool = [hashmix(seeds & _MASK32), hashmix(seeds >> 32), hashmix(zero), hashmix(zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_const = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        halves.append(value ^ (value >> 16))
-    return np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)], axis=1)
 
 
 class NgramModel(WindowModel):
@@ -506,8 +452,11 @@ class ReflectionAwareModel(Model):
 
 def token_typecode(vocab_size: int) -> str:
     """The narrowest unsigned ``array`` typecode that holds every token id
-    below ``vocab_size``."""
-    return next(code for code in "BHIQ" if vocab_size <= 1 << (8 * array(code).itemsize))
+    below ``vocab_size``. No typecode holds ids of 2**64 or more."""
+    for code in "BHIQ":
+        if vocab_size <= 1 << (8 * array(code).itemsize):
+            return code
+    raise InvalidConfigError(f"vocab_size must be <= 2**64, got {vocab_size}")
 
 
 def _check_smoothing(smoothing: float) -> None:

@@ -183,13 +183,18 @@ def ref_copy_target(context, marker):
     return None
 
 
-def ref_table_logits(seed, window, vocab):
-    """Logits of a ``TableModel`` with ``seed`` after ``window``: a blake2b
-    hash of the signed 64-bit seed and each token as 8 little-endian bytes
-    seeds ``PCG64``, which draws ``vocab`` uniforms in [-4, 4)."""
+def ref_window_seed(seed, window):
+    """A ``TableModel`` window's integer seed: a blake2b hash of the signed
+    64-bit seed and each token as 8 little-endian bytes."""
     data = seed.to_bytes(8, "little", signed=True)
     data += b"".join(int(t).to_bytes(8, "little") for t in window)
-    window_seed = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def ref_table_logits(seed, window, vocab):
+    """Logits of a ``TableModel`` with ``seed`` after ``window``: the window
+    seed seeds ``PCG64``, which draws ``vocab`` uniforms in [-4, 4)."""
+    window_seed = ref_window_seed(seed, window)
     return np.random.Generator(np.random.PCG64(window_seed)).uniform(-4.0, 4.0, size=vocab)
 
 

@@ -303,6 +303,9 @@ class TestDecodeCommand:
             (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
             (["--gamma", "0"], "gamma must be >= 1, got 0"),
             (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
+            # No token buffer holds ids of 2**64 or more.
+            (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= 2**64, got {2**64 + 1}"),
+            (["--vocab-size", str(2**64 + 1), "--beta", "0"], f"vocab_size must be <= 2**64, got {2**64 + 1}"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -461,6 +464,7 @@ class TestSweepCommand:
             (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
             (["--gamma", "0"], "gamma must be >= 1, got 0"),
             (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
+            (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= 2**64, got {2**64 + 1}"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):

@@ -2,14 +2,24 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fixtures import make_divergence_pair
-from reference_impl import ref_copy_target, ref_ngram_counts, ref_ngram_logits, ref_table_logits
+from reference_impl import (
+    ref_copy_target,
+    ref_ngram_counts,
+    ref_ngram_logits,
+    ref_table_logits,
+    ref_window_seed,
+)
 
 from reflectspec import models
 from reflectspec.errors import (
@@ -28,7 +38,6 @@ from reflectspec.models import (
     build_model,
     memo_windows,
     pair_models,
-    seed_sequence_words,
     token_typecode,
 )
 from reflectspec.tokens import make_rng, softmax
@@ -84,6 +93,15 @@ class TestModelSession:
         assert type(tokens) is list and tokens == [1, vocab - 1, 0]
         tokens.append(2)  # a copy: the session is unchanged
         assert len(s) == 3
+
+    def test_a_vocabulary_no_typecode_holds_is_a_config_error(self):
+        assert token_typecode(2**64) == "Q"
+        big = TableModel(2**64 + 1, seed=1)
+        message = r"vocab_size must be <= 2\*\*64, got 18446744073709551617"
+        with pytest.raises(InvalidConfigError, match=message):
+            ModelSession(big)
+        with pytest.raises(InvalidConfigError, match=message):
+            ReflectionAwareModel(big, 0, 0.5)
 
     def test_rejects_out_of_vocab_tokens(self):
         s = ModelSession(TableModel(8, seed=1))
@@ -350,97 +368,131 @@ def all_windows(vocab, order):
     return [w for n in range(order + 1) for w in itertools.product(range(vocab), repeat=n)]
 
 
-def fill_memo_once(m):
-    """Query distinct windows until ``m``'s memo has evicted once."""
-    for w in itertools.islice(all_windows(m.vocab_size, m.order), m._memo_windows + 1):
-        m.next_logits(list(w))
+def seed_words(seed, window):
+    """The four uint64 words numpy's ``SeedSequence`` gives a window's seed."""
+    return np.random.SeedSequence(ref_window_seed(seed, window)).generate_state(4, np.uint64)
+
+
+def run_python(code, timeout):
+    """Run ``code`` in a fresh interpreter that imports this ``reflectspec``;
+    returns its stdout, or fails the test on an error or at ``timeout``."""
+    src = str(Path(models.__file__).resolve().parents[1])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no result within {timeout} s")
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestSeedTable:
-    """A ``TableModel`` whose window space is small enough precomputes every
-    window's seed words the first time its memo evicts; the logits stay
-    those of ``Generator(PCG64(window_seed))``, byte for byte."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, "random"])
-    def test_seed_sequence_words_match_numpy(self, seed):
-        if seed == "random":
-            seeds = [int(s) for s in make_rng(7).integers(0, 2**64, size=300, dtype=np.uint64)]
-            seeds += [int(s) for s in make_rng(8).integers(0, 2**32, size=100)]
-        else:
-            seeds = [seed]
-        words = seed_sequence_words(np.array(seeds, dtype=np.uint64))
-        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-        for s, row in zip(seeds, words):
-            expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
-            assert row.tobytes() == expected.tobytes(), s
+    """A ``TableModel`` whose window space is small enough keeps a row of
+    seed words per window, filled with numpy's ``SeedSequence`` words on the
+    window's first miss; the logits stay those of
+    ``Generator(PCG64(window_seed))``, byte for byte."""
 
     @pytest.mark.parametrize("seed", [-(2**63), -1, 0, 2**63 - 1])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("vocab", [2, 3, 16, 64])
-    def test_window_logits_match_reference_before_and_after_the_table(
-        self, monkeypatch, vocab, order, seed
-    ):
-        # A one-window memo evicts on the second distinct window, whatever V.
-        monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 1)
+    def test_window_logits_match_reference_on_first_and_repeated_miss(self, vocab, order, seed):
         m = TableModel(vocab, seed=seed, order=order)
         windows = all_windows(vocab, order)
         expected = [ref_table_logits(seed, w, vocab).tobytes() for w in windows]
         assert [m.window_logits(w).tobytes() for w in windows] == expected
-        assert m._seed_words is None
-        fill_memo_once(m)
-        assert m._seed_words is not None and m._seed_words.shape == (len(windows), 4)
+        assert m._rows.shape == (len(windows), 4) and m._rows[:, 0].all()
         assert [m.window_logits(w).tobytes() for w in windows] == expected
         for w, logits in zip(windows[1:], expected[1:]):
             assert m.next_logits(list(w)).tobytes() == logits
-        # A token outside the vocabulary has no row: it is hashed as before.
+        # A token outside the vocabulary has no row: the window is hashed.
         for w in [(vocab,), (0, vocab + 5)][:order]:
             assert m.window_logits(w).tobytes() == ref_table_logits(seed, w, vocab).tobytes()
 
-    def test_built_when_the_memo_first_evicts(self):
+    def test_a_miss_fills_only_its_windows_row_with_numpys_words(self):
         m = TableModel(64, seed=4, order=2)
-        for w in all_windows(64, 2)[1 : memo_windows(64) + 1]:
-            m.next_logits(list(w))
-        assert len(m._memo) == memo_windows(64) and m._seed_words is None
-        m.next_logits([63, 63])
-        assert len(m._memo) == memo_windows(64) and m._seed_words is not None
-        assert m._seed_words.dtype == np.uint64 and m._seed_words.nbytes == 32 * 4161
+        assert m._rows.shape == (4161, 4) and m._rows.dtype == np.uint64
+        assert not m._rows.any()
+        m.next_logits([5, 7])
+        # Bijective base 64 with digits t + 1: (5 + 1) * 64 + (7 + 1).
+        assert np.flatnonzero(m._rows.any(axis=1)).tolist() == [392]
+        assert m._rows[392].tobytes() == seed_words(4, (5, 7)).tobytes()
 
-    def test_a_memo_that_never_fills_builds_none(self):
+    def test_a_filled_row_is_read_not_recomputed(self):
         m = TableModel(16, seed=4, order=2)
-        for _ in range(3):
-            for w in all_windows(16, 2)[1:]:
-                m.next_logits(list(w))
-        assert len(m._memo) == 272 < memo_windows(16)
-        assert m._seed_words is None
+        m.window_logits((1, 2))
+        m.window_logits((3, 4))
+        m._rows[(1 + 1) * 16 + 2 + 1] = m._rows[(3 + 1) * 16 + 4 + 1]
+        assert m.window_logits((1, 2)).tobytes() == ref_table_logits(4, (3, 4), 16).tobytes()
+
+    def test_a_row_whose_first_word_is_zero_is_refilled(self):
+        m = TableModel(16, seed=4, order=2)
+        window, index = (9, 2), (9 + 1) * 16 + 2 + 1
+        expected = ref_table_logits(4, window, 16).tobytes()
+        assert m.window_logits(window).tobytes() == expected
+        m._rows[index] = [0, 1, 2, 3]
+        assert m.window_logits(window).tobytes() == expected
+        assert m._rows[index].tobytes() == seed_words(4, window).tobytes()
 
     @pytest.mark.parametrize("vocab, order", [(401, 2), (64, 3)])
-    def test_large_window_spaces_never_build_one(self, vocab, order):
+    def test_large_window_spaces_allocate_no_rows(self, vocab, order):
         m = TableModel(vocab, seed=4, order=order)
-        for w in distinct_windows(vocab, order, memo_windows(vocab) + 50, seed=2):
-            m.next_logits(w)
-        assert len(m._memo) == memo_windows(vocab)
-        assert m._seed_words is None
+        assert m._rows is None
+        for w in distinct_windows(vocab, order, 20, seed=2):
+            assert m.next_logits(w).tobytes() == ref_table_logits(4, w[-order:], vocab).tobytes()
 
-    @pytest.mark.parametrize("vocab, order, builds", [(127, 2, True), (128, 2, False), (2, 13, True)])
-    def test_table_fits_in_the_memo_budget(self, monkeypatch, vocab, order, builds):
+    @pytest.mark.parametrize("vocab, order, fits", [(127, 2, True), (128, 2, False), (2, 13, True)])
+    def test_rows_fit_in_the_memo_budget(self, vocab, order, fits):
         # 32 bytes a window: 16,257 windows at V=127 and 16,383 at V=2 and
         # order 13 fit in 512 KiB; 16,513 at V=128 do not.
-        monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 1)
         m = TableModel(vocab, seed=4, order=order)
-        fill_memo_once(m)
-        assert (m._seed_words is not None) == builds
+        assert (m._rows is not None) == fits
+        if fits:
+            assert m._rows.shape == (len(all_windows(vocab, order)), 4)
+
+    def test_a_huge_order_builds_at_once(self):
+        # Counting every window of a huge order would sum ever larger powers
+        # of V; the count stops once the rows overflow the budget.
+        code = (
+            "import time\n"
+            "from reflectspec.models import TableModel\n"
+            "start = time.perf_counter()\n"
+            "m = TableModel(64, order=10**6)\n"
+            "print(time.perf_counter() - start, m._rows is None)\n"
+        )
+        seconds, no_rows = run_python(code, timeout=20).split()
+        assert float(seconds) < 1.0 and no_rows == "True"
 
     def test_seed_row_serves_only_pcg64s_request(self):
-        row = seed_sequence_words(np.array([5], dtype=np.uint64))[0]
+        row = seed_words(5, ())
         assert models._SeedRow(row).generate_state(4, np.uint64) is row
         for n_words, dtype in [(4, np.uint32), (8, np.uint64)]:
             with pytest.raises(InternalConsistencyError, match="seed row asked for"):
                 models._SeedRow(row).generate_state(n_words, dtype)
 
-    def test_memo_after_the_table_matches_the_reference(self):
+    def test_memo_with_rows_matches_the_reference(self):
         m = TableModel(64, seed=4, order=2)
         assert_memo_matches_fresh(m, lambda w: ref_table_logits(4, w, 64), 64, seed=3)
-        assert m._seed_words is not None
+        assert m._rows[:, 0].any()
+
+
+def test_building_models_leaves_numpy_random_unimported():
+    # numpy.random takes ~16 ms to import (numpy 2.4, ``-X importtime``);
+    # building models must not pull it into every process's set-up. The
+    # first table-model miss imports it.
+    code = (
+        "import sys\n"
+        "import reflectspec\n"
+        "from reflectspec.models import BlendModel, ReflectionAwareModel, TableModel\n"
+        "base, noise = TableModel(64, seed=1), TableModel(64, seed=2)\n"
+        "ReflectionAwareModel(BlendModel(base, noise, 0.5), 63, 0.5)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert run_python(code, timeout=60).split() == ["False"]
 
 
 class TestNgramModel:
