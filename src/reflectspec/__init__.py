@@ -12,7 +12,6 @@ from .bench import (
     SweepSpec,
     emit_report,
     mean_accepted_tokens,
-    read_report,
     run_sweep,
     write_decode_stats,
 )

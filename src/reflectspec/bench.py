@@ -306,16 +306,6 @@ def emit_report(
     return path
 
 
-def read_report(path: str | Path, fmt: str) -> list[dict]:
-    """Parse a report file back into row dictionaries (lossless round trip)."""
-    if fmt not in REPORT_FORMATS:
-        raise InvalidConfigError(f"unknown report format {fmt!r}")
-    text = Path(path).read_text(encoding="utf-8")
-    if fmt == "json":
-        return json.load(io.StringIO(text))
-    return [_parse_csv_row(raw) for raw in csv.DictReader(io.StringIO(text))]
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -324,28 +314,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-_CSV_FLOAT_FIELDS = ("alpha", "eta", "temperature", "mat", "mean_input_budget",
-                     "tokens_per_s", "wall_time_s")
-_CSV_INT_FIELDS = ("gamma", "seed", "prefix_len", "num_prompts", "total_steps",
-                   "output_tokens")
-
-
-def _parse_csv_row(raw: dict) -> dict:
-    out: dict = {}
-    for key, value in raw.items():
-        if key in _CSV_INT_FIELDS:
-            out[key] = int(value)
-        elif key in _CSV_FLOAT_FIELDS:
-            out[key] = float(value) if value != "" else None
-        elif key == "acceptance_by_position":
-            out[key] = [float(v) for v in value.split(";")] if value else []
-        elif key == "error":
-            out[key] = value if value else None
-        else:
-            out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,9 @@ TABLE_LOGIT_HIGH = 4.0
 MEMO_BYTES = 512 * 1024
 MEMO_MIN_WINDOWS = 64
 
+# The longest float64 row numpy represents: its byte size must fit np.intp.
+MAX_VOCAB_SIZE = np.iinfo(np.intp).max // 8
+
 # Logit magnitude of the copy signal in ReflectionAwareModel. Chosen to
 # dominate the table-model range at full blend while leaving finite spread.
 COPY_LOGIT_BOOST = 8.0
@@ -177,6 +180,8 @@ class WindowModel(Model):
     def __init__(self, vocab_size: int, order: int):
         if vocab_size < 2:
             raise InvalidConfigError("vocab_size must be >= 2")
+        if vocab_size > MAX_VOCAB_SIZE:
+            raise InvalidConfigError(f"vocab_size must be <= {MAX_VOCAB_SIZE}, got {vocab_size}")
         if order < 1:
             raise InvalidConfigError("context order must be >= 1")
         self.vocab_size = vocab_size

@@ -16,10 +16,10 @@ Conventions used throughout the package:
 
 Arrays are validated once, where they enter: ``validate_logits``,
 ``softmax`` and ``logit_block`` check logits, ``validate_distribution`` and
-``distribution_block`` distributions, and ``entropy`` and ``sample`` their
-argument. ``row_entropy``, ``inverse_cdf`` and ``sample_rows`` trust an
-already validated row or block; a softmax or one-hot of validated logits is
-a distribution by construction.
+``distribution_block`` distributions, and ``sample`` its argument.
+``entropy``, ``inverse_cdf`` and ``sample_rows`` trust an already validated
+row or block; a softmax or one-hot of validated logits is a distribution by
+construction.
 """
 
 from __future__ import annotations
@@ -179,13 +179,9 @@ def sampling_distribution(logits: Sequence[float] | np.ndarray, temperature: flo
     return softmax(logits, temperature)
 
 
-def entropy(dist: Sequence[float] | np.ndarray) -> float:
-    """Shannon entropy in nats, with the 0*log(0) = 0 convention."""
-    return row_entropy(validate_distribution(dist))
-
-
-def row_entropy(p: np.ndarray) -> float:
-    """``entropy`` of an already validated distribution."""
+def entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats of a validated distribution, with the
+    0*log(0) = 0 convention."""
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 

@@ -20,6 +20,9 @@ Verifiers take the step's distributions as one ``(gamma + 1, V)`` block and
 validate each input block once per call, at entry; the row work after that
 (ratios, residual, thresholds, the bonus draw) trusts the validated rows. An
 invalid row raises wherever it sits, even past the first rejection.
+``residual_distribution`` and ``typical_threshold`` are two of those row
+kernels, so the oracles and ``reflectspec selftest`` check the functions a
+decode runs.
 
 RNG consumption is fixed per call regardless of where rejection happens:
 exact match and speculative sampling consume gamma + 1 uniforms (gamma
@@ -36,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateResidualError, InternalConsistencyError, InvalidConfigError
-from .tokens import distribution_block, inverse_cdf, row_entropy, sample_rows, validate_distribution
+from .tokens import distribution_block, entropy, inverse_cdf, sample_rows, validate_distribution
 
 
 def check_typical_range(epsilon: float, delta: float) -> None:
@@ -72,16 +75,8 @@ def _leading_true(flags: Sequence[bool]) -> int:
 
 
 def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """norm(max(0, p - q)): the bonus distribution after a rejection."""
-    p = validate_distribution(p)
-    q = validate_distribution(q)
-    if p.shape != q.shape:
-        raise InternalConsistencyError("residual requires equal-size distributions")
-    return _residual(p, q)
-
-
-def _residual(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``residual_distribution`` of two validated rows of one vocabulary."""
+    """norm(max(0, p - q)), the bonus distribution after a rejection, of two
+    validated rows of one vocabulary."""
     residual = np.maximum(p - q, 0.0)
     mass = float(residual.sum())
     if mass < 1e-12:
@@ -92,17 +87,9 @@ def _residual(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def typical_threshold(entropy_source: np.ndarray, epsilon: float, delta: float) -> float:
-    """min(epsilon, delta * exp(-H(entropy_source))), the per-step gate.
-
-    Epsilon and delta must lie in (0, 1].
-    """
-    check_typical_range(epsilon, delta)
-    return _threshold(validate_distribution(entropy_source), epsilon, delta)
-
-
-def _threshold(h: np.ndarray, epsilon: float, delta: float) -> float:
-    """``typical_threshold`` of a validated row, for a checked epsilon and delta."""
-    return min(epsilon, delta * float(np.exp(-row_entropy(h))))
+    """min(epsilon, delta * exp(-H(entropy_source))), the per-step gate, of a
+    validated row; ``check_typical_range`` checks epsilon and delta."""
+    return min(epsilon, delta * float(np.exp(-entropy(entropy_source))))
 
 
 def verify_exact_match(
@@ -166,7 +153,7 @@ def verify_speculative_sampling(
         ratios.append(min(1.0, p.item(i, tok) / q_tok))
     flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
     n = _leading_true(flags)
-    bonus_dist = _residual(p[n], q[n]) if n < gamma else p[gamma]
+    bonus_dist = residual_distribution(p[n], q[n]) if n < gamma else p[gamma]
     bonus = inverse_cdf(bonus_dist, rng.random())
     return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws})
 
@@ -197,7 +184,7 @@ def verify_typical(
     p = distribution_block(p_dists)
     # The engine passes the fused block as both when entropy comes from it.
     h = p if entropy_dists is p_dists else distribution_block(entropy_dists[:gamma])
-    thresholds = [_threshold(h[i], epsilon, delta) for i in range(gamma)]
+    thresholds = [typical_threshold(h[i], epsilon, delta) for i in range(gamma)]
     flags = tuple(p.item(i, tok) > thresholds[i] for i, tok in enumerate(draft_tokens))
     n = _leading_true(flags)
     bonus = inverse_cdf(p[n], rng.random())
@@ -220,7 +207,7 @@ def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     reject_mass = 1.0 - float(accepted.sum())
     if reject_mass <= 1e-15:
         return accepted / accepted.sum()
-    return accepted + reject_mass * _residual(p, q)
+    return accepted + reject_mass * residual_distribution(p, q)
 
 
 def _check_lengths(p_dists: Sequence[np.ndarray], gamma: int) -> None:

@@ -1,5 +1,10 @@
-"""Shared test fixtures built from the package's public model constructors."""
+"""Shared test fixtures built from the package's public model constructors,
+and a parser for the reports the package writes."""
 
+import csv
+import io
+import json
+from pathlib import Path
 from typing import Sequence
 
 from reflectspec.models import (
@@ -56,3 +61,35 @@ def recording_pool(started: list) -> type:
             return map(fn, cells)
 
     return RecordingPool
+
+
+REPORT_FLOAT_FIELDS = ("alpha", "eta", "temperature", "mat", "mean_input_budget",
+                       "tokens_per_s", "wall_time_s")
+REPORT_INT_FIELDS = ("gamma", "seed", "prefix_len", "num_prompts", "total_steps",
+                     "output_tokens")
+
+
+def read_report(path, fmt: str) -> list[dict]:
+    """Parse a CSV or JSON report back into the ``ReportRow.to_dict`` rows it
+    was written from. The package writes reports and never reads them; the
+    round trip is held by the tests that use this parser."""
+    text = Path(path).read_text(encoding="utf-8")
+    if fmt == "json":
+        return json.loads(text)
+    return [_parse_csv_row(raw) for raw in csv.DictReader(io.StringIO(text))]
+
+
+def _parse_csv_row(raw: dict) -> dict:
+    out: dict = {}
+    for key, value in raw.items():
+        if key in REPORT_INT_FIELDS:
+            out[key] = int(value)
+        elif key in REPORT_FLOAT_FIELDS:
+            out[key] = float(value) if value != "" else None
+        elif key == "acceptance_by_position":
+            out[key] = [float(v) for v in value.split(";")] if value else []
+        elif key == "error":
+            out[key] = value if value else None
+        else:
+            out[key] = value
+    return out

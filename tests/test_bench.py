@@ -7,7 +7,7 @@ import multiprocessing
 import time
 
 import pytest
-from fixtures import make_divergence_pair, recording_pool
+from fixtures import make_divergence_pair, read_report, recording_pool
 
 from reflectspec import bench
 from reflectspec.bench import (
@@ -16,7 +16,6 @@ from reflectspec.bench import (
     decode_stats_dict,
     emit_report,
     mean_accepted_tokens,
-    read_report,
     render_report,
     run_sweep,
     sweep_cells,

@@ -7,12 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from fixtures import recording_pool
+from fixtures import read_report, recording_pool
 
-from reflectspec import bench, cli, verification
-from reflectspec.bench import read_report
+from reflectspec import bench, cli, selftest, verification
 from reflectspec.cli import build_parser, main
 from reflectspec.selftest import check_decode_law
+
+# The longest float64 row numpy holds, and so the largest --vocab-size.
+LONGEST_ROW = np.iinfo(np.intp).max // 8
 
 DOCUMENTED_FLAGS = [
     "--target-model",
@@ -303,9 +305,11 @@ class TestDecodeCommand:
             (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
             (["--gamma", "0"], "gamma must be >= 1, got 0"),
             (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
-            # No token buffer holds ids of 2**64 or more.
-            (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= 2**64, got {2**64 + 1}"),
-            (["--vocab-size", str(2**64 + 1), "--beta", "0"], f"vocab_size must be <= 2**64, got {2**64 + 1}"),
+            # numpy holds no float64 logits row of LONGEST_ROW + 1 or more.
+            (["--vocab-size", str(2**62)], f"vocab_size must be <= {LONGEST_ROW}, got {2**62}"),
+            (["--vocab-size", str(2**64)], f"vocab_size must be <= {LONGEST_ROW}, got {2**64}"),
+            (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= {LONGEST_ROW}, got {2**64 + 1}"),
+            (["--vocab-size", str(2**64 + 1), "--beta", "0"], f"vocab_size must be <= {LONGEST_ROW}, got {2**64 + 1}"),
         ],
     )
     def test_out_of_range_setting_is_runtime_error_naming_it(self, capsys, flag, message):
@@ -464,7 +468,8 @@ class TestSweepCommand:
             (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
             (["--gamma", "0"], "gamma must be >= 1, got 0"),
             (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
-            (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= 2**64, got {2**64 + 1}"),
+            (["--vocab-size", str(2**64)], f"vocab_size must be <= {LONGEST_ROW}, got {2**64}"),
+            (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= {LONGEST_ROW}, got {2**64 + 1}"),
         ],
     )
     def test_out_of_range_setting_fails_every_cell(self, tmp_path, jobs, flag, message):
@@ -613,7 +618,7 @@ class TestOnePair:
         assert replace(configs["decode"], seed=0) == replace(configs["sweep"], seed=0)
 
 
-def biased_residual(p, q, real=verification._residual):
+def biased_residual(p, q, real=verification.residual_distribution):
     """The residual with a tenth of its mass moved to the uniform law."""
     return 0.9 * real(p, q) + 0.1 / p.size
 
@@ -633,12 +638,14 @@ class TestSelftest:
         assert result.passed is True, result.detail
 
     def test_decode_law_check_fails_on_biased_residual(self, monkeypatch):
-        monkeypatch.setattr(verification, "_residual", biased_residual)
+        # The check enumerates with the very kernel the verifier runs.
+        assert selftest.residual_distribution is verification.residual_distribution
+        monkeypatch.setattr(selftest, "residual_distribution", biased_residual)
         result = check_decode_law()
         assert result.passed is False, result.detail
 
     def test_failing_check_exits_one_and_prints_fail(self, monkeypatch, capsys):
-        monkeypatch.setattr(verification, "_residual", biased_residual)
+        monkeypatch.setattr(selftest, "residual_distribution", biased_residual)
         assert main(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4

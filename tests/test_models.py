@@ -30,6 +30,7 @@ from reflectspec.errors import (
 )
 from reflectspec.models import (
     BlendModel,
+    Model,
     ModelSession,
     ModelSpec,
     NgramModel,
@@ -96,7 +97,9 @@ class TestModelSession:
 
     def test_a_vocabulary_no_typecode_holds_is_a_config_error(self):
         assert token_typecode(2**64) == "Q"
-        big = TableModel(2**64 + 1, seed=1)
+        # A window model refuses this vocabulary at construction already.
+        big = Model()
+        big.vocab_size = 2**64 + 1
         message = r"vocab_size must be <= 2\*\*64, got 18446744073709551617"
         with pytest.raises(InvalidConfigError, match=message):
             ModelSession(big)
@@ -847,6 +850,30 @@ class TestCopyTargetDifferential:
     )
     def test_unaligned_byte_matches_are_skipped(self, ctx, want):
         assert assert_copy_target_matches_reference(ctx, WIDE_COPY_MODELS[65538]) == want
+
+
+class TestVocabularyBound:
+    """numpy holds no float64 row longer than ``LONGEST_ROW``; at the first
+    window's logits it raised a bare ``ValueError`` that named no setting.
+    Only construction runs here, so no logits row is ever allocated."""
+
+    LONGEST_ROW = np.iinfo(np.intp).max // 8
+
+    def test_the_bound_is_numpys(self):
+        with pytest.raises(ValueError):
+            np.empty(self.LONGEST_ROW + 1)  # refused before any allocation
+
+    @pytest.mark.parametrize("extra", [1, 2**61, 2**62, 2**63, 2**64])
+    def test_window_models_reject_a_longer_row(self, extra):
+        vocab = self.LONGEST_ROW + extra
+        message = f"^vocab_size must be <= {self.LONGEST_ROW}, got {vocab}$"
+        with pytest.raises(InvalidConfigError, match=message):
+            TableModel(vocab, seed=1)
+        with pytest.raises(InvalidConfigError, match=message):
+            NgramModel([[0, 1, 2]], vocab)
+
+    def test_the_longest_row_builds(self):
+        assert TableModel(self.LONGEST_ROW, seed=1).vocab_size == self.LONGEST_ROW
 
 
 class TestModelSpec:

@@ -1,5 +1,6 @@
 """Every module-level private name in the package is used somewhere in it,
-and every module-level import is read by its module.
+every module-level import is read by its module, and every name the package
+exports has a user.
 
 A private helper that nothing in ``src/`` calls any more is dead code, and
 so is an import its module never reads; these tests name them. They read the
@@ -7,9 +8,19 @@ sources with the standard ``ast`` module, so no linter is needed.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reflectspec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "reflectspec"
+
+# Exports with no user in another package module, perfbench or README, and
+# why each stays.
+EXPORTS_KEPT = {
+    "ReportRow": "the row type run_sweep returns",
+    "ReflectiveLayout": "the layout type build_reflective_input returns",
+    "one_hot": "the acceptance suite imports it",
+}
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -71,3 +82,36 @@ def test_every_module_level_import_is_read():
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 unread += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_every_export_has_a_user():
+    """A name ``__init__`` imports is read by another package module, by
+    perfbench (which also looks engine bindings up by their name as a
+    string), or in README's code; or it is in ``EXPORTS_KEPT``."""
+    exports = {
+        alias.asname or alias.name: node.module
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readers = {
+        path.stem: used_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        bench |= used_names(tree) | {s for s in strings if isinstance(s, str)}
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    unused = {
+        name
+        for name, module in exports.items()
+        if name not in bench | documented
+        and not any(name in used for stem, used in readers.items() if stem != module)
+    }
+    assert sorted(unused - EXPORTS_KEPT.keys()) == []
+    # A kept name that gains a user, or stops being exported, leaves the list.
+    assert sorted(EXPORTS_KEPT.keys() - unused) == []

