@@ -57,8 +57,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ReflectSpecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ReflectSpecError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -23,7 +23,7 @@ Backends:
   a reflection probe.
 
 ``TableModel`` and ``NgramModel`` share the ``WindowModel`` base, which
-holds the one logits memo and states its policy.
+holds the logits table or memo and states its policy.
 """
 
 from __future__ import annotations
@@ -47,13 +47,15 @@ from .tokens import derive_seed
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
 
-# Logit bytes each WindowModel memo may hold, and the fewest windows it
-# keeps at any vocabulary size.
-# Within one step a window is re-read by the verify pass, the second copy
-# and the prefix replay; across steps the probe windows (``x [BACK]``,
-# ``[BACK] y``) and the recently committed text come back. 512 KiB keeps
-# 1024 windows at V=64, about seventy steps of misses, while memory stays
-# flat however long the decode runs.
+# Logits each WindowModel keeps. Within one step a window is re-read by the
+# verify pass, the second copy and the prefix replay; across steps the probe
+# windows (``x [BACK]``, ``[BACK] y``) and the recent text come back. A model
+# whose windows of length 0 to ``order`` all fit in TABLE_BYTES as float64
+# rows (4,161 windows and 2.13 MB at V=64 and order 2) keeps every window's
+# logits. Only a larger space (V=401 at order 2, V=64 at order 3) keeps a
+# FIFO memo: MEMO_BYTES of logits but never fewer than MEMO_MIN_WINDOWS
+# windows, flat however long the decode runs.
+TABLE_BYTES = 4 * 1024 * 1024
 MEMO_BYTES = 512 * 1024
 MEMO_MIN_WINDOWS = 64
 
@@ -169,12 +171,18 @@ class WindowModel(Model):
     trailing ``order`` context tokens, or the whole context when it is
     shorter. Subclasses give the formula as ``window_logits(window)``.
 
-    ``next_logits`` memoizes the logits per window, keyed by the window's
-    token values, so ``np.int64`` tokens and a session's typed ``array`` hit
-    the plain-int entry. The memo holds up to ``MEMO_BYTES`` of logits but
-    never fewer than ``MEMO_MIN_WINDOWS`` windows (``memo_windows``). It
-    evicts the oldest inserted window first; a hit does not refresh it.
-    Returned arrays are shared between calls and read-only.
+    When every window of length 0 to ``order`` fits in ``TABLE_BYTES`` as
+    float64 rows, the model keeps one table with a row per window, numbered
+    shortest first and then in token order: the bijective base-V numeral of
+    the window, with digits t + 1. A window's row is filled on its first
+    lookup, so no window is computed twice; ``np.zeros`` touches no page
+    until a row is written. Any other window, and every window of a larger
+    space, takes a memo keyed by the window's token values, so ``np.int64``
+    tokens and a session's typed ``array`` hit the plain-int entry. The
+    memo holds up to ``MEMO_BYTES`` of logits but never fewer than
+    ``MEMO_MIN_WINDOWS`` windows (``memo_windows``). It evicts the oldest
+    inserted window first; a hit does not refresh it. Returned arrays are
+    shared between calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -190,8 +198,33 @@ class WindowModel(Model):
         # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
         self._memo_keys: deque[tuple[int, ...]] = deque()
         self._memo_windows = memo_windows(vocab_size)
+        self._table = None
+        # Counting stops once the table overflows, so a huge order never
+        # sums huge powers of V.
+        n_windows = 0
+        for n in range(order + 1):
+            n_windows += vocab_size**n
+            if 8 * vocab_size * n_windows > TABLE_BYTES:
+                return
+        self._filled = bytearray(n_windows)
+        self._table_rw = np.zeros((n_windows, vocab_size))
+        self._table = self._table_rw.view()
+        self._table.flags.writeable = False
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
+        table = self._table
+        if table is not None:
+            vocab = self.vocab_size
+            index = 0
+            for t in context[-self.order :]:
+                if not 0 <= t < vocab:
+                    break
+                index = index * vocab + t + 1
+            else:
+                if not self._filled[index]:
+                    self._table_rw[index] = self.window_logits(tuple(context[-self.order :]))
+                    self._filled[index] = 1
+                return table[index]
         key = tuple(context[-self.order :])
         logits = self._memo.get(key)
         if logits is None:
@@ -213,20 +246,9 @@ class TableModel(WindowModel):
 
     Logits are drawn uniformly from [``TABLE_LOGIT_LOW``, ``TABLE_LOGIT_HIGH``)
     by ``Generator(PCG64(window_seed))``, where the window seed is a blake2b
-    hash of the seed and the window's tokens. The seed is hashed as a signed
-    64-bit integer, so it must lie in [-2**63, 2**63).
-
-    Seeding PCG64 from an integer runs numpy's ``SeedSequence``, which costs
-    more than the draw. So a model whose windows of length 0 to ``order``
-    fit in ``MEMO_BYTES`` at 32 bytes each (4,161 windows and 133 KB at V=64
-    and order 2) keeps one row of seed words per window, zero until the
-    window's first miss fills it with
-    ``SeedSequence(window_seed).generate_state(4, np.uint64)``. Every miss
-    hands PCG64 its window's row in place of the ``SeedSequence``; numpy
-    still seeds the generator and makes every draw, so the logits are
-    bit-identical. A window with a token outside the vocabulary, and every
-    window of a larger space (V=401 at order 2, V=64 at order 3), seeds from
-    the integer.
+    hash of the seed and the window's tokens, each as 8 little-endian bytes.
+    The seed is hashed as a signed 64-bit integer, so it must lie in
+    [-2**63, 2**63).
     """
 
     def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
@@ -235,66 +257,13 @@ class TableModel(WindowModel):
             raise InvalidConfigError(f"seed must lie in [-2**63, 2**63), got {seed}")
         self.seed = int(seed)
         self._seed_bytes = self.seed.to_bytes(8, "little", signed=True)
-        # Counting stops once the rows overflow the budget, so a huge order
-        # never sums huge powers of V.
-        n_windows = 0
-        for n in range(order + 1):
-            n_windows += vocab_size**n
-            if 32 * n_windows > MEMO_BYTES:
-                break
-        fits = 32 * n_windows <= MEMO_BYTES
-        self._rows = np.zeros((n_windows, 4), np.uint64) if fits else None
 
     def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
-        gen = np.random.Generator(np.random.PCG64(self._seed(window)))
-        return gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
-
-    def _seed(self, window: tuple[int, ...]) -> _SeedRow | int:
-        """The window's seed row, filled on its first miss, or its integer
-        seed when it has none. Rows are numbered shortest first, then in
-        token order: the bijective base-V numeral of the window, with digits
-        t + 1."""
-        rows = self._rows
-        if rows is None:
-            return self._window_seed(window)
-        index = 0
-        for t in window:
-            if not 0 <= t < self.vocab_size:
-                return self._window_seed(window)
-            index = index * self.vocab_size + t + 1
-        # A zero first word marks an unfilled row. A filled row starts with 0
-        # once in 2**64, and is then refilled with the same words each miss.
-        if rows.item(index, 0) == 0:
-            np.random.bit_generator.ISeedSequence.register(_SeedRow)
-            seq = np.random.SeedSequence(self._window_seed(window))
-            rows[index] = seq.generate_state(4, np.uint64)
-        return _SeedRow(rows[index])
-
-    def _window_seed(self, window: Iterable[int]) -> int:
         h = hashlib.blake2b(self._seed_bytes, digest_size=8)
         for t in window:
             h.update(int(t).to_bytes(8, "little"))
-        return int.from_bytes(h.digest(), "little")
-
-
-class _SeedRow:
-    """A seed sequence whose state is one filled seed row.
-
-    ``PCG64`` asks its seed sequence for four uint64 words and reads the
-    array's memory, so the row must be one contiguous uint64 row. The
-    class is registered as numpy's ``ISeedSequence`` when a row is filled,
-    not at import: numpy imports ``numpy.random`` on first use.
-    """
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise InternalConsistencyError(f"seed row asked for {n_words} words of {dtype}")
-        return self.row
+        gen = np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
+        return gen.uniform(TABLE_LOGIT_LOW, TABLE_LOGIT_HIGH, size=self.vocab_size)
 
 
 class NgramModel(WindowModel):

@@ -4,7 +4,8 @@ Four checks re-derive laws no decode checks as it runs: the enumeration
 proof that a speculative-sampling step is unbiased, the residual identities,
 the entropy-threshold law, and the exact law of a whole speculative decode,
 which must equal the target's autoregressive law. The CLI exposes them as
-the ``selftest`` subcommand and exits nonzero if any check fails.
+the ``selftest`` subcommand and exits nonzero if any check fails; a check
+that raises a package error fails by itself and the others still run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResidualError
+from .errors import DegenerateResidualError, InternalConsistencyError, ReflectSpecError
 from .models import BlendModel, ReflectionAwareModel, TableModel
 from .tokens import make_rng, sampling_distribution
 from .verification import (
@@ -158,9 +159,21 @@ def check_decode_law(length: int = 3, temperature: float = 0.8) -> CheckResult:
 
 
 def run_all() -> list[CheckResult]:
-    return [
-        check_unbiasedness(),
-        check_residual(),
-        check_typical_thresholds(),
-        check_decode_law(),
-    ]
+    """Every check's result. A check that raises a package error fails under
+    its own name and the rest still run; ``InternalConsistencyError``
+    propagates."""
+    checks = {
+        "unbiasedness": check_unbiasedness,
+        "residual": check_residual,
+        "typical-thresholds": check_typical_thresholds,
+        "decode-law": check_decode_law,
+    }
+    results = []
+    for name, check in checks.items():
+        try:
+            results.append(check())
+        except InternalConsistencyError:
+            raise
+        except ReflectSpecError as exc:
+            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+    return results

@@ -24,8 +24,8 @@ inline kernels, each categorical draw one ``ref_sample``. They return the
 package's ``VerificationResult`` and raise its ``DegenerateResidualError``,
 so the block verifiers can be compared with them field for field.
 
-``ref_table_logits`` is ``TableModel``'s formula seeded the plain way, from
-the window's integer seed through numpy's own ``SeedSequence``.
+``ref_table_logits`` is ``TableModel``'s formula written out on its own:
+the window's integer seed, hashed byte for byte, seeds ``PCG64``.
 """
 
 import hashlib

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from fixtures import read_report, recording_pool
 
-from reflectspec import bench, cli, selftest, verification
+from reflectspec import bench, cli, models, selftest, verification
 from reflectspec.cli import build_parser, main
+from reflectspec.errors import DegenerateResidualError, InternalConsistencyError
 from reflectspec.selftest import check_decode_law
 
 # The longest float64 row numpy holds, and so the largest --vocab-size.
@@ -482,6 +483,23 @@ class TestSweepCommand:
         assert len(rows) == 4
         assert all(r["error"].startswith(f"InvalidConfigError: {message}") for r in rows)
 
+    @pytest.mark.parametrize("command", ["decode", "sweep 1", "sweep 2"])
+    def test_memory_error_ends_in_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        # A MemoryError stops the whole sweep: it lands in no cell's row, and
+        # no report is written. Nothing is allocated for real.
+        def out_of_memory(self, window):
+            raise MemoryError
+
+        monkeypatch.setattr(models.TableModel, "window_logits", out_of_memory)
+        out = tmp_path / "out.json"
+        argv = ["--prompt", "1 2 3", "--max-tokens", "4", "--out", str(out)]
+        if command != "decode":
+            argv += ["--alpha", "0,0.3", "--jobs", command.split()[1]]
+        assert main(command.split()[:1] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: MemoryError\n" and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_negative_seed_runs_every_cell(self, tmp_path, jobs):
         # Cells seed their decodes from streams derived from the seed, which
@@ -643,6 +661,38 @@ class TestSelftest:
         monkeypatch.setattr(selftest, "residual_distribution", biased_residual)
         result = check_decode_law()
         assert result.passed is False, result.detail
+
+    def test_a_raising_check_fails_by_name_and_the_rest_run(self, monkeypatch, capsys):
+        # The residual with its np.maximum dropped: p - q has no mass.
+        def unclipped_residual(p, q):
+            residual = p - q
+            mass = float(residual.sum())
+            if mass < 1e-12:
+                raise DegenerateResidualError("residual distribution has no mass")
+            return residual / mass
+
+        monkeypatch.setattr(selftest, "residual_distribution", unclipped_residual)
+        assert main(["selftest"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[PASS] unbiasedness",
+            "[FAIL] residual",
+            "[PASS] typical-thresholds",
+            "[FAIL] decode-law",
+        ]
+        raised = ": raised DegenerateResidualError: residual distribution has no mass"
+        assert lines[1] == "[FAIL] residual" + raised
+        assert lines[3] == "[FAIL] decode-law" + raised
+        assert captured.err == ""
+
+    def test_an_internal_consistency_error_propagates(self, monkeypatch):
+        def broken(dist, epsilon, delta):
+            raise InternalConsistencyError("bookkeeping broke")
+
+        monkeypatch.setattr(selftest, "typical_threshold", broken)
+        with pytest.raises(InternalConsistencyError, match="bookkeeping broke"):
+            selftest.run_all()
 
     def test_failing_check_exits_one_and_prints_fail(self, monkeypatch, capsys):
         monkeypatch.setattr(selftest, "residual_distribution", biased_residual)

@@ -418,12 +418,15 @@ MEMO_CORPUS = [
 ]
 
 
-def memo_pair(kind, windows=None):
+def memo_pair(kind, fifo=False, windows=None):
     """A freshly built (target, draft) pair at V=64: a table base behind the
-    copy target, or an n-gram base with a plain target. ``windows`` forces
-    the size of both memos."""
+    copy target, or an n-gram base with a plain target. Both models keep a
+    logits table unless ``fifo`` forces the memo; ``windows`` forces the
+    size of both memos."""
     spec = ModelSpec(kind, MEMO_VOCAB, seed=3, order=2)
     with pytest.MonkeyPatch.context() as mp:
+        if fifo:
+            mp.setattr(models, "TABLE_BYTES", 0)
         if windows is not None:
             mp.setattr(models, "memo_windows", lambda vocab_size: windows)
         base = build_model(spec, corpus=MEMO_CORPUS if kind == "ngram" else None)
@@ -463,25 +466,40 @@ def decode_with_end_state(target, draft, prompt, config):
 
 
 class TestMemoTransparency:
-    """The logits memos live as long as the models, across decodes, so a
-    pair that has already decoded must act exactly like a new one."""
+    """The logits tables and memos live as long as the models, across
+    decodes, so a pair that has already decoded must act exactly like a new
+    one."""
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    @pytest.mark.parametrize("windows", [None, 1])
-    def test_warm_pair_decodes_like_a_fresh_pair(self, kind, windows):
-        warm_target, warm_draft = memo_pair(kind, windows)
-        memos = [m._memo for m in (warm_draft.primary, warm_draft.secondary)]
+    @pytest.mark.parametrize("fifo, windows", [(False, None), (True, None), (True, 1)])
+    def test_warm_pair_decodes_like_a_fresh_pair(self, kind, fifo, windows):
+        warm_target, warm_draft = memo_pair(kind, fifo, windows)
+        warm_models = (warm_draft.primary, warm_draft.secondary)
         cases = memo_cases()
         # Each case runs after every case before it in the list, on the
         # shared pair; the last case warms the pair for the first. The fresh
-        # pair has the default memo size.
+        # pair keeps tables.
         for prompt, config in cases[-1:] + cases:
             warm = decode_with_end_state(warm_target, warm_draft, prompt, config)
             fresh = decode_with_end_state(*memo_pair(kind), prompt, config)
             assert warm == fresh, (config.strategy, config.reflect)
-        # Both memos have filled and evicted.
         full = windows or models.memo_windows(MEMO_VOCAB)
-        assert [len(memo) for memo in memos] == [full, full]
+        if fifo:  # both memos have filled and evicted
+            assert [len(m._memo) for m in warm_models] == [full, full]
+        else:  # the tables keep more windows than a full memo
+            assert all(m._memo == {} and sum(m._filled) > full for m in warm_models)
+
+
+class TestTableMemoDecodes:
+    """A pair that keeps logits tables decodes exactly like the same pair
+    with the memo forced, for every strategy and both templates."""
+
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_table_pair_decodes_like_a_memo_pair(self, kind):
+        tables, memos = memo_pair(kind), memo_pair(kind, fifo=True)
+        for prompt, config in memo_cases():
+            got = decode_with_end_state(*tables, prompt, config)
+            assert got == decode_with_end_state(*memos, prompt, config), (config.strategy, config.reflect)
 
 
 @st.composite

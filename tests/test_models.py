@@ -18,12 +18,10 @@ from reference_impl import (
     ref_ngram_counts,
     ref_ngram_logits,
     ref_table_logits,
-    ref_window_seed,
 )
 
 from reflectspec import models
 from reflectspec.errors import (
-    InternalConsistencyError,
     InvalidConfigError,
     InvalidTokenError,
     SessionRangeError,
@@ -253,15 +251,31 @@ def assert_memo_stays_bounded(m, vocab):
     assert len(m._memo) == capacity
 
 
-WINDOW_VOCAB = 16
+# At order 3, V=64 has too many windows for a table (266,305, 136 MB) and
+# takes the memo; V=16 (4,369 windows, 559 KB) takes the table.
 WINDOW_ORDER = 3
 WINDOW_DOCS = [[1, 5, 7, 9, 5, 7], [5, 7, 9, 2, 6, 7, 9, 1], [3, 5, 6]]
 
 
-def window_backend(kind):
+def window_backend(kind, vocab=64):
     if kind == "table":
-        return TableModel(WINDOW_VOCAB, seed=6, order=WINDOW_ORDER)
-    return NgramModel(WINDOW_DOCS, WINDOW_VOCAB, order=WINDOW_ORDER, smoothing=0.5)
+        return TableModel(vocab, seed=6, order=WINDOW_ORDER)
+    return NgramModel(WINDOW_DOCS, vocab, order=WINDOW_ORDER, smoothing=0.5)
+
+
+def window_contexts(kind):
+    """(window, its contexts): windows shorter than the order (empty only
+    for the n-gram: a session never asks a table about an empty context),
+    equal to it, and windows that differ only in their oldest token; a
+    full window also under two longer contexts."""
+    windows = [(5,), (5, 7), (5, 7, 9), (6, 7, 9)]
+    if kind == "ngram":
+        windows.insert(0, ())
+    for window in windows:
+        contexts = [window]
+        if len(window) == WINDOW_ORDER:
+            contexts += [(3,) + window, (1, 2, 8) + window]
+        yield window, contexts
 
 
 class TestWindowKey:
@@ -273,17 +287,9 @@ class TestWindowKey:
     def test_every_context_form_hits_its_window_entry(self, kind):
         m = window_backend(kind)
         fresh = window_backend(kind)
-        # Shorter than the order (empty only for the n-gram: a session never
-        # asks a table about an empty context), equal to it, and windows
-        # that differ only in their oldest token.
-        windows = [(5,), (5, 7), (5, 7, 9), (6, 7, 9)]
-        if kind == "ngram":
-            windows.insert(0, ())
-        typecode = token_typecode(WINDOW_VOCAB)
-        for n, window in enumerate(windows, 1):
-            contexts = [window]
-            if len(window) == WINDOW_ORDER:
-                contexts += [(3,) + window, (1, 2, 8) + window]
+        assert m._table is None
+        typecode = token_typecode(m.vocab_size)
+        for n, (window, contexts) in enumerate(window_contexts(kind), 1):
             first = m.next_logits(list(window))
             for ctx in contexts:
                 for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
@@ -295,6 +301,23 @@ class TestWindowKey:
         # with separate logits.
         assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
 
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_every_context_form_reads_its_window_row(self, kind):
+        m = window_backend(kind, vocab=16)
+        fresh = window_backend(kind, vocab=16)
+        assert m._table is not None
+        typecode = token_typecode(16)
+        for window, contexts in window_contexts(kind):
+            first = m.next_logits(list(window))
+            assert not first.flags.writeable
+            assert first.tobytes() == fresh.window_logits(window).tobytes()
+            for ctx in contexts:
+                for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
+                    got = m.next_logits(form)
+                    assert not got.flags.writeable and got.tobytes() == first.tobytes()
+        assert m._memo == {} and sum(m._filled) == 4 + (kind == "ngram")
+        assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
+
 
 class TestMemoBudget:
     @pytest.mark.parametrize("vocab,windows", [(8, 8192), (64, 1024), (401, 163), (4096, 64)])
@@ -304,13 +327,15 @@ class TestMemoBudget:
     @pytest.mark.parametrize("vocab", [8, 64, 401, 4096])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_resident_bytes_stay_within_budget(self, kind, vocab):
-        # Order 5 gives V=8 more windows (8**5) than its 8192-window memo.
+        # Order 6 gives V=8 more windows (8**6) than its 8192-window memo,
+        # and too many for a table.
         if kind == "table":
-            m = TableModel(vocab, seed=1, order=5)
+            m = TableModel(vocab, seed=1, order=6)
         else:
-            m = NgramModel([[0, 1, 2, 3, 4, 5, 6, 7, 1, 3]], vocab, order=5)
+            m = NgramModel([[0, 1, 2, 3, 4, 5, 6, 7, 1, 3]], vocab, order=6)
+        assert m._table is None
         budget = max(512 * 1024, 64 * 8 * vocab)
-        for w in distinct_windows(vocab, 5, memo_windows(vocab) + 50, seed=2):
+        for w in distinct_windows(vocab, 6, memo_windows(vocab) + 50, seed=2):
             m.next_logits(w)
         assert len(m._memo) == memo_windows(vocab)
         assert sum(a.nbytes for a in m._memo.values()) <= budget
@@ -324,9 +349,10 @@ class TestMemoEvictionOrder:
     def test_oldest_inserted_window_goes_first(self, kind, monkeypatch):
         monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 3)
         if kind == "table":
-            m = TableModel(16, seed=1, order=2)
+            m = TableModel(401, seed=1, order=2)
         else:
-            m = NgramModel([[0, 1, 2, 3, 4, 5]], 16, order=2)
+            m = NgramModel([[0, 1, 2, 3, 4, 5]], 401, order=2)
+        assert m._table is None
         a, b, c, d, e = (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)
         for window in (a, b, c, a, d):
             m.next_logits(list(window))
@@ -339,11 +365,11 @@ class TestMemoEvictionOrder:
 
 class TestTableMemo:
     def test_matches_fresh_instance_in_shuffled_order_and_after_eviction(self):
-        for vocab in (64, 1024):
-            m = TableModel(vocab, seed=4, order=2)
+        for vocab, order in ((64, 3), (1024, 2)):
+            m = TableModel(vocab, seed=4, order=order)
 
             def fresh(w):
-                return TableModel(vocab, seed=4, order=2).next_logits(w)
+                return TableModel(vocab, seed=4, order=order).next_logits(w)
 
             assert_memo_matches_fresh(m, fresh, vocab, seed=3)
 
@@ -351,8 +377,9 @@ class TestTableMemo:
         for vocab in (64, 4096):
             assert_memo_stays_bounded(TableModel(vocab, seed=1, order=3), vocab)
 
-    def test_returned_logits_are_read_only(self):
-        m = TableModel(8, seed=2)
+    @pytest.mark.parametrize("vocab", [8, 401])  # a table, a memo
+    def test_returned_logits_are_read_only(self, vocab):
+        m = TableModel(vocab, seed=2)
         logits = m.next_logits([1, 2])
         with pytest.raises(ValueError):
             logits[0] = 0.0
@@ -360,7 +387,7 @@ class TestTableMemo:
             m.next_logits([1, 2])[:] += 1.0
 
     def test_numpy_tokens_share_the_plain_int_entry(self):
-        m = TableModel(8, seed=2)
+        m = TableModel(401, seed=2)
         plain = m.next_logits([3, 1, 2])
         assert m.next_logits([np.int64(1), np.int64(2)]) is plain
         assert len(m._memo) == 1
@@ -369,11 +396,6 @@ class TestTableMemo:
 def all_windows(vocab, order):
     """Every window of length 0 to ``order``, shortest first."""
     return [w for n in range(order + 1) for w in itertools.product(range(vocab), repeat=n)]
-
-
-def seed_words(seed, window):
-    """The four uint64 words numpy's ``SeedSequence`` gives a window's seed."""
-    return np.random.SeedSequence(ref_window_seed(seed, window)).generate_state(4, np.uint64)
 
 
 def run_python(code, timeout):
@@ -394,93 +416,154 @@ def run_python(code, timeout):
     return done.stdout
 
 
-class TestSeedTable:
-    """A ``TableModel`` whose window space is small enough keeps a row of
-    seed words per window, filled with numpy's ``SeedSequence`` words on the
-    window's first miss; the logits stay those of
-    ``Generator(PCG64(window_seed))``, byte for byte."""
+def table_index(vocab, window):
+    """A window's table row: the bijective base-V numeral with digits t + 1."""
+    index = 0
+    for t in window:
+        index = index * vocab + t + 1
+    return index
+
+
+class TestLogitsTable:
+    """A ``WindowModel`` whose window space fits in ``TABLE_BYTES`` keeps a
+    row of logits per window, filled on the window's first lookup; the
+    logits stay those of ``Generator(PCG64(window_seed))``, byte for byte."""
 
     @pytest.mark.parametrize("seed", [-(2**63), -1, 0, 2**63 - 1])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("vocab", [2, 3, 16, 64])
-    def test_window_logits_match_reference_on_first_and_repeated_miss(self, vocab, order, seed):
+    def test_every_window_matches_reference_on_first_and_repeated_lookup(self, vocab, order, seed):
         m = TableModel(vocab, seed=seed, order=order)
         windows = all_windows(vocab, order)
         expected = [ref_table_logits(seed, w, vocab).tobytes() for w in windows]
-        assert [m.window_logits(w).tobytes() for w in windows] == expected
-        assert m._rows.shape == (len(windows), 4) and m._rows[:, 0].all()
-        assert [m.window_logits(w).tobytes() for w in windows] == expected
-        for w, logits in zip(windows[1:], expected[1:]):
-            assert m.next_logits(list(w)).tobytes() == logits
-        # A token outside the vocabulary has no row: the window is hashed.
-        for w in [(vocab,), (0, vocab + 5)][:order]:
-            assert m.window_logits(w).tobytes() == ref_table_logits(seed, w, vocab).tobytes()
+        assert m._table.shape == (len(windows), vocab) and not any(m._filled)
+        for _ in range(2):
+            assert [m.next_logits(list(w)).tobytes() for w in windows] == expected
+            assert all(m._filled) and m._memo == {}
+        # A token outside the vocabulary has no row: the window takes the memo.
+        outside = [(vocab,), (0, vocab + 5)][:order]
+        for w in outside + outside:
+            assert m.next_logits(list(w)).tobytes() == ref_table_logits(seed, w, vocab).tobytes()
+        assert list(m._memo) == outside
 
-    def test_a_miss_fills_only_its_windows_row_with_numpys_words(self):
+    def test_a_lookup_fills_only_its_windows_row(self):
         m = TableModel(64, seed=4, order=2)
-        assert m._rows.shape == (4161, 4) and m._rows.dtype == np.uint64
-        assert not m._rows.any()
-        m.next_logits([5, 7])
+        assert m._table.shape == (4161, 64) and m._table.dtype == np.float64
+        assert not m._table.any()
+        m.next_logits([9, 5, 7])
         # Bijective base 64 with digits t + 1: (5 + 1) * 64 + (7 + 1).
-        assert np.flatnonzero(m._rows.any(axis=1)).tolist() == [392]
-        assert m._rows[392].tobytes() == seed_words(4, (5, 7)).tobytes()
+        assert table_index(64, (5, 7)) == 392
+        assert [i for i, f in enumerate(m._filled) if f] == [392]
+        assert np.flatnonzero(m._table.any(axis=1)).tolist() == [392]
+        assert m._table[392].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
 
-    def test_a_filled_row_is_read_not_recomputed(self):
-        m = TableModel(16, seed=4, order=2)
-        m.window_logits((1, 2))
-        m.window_logits((3, 4))
-        m._rows[(1 + 1) * 16 + 2 + 1] = m._rows[(3 + 1) * 16 + 4 + 1]
-        assert m.window_logits((1, 2)).tobytes() == ref_table_logits(4, (3, 4), 16).tobytes()
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_rows_are_read_only(self, kind):
+        m = build_backend(kind)
+        row = m.next_logits([1, 2])
+        assert not row.flags.writeable and not m._table.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        with pytest.raises(ValueError):
+            m.next_logits([3, 1, 2])[:] += 1.0
 
-    def test_a_row_whose_first_word_is_zero_is_refilled(self):
-        m = TableModel(16, seed=4, order=2)
-        window, index = (9, 2), (9 + 1) * 16 + 2 + 1
-        expected = ref_table_logits(4, window, 16).tobytes()
-        assert m.window_logits(window).tobytes() == expected
-        m._rows[index] = [0, 1, 2, 3]
-        assert m.window_logits(window).tobytes() == expected
-        assert m._rows[index].tobytes() == seed_words(4, window).tobytes()
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_a_filled_row_is_read_not_recomputed(self, kind, monkeypatch):
+        m = build_backend(kind)
+        poked = m.next_logits([1, 2]) + 1.0
+        m._table_rw[table_index(16, (1, 2))] = poked
+        monkeypatch.setattr(m, "window_logits", lambda window: pytest.fail("recomputed"))
+        assert m.next_logits([1, 2]).tobytes() == poked.tobytes()
+        assert m.next_logits([7, 1, 2]).tobytes() == poked.tobytes()
 
     @pytest.mark.parametrize("vocab, order", [(401, 2), (64, 3)])
-    def test_large_window_spaces_allocate_no_rows(self, vocab, order):
+    def test_large_window_spaces_take_the_memo(self, vocab, order):
         m = TableModel(vocab, seed=4, order=order)
-        assert m._rows is None
+        assert m._table is None
         for w in distinct_windows(vocab, order, 20, seed=2):
             assert m.next_logits(w).tobytes() == ref_table_logits(4, w[-order:], vocab).tobytes()
+        assert len(m._memo) == 20
 
-    @pytest.mark.parametrize("vocab, order, fits", [(127, 2, True), (128, 2, False), (2, 13, True)])
-    def test_rows_fit_in_the_memo_budget(self, vocab, order, fits):
-        # 32 bytes a window: 16,257 windows at V=127 and 16,383 at V=2 and
-        # order 13 fit in 512 KiB; 16,513 at V=128 do not.
-        m = TableModel(vocab, seed=4, order=order)
-        assert (m._rows is not None) == fits
+    @pytest.mark.parametrize(
+        "vocab, order, fits",
+        [(64, 2, True), (80, 2, True), (81, 2, False), (723, 1, True), (724, 1, False),
+         (2, 17, True), (2, 18, False)],
+    )
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_the_table_fits_in_its_budget(self, kind, vocab, order, fits):
+        # 8 bytes a logit: V=80 at order 2 keeps 6,481 windows in 4,147,840
+        # bytes of 4 MiB, V=81 would need 4,304,664.
+        if kind == "table":
+            m = TableModel(vocab, seed=4, order=order)
+        else:
+            m = NgramModel([[0, 1, 0]], vocab, order=order)
+        assert (m._table is not None) == fits
         if fits:
-            assert m._rows.shape == (len(all_windows(vocab, order)), 4)
+            n_windows = sum(vocab**n for n in range(order + 1))
+            assert m._table.shape == (n_windows, vocab) and m._table.nbytes <= models.TABLE_BYTES
+            assert len(m._filled) == n_windows
 
     def test_a_huge_order_builds_at_once(self):
         # Counting every window of a huge order would sum ever larger powers
-        # of V; the count stops once the rows overflow the budget.
+        # of V; the count stops once the table overflows its budget.
         code = (
             "import time\n"
             "from reflectspec.models import TableModel\n"
             "start = time.perf_counter()\n"
             "m = TableModel(64, order=10**6)\n"
-            "print(time.perf_counter() - start, m._rows is None)\n"
+            "print(time.perf_counter() - start, m._table is None)\n"
         )
-        seconds, no_rows = run_python(code, timeout=20).split()
-        assert float(seconds) < 1.0 and no_rows == "True"
+        seconds, no_table = run_python(code, timeout=20).split()
+        assert float(seconds) < 1.0 and no_table == "True"
 
-    def test_seed_row_serves_only_pcg64s_request(self):
-        row = seed_words(5, ())
-        assert models._SeedRow(row).generate_state(4, np.uint64) is row
-        for n_words, dtype in [(4, np.uint32), (8, np.uint64)]:
-            with pytest.raises(InternalConsistencyError, match="seed row asked for"):
-                models._SeedRow(row).generate_state(n_words, dtype)
 
-    def test_memo_with_rows_matches_the_reference(self):
-        m = TableModel(64, seed=4, order=2)
-        assert_memo_matches_fresh(m, lambda w: ref_table_logits(4, w, 64), 64, seed=3)
-        assert m._rows[:, 0].any()
+# Every integer typecode of ``array``; V=64 and the tokens outside it fit in
+# the narrowest.
+ARRAY_TYPECODES = "bBhHiIlLqQ"
+
+
+def both_paths(kind, vocab=64, order=2):
+    """The same backend built once on the table path and once with the memo
+    forced (no table fits in ``TABLE_BYTES`` = 0)."""
+
+    def build():
+        if kind == "table":
+            return TableModel(vocab, seed=8, order=order)
+        rng = make_rng(8)
+        docs = [random_context(rng, vocab, 60) for _ in range(40)]
+        return NgramModel(docs, vocab, order=order, smoothing=0.5)
+
+    table = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "TABLE_BYTES", 0)
+        memo = build()
+    assert table._table is not None and memo._table is None
+    return table, memo
+
+
+class TestTableMemoDifferential:
+    """The table and the memo serve the same bytes for every context form."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_every_context_form_gets_the_same_bytes(self, kind, order):
+        table, memo = both_paths(kind, order=order)
+        rng = make_rng(order)
+        contexts = [[], [63], [0, 63], [64], [70, 1], [1, 64], [63, 127]]
+        contexts += [random_context(rng, 64) for _ in range(200)]
+        if kind == "ngram":
+            contexts += [[-1], [2, -3]]  # a table hashes no negative token
+        else:
+            contexts.remove([])  # a session never asks a table about it
+        for _ in range(2):
+            for ctx in contexts:
+                want = memo.next_logits(ctx).tobytes()
+                forms = [ctx, [np.int64(t) for t in ctx]]
+                if min(ctx, default=0) >= 0:
+                    forms += [array(code, ctx) for code in ARRAY_TYPECODES]
+                for form in forms:
+                    assert table.next_logits(form).tobytes() == want, (ctx, form)
+        assert any(table._filled) and len(table._memo) > 0
 
 
 def test_building_models_leaves_numpy_random_unimported():
@@ -592,10 +675,16 @@ class TestNgramCountFreeRow:
         data=st.data(),
     )
     def test_count_free_windows_share_one_read_only_row(self, vocab, order, smoothing, data):
+        # In the memo every count-free window holds the one shared row; the
+        # table copies its bytes into each count-free window's row.
         token = st.integers(0, vocab - 1)
         corpus = data.draw(st.lists(st.lists(token, min_size=1, max_size=30), min_size=1, max_size=4))
         windows = data.draw(st.lists(st.lists(token, min_size=1, max_size=order), max_size=40))
-        m = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
+        table = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "TABLE_BYTES", 0)
+            m = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
+        assert m._table is None
         pair_counts, ctx_counts = ref_ngram_counts(corpus, order)
         unheld = (list(w) for w in itertools.product(range(vocab), repeat=order) if w not in pair_counts)
         free = [w for w in windows if tuple(w) not in pair_counts] + list(itertools.islice(unheld, 1))
@@ -607,12 +696,15 @@ class TestNgramCountFreeRow:
         assert all(m.next_logits(w) is row for w in free + free[::-1])
         for held in pair_counts:
             assert m.next_logits(list(held)) is not row
+        for w in free + free[::-1]:
+            got = table.next_logits(w)
+            assert not got.flags.writeable and got.tobytes() == row.tobytes()
 
 
-def ngram_memo_model(vocab=8, documents=5):
+def ngram_memo_model(vocab=401, documents=5, order=2):
     rng = make_rng(9)
     docs = [random_context(rng, vocab, 40) for _ in range(documents)]
-    return NgramModel(docs, vocab, order=2, smoothing=0.5), docs
+    return NgramModel(docs, vocab, order=order, smoothing=0.5), docs
 
 
 class TestNgramMemo:
@@ -620,12 +712,12 @@ class TestNgramMemo:
         # Every count-free window returns the same shared row, so only
         # windows the corpus holds can show the memo confusing two windows:
         # at least half the queried windows are held ones.
-        for vocab in (64, 1024):
-            m, docs = ngram_memo_model(vocab, documents=120)
-            pair_counts, ctx_counts = ref_ngram_counts(docs, 2)
+        for vocab, order in ((64, 3), (1024, 2)):
+            m, docs = ngram_memo_model(vocab, documents=120, order=order)
+            pair_counts, ctx_counts = ref_ngram_counts(docs, order)
 
             def fresh(w):
-                return ref_ngram_logits(pair_counts, ctx_counts, w, vocab, 2, 0.5)
+                return ref_ngram_logits(pair_counts, ctx_counts, w, vocab, order, 0.5)
 
             held = [w for w in pair_counts if w]
             windows = assert_memo_matches_fresh(m, fresh, vocab, seed=3, held=held)
@@ -635,8 +727,9 @@ class TestNgramMemo:
         for vocab in (64, 4096):
             assert_memo_stays_bounded(NgramModel([[0, 1, 2, 3]], vocab, order=3), vocab)
 
-    def test_returned_logits_are_read_only(self):
-        m, _ = ngram_memo_model()
+    @pytest.mark.parametrize("vocab", [8, 401])  # a table, a memo
+    def test_returned_logits_are_read_only(self, vocab):
+        m, _ = ngram_memo_model(vocab)
         logits = m.next_logits([1, 2])
         with pytest.raises(ValueError):
             logits[0] = 0.0

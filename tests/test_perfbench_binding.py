@@ -72,3 +72,26 @@ def test_traced_check_takes_a_vanilla_decode(perfbench):
         output, stats = spans.traced_decode(tracer, TableModel(16), TableModel(16), [1, 2, 3], config)
     assert len(output) == stats.num_steps == 5
     assert tracer.counts["commit_and_prune"] == tracer.counts["steps"] == 5
+
+
+def test_a_second_table_short_pass_computes_no_window(perfbench, monkeypatch):
+    # Every table-short model keeps a logits table (V=64, order 2), so each
+    # model computes a window on its first lookup only, however often the
+    # pass repeats.
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS["table-short"](EXPECTED["default_seed"])
+    calls = []
+    window_logits = TableModel.window_logits
+
+    def counted(self, window):
+        calls.append((id(self), window))
+        return window_logits(self, window)
+
+    monkeypatch.setattr(TableModel, "window_logits", counted)
+    for i in range(len(workload)):
+        workload.run(i)
+    assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    for i in range(len(workload)):
+        workload.run(i)
+    assert calls == []
