@@ -20,6 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import InvalidConfigError, InvalidTokenError
+from .tokens import token_ids
 
 BACK_WORD = "[BACK]"
 
@@ -41,15 +42,12 @@ class IntTokenizer:
                 out.append(self.vocab_size - 1)
                 continue
             try:
-                tid = int(word)
+                out.append(int(word))
             except ValueError:
                 raise InvalidTokenError(
                     f"{word!r} is neither an integer token nor {BACK_WORD}"
                 ) from None
-            if not 0 <= tid < self.vocab_size:
-                raise InvalidTokenError(f"token {tid} outside vocabulary of size {self.vocab_size}")
-            out.append(tid)
-        return out
+        return token_ids(out, self.vocab_size)
 
     def decode(self, ids: list[int]) -> str:
         return " ".join(BACK_WORD if t == self.vocab_size - 1 else str(t) for t in ids)
@@ -84,12 +82,7 @@ class WordTokenizer:
         return out
 
     def decode(self, ids: list[int]) -> str:
-        words = []
-        for t in ids:
-            if not 0 <= t < len(self._id_to_word):
-                raise InvalidTokenError(f"id {t} outside vocabulary of size {self.vocab_size}")
-            words.append(self._id_to_word[t])
-        return " ".join(words)
+        return " ".join(self._id_to_word[t] for t in token_ids(ids, self.vocab_size))
 
 
 def load_corpus_documents(path: str | Path, tokenizer: WordTokenizer) -> list[list[int]]:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InternalConsistencyError, InvalidConfigError
 from .models import ModelSession
-from .tokens import inverse_cdf, sampling_distribution
+from .tokens import inverse_cdf
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,10 @@ def generate_draft(
 ) -> DraftBundle:
     """Sample ``gamma`` draft tokens autoregressively from ``session``'s model.
 
-    The session must already hold the committed prefix with cached state.
-    Each step converts the cached next-token logits to a distribution at
-    ``temperature`` (0 means greedy via a one-hot), picks one token by
-    inverse CDF, and feeds it back. The gamma uniforms come from one
+    The session must already hold the committed prefix and be built at
+    ``temperature`` (0 means greedy via a one-hot), so each row it caches is
+    the model's ``next_distribution`` q: a step reads its q, picks one token
+    by inverse CDF, and feeds it back. The gamma uniforms come from one
     ``rng.random(gamma)`` call, the stream gamma ``sample`` calls consume.
     A one-hot, or a softmax of logits that ``softmax`` has just checked, is a
     distribution by construction, so the rows are not checked again; the
@@ -59,10 +59,12 @@ def generate_draft(
         raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
     if not temperature >= 0:
         raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
+    if session.temperature != temperature:
+        raise InternalConsistencyError(f"session at temperature {session.temperature!r}, not {temperature!r}")
     tokens: list[int] = []
     dists: list[np.ndarray] = []
     for i, u in enumerate(rng.random(gamma).tolist()):
-        q = sampling_distribution(session.last_logits, temperature)
+        q = session.last_row
         tok = inverse_cdf(q, u)
         tokens.append(tok)
         dists.append(q)

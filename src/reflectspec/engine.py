@@ -48,7 +48,7 @@ from .reflective import (
     fuse,
     paired_forward,
 )
-from .tokens import make_rng, sample, sampling_distribution, stack_rows
+from .tokens import make_rng, sample, sampling_distribution, stack_rows, token_ids
 from .verification import (
     VerificationResult,
     check_typical_range,
@@ -160,7 +160,7 @@ def decode(
     end-of-sequence token, which must lie in the vocabulary. Deterministic
     given (models, prompt, config).
     """
-    prompt = [int(t) for t in prompt_tokens]
+    prompt = token_ids(prompt_tokens, target.vocab_size)
     if not prompt:
         raise InvalidConfigError("prompt must be non-empty")
     if target.vocab_size != draft.vocab_size:
@@ -173,7 +173,7 @@ def decode(
     rng = make_rng(config.seed)
     target_session = ModelSession(target)
     target_session.forward(prompt)
-    draft_session = ModelSession(draft)
+    draft_session = ModelSession(draft, config.temperature)
     draft_session.forward(prompt)
     committed = list(prompt)
     stats = RunStats(prompt_len=len(prompt))

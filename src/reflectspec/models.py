@@ -4,9 +4,10 @@ A model maps a token prefix to next-token logits; all backends here are pure
 functions of (spec, prefix), so any claim about the decode pipeline can be
 checked by from-scratch recomputation. ``ModelSession`` plays the KV-cache
 role: it owns the committed tokens, in one typed ``array.array`` buffer that
-it passes to ``next_logits`` as the context, plus memoized per-position
-logits, supports append-forward and truncate, and makes truncation semantics
-(the dropped tokens never existed) explicit.
+it passes to the model as the context, plus memoized per-position rows
+(logits, or a draft's sampling distributions), supports append-forward and
+truncate, and makes truncation semantics (the dropped tokens never existed)
+explicit.
 
 Backends:
 
@@ -32,7 +33,7 @@ import hashlib
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import (
     InternalConsistencyError,
     SessionRangeError,
 )
-from .tokens import derive_seed
+from .tokens import derive_seed, sampling_distribution, token_ids
 
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
@@ -96,29 +97,71 @@ class Model:
     """Next-token logits as a pure function of the token prefix."""
 
     vocab_size: int
+    n_windows = 0  # the windows ``window_row`` numbers
+    _q_table: _Rows | None = None
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         """Logits predicting the token after ``context``. Must not mutate it."""
         raise NotImplementedError
 
+    def window_row(self, context: Sequence[int]) -> int | None:
+        """The row of ``context``'s window in a tabled window space, or None."""
+        return None
+
+    def next_distribution(self, context: Sequence[int], temperature: float) -> np.ndarray:
+        """``sampling_distribution(self.next_logits(context), temperature)``.
+
+        Where ``window_row`` names the context's row, that call runs once
+        per window and the row is kept, read-only, in one table for the last
+        temperature asked; a new temperature replaces the table.
+        """
+        index = self.window_row(context)
+        if index is None:
+            return sampling_distribution(self.next_logits(context), temperature)
+        rows = self._q_table
+        if rows is None or rows.key != temperature:
+            rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
+        if not rows.filled[index]:
+            return rows.fill(index, sampling_distribution(self.next_logits(context), temperature))
+        return rows.view[index]
+
+
+class _Rows:
+    """A lazily filled float64 table, one row per window, ``key`` the rows'
+    temperature if they are distributions: ``np.zeros`` touches no page until
+    a row is written, ``filled`` flags it, ``view`` serves it read-only."""
+
+    def __init__(self, n_rows: int, width: int, key: float | None = None):
+        self.key = key
+        self.filled = bytearray(n_rows)
+        self._rw = np.zeros((n_rows, width))
+        self.view = self._rw.view()
+        self.view.flags.writeable = False
+
+    def fill(self, index: int, row: np.ndarray) -> np.ndarray:
+        self._rw[index] = row
+        self.filled[index] = 1
+        return self.view[index]
+
 
 class ModelSession:
-    """A model's committed context plus per-position cached state.
+    """A model's committed context plus per-position cached rows.
 
     The tokens live in one ``array.array`` of the narrowest unsigned type
     that holds the model's vocabulary (``token_typecode``); ``forward``
-    passes that buffer to ``next_logits`` as the context, and ``tokens``
-    returns a list copy. Appending is incremental: ``forward`` computes
-    logits only for the new positions and memoizes them. ``truncate``
-    discards both tokens and cached state beyond the kept length, after
-    which the session behaves exactly as if the dropped tokens were never
-    fed.
+    passes that buffer to the model as the context, and ``tokens`` returns
+    a list copy. A row is the model's logits or, in a session given a
+    ``temperature`` (the draft's), its ``next_distribution``. ``forward``
+    computes rows only for the new positions and memoizes them; ``truncate``
+    discards tokens and rows beyond the kept length, after which the
+    session behaves exactly as if the dropped tokens were never fed.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Model, temperature: float | None = None):
         self.model = model
+        self.temperature = temperature
         self._tokens = array(token_typecode(model.vocab_size))
-        self._logit_cache: list[np.ndarray] = []
+        self._rows: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -128,42 +171,42 @@ class ModelSession:
         return self._tokens.tolist()
 
     @property
-    def last_logits(self) -> np.ndarray:
-        """Cached logits predicting the token after the current context."""
-        if not self._logit_cache:
-            raise InternalConsistencyError("empty session has no cached logits")
-        return self._logit_cache[-1]
+    def last_row(self) -> np.ndarray:
+        """The cached row predicting the token after the current context."""
+        if not self._rows:
+            raise InternalConsistencyError("empty session has no cached row")
+        return self._rows[-1]
 
-    def forward(self, new_tokens: Iterable[int]) -> list[np.ndarray]:
-        """Append tokens and return the logits at each appended position.
+    last_logits = last_row  # the name read where the rows are logits
 
-        The logits at appended position j predict the token at position j+1
-        and depend only on tokens up to j (causality is inherited from the
-        backend being a pure function of the prefix).
+    def forward(self, new_tokens: Sequence[int]) -> list[np.ndarray]:
+        """Append tokens and return the row at each appended position.
+
+        The row at appended position j predicts the token at position j+1
+        and depends only on tokens up to j (causality is inherited from the
+        backend being a pure function of the prefix). Tokens are checked
+        by ``token_ids`` before any is appended.
         """
-        toks = [int(t) for t in new_tokens]
+        model, temperature, rows = self.model, self.temperature, self._rows
+        toks = token_ids(new_tokens, model.vocab_size)
         if not toks:
             raise InvalidConfigError("forward requires at least one token")
-        vocab = self.model.vocab_size
-        for t in toks:
-            if not 0 <= t < vocab:
-                raise InvalidTokenError(f"token {t} outside vocabulary of size {vocab}")
-        out: list[np.ndarray] = []
         for t in toks:
             self._tokens.append(t)
-            logits = self.model.next_logits(self._tokens)
-            self._logit_cache.append(logits)
-            out.append(logits)
-        return out
+            if temperature is None:
+                rows.append(model.next_logits(self._tokens))
+            else:
+                rows.append(model.next_distribution(self._tokens, temperature))
+        return rows[-len(toks) :]
 
     def truncate(self, keep_length: int) -> None:
-        """Shorten committed tokens and cached state to ``keep_length``."""
+        """Shorten committed tokens and cached rows to ``keep_length``."""
         if keep_length < 0 or keep_length > len(self._tokens):
             raise SessionRangeError(
                 f"cannot truncate to {keep_length} (current length {len(self._tokens)})"
             )
         del self._tokens[keep_length:]
-        del self._logit_cache[keep_length:]
+        del self._rows[keep_length:]
 
 
 class WindowModel(Model):
@@ -174,15 +217,14 @@ class WindowModel(Model):
     When every window of length 0 to ``order`` fits in ``TABLE_BYTES`` as
     float64 rows, the model keeps one table with a row per window, numbered
     shortest first and then in token order: the bijective base-V numeral of
-    the window, with digits t + 1. A window's row is filled on its first
-    lookup, so no window is computed twice; ``np.zeros`` touches no page
-    until a row is written. Any other window, and every window of a larger
-    space, takes a memo keyed by the window's token values, so ``np.int64``
-    tokens and a session's typed ``array`` hit the plain-int entry. The
-    memo holds up to ``MEMO_BYTES`` of logits but never fewer than
-    ``MEMO_MIN_WINDOWS`` windows (``memo_windows``). It evicts the oldest
-    inserted window first; a hit does not refresh it. Returned arrays are
-    shared between calls and read-only.
+    the window, with digits t + 1 (``window_row``). A window's row is filled
+    on its first lookup, so no window is computed twice. Any other window,
+    and every window of a larger space, takes a memo keyed by the window's
+    token values, so ``np.int64`` tokens and a session's typed ``array``
+    hit the plain-int entry. The memo holds up to ``MEMO_BYTES`` of logits
+    but never fewer than ``MEMO_MIN_WINDOWS`` windows (``memo_windows``).
+    It evicts the oldest inserted window first; a hit does not refresh it.
+    Returned arrays are shared between calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -198,7 +240,7 @@ class WindowModel(Model):
         # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
         self._memo_keys: deque[tuple[int, ...]] = deque()
         self._memo_windows = memo_windows(vocab_size)
-        self._table = None
+        self._logit_table = None
         # Counting stops once the table overflows, so a huge order never
         # sums huge powers of V.
         n_windows = 0
@@ -206,25 +248,27 @@ class WindowModel(Model):
             n_windows += vocab_size**n
             if 8 * vocab_size * n_windows > TABLE_BYTES:
                 return
-        self._filled = bytearray(n_windows)
-        self._table_rw = np.zeros((n_windows, vocab_size))
-        self._table = self._table_rw.view()
-        self._table.flags.writeable = False
+        self.n_windows = n_windows
+        self._logit_table = _Rows(n_windows, vocab_size)
+
+    def window_row(self, context: Sequence[int]) -> int | None:
+        if self._logit_table is None:
+            return None
+        vocab = self.vocab_size
+        index = 0
+        for t in context[-self.order :]:
+            if not 0 <= t < vocab:
+                return None  # the memo's window
+            index = index * vocab + t + 1
+        return index
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
-        table = self._table
-        if table is not None:
-            vocab = self.vocab_size
-            index = 0
-            for t in context[-self.order :]:
-                if not 0 <= t < vocab:
-                    break
-                index = index * vocab + t + 1
-            else:
-                if not self._filled[index]:
-                    self._table_rw[index] = self.window_logits(tuple(context[-self.order :]))
-                    self._filled[index] = 1
-                return table[index]
+        index = self.window_row(context)
+        if index is not None:
+            rows = self._logit_table
+            if rows.filled[index]:
+                return rows.view[index]
+            return rows.fill(index, self.window_logits(tuple(context[-self.order :])))
         key = tuple(context[-self.order :])
         logits = self._memo.get(key)
         if logits is None:
@@ -292,13 +336,12 @@ class NgramModel(WindowModel):
     ):
         _check_smoothing(smoothing)
         super().__init__(vocab_size, order)
-        docs = [[int(t) for t in doc] for doc in corpus if len(doc) > 0]
+        try:
+            docs = [token_ids(doc, vocab_size) for doc in corpus if len(doc) > 0]
+        except InvalidTokenError as exc:
+            raise InvalidTokenError(f"corpus {exc}") from None
         if not docs:
             raise InvalidConfigError("corpus must be non-empty")
-        for doc in docs:
-            if min(doc) < 0 or max(doc) >= vocab_size:
-                bad = next(t for t in doc if not 0 <= t < vocab_size)
-                raise InvalidTokenError(f"corpus token {bad} outside vocabulary")
         self.smoothing = float(smoothing)
         # Every (context, token) pair is an n-gram of length 1 to order + 1;
         # one Counter over the per-length windows of each document counts
@@ -331,7 +374,11 @@ class NgramModel(WindowModel):
 
 
 class BlendModel(Model):
-    """Convex combination of two backends: (1-w)*primary + w*secondary."""
+    """Convex combination of two backends: (1-w)*primary + w*secondary.
+
+    A blend of two ``WindowModel``s is a function of its larger-order
+    part's window, so it names its rows by that part's ``window_row``.
+    """
 
     def __init__(self, primary: Model, secondary: Model, weight: float):
         if primary.vocab_size != secondary.vocab_size:
@@ -342,6 +389,9 @@ class BlendModel(Model):
         self.primary = primary
         self.secondary = secondary
         self.weight = float(weight)
+        if isinstance(primary, WindowModel) and isinstance(secondary, WindowModel):
+            space = max(primary, secondary, key=lambda part: part.order)
+            self.window_row, self.n_windows = space.window_row, space.n_windows
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         return (1.0 - self.weight) * self.primary.next_logits(context) + (
@@ -481,9 +531,7 @@ def pair_models(
     return target, draft
 
 
-def build_model(
-    spec: ModelSpec, corpus: Sequence[Sequence[int]] | None = None
-) -> Model:
+def build_model(spec: ModelSpec, corpus: Sequence[Sequence[int]] | None = None) -> Model:
     """Construct a base backend from its spec.
 
     ``corpus`` is required for the ngram kind and ignored otherwise. The
@@ -491,10 +539,8 @@ def build_model(
     kind reads it, so a bad value fails the same way whatever the kind.
     """
     _check_smoothing(spec.smoothing)
-    if spec.kind == "table":
+    if spec.kind == "table":  # ModelSpec admits no kind but MODEL_KINDS
         return TableModel(spec.vocab_size, seed=spec.seed, order=spec.order)
-    if spec.kind == "ngram":
-        if corpus is None:
-            raise InvalidConfigError("ngram models require a corpus")
-        return NgramModel(corpus, spec.vocab_size, order=spec.order, smoothing=spec.smoothing)
-    raise InvalidConfigError(f"unknown model kind {spec.kind!r}")
+    if corpus is None:
+        raise InvalidConfigError("ngram models require a corpus")
+    return NgramModel(corpus, spec.vocab_size, order=spec.order, smoothing=spec.smoothing)

@@ -130,12 +130,9 @@ def build_reflective_input(
     The prefix segment replays the last ``template.prefix_len`` committed
     tokens; when fewer are committed, all of them are used (no padding).
     """
-    tokens = [int(t) for t in draft.tokens]
-    prompt = [int(t) for t in template.prompt_tokens]
-    if template.prefix_len > 0:
-        prefix = [int(t) for t in committed[-template.prefix_len :]]
-    else:
-        prefix = []
+    tokens = list(draft.tokens)
+    prompt = list(template.prompt_tokens)
+    prefix = list(committed[-template.prefix_len :]) if template.prefix_len > 0 else []
     return ReflectiveLayout(
         full_sequence=tuple(tokens + prompt + prefix + tokens),
         shift_len=len(tokens) + len(prompt) + len(prefix),

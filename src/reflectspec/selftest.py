@@ -136,7 +136,7 @@ def check_decode_law(length: int = 3, temperature: float = 0.8) -> CheckResult:
                 for t, pt in enumerate(p):
                     emit(accepted + (t,), mass * pt)
                 return
-            q = sampling_distribution(draft.next_logits(ctx + accepted), temperature)
+            q = draft.next_distribution(ctx + accepted, temperature)
             rejected = 0.0
             for t, qt in enumerate(q):
                 ratio = min(1.0, p[t] / qt)

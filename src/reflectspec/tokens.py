@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+from operator import index as _as_int
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +63,21 @@ def derive_seed(*parts: object) -> int:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
+
+
+def token_ids(tokens: Sequence[int], vocab_size: int) -> list[int]:
+    """``tokens`` as plain ints in ``[0, vocab_size)``; numpy integers pass.
+    ``InvalidTokenError`` names the first token outside the vocabulary, or
+    a value that is not an integer: 1.9, which ``int`` would truncate to 1."""
+    try:
+        ids = [_as_int(t) for t in tokens]
+    except TypeError:
+        bad = next(t for t in tokens if not isinstance(t, numbers.Integral))
+        raise InvalidTokenError(f"token {bad!r} is not an integer") from None
+    for t in ids:
+        if not 0 <= t < vocab_size:
+            raise InvalidTokenError(f"token {t} outside vocabulary of size {vocab_size}")
+    return ids
 
 
 def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -156,10 +173,8 @@ def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
 
 def one_hot(token: int, vocab_size: int) -> np.ndarray:
     """Distribution putting all mass on ``token``."""
-    if not 0 <= token < vocab_size:
-        raise InvalidTokenError(f"token {token} outside vocabulary of size {vocab_size}")
     out = np.zeros(vocab_size, dtype=np.float64)
-    out[token] = 1.0
+    out[token_ids([token], vocab_size)] = 1.0
     return out
 
 

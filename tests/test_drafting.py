@@ -7,19 +7,19 @@ from hypothesis import given, settings, strategies as st
 from reference_impl import ref_generate_draft
 
 from reflectspec.drafting import generate_draft
-from reflectspec.errors import InvalidConfigError
-from reflectspec.models import Model, ModelSession, TableModel
+from reflectspec.errors import InternalConsistencyError, InvalidConfigError
+from reflectspec.models import BlendModel, Model, ModelSession, TableModel
 from reflectspec.tokens import make_rng, sample, sampling_distribution, validate_distribution
 
 
-def fresh_session(vocab=16, seed=3, prefix=(1, 2, 3)):
-    s = ModelSession(TableModel(vocab, seed=seed))
+def fresh_session(temperature, vocab=16, seed=3, prefix=(1, 2, 3)):
+    s = ModelSession(TableModel(vocab, seed=seed), temperature)
     s.forward(list(prefix))
     return s
 
 
 def test_greedy_drafts_are_identical_across_calls():
-    s = fresh_session()
+    s = fresh_session(0.0)
     a = generate_draft(s, 5, 0.0, make_rng(0))
     s.truncate(3)
     b = generate_draft(s, 5, 0.0, make_rng(99))
@@ -29,14 +29,14 @@ def test_greedy_drafts_are_identical_across_calls():
 
 
 def test_gamma_one_boundary():
-    s = fresh_session()
+    s = fresh_session(0.8)
     bundle = generate_draft(s, 1, 0.8, make_rng(1))
     assert len(bundle.tokens) == 1 and len(bundle.q_dists) == 1
     assert bundle.draft_forward_count == 0
 
 
 def test_session_keeps_drafts_and_forward_count():
-    s = fresh_session()
+    s = fresh_session(0.8)
     before = s.tokens
     bundle = generate_draft(s, 6, 0.8, make_rng(2))
     assert s.tokens == before + list(bundle.tokens[:5])
@@ -46,7 +46,7 @@ def test_session_keeps_drafts_and_forward_count():
 def test_rng_replay_reproduces_tokens():
     # Replaying a same-seed stream against the recorded distributions must
     # reproduce the drafted tokens draw for draw.
-    s = fresh_session()
+    s = fresh_session(0.9)
     bundle = generate_draft(s, 8, 0.9, make_rng(42))
     replay = make_rng(42)
     for tok, q in zip(bundle.tokens, bundle.q_dists):
@@ -56,7 +56,7 @@ def test_rng_replay_reproduces_tokens():
 def test_distributions_match_independent_recomputation():
     model = TableModel(16, seed=3)
     prefix = [1, 2, 3]
-    s = ModelSession(model)
+    s = ModelSession(model, 0.7)
     s.forward(prefix)
     bundle = generate_draft(s, 5, 0.7, make_rng(4))
     for i, q in enumerate(bundle.q_dists):
@@ -66,26 +66,35 @@ def test_distributions_match_independent_recomputation():
 
 
 def test_drafted_tokens_have_positive_draft_mass():
-    s = fresh_session()
+    s = fresh_session(0.5)
     bundle = generate_draft(s, 6, 0.5, make_rng(5))
     for tok, q in zip(bundle.tokens, bundle.q_dists):
         assert q[tok] > 0
 
 
 def test_gamma_zero_rejected():
-    s = fresh_session()
+    s = fresh_session(0.8)
     with pytest.raises(InvalidConfigError):
         generate_draft(s, 0, 0.8, make_rng(0))
 
 
 def test_negative_temperature_rejected():
-    s = fresh_session()
+    s = fresh_session(0.8)
     with pytest.raises(InvalidConfigError):
         generate_draft(s, 2, -1.0, make_rng(0))
 
 
+@pytest.mark.parametrize("session_temperature", [None, 0.0, 0.9])
+def test_a_session_at_another_temperature_is_a_bookkeeping_fault(session_temperature):
+    s = ModelSession(TableModel(16, seed=3), session_temperature)
+    s.forward([1, 2, 3])
+    with pytest.raises(InternalConsistencyError, match="^session at temperature"):
+        generate_draft(s, 2, 0.8, make_rng(0))
+    assert s.tokens == [1, 2, 3]
+
+
 def test_nan_temperature_rejected_naming_it():
-    s = fresh_session()
+    s = fresh_session(0.8)
     with pytest.raises(InvalidConfigError, match="^temperature must be >= 0, got nan$"):
         generate_draft(s, 2, float("nan"), make_rng(0))
 
@@ -103,24 +112,28 @@ class CoarseModel(Model):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    vocab=st.integers(2, 700),
+    vocab=st.integers(2, 80) | st.integers(81, 700),  # tabled at order 2, or not
     gamma=st.integers(1, 8),
     temperature=st.sampled_from([0.0]) | st.floats(0.05, 5.0),
-    coarse=st.booleans(),
+    kind=st.sampled_from(["table", "coarse", "blend"]),
     model_seed=st.integers(0, 2**32),
     seed=st.integers(0, 2**32),
     prefix=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
 )
 def test_one_pass_draft_matches_per_token_reference(
-    vocab, gamma, temperature, coarse, model_seed, seed, prefix
+    vocab, gamma, temperature, kind, model_seed, seed, prefix
 ):
     # The one-pass loop (one rng.random(gamma) call, inverse_cdf per row, one
-    # block check, drafts kept) against the per-token loop with a rollback.
+    # block check, drafts kept, q read from the session's rows: a table's
+    # below V=81, computed above it or behind CoarseModel) against the
+    # per-token loop with a rollback, which softmaxes the cached logits.
     model = TableModel(vocab, seed=model_seed)
-    if coarse:
+    if kind == "coarse":
         model = CoarseModel(model)
+    elif kind == "blend":
+        model = BlendModel(model, TableModel(vocab, seed=model_seed + 1, order=1), 0.3)
     prefix = [t % vocab for t in prefix]
-    sessions = [ModelSession(model), ModelSession(model)]
+    sessions = [ModelSession(model, temperature), ModelSession(model)]
     for s in sessions:
         s.forward(prefix)
     rng, ref_rng = make_rng(seed), make_rng(seed)

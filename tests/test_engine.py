@@ -14,7 +14,7 @@ from fixtures import CountingModel, make_divergence_pair
 
 from reflectspec import engine, models
 from reflectspec.engine import STRATEGIES, DecodeConfig, RunStats, commit_and_prune, decode
-from reflectspec.errors import DegenerateResidualError, InvalidConfigError
+from reflectspec.errors import DegenerateResidualError, InvalidConfigError, InvalidTokenError
 from reflectspec.models import (
     BlendModel,
     ModelSession,
@@ -487,7 +487,7 @@ class TestMemoTransparency:
         if fifo:  # both memos have filled and evicted
             assert [len(m._memo) for m in warm_models] == [full, full]
         else:  # the tables keep more windows than a full memo
-            assert all(m._memo == {} and sum(m._filled) > full for m in warm_models)
+            assert all(m._memo == {} and sum(m._logit_table.filled) > full for m in warm_models)
 
 
 class TestTableMemoDecodes:
@@ -500,6 +500,37 @@ class TestTableMemoDecodes:
         for prompt, config in memo_cases():
             got = decode_with_end_state(*tables, prompt, config)
             assert got == decode_with_end_state(*memos, prompt, config), (config.strategy, config.reflect)
+
+
+def eta_pair(kind, eta):
+    """``memo_pair``'s models, with tables, at draft divergence ``eta``."""
+    spec = ModelSpec(kind, MEMO_VOCAB, seed=3, order=2)
+    base = build_model(spec, corpus=MEMO_CORPUS if kind == "ngram" else None)
+    beta = 0.5 if kind == "table" else 0.0
+    return base, pair_models(base, divergence_noise_model(spec), eta, beta, MEMO_VOCAB - 1)
+
+
+class TestDraftDistributionTable:
+    """A draft that tables its q rows decodes exactly like the same draft
+    behind an opaque ``Model`` wrapper, which computes every row from its
+    logits as perfbench's ``TracedModel`` does."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4])
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_a_tabled_draft_decodes_like_an_opaque_one(self, kind, eta):
+        base, (target, draft) = eta_pair(kind, eta)
+        assert (draft is base) == (eta == 0)  # at eta 0 the base itself drafts
+        cases = memo_cases()
+        prompt, config = cases[1]
+        # The table follows the decode's temperature, and back.
+        cases += [(prompt, replace(config, temperature=t)) for t in (0.0, 1.3, 0.8)]
+        for prompt, config in cases:
+            _, (opaque_target, opaque_draft) = eta_pair(kind, eta)
+            opaque = CountingModel(opaque_draft)
+            got = decode_with_end_state(target, draft, prompt, config)
+            assert got == decode_with_end_state(opaque_target, opaque, prompt, config)
+            assert opaque.calls > 0 and opaque._q_table is None
+            assert draft._q_table.key == config.temperature and any(draft._q_table.filled)
 
 
 @st.composite
@@ -651,6 +682,24 @@ class TestValidation:
         config = base_config(strategy=strategy, eos_token=eos)
         with pytest.raises(InvalidConfigError, match=f"^eos_token {eos} outside vocabulary of size {VOCAB}$"):
             decode(target, draft, [1, 2, 3], config)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_prompt_token_that_is_not_an_integer_is_rejected(self, strategy):
+        # int() would decode this prompt as [1, 2, 3].
+        target, draft = table_pair()
+        with pytest.raises(InvalidTokenError, match=r"^token 1\.9 is not an integer$"):
+            decode(target, draft, [1.9, 2.7, 3.2], base_config(strategy=strategy))
+
+    def test_a_probe_token_that_is_not_an_integer_is_rejected(self):
+        target, draft = table_pair()
+        template = ReflectiveTemplate(prompt_tokens=(MARKER - 0.5,), prefix_len=2)
+        with pytest.raises(InvalidTokenError, match=r"^token 38\.5 is not an integer$"):
+            decode(target, draft, [1, 2, 3], base_config(template=template))
+
+    def test_numpy_integer_prompts_decode_like_int_prompts(self):
+        want = decode(*table_pair(), [1, 2, 3], base_config())[0]
+        assert decode(*table_pair(), np.array([1, 2, 3], dtype=np.uint8), base_config())[0] == want
+        assert decode(*table_pair(), [np.int64(1), 2, np.int32(3)], base_config())[0] == want
 
     def test_vocab_mismatch(self):
         with pytest.raises(InvalidConfigError):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from array import array
@@ -39,7 +40,7 @@ from reflectspec.models import (
     pair_models,
     token_typecode,
 )
-from reflectspec.tokens import make_rng, softmax
+from reflectspec.tokens import make_rng, sampling_distribution, softmax
 
 
 def random_context(rng, vocab, max_len=12):
@@ -110,6 +111,42 @@ class TestModelSession:
             s.forward([1, 8])
         with pytest.raises(InvalidTokenError):
             s.forward([-1])
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(3.0), "3", None, 1 + 0j])
+    def test_rejects_a_token_that_is_not_an_integer_naming_it(self, bad):
+        # int() would truncate 1.9 to 1 and read "3" as 3.
+        s = ModelSession(TableModel(8, seed=1))
+        s.forward([1])
+        with pytest.raises(InvalidTokenError, match=f"^token {re.escape(repr(bad))} is not an integer$"):
+            s.forward([2, bad])
+        assert s.tokens == [1]
+
+    def test_python_and_numpy_integers_are_tokens(self):
+        want = ModelSession(TableModel(8, seed=1)).forward([1, 2, 3, 4])
+        s = ModelSession(TableModel(8, seed=1))
+        got = s.forward([True, np.uint8(2), np.int64(3), np.array(4)[()]])
+        assert s.tokens == [1, 2, 3, 4] and all(type(t) is int for t in s.tokens)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_a_corpus_token_that_is_not_an_integer_is_rejected(self):
+        with pytest.raises(InvalidTokenError, match=r"^corpus token 1\.5 is not an integer$"):
+            NgramModel([[0, 1], [2, 1.5]], 4)
+
+    @pytest.mark.parametrize("kind", ALL_BACKENDS)
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_a_session_at_a_temperature_caches_next_distribution_rows(self, kind, temperature):
+        model = build_backend(kind)
+        s = ModelSession(model, temperature)
+        tokens = random_context(make_rng(5), model.vocab_size, 20)
+        rows = s.forward(tokens)
+        want = [
+            sampling_distribution(build_backend(kind).next_logits(tokens[: j + 1]), temperature)
+            for j in range(len(tokens))
+        ]
+        assert [r.tobytes() for r in rows] == [w.tobytes() for w in want]
+        assert s.last_row is rows[-1]
+        s.truncate(2)
+        assert s.last_row is rows[1]
 
     @pytest.mark.parametrize("kind", ALL_BACKENDS)
     def test_incremental_equals_from_scratch(self, kind):
@@ -287,7 +324,7 @@ class TestWindowKey:
     def test_every_context_form_hits_its_window_entry(self, kind):
         m = window_backend(kind)
         fresh = window_backend(kind)
-        assert m._table is None
+        assert m._logit_table is None
         typecode = token_typecode(m.vocab_size)
         for n, (window, contexts) in enumerate(window_contexts(kind), 1):
             first = m.next_logits(list(window))
@@ -305,7 +342,7 @@ class TestWindowKey:
     def test_every_context_form_reads_its_window_row(self, kind):
         m = window_backend(kind, vocab=16)
         fresh = window_backend(kind, vocab=16)
-        assert m._table is not None
+        assert m._logit_table is not None
         typecode = token_typecode(16)
         for window, contexts in window_contexts(kind):
             first = m.next_logits(list(window))
@@ -315,7 +352,7 @@ class TestWindowKey:
                 for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
                     got = m.next_logits(form)
                     assert not got.flags.writeable and got.tobytes() == first.tobytes()
-        assert m._memo == {} and sum(m._filled) == 4 + (kind == "ngram")
+        assert m._memo == {} and sum(m._logit_table.filled) == 4 + (kind == "ngram")
         assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
 
 
@@ -333,7 +370,7 @@ class TestMemoBudget:
             m = TableModel(vocab, seed=1, order=6)
         else:
             m = NgramModel([[0, 1, 2, 3, 4, 5, 6, 7, 1, 3]], vocab, order=6)
-        assert m._table is None
+        assert m._logit_table is None
         budget = max(512 * 1024, 64 * 8 * vocab)
         for w in distinct_windows(vocab, 6, memo_windows(vocab) + 50, seed=2):
             m.next_logits(w)
@@ -352,7 +389,7 @@ class TestMemoEvictionOrder:
             m = TableModel(401, seed=1, order=2)
         else:
             m = NgramModel([[0, 1, 2, 3, 4, 5]], 401, order=2)
-        assert m._table is None
+        assert m._logit_table is None
         a, b, c, d, e = (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)
         for window in (a, b, c, a, d):
             m.next_logits(list(window))
@@ -436,10 +473,10 @@ class TestLogitsTable:
         m = TableModel(vocab, seed=seed, order=order)
         windows = all_windows(vocab, order)
         expected = [ref_table_logits(seed, w, vocab).tobytes() for w in windows]
-        assert m._table.shape == (len(windows), vocab) and not any(m._filled)
+        assert m._logit_table.view.shape == (len(windows), vocab) and not any(m._logit_table.filled)
         for _ in range(2):
             assert [m.next_logits(list(w)).tobytes() for w in windows] == expected
-            assert all(m._filled) and m._memo == {}
+            assert all(m._logit_table.filled) and m._memo == {}
         # A token outside the vocabulary has no row: the window takes the memo.
         outside = [(vocab,), (0, vocab + 5)][:order]
         for w in outside + outside:
@@ -448,20 +485,20 @@ class TestLogitsTable:
 
     def test_a_lookup_fills_only_its_windows_row(self):
         m = TableModel(64, seed=4, order=2)
-        assert m._table.shape == (4161, 64) and m._table.dtype == np.float64
-        assert not m._table.any()
+        assert m._logit_table.view.shape == (4161, 64) and m._logit_table.view.dtype == np.float64
+        assert not m._logit_table.view.any()
         m.next_logits([9, 5, 7])
         # Bijective base 64 with digits t + 1: (5 + 1) * 64 + (7 + 1).
         assert table_index(64, (5, 7)) == 392
-        assert [i for i, f in enumerate(m._filled) if f] == [392]
-        assert np.flatnonzero(m._table.any(axis=1)).tolist() == [392]
-        assert m._table[392].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
+        assert [i for i, f in enumerate(m._logit_table.filled) if f] == [392]
+        assert np.flatnonzero(m._logit_table.view.any(axis=1)).tolist() == [392]
+        assert m._logit_table.view[392].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_rows_are_read_only(self, kind):
         m = build_backend(kind)
         row = m.next_logits([1, 2])
-        assert not row.flags.writeable and not m._table.flags.writeable
+        assert not row.flags.writeable and not m._logit_table.view.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 0.0
         with pytest.raises(ValueError):
@@ -471,7 +508,7 @@ class TestLogitsTable:
     def test_a_filled_row_is_read_not_recomputed(self, kind, monkeypatch):
         m = build_backend(kind)
         poked = m.next_logits([1, 2]) + 1.0
-        m._table_rw[table_index(16, (1, 2))] = poked
+        m._logit_table._rw[table_index(16, (1, 2))] = poked
         monkeypatch.setattr(m, "window_logits", lambda window: pytest.fail("recomputed"))
         assert m.next_logits([1, 2]).tobytes() == poked.tobytes()
         assert m.next_logits([7, 1, 2]).tobytes() == poked.tobytes()
@@ -479,7 +516,7 @@ class TestLogitsTable:
     @pytest.mark.parametrize("vocab, order", [(401, 2), (64, 3)])
     def test_large_window_spaces_take_the_memo(self, vocab, order):
         m = TableModel(vocab, seed=4, order=order)
-        assert m._table is None
+        assert m._logit_table is None
         for w in distinct_windows(vocab, order, 20, seed=2):
             assert m.next_logits(w).tobytes() == ref_table_logits(4, w[-order:], vocab).tobytes()
         assert len(m._memo) == 20
@@ -497,11 +534,12 @@ class TestLogitsTable:
             m = TableModel(vocab, seed=4, order=order)
         else:
             m = NgramModel([[0, 1, 0]], vocab, order=order)
-        assert (m._table is not None) == fits
+        assert (m._logit_table is not None) == fits
         if fits:
             n_windows = sum(vocab**n for n in range(order + 1))
-            assert m._table.shape == (n_windows, vocab) and m._table.nbytes <= models.TABLE_BYTES
-            assert len(m._filled) == n_windows
+            table = m._logit_table
+            assert table.view.shape == (n_windows, vocab) and table.view.nbytes <= models.TABLE_BYTES
+            assert len(table.filled) == n_windows
 
     def test_a_huge_order_builds_at_once(self):
         # Counting every window of a huge order would sum ever larger powers
@@ -511,10 +549,108 @@ class TestLogitsTable:
             "from reflectspec.models import TableModel\n"
             "start = time.perf_counter()\n"
             "m = TableModel(64, order=10**6)\n"
-            "print(time.perf_counter() - start, m._table is None)\n"
+            "print(time.perf_counter() - start, m._logit_table is None)\n"
         )
         seconds, no_table = run_python(code, timeout=20).split()
         assert float(seconds) < 1.0 and no_table == "True"
+
+
+def fresh_q(build, context, temperature):
+    """The draft row of ``context`` as a freshly built model computes it."""
+    return sampling_distribution(build().next_logits(list(context)), temperature)
+
+
+def window_blend(vocab, order, seed=4):
+    return BlendModel(
+        TableModel(vocab, seed=seed, order=order), TableModel(vocab, seed=seed + 1, order=order), 0.3
+    )
+
+
+class TestDistributionTable:
+    """A model that names its context's row in a tabled window space keeps
+    one table of ``next_distribution`` rows for the last temperature asked,
+    each filled by the same ``sampling_distribution(next_logits(context),
+    temperature)`` call an untabled model makes."""
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8, 1.3])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("vocab", [2, 3, 16, 64])
+    @pytest.mark.parametrize("kind", ["table", "blend"])
+    def test_every_window_matches_a_fresh_model_on_first_and_repeated_lookup(
+        self, kind, vocab, order, temperature, monkeypatch
+    ):
+        def build():
+            if kind == "table":
+                return TableModel(vocab, seed=4, order=order)
+            return window_blend(vocab, order)
+
+        m, reference = build(), build()
+        windows = all_windows(vocab, order)
+        want = [fresh_q(lambda: reference, w, temperature).tobytes() for w in windows]
+        assert [m.next_distribution(list(w), temperature).tobytes() for w in windows] == want
+        assert all(m._q_table.filled) and m._q_table.key == temperature
+        # A filled row is read: no logits are computed on a repeated lookup.
+        monkeypatch.setattr(m, "next_logits", lambda context: pytest.fail("recomputed"))
+        assert [m.next_distribution(list(w), temperature).tobytes() for w in windows] == want
+
+    def test_a_new_temperature_replaces_the_table_and_back(self):
+        m = window_blend(16, 2)
+        contexts = [[1, 2], [3], [15, 0, 7], [2, 2]]
+        first = m.next_distribution(contexts[0], 0.8)
+        table = m._q_table
+        for temperature in (0.8, 1.3, 0.0, 0.8):
+            for ctx in contexts:
+                got = m.next_distribution(ctx, temperature)
+                want = fresh_q(lambda: window_blend(16, 2), ctx, temperature)
+                assert got.tobytes() == want.tobytes()
+            assert m._q_table.key == temperature and sum(m._q_table.filled) == len(contexts)
+        assert m._q_table is not table  # the 0.8 table was replaced, then rebuilt
+        assert m.next_distribution(contexts[0], 0.8).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("kind", ["table", "blend"])
+    def test_rows_are_read_only(self, kind):
+        m = TableModel(16, seed=4) if kind == "table" else window_blend(16, 2)
+        row = m.next_distribution([1, 2], 0.8)
+        assert not row.flags.writeable and not m._q_table.view.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "build, context",
+        [
+            (lambda: TableModel(16, seed=4), [1, 16]),
+            (lambda: build_backend("ngram"), [2, -1]),
+            (lambda: TableModel(401, seed=4), [1, 400]),
+            (lambda: TableModel(64, seed=4, order=3), [1, 2, 3]),
+            (lambda: window_blend(64, 3), [1, 2, 3]),
+            (lambda: TableModel(64, seed=4, order=10**6), [1, 2, 3]),
+            (lambda: BlendModel(build_backend("reflective"), TableModel(16, seed=6), 0.4), [1, 2]),
+            (lambda: BlendModel(TableModel(16, seed=6), build_backend("ngram"), 0.4), [1, 16]),
+            (lambda: build_backend("reflective"), [1, 15, 1]),
+        ],
+    )
+    def test_untabled_contexts_take_the_plain_route_and_allocate_nothing(self, build, context):
+        m = build()
+        assert m.window_row(context) is None
+        for _ in range(2):
+            got = m.next_distribution(context, 0.8)
+            assert got.tobytes() == fresh_q(build, context, 0.8).tobytes()
+        assert m._q_table is None
+
+    @pytest.mark.parametrize("larger", [0, 1])
+    def test_a_blend_of_two_orders_takes_the_larger_order_parts_row(self, larger):
+        parts = [TableModel(16, seed=4, order=1), TableModel(16, seed=5, order=1)]
+        parts[larger] = TableModel(16, seed=5, order=2)
+        b = BlendModel(*parts, 0.3)
+        assert b.n_windows == parts[larger].n_windows == 1 + 16 + 16**2
+        rng = make_rng(3)
+        for _ in range(50):
+            ctx = random_context(rng, 16)
+            assert b.window_row(ctx) == parts[larger].window_row(ctx) == table_index(16, ctx[-2:])
+            want = sampling_distribution(b.next_logits(ctx), 0.8)
+            assert b.next_distribution(ctx, 0.8).tobytes() == want.tobytes()
+        # Contexts that differ only before the larger window share its row.
+        assert np.shares_memory(b.next_distribution([7, 1, 2], 0.8), b.next_distribution([1, 2], 0.8))
 
 
 # Every integer typecode of ``array``; V=64 and the tokens outside it fit in
@@ -537,7 +673,7 @@ def both_paths(kind, vocab=64, order=2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "TABLE_BYTES", 0)
         memo = build()
-    assert table._table is not None and memo._table is None
+    assert table._logit_table is not None and memo._logit_table is None
     return table, memo
 
 
@@ -563,7 +699,7 @@ class TestTableMemoDifferential:
                     forms += [array(code, ctx) for code in ARRAY_TYPECODES]
                 for form in forms:
                     assert table.next_logits(form).tobytes() == want, (ctx, form)
-        assert any(table._filled) and len(table._memo) > 0
+        assert any(table._logit_table.filled) and len(table._memo) > 0
 
 
 def test_building_models_leaves_numpy_random_unimported():
@@ -684,7 +820,7 @@ class TestNgramCountFreeRow:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "TABLE_BYTES", 0)
             m = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
-        assert m._table is None
+        assert m._logit_table is None
         pair_counts, ctx_counts = ref_ngram_counts(corpus, order)
         unheld = (list(w) for w in itertools.product(range(vocab), repeat=order) if w not in pair_counts)
         free = [w for w in windows if tuple(w) not in pair_counts] + list(itertools.islice(unheld, 1))

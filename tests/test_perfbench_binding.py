@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from reflectspec import tokens
 from reflectspec.engine import DecodeConfig
 from reflectspec.models import TableModel
 
@@ -91,6 +92,34 @@ def test_a_second_table_short_pass_computes_no_window(perfbench, monkeypatch):
     for i in range(len(workload)):
         workload.run(i)
     assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    for i in range(len(workload)):
+        workload.run(i)
+    assert calls == []
+
+
+def test_a_second_table_short_pass_makes_no_draft_softmax(perfbench, monkeypatch):
+    # The draft's q rows are tabled per window at the decode's temperature,
+    # so once a pass has filled them, drafting a token computes no softmax.
+    # A call counts as the draft's when it runs under ``generate_draft`` or
+    # ``next_distribution``.
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS["table-short"](EXPECTED["default_seed"])
+    softmax, calls = tokens.softmax, []
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in ("generate_draft", "next_distribution"):
+                calls.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+        return softmax(*args, **kwargs)
+
+    monkeypatch.setattr(tokens, "softmax", counted)
+    for i in range(len(workload)):
+        workload.run(i)
+    assert calls
     calls.clear()
     for i in range(len(workload)):
         workload.run(i)
