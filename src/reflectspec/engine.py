@@ -41,7 +41,7 @@ import numpy as np
 
 from .drafting import DraftBundle, generate_draft
 from .errors import InternalConsistencyError, InvalidConfigError
-from .models import Model, ModelSession
+from .models import MAX_VOCAB_SIZE, Model, ModelSession
 from .reflective import (
     ReflectiveTemplate,
     build_reflective_input,
@@ -84,6 +84,8 @@ class DecodeConfig:
             raise InvalidConfigError(f"unknown strategy {self.strategy!r}")
         if self.gamma < 1:
             raise InvalidConfigError(f"gamma must be >= 1, got {self.gamma}")
+        if self.gamma >= MAX_VOCAB_SIZE:  # a step draws rng.random(gamma + 1), one float64 row
+            raise InvalidConfigError(f"gamma must be < {MAX_VOCAB_SIZE}, got {self.gamma}")
         if self.max_new_tokens < 1:
             raise InvalidConfigError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -30,9 +30,9 @@ from typing import Sequence
 import numpy as np
 
 from .drafting import DraftBundle
-from .errors import InvalidConfigError, InternalConsistencyError
+from .errors import InvalidConfigError, InternalConsistencyError, InvalidLogitsError
 from .models import ModelSession
-from .tokens import logit_block, sampling_distribution
+from .tokens import sampling_distribution, stack_rows
 
 DEFAULT_TEMPLATE_TEXT = "${draft} [BACK] ${prefix} ${draft}"
 
@@ -173,22 +173,24 @@ def fuse(
 ) -> np.ndarray:
     """Convex combination of the paired logits of a step, then one softmax.
 
-    Both sides are stacked into ``(gamma + 1, V)`` blocks and validated once;
-    row i of the result is the sampling distribution of the fused logit
-    vector (1-alpha)*original[i] + alpha*reflective[i]. Temperature applies
-    to the fused sum inside the final softmax, so at alpha=0 this reproduces
-    plain temperature sampling of the original logits bit for bit. The final
-    softmax validates the fused block once more, so a non-finite fused sum
-    raises ``InvalidLogitsError`` like a non-finite input does.
+    Both sides are stacked in one array and blended in place; row i of the
+    result is the sampling distribution of (1-alpha)*original[i] +
+    alpha*reflective[i], so at alpha=0 it is plain temperature sampling of
+    the original logits bit for bit. The softmax's check of the fused block
+    is the only finiteness check: a NaN or infinity on either side reaches
+    the fused sum (at alpha 0 or 1 as 0*inf, a NaN), so it raises there.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if len(original) != len(reflective):
-        raise InternalConsistencyError(
-            f"paired logit lengths differ: {len(original)} vs {len(reflective)}"
-        )
-    o = logit_block(original)
-    r = logit_block(reflective)
-    if o.shape != r.shape:
-        raise InternalConsistencyError("paired logit vectors differ in vocabulary size")
-    return sampling_distribution((1.0 - alpha) * o + alpha * r, temperature)
+    n = len(original)
+    if len(reflective) != n:
+        raise InternalConsistencyError(f"paired logit lengths differ: {n} vs {len(reflective)}")
+    pair = stack_rows([*original, *reflective])
+    if pair.ndim != 2:
+        raise InvalidLogitsError(f"logit rows must be 1-D vectors, got block shape {pair.shape}")
+    fused, r = pair[:n], pair[n:]
+    with np.errstate(invalid="ignore"):  # 0 * inf: the check below refuses the NaN
+        fused *= 1.0 - alpha
+        r *= alpha
+        fused += r
+    return sampling_distribution(fused, temperature)

@@ -88,20 +88,21 @@ def check_residual(seed: int = 7) -> CheckResult:
 
 
 def check_typical_thresholds(count: int = 200, seed: int = 11) -> CheckResult:
-    """Thresholds must equal min(eps, delta*exp(-H)) and never exceed eps."""
+    """Thresholds equal min(eps, delta*exp(-H)) and never exceed eps, by row and by block."""
     rng = make_rng(seed)
     grid = [(e, d) for e in (0.1, 0.6) for d in (0.05, 0.9)]  # either term can bind
     worst = 0.0
-    for _ in range(count):
-        size = int(rng.integers(2, 17))
-        dist = _random_distribution(rng, size)
-        h = -sum(x * math.log(x) for x in dist if x > 0)  # independent entropy
+    dists = [_random_distribution(rng, int(rng.integers(2, 17))) for _ in range(count)]
+    for size in {len(d) for d in dists}:
+        block = np.array([d for d in dists if len(d) == size])
         for eps, delta in grid:
-            got = typical_threshold(dist, eps, delta)
-            want = min(eps, delta * math.exp(-h))
-            worst = max(worst, abs(got - want))
-            if got > eps or got > delta or got <= 0:
-                return CheckResult("typical-thresholds", False, f"threshold {got} out of range")
+            for dist, in_block in zip(block, typical_threshold(block, eps, delta).tolist()):
+                h = -sum(x * math.log(x) for x in dist if x > 0)  # independent entropy
+                got = typical_threshold(dist, eps, delta)
+                worst = max(worst, abs(got - min(eps, delta * math.exp(-h))))
+                if got > eps or got > delta or got <= 0 or got != in_block:
+                    detail = f"threshold {got} out of range or {in_block} in its block"
+                    return CheckResult("typical-thresholds", False, detail)
     ok = worst <= 1e-12
     return CheckResult(
         "typical-thresholds", ok, f"{count} distributions x {len(grid)} configs, max err {worst:.3e}"

@@ -14,8 +14,8 @@ Conventions used throughout the package:
 - Categorical sampling is inverse-CDF over ascending token id and consumes
   exactly one uniform draw per sampled token.
 
-Arrays are validated once, where they enter: ``validate_logits``,
-``softmax`` and ``logit_block`` check logits, ``validate_distribution`` and
+Arrays are validated once, where they enter: ``validate_logits`` and
+``softmax`` check logits, ``validate_distribution`` and
 ``distribution_block`` distributions, and ``sample`` its argument.
 ``entropy``, ``inverse_cdf`` and ``sample_rows`` trust an already validated
 row or block; a softmax or one-hot of validated logits is a distribution by
@@ -115,14 +115,6 @@ def stack_rows(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
         raise
 
 
-def logit_block(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Per-position logit vectors as one validated ``(n, V)`` block."""
-    block = stack_rows(rows)
-    if block.ndim != 2:
-        raise InvalidLogitsError(f"logit rows must be 1-D vectors, got block shape {block.shape}")
-    return validate_logits(block)
-
-
 def distribution_block(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Per-position distributions as one ``(n, V)`` block, every row validated."""
     return _check_probabilities(stack_rows(rows), ndim=2)
@@ -165,10 +157,11 @@ def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
             f"temperature {temperature!r} is too small for logits of magnitude "
             f"{peak!r}: logits / temperature overflows"
         )
-    scaled = arr / t
-    scaled -= scaled.max(axis=-1, keepdims=True)
-    exp = np.exp(scaled)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    out = arr / t
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def one_hot(token: int, vocab_size: int) -> np.ndarray:
@@ -194,9 +187,15 @@ def sampling_distribution(logits: Sequence[float] | np.ndarray, temperature: flo
     return softmax(logits, temperature)
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats of a validated distribution, with the
-    0*log(0) = 0 convention."""
+def entropy(p: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats of a validated distribution, or of each row of
+    a validated block, with the 0*log(0) = 0 convention. A block holding a
+    zero is summed row by row over its nonzero terms: a masked full-row sum
+    groups the terms differently and can differ in the last bit."""
+    if p.ndim == 2:
+        if p.min() > 0.0:
+            return -(p * np.log(p)).sum(axis=-1)
+        return np.array([entropy(row) for row in p])
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -213,7 +212,8 @@ def sample(dist: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
 def inverse_cdf(p: np.ndarray, u: float) -> int:
     """The token a uniform ``u`` in [0, 1) selects from an already validated
     distribution ``p``, by inverse CDF over ascending token id."""
-    idx = int(p.cumsum().searchsorted(u, "right"))
+    # np.add.accumulate: ndarray.cumsum's values without its dispatch cost.
+    idx = int(np.add.accumulate(p).searchsorted(u, "right"))
     if idx >= p.size:
         # Float dust: u landed beyond the accumulated total. The inverse CDF
         # answer is the last token with positive mass.
@@ -224,7 +224,7 @@ def inverse_cdf(p: np.ndarray, u: float) -> int:
 def sample_rows(block: np.ndarray, u: np.ndarray) -> list[int]:
     """``inverse_cdf`` of row i of a validated block at ``u[i]``: given one
     ``rng.random(n)``, the tokens n ``sample`` calls would draw."""
-    cdf = block.cumsum(axis=-1)
+    cdf = np.add.accumulate(block, axis=-1)
     # On a non-decreasing row this count is searchsorted(row, u, side="right").
     picks = (cdf <= u[:, None]).sum(axis=-1)
     for i in np.flatnonzero(picks >= block.shape[-1]).tolist():

@@ -20,9 +20,9 @@ Verifiers take the step's distributions as one ``(gamma + 1, V)`` block and
 validate each input block once per call, at entry; the row work after that
 (ratios, residual, thresholds, the bonus draw) trusts the validated rows. An
 invalid row raises wherever it sits, even past the first rejection.
-``residual_distribution`` and ``typical_threshold`` are two of those row
-kernels, so the oracles and ``reflectspec selftest`` check the functions a
-decode runs.
+``residual_distribution`` and ``typical_threshold`` (on the whole block) are
+two of those kernels, so the oracles and ``reflectspec selftest`` check the
+functions a decode runs.
 
 RNG consumption is fixed per call regardless of where rejection happens:
 exact match and speculative sampling consume gamma + 1 uniforms (gamma
@@ -86,10 +86,14 @@ def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return residual / mass
 
 
-def typical_threshold(entropy_source: np.ndarray, epsilon: float, delta: float) -> float:
-    """min(epsilon, delta * exp(-H(entropy_source))), the per-step gate, of a
-    validated row; ``check_typical_range`` checks epsilon and delta."""
-    return min(epsilon, delta * float(np.exp(-entropy(entropy_source))))
+def typical_threshold(
+    entropy_source: np.ndarray, epsilon: float, delta: float
+) -> float | np.ndarray:
+    """min(epsilon, delta * exp(-H)), the per-step gate, of a validated row,
+    or an array of the gates of a block's rows; ``check_typical_range`` checks
+    epsilon and delta."""
+    gate = delta * np.exp(-entropy(entropy_source))
+    return np.minimum(epsilon, gate) if entropy_source.ndim == 2 else min(epsilon, float(gate))
 
 
 def verify_exact_match(
@@ -184,7 +188,7 @@ def verify_typical(
     p = distribution_block(p_dists)
     # The engine passes the fused block as both when entropy comes from it.
     h = p if entropy_dists is p_dists else distribution_block(entropy_dists[:gamma])
-    thresholds = [typical_threshold(h[i], epsilon, delta) for i in range(gamma)]
+    thresholds = typical_threshold(h[:gamma], epsilon, delta).tolist()
     flags = tuple(p.item(i, tok) > thresholds[i] for i, tok in enumerate(draft_tokens))
     n = _leading_true(flags)
     bonus = inverse_cdf(p[n], rng.random())

@@ -28,13 +28,14 @@ from reflectspec.errors import (
 )
 from reflectspec.reflective import fuse
 from reflectspec.tokens import (
-    logit_block,
     make_rng,
     sample_rows,
     sampling_distribution,
     softmax,
+    stack_rows,
 )
 from reflectspec.verification import (
+    typical_threshold,
     verify_exact_match,
     verify_speculative_sampling,
     verify_typical,
@@ -87,7 +88,7 @@ class TestBlockKernelsMatchRows:
     def test_block_softmax_matches_rows(self, gamma, vocab, temperature, seed):
         rows = logit_rows(seed, gamma + 1, vocab, temperature)
         want = np.array([ref_softmax(row, temperature) for row in rows])
-        assert np.array_equal(sampling_distribution(logit_block(rows), temperature), want)
+        assert np.array_equal(sampling_distribution(stack_rows(rows), temperature), want)
         if temperature > 0:
             assert np.array_equal(softmax(np.array(rows), temperature), want)
         for row, want_row in zip(rows, want):
@@ -222,6 +223,60 @@ class TestVerifiersMatchPerRowReference:
         assert got[0][0] is DegenerateResidualError
 
 
+def threshold_blocks():
+    """Distribution blocks of each kind a typical step meets: one-hot rows
+    (temperature 0, entropy 0), softmax rows whose tails underflow to 0,
+    sparse rows of a wide vocabulary, and dense rows with no zero."""
+    rng = make_rng(3)
+    sparse = rng.random((40, 400)) * (rng.random((40, 400)) < 0.5)
+    sparse[:, 0] += 1.0
+    blocks = {
+        "one-hot": sampling_distribution(rng.integers(-2, 3, size=(6, 9)).astype(np.float64), 0.0),
+        "underflow": softmax(rng.normal(scale=300.0, size=(8, 64)), 0.5),
+        "sparse": sparse / sparse.sum(axis=-1, keepdims=True),
+        "dense": softmax(rng.normal(scale=3.0, size=(8, 64)), 1.0),
+    }
+    under = blocks["underflow"]
+    assert (under == 0.0).any() and ((under > 0.0).sum(axis=-1) > 1).any()
+    return blocks
+
+
+# (epsilon, delta) pairs: one-hot rows gate at delta, so epsilon binds on
+# them where it is the smaller; sparse rows of 400 gate near delta / 200.
+TYPICAL_GRID = [(1e-4, 1.0), (0.05, 0.9), (0.3, 0.2), (1.0, 1.0)]
+
+
+class TestTypicalThresholdBlocks:
+    """``typical_threshold`` over a block, where either term of the gate binds."""
+
+    @pytest.mark.parametrize("kind", ["one-hot", "underflow", "sparse", "dense"])
+    def test_block_equals_rows_and_the_law(self, kind):
+        block = threshold_blocks()[kind]
+        bound = {"epsilon": 0, "delta": 0}
+        for epsilon, delta in TYPICAL_GRID:
+            got = typical_threshold(block, epsilon, delta).tolist()
+            assert got == [typical_threshold(row, epsilon, delta) for row in block]
+            for row, threshold in zip(block, got):
+                nz = row[row > 0.0]
+                h = float(-(nz * np.log(nz)).sum())
+                gate = delta * float(np.exp(-h))
+                assert threshold == min(epsilon, gate)
+                bound["epsilon" if gate > epsilon else "delta"] += 1
+        assert bound["epsilon"] and bound["delta"]
+
+    @pytest.mark.parametrize("kind", ["one-hot", "underflow", "sparse", "dense"])
+    @pytest.mark.parametrize("fused_source", [False, True])
+    def test_verify_typical_thresholds_match_reference(self, kind, fused_source):
+        block = threshold_blocks()[kind]
+        p = block if fused_source else valid_p(seed=4, n=len(block), vocab=block.shape[-1])
+        tokens = [0] * (len(block) - 1)
+        for epsilon, delta in TYPICAL_GRID:
+            got = verify_typical(p, block, tokens, epsilon, delta, make_rng(0))
+            want = ref_verify_typical(p, block, tokens, epsilon, delta, make_rng(0))
+            assert got.diagnostics["thresholds"] == want.diagnostics["thresholds"]
+            assert all(type(t) is float for t in got.diagnostics["thresholds"])
+
+
 GAMMA = 3
 VOCAB = 6
 
@@ -230,8 +285,8 @@ def rows(seed=0, n=GAMMA + 1, vocab=VOCAB):
     return list(make_rng(seed).normal(size=(n, vocab)))
 
 
-def valid_p(seed=0):
-    return [softmax(row, 1.0) for row in rows(seed)]
+def valid_p(seed=0, n=GAMMA + 1, vocab=VOCAB):
+    return [softmax(row, 1.0) for row in rows(seed, n, vocab)]
 
 
 class TestErrorParity:
@@ -244,11 +299,14 @@ class TestErrorParity:
     @pytest.mark.parametrize("row", range(GAMMA + 1))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("temperature", [0.0, 0.7])
-    def test_non_finite_logit_in_any_row(self, side, row, bad, temperature):
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_non_finite_logit_in_any_row(self, side, row, bad, temperature, alpha):
+        # fuse checks finiteness only on the fused block; at alpha 0 and 1
+        # the side with weight 0 reaches it as 0 * inf or 0 * NaN, a NaN.
         paired = {"original": rows(1), "reflective": rows(2)}
         paired[side][row][2] = bad
         with pytest.raises(InvalidLogitsError):
-            fuse(paired["original"], paired["reflective"], 0.4, temperature)
+            fuse(paired["original"], paired["reflective"], alpha, temperature)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.7])
     def test_non_finite_fused_sum(self, temperature):

@@ -305,6 +305,9 @@ class TestDecodeCommand:
             (["--marker", "-3", "--beta", "0.5"], "marker -3 outside vocabulary of size 64"),
             (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
             (["--gamma", "0"], "gamma must be >= 1, got 0"),
+            # A step draws its gamma + 1 uniforms as one float64 row.
+            (["--gamma", str(2**60)], f"gamma must be < {LONGEST_ROW}, got {2**60}"),
+            (["--gamma", str(2**63)], f"gamma must be < {LONGEST_ROW}, got {2**63}"),
             (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
             # numpy holds no float64 logits row of LONGEST_ROW + 1 or more.
             (["--vocab-size", str(2**62)], f"vocab_size must be <= {LONGEST_ROW}, got {2**62}"),
@@ -468,6 +471,8 @@ class TestSweepCommand:
             (["--marker", "999"], "marker 999 outside vocabulary of size 64"),
             (["--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
             (["--gamma", "0"], "gamma must be >= 1, got 0"),
+            (["--gamma", str(2**60)], f"gamma must be < {LONGEST_ROW}, got {2**60}"),
+            (["--gamma", str(2**63)], f"gamma must be < {LONGEST_ROW}, got {2**63}"),
             (["--max-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
             (["--vocab-size", str(2**64)], f"vocab_size must be <= {LONGEST_ROW}, got {2**64}"),
             (["--vocab-size", str(2**64 + 1)], f"vocab_size must be <= {LONGEST_ROW}, got {2**64 + 1}"),

@@ -1,10 +1,12 @@
 """Every module-level private name in the package is used somewhere in it,
-every module-level import is read by its module, and every name the package
-exports has a user.
+every module-level import is read by its module, every name the package
+exports has a user, and every public function and class has a reader
+outside the tests.
 
 A private helper that nothing in ``src/`` calls any more is dead code, and
-so is an import its module never reads; these tests name them. They read the
-sources with the standard ``ast`` module, so no linter is needed.
+so is an import its module never reads or a public function only tests
+call; these tests name them. They read the sources with the standard
+``ast`` module, so no linter is needed.
 """
 
 import ast
@@ -19,6 +21,12 @@ PACKAGE = ROOT / "src" / "reflectspec"
 EXPORTS_KEPT = {
     "ReportRow": "the row type run_sweep returns",
     "ReflectiveLayout": "the layout type build_reflective_input returns",
+    "one_hot": "the acceptance suite imports it",
+}
+
+# Public module-level functions and classes that no other statement of the
+# package, no perfbench file and no README code span reads, and why each stays.
+PUBLIC_KEPT = {
     "one_hot": "the acceptance suite imports it",
 }
 
@@ -84,10 +92,21 @@ def test_every_module_level_import_is_read():
     assert unread == []
 
 
+def outside_readers() -> set[str]:
+    """Names perfbench reads, also as strings (it looks engine bindings up by
+    name), and the words of README's code spans outside fenced blocks."""
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        bench |= used_names(tree) | {s for s in strings if isinstance(s, str)}
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    return bench | set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+
+
 def test_every_export_has_a_user():
     """A name ``__init__`` imports is read by another package module, by
-    perfbench (which also looks engine bindings up by their name as a
-    string), or in README's code; or it is in ``EXPORTS_KEPT``."""
+    perfbench, or in README's code; or it is in ``EXPORTS_KEPT``."""
     exports = {
         alias.asname or alias.name: node.module
         for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
@@ -99,19 +118,38 @@ def test_every_export_has_a_user():
         for path in PACKAGE.glob("*.py")
         if path.name != "__init__.py"
     }
-    bench = set()
-    for path in (ROOT / "perfbench").glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
-        bench |= used_names(tree) | {s for s in strings if isinstance(s, str)}
-    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
-    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    outside = outside_readers()
     unused = {
         name
         for name, module in exports.items()
-        if name not in bench | documented
+        if name not in outside
         and not any(name in used for stem, used in readers.items() if stem != module)
     }
     assert sorted(unused - EXPORTS_KEPT.keys()) == []
     # A kept name that gains a user, or stops being exported, leaves the list.
     assert sorted(EXPORTS_KEPT.keys() - unused) == []
+
+
+def test_every_public_function_and_class_has_a_reader():
+    """A public module-level def or class is read by another top-level
+    statement of the package, by perfbench, or in README's code; or it is in
+    ``PUBLIC_KEPT``. ``__init__`` re-exports and the tests do not count."""
+    statements = [
+        node
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    uses = [used_names(node) for node in statements]
+    outside = outside_readers()
+    unread = {
+        node.name
+        for i, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in used for j, used in enumerate(uses) if j != i)
+    }
+    assert sorted(unread - PUBLIC_KEPT.keys()) == []
+    # A kept name that gains a reader, or goes, leaves the list.
+    assert sorted(PUBLIC_KEPT.keys() - unread) == []
