@@ -52,10 +52,10 @@ TABLE_LOGIT_HIGH = 4.0
 # verify pass, the second copy and the prefix replay; across steps the probe
 # windows (``x [BACK]``, ``[BACK] y``) and the recent text come back. A model
 # whose windows of length 0 to ``order`` all fit in TABLE_BYTES as float64
-# rows (4,161 windows and 2.13 MB at V=64 and order 2) keeps every window's
-# logits. Only a larger space (V=401 at order 2, V=64 at order 3) keeps a
-# FIFO memo: MEMO_BYTES of logits but never fewer than MEMO_MIN_WINDOWS
-# windows, flat however long the decode runs.
+# rows, with the storage's reserved row 0 (4,161 windows and 2.13 MB at V=64
+# and order 2), keeps every window's logits. Only a larger space (V=401 at
+# order 2, V=64 at order 3) keeps a FIFO memo: MEMO_BYTES of logits but never
+# fewer than MEMO_MIN_WINDOWS windows, flat however long the decode runs.
 TABLE_BYTES = 4 * 1024 * 1024
 MEMO_BYTES = 512 * 1024
 MEMO_MIN_WINDOWS = 64
@@ -113,7 +113,9 @@ class Model:
 
         Where ``window_row`` names the context's row, that call runs once
         per window and the row is kept, read-only, in one table for the last
-        temperature asked; a new temperature replaces the table.
+        temperature asked; a new temperature replaces the table. The table
+        packs its rows in first-fill order and finds a window's row through
+        its slot index (``_Rows``).
         """
         index = self.window_row(context)
         if index is None:
@@ -121,27 +123,34 @@ class Model:
         rows = self._q_table
         if rows is None or rows.key != temperature:
             rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
-        if not rows.filled[index]:
-            return rows.fill(index, sampling_distribution(self.next_logits(context), temperature))
-        return rows.view[index]
+        slot = rows.slot[index]
+        if slot:
+            return rows.view[slot]
+        return rows.fill(index, sampling_distribution(self.next_logits(context), temperature))
 
 
 class _Rows:
-    """A lazily filled float64 table, one row per window, ``key`` the rows'
-    temperature if they are distributions: ``np.zeros`` touches no page until
-    a row is written, ``filled`` flags it, ``view`` serves it read-only."""
+    """A lazily filled float64 table of per-window rows, ``key`` the rows'
+    temperature if they are distributions. Rows are packed in first-fill
+    order: the k-th window filled takes storage row k, and ``slot[window]``
+    holds k, or 0 while the window is unfilled (storage row 0 is never
+    written). ``np.zeros`` touches no page until a row is written, so only
+    the filled rows become resident. Rows never move, and ``view`` serves
+    them read-only."""
 
     def __init__(self, n_rows: int, width: int, key: float | None = None):
         self.key = key
-        self.filled = bytearray(n_rows)
-        self._rw = np.zeros((n_rows, width))
+        self.slot = array("I", [0]) * n_rows
+        self._rw = np.zeros((n_rows + 1, width))
         self.view = self._rw.view()
         self.view.flags.writeable = False
+        self._filled = 0
 
     def fill(self, index: int, row: np.ndarray) -> np.ndarray:
-        self._rw[index] = row
-        self.filled[index] = 1
-        return self.view[index]
+        k = self._filled + 1
+        self._rw[k] = row
+        self._filled = self.slot[index] = k
+        return self.view[k]
 
 
 class ModelSession:
@@ -215,16 +224,20 @@ class WindowModel(Model):
     shorter. Subclasses give the formula as ``window_logits(window)``.
 
     When every window of length 0 to ``order`` fits in ``TABLE_BYTES`` as
-    float64 rows, the model keeps one table with a row per window, numbered
-    shortest first and then in token order: the bijective base-V numeral of
-    the window, with digits t + 1 (``window_row``). A window's row is filled
-    on its first lookup, so no window is computed twice. Any other window,
-    and every window of a larger space, takes a memo keyed by the window's
-    token values, so ``np.int64`` tokens and a session's typed ``array``
-    hit the plain-int entry. The memo holds up to ``MEMO_BYTES`` of logits
-    but never fewer than ``MEMO_MIN_WINDOWS`` windows (``memo_windows``).
-    It evicts the oldest inserted window first; a hit does not refresh it.
-    Returned arrays are shared between calls and read-only.
+    float64 rows, with the reserved row 0 of ``_Rows``, the model keeps one
+    table with room for a row per window. Windows are numbered shortest
+    first and then in token order: the bijective base-V numeral of the
+    window, with digits t + 1 (``window_row``). A window's row is filled on
+    its first lookup, so no window is computed twice; rows are stored in
+    first-fill order and found through the window's slot index (``_Rows``),
+    so the table's resident memory follows the windows it holds. Any other
+    window, and every window of a larger space, takes a memo keyed by the
+    window's token values, so ``np.int64`` tokens and a session's typed
+    ``array`` hit the plain-int entry. The memo holds up to ``MEMO_BYTES``
+    of logits but never fewer than ``MEMO_MIN_WINDOWS`` windows
+    (``memo_windows``). It evicts the oldest inserted window first; a hit
+    does not refresh it. Returned arrays are shared between calls and
+    read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -242,11 +255,11 @@ class WindowModel(Model):
         self._memo_windows = memo_windows(vocab_size)
         self._logit_table = None
         # Counting stops once the table overflows, so a huge order never
-        # sums huge powers of V.
+        # sums huge powers of V. The storage's reserved row 0 counts too.
         n_windows = 0
         for n in range(order + 1):
             n_windows += vocab_size**n
-            if 8 * vocab_size * n_windows > TABLE_BYTES:
+            if 8 * vocab_size * (n_windows + 1) > TABLE_BYTES:
                 return
         self.n_windows = n_windows
         self._logit_table = _Rows(n_windows, vocab_size)
@@ -266,8 +279,9 @@ class WindowModel(Model):
         index = self.window_row(context)
         if index is not None:
             rows = self._logit_table
-            if rows.filled[index]:
-                return rows.view[index]
+            slot = rows.slot[index]
+            if slot:
+                return rows.view[slot]
             return rows.fill(index, self.window_logits(tuple(context[-self.order :])))
         key = tuple(context[-self.order :])
         logits = self._memo.get(key)

@@ -487,7 +487,7 @@ class TestMemoTransparency:
         if fifo:  # both memos have filled and evicted
             assert [len(m._memo) for m in warm_models] == [full, full]
         else:  # the tables keep more windows than a full memo
-            assert all(m._memo == {} and sum(m._logit_table.filled) > full for m in warm_models)
+            assert all(m._memo == {} and sum(map(bool, m._logit_table.slot)) > full for m in warm_models)
 
 
 class TestTableMemoDecodes:
@@ -530,7 +530,7 @@ class TestDraftDistributionTable:
             got = decode_with_end_state(target, draft, prompt, config)
             assert got == decode_with_end_state(opaque_target, opaque, prompt, config)
             assert opaque.calls > 0 and opaque._q_table is None
-            assert draft._q_table.key == config.temperature and any(draft._q_table.filled)
+            assert draft._q_table.key == config.temperature and any(draft._q_table.slot)
 
 
 @st.composite

@@ -352,7 +352,7 @@ class TestWindowKey:
                 for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
                     got = m.next_logits(form)
                     assert not got.flags.writeable and got.tobytes() == first.tobytes()
-        assert m._memo == {} and sum(m._logit_table.filled) == 4 + (kind == "ngram")
+        assert m._memo == {} and sum(map(bool, m._logit_table.slot)) == 4 + (kind == "ngram")
         assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
 
 
@@ -473,10 +473,10 @@ class TestLogitsTable:
         m = TableModel(vocab, seed=seed, order=order)
         windows = all_windows(vocab, order)
         expected = [ref_table_logits(seed, w, vocab).tobytes() for w in windows]
-        assert m._logit_table.view.shape == (len(windows), vocab) and not any(m._logit_table.filled)
+        assert m._logit_table.view.shape == (len(windows) + 1, vocab) and not any(m._logit_table.slot)
         for _ in range(2):
             assert [m.next_logits(list(w)).tobytes() for w in windows] == expected
-            assert all(m._logit_table.filled) and m._memo == {}
+            assert all(m._logit_table.slot) and m._memo == {}
         # A token outside the vocabulary has no row: the window takes the memo.
         outside = [(vocab,), (0, vocab + 5)][:order]
         for w in outside + outside:
@@ -485,14 +485,16 @@ class TestLogitsTable:
 
     def test_a_lookup_fills_only_its_windows_row(self):
         m = TableModel(64, seed=4, order=2)
-        assert m._logit_table.view.shape == (4161, 64) and m._logit_table.view.dtype == np.float64
+        assert m._logit_table.view.shape == (4162, 64) and m._logit_table.view.dtype == np.float64
         assert not m._logit_table.view.any()
         m.next_logits([9, 5, 7])
         # Bijective base 64 with digits t + 1: (5 + 1) * 64 + (7 + 1).
         assert table_index(64, (5, 7)) == 392
-        assert [i for i, f in enumerate(m._logit_table.filled) if f] == [392]
-        assert np.flatnonzero(m._logit_table.view.any(axis=1)).tolist() == [392]
-        assert m._logit_table.view[392].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
+        assert [i for i, f in enumerate(m._logit_table.slot) if f] == [392]
+        # The first window filled takes storage row 1; row 0 is never written.
+        assert m._logit_table.slot[392] == 1
+        assert np.flatnonzero(m._logit_table.view.any(axis=1)).tolist() == [1]
+        assert m._logit_table.view[1].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_rows_are_read_only(self, kind):
@@ -508,7 +510,7 @@ class TestLogitsTable:
     def test_a_filled_row_is_read_not_recomputed(self, kind, monkeypatch):
         m = build_backend(kind)
         poked = m.next_logits([1, 2]) + 1.0
-        m._logit_table._rw[table_index(16, (1, 2))] = poked
+        m._logit_table._rw[m._logit_table.slot[table_index(16, (1, 2))]] = poked
         monkeypatch.setattr(m, "window_logits", lambda window: pytest.fail("recomputed"))
         assert m.next_logits([1, 2]).tobytes() == poked.tobytes()
         assert m.next_logits([7, 1, 2]).tobytes() == poked.tobytes()
@@ -528,8 +530,9 @@ class TestLogitsTable:
     )
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_the_table_fits_in_its_budget(self, kind, vocab, order, fits):
-        # 8 bytes a logit: V=80 at order 2 keeps 6,481 windows in 4,147,840
-        # bytes of 4 MiB, V=81 would need 4,304,664.
+        # 8 bytes a logit: V=80 at order 2 keeps 6,481 windows and the
+        # reserved row in 4,148,480 bytes of 4 MiB, V=81 would need 4,305,312;
+        # V=2 at order 17 fills the 4,194,304 bytes exactly.
         if kind == "table":
             m = TableModel(vocab, seed=4, order=order)
         else:
@@ -538,8 +541,10 @@ class TestLogitsTable:
         if fits:
             n_windows = sum(vocab**n for n in range(order + 1))
             table = m._logit_table
-            assert table.view.shape == (n_windows, vocab) and table.view.nbytes <= models.TABLE_BYTES
-            assert len(table.filled) == n_windows
+            # One storage row a window, plus the reserved row 0.
+            assert table.view.shape == (n_windows + 1, vocab)
+            assert table.view.nbytes <= models.TABLE_BYTES
+            assert len(table.slot) == n_windows
 
     def test_a_huge_order_builds_at_once(self):
         # Counting every window of a huge order would sum ever larger powers
@@ -588,7 +593,7 @@ class TestDistributionTable:
         windows = all_windows(vocab, order)
         want = [fresh_q(lambda: reference, w, temperature).tobytes() for w in windows]
         assert [m.next_distribution(list(w), temperature).tobytes() for w in windows] == want
-        assert all(m._q_table.filled) and m._q_table.key == temperature
+        assert all(m._q_table.slot) and m._q_table.key == temperature
         # A filled row is read: no logits are computed on a repeated lookup.
         monkeypatch.setattr(m, "next_logits", lambda context: pytest.fail("recomputed"))
         assert [m.next_distribution(list(w), temperature).tobytes() for w in windows] == want
@@ -603,7 +608,7 @@ class TestDistributionTable:
                 got = m.next_distribution(ctx, temperature)
                 want = fresh_q(lambda: window_blend(16, 2), ctx, temperature)
                 assert got.tobytes() == want.tobytes()
-            assert m._q_table.key == temperature and sum(m._q_table.filled) == len(contexts)
+            assert m._q_table.key == temperature and sum(map(bool, m._q_table.slot)) == len(contexts)
         assert m._q_table is not table  # the 0.8 table was replaced, then rebuilt
         assert m.next_distribution(contexts[0], 0.8).tobytes() == first.tobytes()
 
@@ -653,6 +658,125 @@ class TestDistributionTable:
         assert np.shares_memory(b.next_distribution([7, 1, 2], 0.8), b.next_distribution([1, 2], 0.8))
 
 
+def max_table_order(vocab):
+    """The largest order whose windows fit in ``TABLE_BYTES`` at ``vocab``."""
+    order = 0
+    while 8 * vocab * (sum(vocab**n for n in range(order + 2)) + 1) <= models.TABLE_BYTES:
+        order += 1
+    return order
+
+
+def packing_corpus(vocab):
+    return [[(3 * i + 1) % vocab for i in range(40)], [i % vocab for i in range(25)]]
+
+
+@st.composite
+def packing_cases(draw):
+    """A vocabulary and an order whose window space fits in ``TABLE_BYTES``,
+    distinct windows (empty only for the n-gram) and a lookup order over
+    them that first meets each window in turn and repeats some."""
+    kind = draw(st.sampled_from(["table", "ngram", "blend"]))
+    vocab = draw(st.integers(min_value=2, max_value=64))
+    order = draw(st.integers(min_value=1, max_value=min(3, max_table_order(vocab))))
+    shortest = 0 if kind == "ngram" else 1
+    window = st.lists(
+        st.integers(min_value=0, max_value=vocab - 1), min_size=shortest, max_size=order
+    ).map(tuple)
+    windows = draw(st.lists(window, min_size=1, max_size=12, unique=True))
+    lookups = []
+    for n in range(1, len(windows) + 1):
+        lookups.append(n - 1)
+        lookups += draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    return kind, vocab, order, windows, lookups
+
+
+class TestPackedRows:
+    """A table stores the k-th window it fills in storage row k and finds it
+    through ``slot``; row 0 is never written, and rows never move."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(packing_cases(), st.sampled_from([0.0, 0.8]))
+    def test_rows_are_packed_in_first_fill_order(self, case, temperature):
+        kind, vocab, order, windows, lookups = case
+
+        def build():
+            if kind == "table":
+                return TableModel(vocab, seed=4, order=order)
+            if kind == "ngram":
+                return NgramModel(packing_corpus(vocab), vocab, order=order, smoothing=0.5)
+            return window_blend(vocab, order)
+
+        m, fresh = build(), build()
+        if kind == "blend":  # the q table: count softmaxes
+            target, counted = models, "sampling_distribution"
+
+            def lookup(w):
+                return m.next_distribution(list(w), temperature)
+
+            def expected(w):
+                return fresh_q(lambda: fresh, w, temperature)
+
+        else:  # the logits table: count window formulas
+            target, counted = m, "window_logits"
+            lookup = m.next_logits
+            if kind == "table":
+                def expected(w):
+                    return ref_table_logits(4, w, vocab)
+            else:
+                expected = fresh.window_logits
+
+        computed = []
+        with pytest.MonkeyPatch.context() as mp:
+            inner = getattr(target, counted)
+            mp.setattr(target, counted, lambda *a: computed.append(a) or inner(*a))
+            first = {}
+            for i in lookups:
+                got = lookup(list(windows[i]))
+                if i in first:  # a repeat reads the row its first lookup filled
+                    assert np.shares_memory(got, first[i])
+                else:
+                    first[i] = got
+                assert len(computed) == len(first)
+        table = m._q_table if kind == "blend" else m._logit_table
+        n = len(windows)
+        assert [table.slot[m.window_row(list(w))] for w in windows] == list(range(1, n + 1))
+        assert sum(map(bool, table.slot)) == n
+        want = b"".join(expected(w).tobytes() for w in windows)
+        assert table.view[1 : n + 1].tobytes() == want
+        assert not table.view[0].any() and not table.view[n + 1 :].any()
+        for i, got in first.items():
+            assert np.shares_memory(got, table.view[i + 1])
+        if kind == "blend":
+            # A new temperature starts a new table, packed from its first row.
+            for w in windows[::-1]:
+                m.next_distribution(list(w), 1.3)
+            want = b"".join(fresh_q(lambda: fresh, w, 1.3).tobytes() for w in windows[::-1])
+            assert m._q_table.key == 1.3 and m._q_table.view[1 : n + 1].tobytes() == want
+            assert not m._q_table.view[n + 1 :].any()
+
+    def test_resident_growth_follows_the_filled_rows(self):
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("no /proc/self/statm to read the resident set from")
+        # Stored at its window's index, each of these 512-byte rows (a, 8k + 7)
+        # would sit alone on its 4 KiB page: 2 MiB resident. Packed, the 512
+        # rows take 256 KiB.
+        code = (
+            "import os\n"
+            "from reflectspec.models import TableModel\n"
+            "def resident():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "m = TableModel(64, order=2)\n"
+            "m.next_logits([0])\n"
+            "before = resident()\n"
+            "for a in range(64):\n"
+            "    for k in range(8):\n"
+            "        m.next_logits([a, 8 * k + 7])\n"
+            "print(resident() - before)\n"
+        )
+        assert int(run_python(code, timeout=60)) <= 1024 * 1024
+
+
 # Every integer typecode of ``array``; V=64 and the tokens outside it fit in
 # the narrowest.
 ARRAY_TYPECODES = "bBhHiIlLqQ"
@@ -699,7 +823,7 @@ class TestTableMemoDifferential:
                     forms += [array(code, ctx) for code in ARRAY_TYPECODES]
                 for form in forms:
                     assert table.next_logits(form).tobytes() == want, (ctx, form)
-        assert any(table._logit_table.filled) and len(table._memo) > 0
+        assert any(table._logit_table.slot) and len(table._memo) > 0
 
 
 def test_building_models_leaves_numpy_random_unimported():

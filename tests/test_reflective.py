@@ -184,6 +184,29 @@ class TestPairedForward:
         with pytest.raises(InternalConsistencyError):
             paired_forward(session, layout)
 
+    @pytest.mark.parametrize("gamma", [1, 2, 5])
+    def test_the_memo_serves_every_second_copy_window(self, gamma):
+        # V=64 at order 3 has too many windows for a table, so the FIFO memo
+        # keeps them. A prefix of at least order - 1 tokens replays the
+        # committed tail, so each second-copy window repeats a first-copy
+        # window of the same forward, and only the memo spares recomputing it.
+        model = TableModel(64, seed=8, order=3)
+        assert model._logit_table is None
+        committed = [5, 17, 33, 2, 61]
+        session = ModelSession(model)
+        session.forward(committed)
+        draft = [int(t) for t in make_rng(gamma).integers(0, 63, size=gamma)]
+        layout = build_reflective_input(
+            bundle_for(draft, vocab=64), ReflectiveTemplate((63,), prefix_len=4), committed
+        )
+        computed_at = []
+        window_logits = model.window_logits
+        model.window_logits = lambda window: computed_at.append(len(session)) or window_logits(window)
+        paired_forward(session, layout)
+        second_copy = range(len(committed) + layout.shift_len + 1, len(session) + 1)
+        assert len(second_copy) == gamma and computed_at
+        assert not set(computed_at) & set(second_copy)
+
 
 class TestFuse:
     def test_alpha_zero_reduces_to_original_exactly(self):
