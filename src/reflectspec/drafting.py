@@ -34,22 +34,17 @@ class DraftBundle:
         return len(self.tokens) - 1
 
 
-def generate_draft(
-    session: ModelSession,
-    gamma: int,
-    temperature: float,
-    rng: np.random.Generator,
-) -> DraftBundle:
+def generate_draft(session: ModelSession, gamma: int, rng: np.random.Generator) -> DraftBundle:
     """Sample ``gamma`` draft tokens autoregressively from ``session``'s model.
 
-    The session must already hold the committed prefix and be built at
-    ``temperature`` (0 means greedy via a one-hot), so each row it caches is
-    the model's ``next_distribution`` q: a step reads its q, picks one token
-    by inverse CDF, and feeds it back. The gamma uniforms come from one
-    ``rng.random(gamma)`` call, the stream gamma ``sample`` calls consume.
-    A one-hot, or a softmax of logits that ``softmax`` has just checked, is a
-    distribution by construction, so the rows are not checked again; the
-    verifiers validate them as one block where they enter.
+    The session must already hold the committed prefix and be built at the
+    draft's temperature (0 means greedy via a one-hot), so each row it
+    caches is the model's ``next_distribution`` q: a step reads its q, picks
+    one token by inverse CDF, and feeds it back. The gamma uniforms come
+    from one ``rng.random(gamma)`` call, the stream gamma ``sample`` calls
+    consume. A one-hot, or a softmax of logits that ``softmax`` has just
+    checked, is a distribution by construction, so the rows are not checked
+    again; the verifiers validate them as one block where they enter.
 
     The session is left holding the committed prefix plus the first gamma - 1
     drafted tokens; ``engine.commit_and_prune`` keeps the accepted ones and
@@ -57,10 +52,8 @@ def generate_draft(
     """
     if gamma < 1:
         raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
-    if not temperature >= 0:
-        raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
-    if session.temperature != temperature:
-        raise InternalConsistencyError(f"session at temperature {session.temperature!r}, not {temperature!r}")
+    if session.temperature is None:
+        raise InternalConsistencyError("the draft session caches logits, not distributions")
     tokens: list[int] = []
     dists: list[np.ndarray] = []
     for i, u in enumerate(rng.random(gamma).tolist()):

@@ -48,7 +48,7 @@ from .reflective import (
     fuse,
     paired_forward,
 )
-from .tokens import make_rng, sample, sampling_distribution, stack_rows, token_ids
+from .tokens import inverse_cdf, make_rng, sampling_distribution, stack_rows, token_ids
 from .verification import (
     VerificationResult,
     check_typical_range,
@@ -186,14 +186,14 @@ def decode(
             # An empty draft: the step emits only its bonus, drawn from p_0.
             draft_tokens, draft_forwards, fed = (), 0, 0
             original = [target_session.last_logits]
-            bonus = sample(sampling_distribution(original[0], config.temperature), rng)
+            bonus = inverse_cdf(sampling_distribution(original[0], config.temperature), rng.random())
             result = VerificationResult(bonus, ())
         else:
             # Feed the draft session the committed tokens it has not drafted.
             pending = committed[len(draft_session) :]
             if pending:
                 draft_session.forward(pending)
-            bundle = generate_draft(draft_session, config.gamma, config.temperature, rng)
+            bundle = generate_draft(draft_session, config.gamma, rng)
             draft_tokens = bundle.tokens
             draft_forwards = len(pending) + bundle.draft_forward_count
             if config.reflect:

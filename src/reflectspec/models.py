@@ -48,17 +48,13 @@ from .tokens import derive_seed, sampling_distribution, token_ids
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
 
-# Logits each WindowModel keeps. Within one step a window is re-read by the
-# verify pass, the second copy and the prefix replay; across steps the probe
-# windows (``x [BACK]``, ``[BACK] y``) and the recent text come back. A model
-# whose windows of length 0 to ``order`` all fit in TABLE_BYTES as float64
-# rows, with the storage's reserved row 0 (4,161 windows and 2.13 MB at V=64
-# and order 2), keeps every window's logits. Only a larger space (V=401 at
-# order 2, V=64 at order 3) keeps a FIFO memo: MEMO_BYTES of logits but never
-# fewer than MEMO_MIN_WINDOWS windows, flat however long the decode runs.
+# Where a WindowModel keeps its logits; its docstring states the policy. A
+# space whose windows all fit in TABLE_BYTES as float64 rows keeps a table
+# (4,161 windows and 2.13 MB at V=64 and order 2), a larger one (V=401 at
+# order 2, V=64 at order 3) a FIFO memo of the last MEMO_WINDOWS windows,
+# and both refuse a window that holds a token outside the vocabulary.
 TABLE_BYTES = 4 * 1024 * 1024
-MEMO_BYTES = 512 * 1024
-MEMO_MIN_WINDOWS = 64
+MEMO_WINDOWS = 64
 
 # The longest float64 row numpy represents: its byte size must fit np.intp.
 MAX_VOCAB_SIZE = np.iinfo(np.intp).max // 8
@@ -105,7 +101,8 @@ class Model:
         raise NotImplementedError
 
     def window_row(self, context: Sequence[int]) -> int | None:
-        """The row of ``context``'s window in a tabled window space, or None."""
+        """The row of ``context``'s window in a tabled window space, or None
+        for a model that has no table."""
         return None
 
     def next_distribution(self, context: Sequence[int], temperature: float) -> np.ndarray:
@@ -230,14 +227,21 @@ class WindowModel(Model):
     window, with digits t + 1 (``window_row``). A window's row is filled on
     its first lookup, so no window is computed twice; rows are stored in
     first-fill order and found through the window's slot index (``_Rows``),
-    so the table's resident memory follows the windows it holds. Any other
-    window, and every window of a larger space, takes a memo keyed by the
-    window's token values, so ``np.int64`` tokens and a session's typed
-    ``array`` hit the plain-int entry. The memo holds up to ``MEMO_BYTES``
-    of logits but never fewer than ``MEMO_MIN_WINDOWS`` windows
-    (``memo_windows``). It evicts the oldest inserted window first; a hit
-    does not refresh it. Returned arrays are shared between calls and
-    read-only.
+    so the table's resident memory follows the windows it holds.
+
+    Every window of a larger space takes a FIFO memo of the last
+    ``MEMO_WINDOWS`` windows, keyed by the window's token values, so
+    ``np.int64`` tokens and a session's typed ``array`` hit the plain-int
+    entry. It evicts the oldest inserted window first; a hit does not
+    refresh it. Its job is the reflective step's second copy, which re-reads
+    the windows the first copy computed ``shift_len`` positions earlier: a
+    step whose ``shift_len`` is above about ``MEMO_WINDOWS`` recomputes
+    them.
+
+    A window that holds a token outside the vocabulary is refused with
+    ``InvalidTokenError`` on both routes: by ``window_row`` on a tabled
+    space, and by ``token_ids`` on a memo miss, so a hit costs nothing more.
+    Returned arrays are shared between calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -252,7 +256,6 @@ class WindowModel(Model):
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
         # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
         self._memo_keys: deque[tuple[int, ...]] = deque()
-        self._memo_windows = memo_windows(vocab_size)
         self._logit_table = None
         # Counting stops once the table overflows, so a huge order never
         # sums huge powers of V. The storage's reserved row 0 counts too.
@@ -271,7 +274,7 @@ class WindowModel(Model):
         index = 0
         for t in context[-self.order :]:
             if not 0 <= t < vocab:
-                return None  # the memo's window
+                raise InvalidTokenError(f"token {t} outside vocabulary of size {vocab}")
             index = index * vocab + t + 1
         return index
 
@@ -286,9 +289,10 @@ class WindowModel(Model):
         key = tuple(context[-self.order :])
         logits = self._memo.get(key)
         if logits is None:
+            key = tuple(token_ids(key, self.vocab_size))
             logits = self.window_logits(key)
             logits.flags.writeable = False
-            if len(self._memo) >= self._memo_windows:
+            if len(self._memo) >= MEMO_WINDOWS:
                 del self._memo[self._memo_keys.popleft()]
             self._memo[key] = logits
             self._memo_keys.append(key)
@@ -501,12 +505,6 @@ def _check_smoothing(smoothing: float) -> None:
     """Reject a smoothing that is not finite and positive, NaN included."""
     if not 0 < smoothing < np.inf:
         raise InvalidConfigError(f"smoothing must be finite and > 0, got {smoothing!r}")
-
-
-def memo_windows(vocab_size: int) -> int:
-    """Windows a logits memo keeps at ``vocab_size``: ``MEMO_BYTES`` of
-    float64 rows, but never fewer than ``MEMO_MIN_WINDOWS``."""
-    return max(MEMO_MIN_WINDOWS, MEMO_BYTES // (8 * vocab_size))
 
 
 def divergence_noise_model(base_spec: ModelSpec) -> TableModel:

@@ -108,6 +108,11 @@ def verify_exact_match(
     behavior (and one deterministic reading of exact matching at positive
     temperature). The bonus is a fresh draw (or argmax) from p at the first
     mismatched position, or from the final distribution when all match.
+
+    Sampled matching is not lossless. A mismatch discards the resampled
+    token and emits a fresh draw from p, so with the draft drawn from q the
+    token emitted at a drafted position has law p(t) (1 + q(t) - <q, p>),
+    not p(t).
     """
     gamma = len(draft_tokens)
     _check_lengths(p_dists, gamma)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from reference_impl import ref_generate_draft
 
 from reflectspec.drafting import generate_draft
+from reflectspec.engine import DecodeConfig
 from reflectspec.errors import InternalConsistencyError, InvalidConfigError
 from reflectspec.models import BlendModel, Model, ModelSession, TableModel
 from reflectspec.tokens import make_rng, sample, sampling_distribution, validate_distribution
@@ -20,9 +21,9 @@ def fresh_session(temperature, vocab=16, seed=3, prefix=(1, 2, 3)):
 
 def test_greedy_drafts_are_identical_across_calls():
     s = fresh_session(0.0)
-    a = generate_draft(s, 5, 0.0, make_rng(0))
+    a = generate_draft(s, 5, make_rng(0))
     s.truncate(3)
-    b = generate_draft(s, 5, 0.0, make_rng(99))
+    b = generate_draft(s, 5, make_rng(99))
     assert a.tokens == b.tokens
     for qa, qb in zip(a.q_dists, b.q_dists):
         assert np.array_equal(qa, qb)
@@ -30,7 +31,7 @@ def test_greedy_drafts_are_identical_across_calls():
 
 def test_gamma_one_boundary():
     s = fresh_session(0.8)
-    bundle = generate_draft(s, 1, 0.8, make_rng(1))
+    bundle = generate_draft(s, 1, make_rng(1))
     assert len(bundle.tokens) == 1 and len(bundle.q_dists) == 1
     assert bundle.draft_forward_count == 0
 
@@ -38,7 +39,7 @@ def test_gamma_one_boundary():
 def test_session_keeps_drafts_and_forward_count():
     s = fresh_session(0.8)
     before = s.tokens
-    bundle = generate_draft(s, 6, 0.8, make_rng(2))
+    bundle = generate_draft(s, 6, make_rng(2))
     assert s.tokens == before + list(bundle.tokens[:5])
     assert bundle.draft_forward_count == 5
 
@@ -47,7 +48,7 @@ def test_rng_replay_reproduces_tokens():
     # Replaying a same-seed stream against the recorded distributions must
     # reproduce the drafted tokens draw for draw.
     s = fresh_session(0.9)
-    bundle = generate_draft(s, 8, 0.9, make_rng(42))
+    bundle = generate_draft(s, 8, make_rng(42))
     replay = make_rng(42)
     for tok, q in zip(bundle.tokens, bundle.q_dists):
         assert sample(q, replay) == tok
@@ -58,7 +59,7 @@ def test_distributions_match_independent_recomputation():
     prefix = [1, 2, 3]
     s = ModelSession(model, 0.7)
     s.forward(prefix)
-    bundle = generate_draft(s, 5, 0.7, make_rng(4))
+    bundle = generate_draft(s, 5, make_rng(4))
     for i, q in enumerate(bundle.q_dists):
         ctx = prefix + list(bundle.tokens[:i])
         want = sampling_distribution(model.next_logits(ctx), 0.7)
@@ -67,7 +68,7 @@ def test_distributions_match_independent_recomputation():
 
 def test_drafted_tokens_have_positive_draft_mass():
     s = fresh_session(0.5)
-    bundle = generate_draft(s, 6, 0.5, make_rng(5))
+    bundle = generate_draft(s, 6, make_rng(5))
     for tok, q in zip(bundle.tokens, bundle.q_dists):
         assert q[tok] > 0
 
@@ -75,28 +76,25 @@ def test_drafted_tokens_have_positive_draft_mass():
 def test_gamma_zero_rejected():
     s = fresh_session(0.8)
     with pytest.raises(InvalidConfigError):
-        generate_draft(s, 0, 0.8, make_rng(0))
+        generate_draft(s, 0, make_rng(0))
 
 
-def test_negative_temperature_rejected():
-    s = fresh_session(0.8)
-    with pytest.raises(InvalidConfigError):
-        generate_draft(s, 2, -1.0, make_rng(0))
+@pytest.mark.parametrize("temperature", [-1.0, float("nan")])
+def test_a_bad_draft_temperature_is_refused_where_it_enters(temperature):
+    # The session's first row refuses it, naming it, and so does the config.
+    s = ModelSession(TableModel(16, seed=3), temperature)
+    with pytest.raises(InvalidConfigError, match=f"^temperature must be >= 0, got {temperature!r}$"):
+        s.forward([1, 2, 3])
+    with pytest.raises(InvalidConfigError, match=f"^temperature must be >= 0, got {temperature!r}$"):
+        DecodeConfig(temperature=temperature)
 
 
-@pytest.mark.parametrize("session_temperature", [None, 0.0, 0.9])
-def test_a_session_at_another_temperature_is_a_bookkeeping_fault(session_temperature):
-    s = ModelSession(TableModel(16, seed=3), session_temperature)
+def test_a_session_that_caches_logits_is_a_bookkeeping_fault():
+    s = ModelSession(TableModel(16, seed=3))
     s.forward([1, 2, 3])
-    with pytest.raises(InternalConsistencyError, match="^session at temperature"):
-        generate_draft(s, 2, 0.8, make_rng(0))
+    with pytest.raises(InternalConsistencyError, match="^the draft session caches logits"):
+        generate_draft(s, 2, make_rng(0))
     assert s.tokens == [1, 2, 3]
-
-
-def test_nan_temperature_rejected_naming_it():
-    s = fresh_session(0.8)
-    with pytest.raises(InvalidConfigError, match="^temperature must be >= 0, got nan$"):
-        generate_draft(s, 2, float("nan"), make_rng(0))
 
 
 class CoarseModel(Model):
@@ -137,7 +135,7 @@ def test_one_pass_draft_matches_per_token_reference(
     for s in sessions:
         s.forward(prefix)
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    bundle = generate_draft(sessions[0], gamma, temperature, rng)
+    bundle = generate_draft(sessions[0], gamma, rng)
     ref_tokens, ref_dists = ref_generate_draft(sessions[1], gamma, temperature, ref_rng)
     assert bundle.tokens == tuple(ref_tokens)
     assert all(np.array_equal(q, r) for q, r in zip(bundle.q_dists, ref_dists, strict=True))

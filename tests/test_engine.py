@@ -418,17 +418,14 @@ MEMO_CORPUS = [
 ]
 
 
-def memo_pair(kind, fifo=False, windows=None):
+def memo_pair(kind, fifo=False):
     """A freshly built (target, draft) pair at V=64: a table base behind the
     copy target, or an n-gram base with a plain target. Both models keep a
-    logits table unless ``fifo`` forces the memo; ``windows`` forces the
-    size of both memos."""
+    logits table unless ``fifo`` forces the memo."""
     spec = ModelSpec(kind, MEMO_VOCAB, seed=3, order=2)
     with pytest.MonkeyPatch.context() as mp:
         if fifo:
             mp.setattr(models, "TABLE_BYTES", 0)
-        if windows is not None:
-            mp.setattr(models, "memo_windows", lambda vocab_size: windows)
         base = build_model(spec, corpus=MEMO_CORPUS if kind == "ngram" else None)
         noise = divergence_noise_model(spec)
     beta = 0.5 if kind == "table" else 0.0
@@ -472,8 +469,11 @@ class TestMemoTransparency:
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     @pytest.mark.parametrize("fifo, windows", [(False, None), (True, None), (True, 1)])
-    def test_warm_pair_decodes_like_a_fresh_pair(self, kind, fifo, windows):
-        warm_target, warm_draft = memo_pair(kind, fifo, windows)
+    def test_warm_pair_decodes_like_a_fresh_pair(self, kind, fifo, windows, monkeypatch):
+        # ``windows`` shrinks every memo; the fresh pairs keep tables.
+        if windows is not None:
+            monkeypatch.setattr(models, "MEMO_WINDOWS", windows)
+        warm_target, warm_draft = memo_pair(kind, fifo)
         warm_models = (warm_draft.primary, warm_draft.secondary)
         cases = memo_cases()
         # Each case runs after every case before it in the list, on the
@@ -483,7 +483,7 @@ class TestMemoTransparency:
             warm = decode_with_end_state(warm_target, warm_draft, prompt, config)
             fresh = decode_with_end_state(*memo_pair(kind), prompt, config)
             assert warm == fresh, (config.strategy, config.reflect)
-        full = windows or models.memo_windows(MEMO_VOCAB)
+        full = models.MEMO_WINDOWS
         if fifo:  # both memos have filled and evicted
             assert [len(m._memo) for m in warm_models] == [full, full]
         else:  # the tables keep more windows than a full memo

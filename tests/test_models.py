@@ -36,7 +36,6 @@ from reflectspec.models import (
     ReflectionAwareModel,
     TableModel,
     build_model,
-    memo_windows,
     pair_models,
     token_typecode,
 )
@@ -265,7 +264,7 @@ def assert_memo_matches_fresh(m, fresh_logits, vocab, seed, held=()):
     from ``held`` if it has that many, twice in shuffled order and once more
     under a longer context, each against ``fresh_logits(window)``; the memo
     ends full. Returns the windows."""
-    capacity = memo_windows(vocab)
+    capacity = models.MEMO_WINDOWS
     windows = distinct_windows(vocab, m.order, 2 * capacity, seed, held)
     assert len(windows) > capacity
     rng = make_rng(seed + 1)
@@ -281,7 +280,7 @@ def assert_memo_matches_fresh(m, fresh_logits, vocab, seed, held=()):
 
 
 def assert_memo_stays_bounded(m, vocab):
-    capacity = memo_windows(vocab)
+    capacity = models.MEMO_WINDOWS
     for w in distinct_windows(vocab, m.order, 2 * capacity, seed=0):
         m.next_logits(w)
         assert len(m._memo) <= capacity
@@ -356,26 +355,21 @@ class TestWindowKey:
         assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
 
 
-class TestMemoBudget:
-    @pytest.mark.parametrize("vocab,windows", [(8, 8192), (64, 1024), (401, 163), (4096, 64)])
-    def test_windows_per_vocabulary(self, vocab, windows):
-        assert memo_windows(vocab) == windows
-
+class TestMemoSize:
     @pytest.mark.parametrize("vocab", [8, 64, 401, 4096])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_resident_bytes_stay_within_budget(self, kind, vocab):
-        # Order 6 gives V=8 more windows (8**6) than its 8192-window memo,
-        # and too many for a table.
+    def test_every_vocabulary_keeps_memo_windows_rows(self, kind, vocab):
+        # Order 6 gives V=8 more windows (8**6) than the memo holds, and too
+        # many for a table.
         if kind == "table":
             m = TableModel(vocab, seed=1, order=6)
         else:
             m = NgramModel([[0, 1, 2, 3, 4, 5, 6, 7, 1, 3]], vocab, order=6)
         assert m._logit_table is None
-        budget = max(512 * 1024, 64 * 8 * vocab)
-        for w in distinct_windows(vocab, 6, memo_windows(vocab) + 50, seed=2):
+        for w in distinct_windows(vocab, 6, models.MEMO_WINDOWS + 50, seed=2):
             m.next_logits(w)
-        assert len(m._memo) == memo_windows(vocab)
-        assert sum(a.nbytes for a in m._memo.values()) <= budget
+        assert len(m._memo) == len(m._memo_keys) == models.MEMO_WINDOWS == 64
+        assert all(a.shape == (vocab,) for a in m._memo.values())
 
 
 class TestMemoEvictionOrder:
@@ -384,7 +378,7 @@ class TestMemoEvictionOrder:
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_oldest_inserted_window_goes_first(self, kind, monkeypatch):
-        monkeypatch.setattr(models, "memo_windows", lambda vocab_size: 3)
+        monkeypatch.setattr(models, "MEMO_WINDOWS", 3)
         if kind == "table":
             m = TableModel(401, seed=1, order=2)
         else:
@@ -477,11 +471,12 @@ class TestLogitsTable:
         for _ in range(2):
             assert [m.next_logits(list(w)).tobytes() for w in windows] == expected
             assert all(m._logit_table.slot) and m._memo == {}
-        # A token outside the vocabulary has no row: the window takes the memo.
-        outside = [(vocab,), (0, vocab + 5)][:order]
-        for w in outside + outside:
-            assert m.next_logits(list(w)).tobytes() == ref_table_logits(seed, w, vocab).tobytes()
-        assert list(m._memo) == outside
+        # A token outside the vocabulary has no row, and no memo entry either.
+        for w in [(vocab,), (0, vocab + 5), (-1,), (-1, 0)]:
+            if len(w) <= order:
+                with pytest.raises(InvalidTokenError, match="outside vocabulary"):
+                    m.next_logits(list(w))
+        assert m._memo == {}
 
     def test_a_lookup_fills_only_its_windows_row(self):
         m = TableModel(64, seed=4, order=2)
@@ -623,14 +618,11 @@ class TestDistributionTable:
     @pytest.mark.parametrize(
         "build, context",
         [
-            (lambda: TableModel(16, seed=4), [1, 16]),
-            (lambda: build_backend("ngram"), [2, -1]),
             (lambda: TableModel(401, seed=4), [1, 400]),
             (lambda: TableModel(64, seed=4, order=3), [1, 2, 3]),
             (lambda: window_blend(64, 3), [1, 2, 3]),
             (lambda: TableModel(64, seed=4, order=10**6), [1, 2, 3]),
             (lambda: BlendModel(build_backend("reflective"), TableModel(16, seed=6), 0.4), [1, 2]),
-            (lambda: BlendModel(TableModel(16, seed=6), build_backend("ngram"), 0.4), [1, 16]),
             (lambda: build_backend("reflective"), [1, 15, 1]),
         ],
     )
@@ -640,6 +632,24 @@ class TestDistributionTable:
         for _ in range(2):
             got = m.next_distribution(context, 0.8)
             assert got.tobytes() == fresh_q(build, context, 0.8).tobytes()
+        assert m._q_table is None
+
+    @pytest.mark.parametrize(
+        "build, context, token",
+        [
+            (lambda: TableModel(16, seed=4), [1, 16], 16),
+            (lambda: build_backend("ngram"), [2, -1], -1),
+            (lambda: BlendModel(TableModel(16, seed=6), build_backend("ngram"), 0.4), [1, 16], 16),
+        ],
+    )
+    def test_an_out_of_vocabulary_window_is_refused_and_allocates_nothing(self, build, context, token):
+        m = build()
+        message = f"^token {token} outside vocabulary of size 16$"
+        with pytest.raises(InvalidTokenError, match=message):
+            m.window_row(context)
+        for _ in range(2):
+            with pytest.raises(InvalidTokenError, match=message):
+                m.next_distribution(context, 0.8)
         assert m._q_table is None
 
     @pytest.mark.parametrize("larger", [0, 1])
@@ -809,21 +819,60 @@ class TestTableMemoDifferential:
     def test_every_context_form_gets_the_same_bytes(self, kind, order):
         table, memo = both_paths(kind, order=order)
         rng = make_rng(order)
-        contexts = [[], [63], [0, 63], [64], [70, 1], [1, 64], [63, 127]]
+        contexts = [[], [63], [0, 63], [64], [70, 1], [1, 64], [63, 127], [-1], [2, -3]]
         contexts += [random_context(rng, 64) for _ in range(200)]
-        if kind == "ngram":
-            contexts += [[-1], [2, -3]]  # a table hashes no negative token
-        else:
+        if kind == "table":
             contexts.remove([])  # a session never asks a table about it
         for _ in range(2):
             for ctx in contexts:
-                want = memo.next_logits(ctx).tobytes()
                 forms = [ctx, [np.int64(t) for t in ctx]]
                 if min(ctx, default=0) >= 0:
                     forms += [array(code, ctx) for code in ARRAY_TYPECODES]
-                for form in forms:
-                    assert table.next_logits(form).tobytes() == want, (ctx, form)
-        assert any(table._logit_table.slot) and len(table._memo) > 0
+                if all(0 <= t < 64 for t in ctx[-order:]):
+                    want = memo.next_logits(ctx).tobytes()
+                    for form in forms:
+                        assert table.next_logits(form).tobytes() == want, (ctx, form)
+                    continue
+                # A window outside the vocabulary is refused on both routes.
+                for model, form in itertools.product((table, memo), forms):
+                    with pytest.raises(InvalidTokenError, match="outside vocabulary of size 64$"):
+                        model.next_logits(form)
+        assert any(table._logit_table.slot) and table._memo == {} and len(memo._memo) > 0
+
+
+class TestOutOfVocabularyWindows:
+    """A window that holds a token outside the vocabulary is refused with an
+    ``InvalidTokenError`` naming the token, on the table and the memo route
+    alike, and nothing is stored for it. A token older than the window is
+    never read."""
+
+    @pytest.mark.parametrize("token", [-1, -(2**70), 64, 2**64, 2**70])
+    @pytest.mark.parametrize("order, forced", [(2, False), (2, True), (3, False)])
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_the_window_is_refused_naming_the_token(self, kind, order, forced, token):
+        def build():
+            if kind == "table":
+                return TableModel(64, seed=1, order=order)
+            return NgramModel(WINDOW_DOCS, 64, order=order, smoothing=0.5)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if forced:
+                mp.setattr(models, "TABLE_BYTES", 0)
+            m = build()
+        tabled = m._logit_table is not None
+        assert tabled == (order == 2 and not forced)
+        message = f"^token {token} outside vocabulary of size 64$"
+        for window in ([token], [token, 1], [1, token], [5, token, 1][-order:]):
+            forms = [window, tuple(window)]
+            if -(2**63) <= token < 2**63:
+                forms.append([np.int64(t) for t in window])
+            for form in forms:
+                with pytest.raises(InvalidTokenError, match=message):
+                    m.next_logits(form)
+        assert m._memo == {} and not (tabled and any(m._logit_table.slot))
+        inside = [5, 1, 7][:order]
+        want = build().next_logits(inside).tobytes()
+        assert m.next_logits([token] + inside).tobytes() == want
 
 
 def test_building_models_leaves_numpy_random_unimported():

@@ -1,7 +1,8 @@
 """Every module-level private name in the package is used somewhere in it,
 every module-level import is read by its module, every name the package
-exports has a user, and every public function and class has a reader
-outside the tests.
+exports has a user, every public function and class has a reader
+outside the tests, and every constant and attribute README's code names
+exists.
 
 A private helper that nothing in ``src/`` calls any more is dead code, and
 so is an import its module never reads or a public function only tests
@@ -10,8 +11,12 @@ call; these tests name them. They read the sources with the standard
 """
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reflectspec"
@@ -29,6 +34,9 @@ EXPORTS_KEPT = {
 PUBLIC_KEPT = {
     "one_hot": "the acceptance suite imports it",
 }
+
+# Names README's code spans take from outside the package.
+README_EXTERNAL = {"np": numpy, "dataclasses": dataclasses, "PCG64": numpy.random.PCG64}
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -92,16 +100,21 @@ def test_every_module_level_import_is_read():
     assert unread == []
 
 
+def readme_spans() -> list[str]:
+    """README's code spans outside fenced blocks."""
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    return re.findall(r"`([^`]+)`", readme)
+
+
 def outside_readers() -> set[str]:
     """Names perfbench reads, also as strings (it looks engine bindings up by
-    name), and the words of README's code spans outside fenced blocks."""
+    name), and the words of README's code spans."""
     bench = set()
     for path in (ROOT / "perfbench").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
         bench |= used_names(tree) | {s for s in strings if isinstance(s, str)}
-    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
-    return bench | set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    return bench | set(re.findall(r"\w+", " ".join(readme_spans())))
 
 
 def test_every_export_has_a_user():
@@ -153,3 +166,52 @@ def test_every_public_function_and_class_has_a_reader():
     assert sorted(unread - PUBLIC_KEPT.keys()) == []
     # A kept name that gains a reader, or goes, leaves the list.
     assert sorted(PUBLIC_KEPT.keys() - unread) == []
+
+
+def unresolved_names(spans: list[str]) -> list[str]:
+    """The UPPER_CASE constants and ``name.attr`` chains in ``spans`` that do
+    not resolve. A constant resolves to a module-level name of a package
+    module; ``module.name`` to a name of that package module, ``Class.attr``
+    to an attribute or dataclass field of that package class, and
+    ``README_EXTERNAL`` names (``PCG64``, ``np.zeros``) to numpy's. Flag spans
+    (``--corpus FILE``), bracketed tokens (``[BACK]``) and file names
+    (``stats.json``) name no constant."""
+    names: dict[str, object] = dict(README_EXTERNAL)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"reflectspec.{path.stem}")
+        names.setdefault(path.stem, module)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in defined_names(node):
+                names.setdefault(name, getattr(module, name))
+    missing = object()
+    unresolved = []
+    for span in spans:
+        if span.startswith("-"):
+            continue
+        text = re.sub(r"\[\w+\]", "", span)
+        unresolved += [c for c in re.findall(r"\b[A-Z][A-Z0-9_]+\b", text) if c not in names]
+        for chain in re.findall(r"\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", text):
+            head, *attrs = chain.split(".")
+            if attrs[-1] in ("py", "json", "csv", "txt", "md"):
+                continue
+            obj = names.get(head, missing)
+            for attr in attrs:
+                if dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}:
+                    break  # a field, which a class without a default lacks
+                obj = getattr(obj, attr, missing)
+            if obj is missing:
+                unresolved.append(chain)
+    return unresolved
+
+
+def test_every_constant_and_attribute_readme_names_resolves():
+    assert unresolved_names(readme_spans()) == []
+
+
+def test_the_readme_audit_flags_stale_names():
+    spans = ["MEMO_BYTES", "models.memo_windows", "DecodeConfig.nope", "Nope.x", "TABLE_BYTES",
+             "bench.CellRunner", "StepStats.accepted_n", "np.zeros", "PCG64", "[BACK]",
+             "--corpus FILE", "stats.json"]
+    assert unresolved_names(spans) == ["MEMO_BYTES", "models.memo_windows", "DecodeConfig.nope", "Nope.x"]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_impl import ref_layout
 
+from reflectspec import models
 from reflectspec.corpus import IntTokenizer, WordTokenizer
 from reflectspec.drafting import DraftBundle
 from reflectspec.errors import InternalConsistencyError, InvalidConfigError
@@ -184,21 +185,28 @@ class TestPairedForward:
         with pytest.raises(InternalConsistencyError):
             paired_forward(session, layout)
 
-    @pytest.mark.parametrize("gamma", [1, 2, 5])
-    def test_the_memo_serves_every_second_copy_window(self, gamma):
-        # V=64 at order 3 has too many windows for a table, so the FIFO memo
-        # keeps them. A prefix of at least order - 1 tokens replays the
-        # committed tail, so each second-copy window repeats a first-copy
-        # window of the same forward, and only the memo spares recomputing it.
-        model = TableModel(64, seed=8, order=3)
+    @pytest.mark.parametrize(
+        "vocab, order, gamma",
+        [(64, 3, 1), (64, 3, 2), (64, 3, 5), (64, 3, 48), (401, 2, 5), (401, 2, 48)],
+    )
+    def test_the_memo_serves_every_second_copy_window(self, vocab, order, gamma):
+        # V=64 at order 3 and V=401 at order 2 have too many windows for a
+        # table, so the FIFO memo keeps them. A prefix of at least order - 1
+        # tokens replays the committed tail, so each second-copy window
+        # repeats a first-copy window of the same forward, and only the memo
+        # spares recomputing it. At gamma 48 the second copy starts 53
+        # positions after the first: a memo of 53 windows serves it, one of
+        # 52 recomputes all 48 windows.
+        model = TableModel(vocab, seed=8, order=order)
         assert model._logit_table is None
         committed = [5, 17, 33, 2, 61]
         session = ModelSession(model)
         session.forward(committed)
-        draft = [int(t) for t in make_rng(gamma).integers(0, 63, size=gamma)]
+        draft = [int(t) for t in make_rng(gamma).integers(0, vocab - 1, size=gamma)]
         layout = build_reflective_input(
-            bundle_for(draft, vocab=64), ReflectiveTemplate((63,), prefix_len=4), committed
+            bundle_for(draft, vocab=vocab), ReflectiveTemplate((vocab - 1,), prefix_len=4), committed
         )
+        assert layout.shift_len == gamma + 5 <= models.MEMO_WINDOWS
         computed_at = []
         window_logits = model.window_logits
         model.window_logits = lambda window: computed_at.append(len(session)) or window_logits(window)
@@ -206,7 +214,6 @@ class TestPairedForward:
         second_copy = range(len(committed) + layout.shift_len + 1, len(session) + 1)
         assert len(second_copy) == gamma and computed_at
         assert not set(computed_at) & set(second_copy)
-
 
 class TestFuse:
     def test_alpha_zero_reduces_to_original_exactly(self):

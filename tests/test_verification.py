@@ -26,6 +26,33 @@ def rand_dist(rng, size):
     return raw / raw.sum()
 
 
+class FixedUniforms:
+    """A stand-in generator whose one ``random(n)`` call returns ``uniforms``."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, n):
+        assert n == len(self.uniforms)
+        return np.array(self.uniforms)
+
+
+def exact_match_law(p, q):
+    """The law of the token a one-draft sample-mode exact-match step emits
+    at its drafted position, by exact enumeration: the draft x ~ q, and the
+    resampled y and the bonus z ~ p, each picked by a uniform inside its
+    token's inverse-CDF interval of p; outcome (x, y, z) weighs
+    q(x) p(y) p(z). Both verifier rows are p."""
+    edges = np.concatenate([[0.0], np.add.accumulate(p)])
+    inside = (edges[:-1] + edges[1:]) / 2
+    law = np.zeros(len(p))
+    for x, y, z in itertools.product(range(len(p)), repeat=3):
+        res = verify_exact_match([p, p], [x], FixedUniforms([inside[y], inside[z]]))
+        assert res.diagnostics["resampled"] == [y] and res.bonus == z
+        law[x if res.accepted_n else z] += q[x] * p[y] * p[z]
+    return law
+
+
 class TestResidual:
     @pytest.mark.parametrize(
         "p,q,want",
@@ -122,6 +149,25 @@ class TestExactMatch:
                 hits += res.accepted_n
             assert abs(hits / trials - mixed[tok]) < 0.03
         assert all(b >= a for a, b in zip(masses, masses[1:]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_sample_mode_law_at_a_drafted_position_is_tilted_toward_q(self, seed):
+        # A match emits the draft x; a mismatch discards the resampled token
+        # and emits a fresh draw from p. So token t comes out with
+        # probability q(t) p(t) + (1 - <q, p>) p(t).
+        rng = make_rng(seed)
+        p, q = rand_dist(rng, 4), rand_dist(rng, 4)
+        want = p * (1 + q - q @ p)
+        assert np.max(np.abs(exact_match_law(p, q) - want)) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True, reason="sample-mode exact match is not lossless: its law is p(t)(1 + q(t) - <q,p>)"
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_sample_mode_law_at_a_drafted_position_is_p(self, seed):
+        rng = make_rng(seed)
+        p, q = rand_dist(rng, 4), rand_dist(rng, 4)
+        assert np.max(np.abs(exact_match_law(p, q) - p)) <= 1e-12
 
     def test_consumes_fixed_draw_count(self):
         vocab = 5
