@@ -16,7 +16,10 @@ Backends:
 - ``NgramModel``: counts-based log-probabilities with additive smoothing,
   built from a tokenized corpus.
 - ``BlendModel``: convex combination of two backends' logits; used to build
-  draft models of controllable quality.
+  draft models of controllable quality. It reads its primary through that
+  model's table or memo, which a draft shares with its target, and its
+  secondary (a ``WindowModel``) through its formula, since the blend's own
+  rows are its secondary's only reader.
 - ``ReflectionAwareModel``: wraps a base backend and, whenever the context
   contains a designated marker token, blends toward re-emitting the token
   that followed the matching pre-marker context (an induction-style copy).
@@ -114,13 +117,18 @@ class Model:
         packs its rows in first-fill order and finds a window's row through
         its slot index (``_Rows``).
         """
-        index = self.window_row(context)
+        try:
+            index = self.window_row(context)
+            if index is not None:
+                rows = self._q_table
+                if rows is None or rows.key != temperature:
+                    rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
+                slot = rows.slot[index]
+        except TypeError:  # a token that is not an integer: next_logits names it
+            self.next_logits(context)
+            raise
         if index is None:
             return sampling_distribution(self.next_logits(context), temperature)
-        rows = self._q_table
-        if rows is None or rows.key != temperature:
-            rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
-        slot = rows.slot[index]
         if slot:
             return rows.view[slot]
         return rows.fill(index, sampling_distribution(self.next_logits(context), temperature))
@@ -191,18 +199,24 @@ class ModelSession:
         The row at appended position j predicts the token at position j+1
         and depends only on tokens up to j (causality is inherited from the
         backend being a pure function of the prefix). Tokens are checked
-        by ``token_ids`` before any is appended.
+        by ``token_ids`` before any is appended, and a row that raises
+        leaves the session's tokens and rows as they were before the call.
         """
         model, temperature, rows = self.model, self.temperature, self._rows
         toks = token_ids(new_tokens, model.vocab_size)
         if not toks:
             raise InvalidConfigError("forward requires at least one token")
-        for t in toks:
-            self._tokens.append(t)
-            if temperature is None:
-                rows.append(model.next_logits(self._tokens))
-            else:
-                rows.append(model.next_distribution(self._tokens, temperature))
+        keep = len(self._tokens)
+        try:
+            for t in toks:
+                self._tokens.append(t)
+                if temperature is None:
+                    rows.append(model.next_logits(self._tokens))
+                else:
+                    rows.append(model.next_distribution(self._tokens, temperature))
+        except BaseException:  # a row that raises leaves the session as it was
+            self.truncate(keep)
+            raise
         return rows[-len(toks) :]
 
     def truncate(self, keep_length: int) -> None:
@@ -238,10 +252,12 @@ class WindowModel(Model):
     step whose ``shift_len`` is above about ``MEMO_WINDOWS`` recomputes
     them.
 
-    A window that holds a token outside the vocabulary is refused with
-    ``InvalidTokenError`` on both routes: by ``window_row`` on a tabled
-    space, and by ``token_ids`` on a memo miss, so a hit costs nothing more.
-    Returned arrays are shared between calls and read-only.
+    A window that holds a token outside the vocabulary, or one that is not
+    an integer, is refused with ``InvalidTokenError`` on both routes: by
+    ``window_row`` on a tabled space (a non-integer token fails the slot
+    index, and ``token_ids`` then names it), and by ``token_ids`` on a memo
+    miss, so a hit costs nothing more. Returned arrays are shared between
+    calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -279,12 +295,16 @@ class WindowModel(Model):
         return index
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
-        index = self.window_row(context)
-        if index is not None:
+        try:
+            index = self.window_row(context)
             rows = self._logit_table
-            slot = rows.slot[index]
-            if slot:
-                return rows.view[slot]
+            slot = None if index is None else rows.slot[index]
+        except TypeError:  # a token that is not an integer: name it
+            token_ids(context[-self.order :], self.vocab_size)
+            raise
+        if slot:
+            return rows.view[slot]
+        if index is not None:
             return rows.fill(index, self.window_logits(tuple(context[-self.order :])))
         key = tuple(context[-self.order :])
         logits = self._memo.get(key)
@@ -394,11 +414,24 @@ class NgramModel(WindowModel):
 class BlendModel(Model):
     """Convex combination of two backends: (1-w)*primary + w*secondary.
 
+    The primary is read through its own ``next_logits``, and so through its
+    table or memo, because the draft's primary is the target's base, whose
+    rows the target reads too. The secondary must be a ``WindowModel``, and
+    is read through its formula, ``window_logits`` of its own window, after
+    ``token_ids`` checks that window: its only reader is the blend, whose
+    rows are computed once per window where a table keeps them
+    (``next_distribution``), so a row the secondary kept would never be read
+    again. The secondary fills no table row and no memo entry.
+
     A blend of two ``WindowModel``s is a function of its larger-order
     part's window, so it names its rows by that part's ``window_row``.
     """
 
-    def __init__(self, primary: Model, secondary: Model, weight: float):
+    def __init__(self, primary: Model, secondary: WindowModel, weight: float):
+        if not isinstance(secondary, WindowModel):
+            raise InvalidConfigError(
+                f"a blend's secondary must be a WindowModel, got {type(secondary).__name__}"
+            )
         if primary.vocab_size != secondary.vocab_size:
             raise InvalidConfigError("blended models must share a vocabulary")
         if not 0.0 <= weight <= 1.0:
@@ -407,13 +440,15 @@ class BlendModel(Model):
         self.primary = primary
         self.secondary = secondary
         self.weight = float(weight)
-        if isinstance(primary, WindowModel) and isinstance(secondary, WindowModel):
+        if isinstance(primary, WindowModel):
             space = max(primary, secondary, key=lambda part: part.order)
             self.window_row, self.n_windows = space.window_row, space.n_windows
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
+        secondary = self.secondary
+        window = tuple(token_ids(context[-secondary.order :], secondary.vocab_size))
         return (1.0 - self.weight) * self.primary.next_logits(context) + (
-            self.weight * self.secondary.next_logits(context)
+            self.weight * secondary.window_logits(window)
         )
 
 
@@ -430,12 +465,13 @@ class ReflectionAwareModel(Model):
 
     The context is searched as a typed token buffer: a ``ModelSession``
     passes its ``array.array`` as is, and any other sequence is converted
-    once. The search copies the buffer's bytes once and runs two C-level
-    ``bytes.rfind`` scans, one for the last marker and one for the nearest
-    earlier copy of the tail; a hit that is not at a token boundary, or
-    whose continuation is the marker, resumes the scan before it. No Python
-    loop runs over every position. ``tests/reference_impl.py`` keeps the
-    plain loop it must agree with.
+    once, through ``token_ids``, so a bad token anywhere in it is an
+    ``InvalidTokenError``. The search copies the buffer's bytes once and
+    runs two C-level ``bytes.rfind`` scans, one for the last marker and one
+    for the nearest earlier copy of the tail; a hit that is not at a token
+    boundary, or whose continuation is the marker, resumes the scan before
+    it. No Python loop runs over every position. ``tests/reference_impl.py``
+    keeps the plain loop it must agree with.
     """
 
     def __init__(self, base: Model, marker: int, blend: float):
@@ -467,7 +503,7 @@ class ReflectionAwareModel(Model):
 
     def _copy_target(self, context: Sequence[int]) -> int | None:
         if not (isinstance(context, array) and context.typecode == self._typecode):
-            context = array(self._typecode, context)
+            context = array(self._typecode, token_ids(context, self.vocab_size))
         size = context.itemsize
         data = context.tobytes()
         mark = self._mark
@@ -521,16 +557,18 @@ def divergence_noise_model(base_spec: ModelSpec) -> TableModel:
 
 
 def pair_models(
-    base: Model, noise: Model, eta: float, beta: float, marker: int
+    base: Model, noise: WindowModel, eta: float, beta: float, marker: int
 ) -> tuple[Model, Model]:
     """The (target, draft) pair every decode and sweep cell runs on.
 
     The target is ``base``, wrapped in ``ReflectionAwareModel`` (copy blend
     ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
     ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
-    model unrelated to the target. An eta or beta outside [0, 1], NaN
-    included, is rejected here under its own name, and so is a marker
-    outside the vocabulary, whatever beta is.
+    model unrelated to the target. The draft reads ``base`` through its
+    table or memo, which the target shares, and ``noise`` through its
+    formula, so the noise model keeps no rows (``BlendModel``). An eta or
+    beta outside [0, 1], NaN included, is rejected here under its own name,
+    and so is a marker outside the vocabulary, whatever beta is.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")

@@ -484,10 +484,14 @@ class TestMemoTransparency:
             fresh = decode_with_end_state(*memo_pair(kind), prompt, config)
             assert warm == fresh, (config.strategy, config.reflect)
         full = models.MEMO_WINDOWS
-        if fifo:  # both memos have filled and evicted
-            assert [len(m._memo) for m in warm_models] == [full, full]
-        else:  # the tables keep more windows than a full memo
-            assert all(m._memo == {} and sum(map(bool, m._logit_table.slot)) > full for m in warm_models)
+        primary, secondary = warm_models
+        if fifo:  # the primary's memo has filled and evicted
+            assert len(primary._memo) == full
+        else:  # the primary's table keeps more windows than a full memo
+            assert primary._memo == {} and sum(map(bool, primary._logit_table.slot)) > full
+        # The secondary is read through its formula and holds nothing.
+        assert secondary._memo == {}
+        assert secondary._logit_table is None or not any(secondary._logit_table.slot)
 
 
 class TestTableMemoDecodes:
@@ -531,6 +535,22 @@ class TestDraftDistributionTable:
             assert got == decode_with_end_state(opaque_target, opaque, prompt, config)
             assert opaque.calls > 0 and opaque._q_table is None
             assert draft._q_table.key == config.temperature and any(draft._q_table.slot)
+
+
+class TestNoiseModelKeepsNoRows:
+    """A draft blend reads its secondary, the noise model, through its
+    formula: decoding fills the base's logits table and the draft's q
+    table, and leaves the noise model's table and memo empty."""
+
+    def test_two_decodes_leave_the_secondary_empty(self):
+        target, draft = reference_pair(MEMO_VOCAB, seed=5, order=2, beta=0.5, eta=0.3)
+        template = ReflectiveTemplate(prompt_tokens=(MEMO_VOCAB - 1,), prefix_len=3)
+        for strategy, seed in (("specsample", 1), ("typical", 2)):
+            config = base_config(strategy=strategy, template=template, max_new_tokens=96, seed=seed)
+            decode(target, draft, [4, 9, 30], config)
+        noise = draft.secondary
+        assert noise._memo == {} and not any(noise._logit_table.slot)
+        assert any(draft.primary._logit_table.slot) and any(draft._q_table.slot)
 
 
 @st.composite

@@ -93,6 +93,30 @@ class TestModelSession:
         tokens.append(2)  # a copy: the session is unchanged
         assert len(s) == 3
 
+    def test_a_row_that_raises_leaves_the_session_unchanged(self):
+        s = ModelSession(TableModel(16), -1.0)
+        with pytest.raises(InvalidConfigError):
+            s.forward([1, 2])
+        assert len(s) == 0 and s._rows == []
+
+        class FailsAfter(TableModel):
+            def next_logits(self, context):
+                if context[-1] == 9:
+                    raise RuntimeError("no row")
+                return super().next_logits(context)
+
+        s = ModelSession(FailsAfter(16, seed=1))
+        s.forward([3, 4])
+        rows = list(s._rows)
+        with pytest.raises(RuntimeError, match="no row"):
+            s.forward([5, 9, 6])
+        assert s.tokens == [3, 4] and s._rows == rows
+        fresh = ModelSession(TableModel(16, seed=1))
+        want = fresh.forward([3, 4, 5, 6])
+        got = s.forward([5, 6])
+        assert [r.tobytes() for r in rows + got] == [r.tobytes() for r in want]
+        assert s.tokens == fresh.tokens
+
     def test_a_vocabulary_no_typecode_holds_is_a_config_error(self):
         assert token_typecode(2**64) == "Q"
         # A window model refuses this vocabulary at construction already.
@@ -668,6 +692,67 @@ class TestDistributionTable:
         assert np.shares_memory(b.next_distribution([7, 1, 2], 0.8), b.next_distribution([1, 2], 0.8))
 
 
+def blend_parts(orders, forced):
+    """A primary and a secondary table model of the given orders at V=16,
+    with the memo forced when ``forced`` (no table fits in ``TABLE_BYTES``
+    = 0)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if forced:
+            mp.setattr(models, "TABLE_BYTES", 0)
+        return [TableModel(16, seed=20 + i, order=order) for i, order in enumerate(orders)]
+
+
+class TestBlendSecondaryFormula:
+    """A blend reads its primary through ``next_logits`` and its secondary
+    through ``window_logits`` of the secondary's window, checked first by
+    ``token_ids``: the bytes are a fresh secondary's, and the secondary
+    keeps nothing."""
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 2), (2, 1), (1, 2), (1, 3)])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_the_blend_is_bit_identical_to_its_formula(self, orders, forced):
+        primary, secondary = blend_parts(orders, forced)
+        blend = BlendModel(primary, secondary, 0.3)
+        fresh = blend_parts(orders, forced)[1]
+        rng = make_rng(sum(orders) + forced)
+        contexts = [[7], [0, 15], [15, 0, 3]] + [random_context(rng, 16) for _ in range(150)]
+        for _ in range(2):
+            for ctx in contexts:
+                want = 0.7 * primary.next_logits(ctx) + 0.3 * fresh.next_logits(ctx)
+                assert blend.next_logits(ctx).tobytes() == want.tobytes(), ctx
+                q = sampling_distribution(want, 0.8)
+                assert blend.next_distribution(ctx, 0.8).tobytes() == q.tobytes(), ctx
+        assert secondary._memo == {}
+        assert secondary._logit_table is None or not any(secondary._logit_table.slot)
+
+    @pytest.mark.parametrize(
+        "ctx, message",
+        [
+            ([1, 16], "token 16 outside vocabulary of size 16"),
+            ([-1, 1, 2], "token -1 outside vocabulary of size 16"),
+            ([1, 1.5], "token 1.5 is not an integer"),
+            ([1.5, 2, 3], "token 1.5 is not an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("orders", [(2, 2), (1, 3), (3, 1)])
+    def test_a_bad_token_in_either_window_is_refused_on_both_routes(self, orders, ctx, message):
+        for forced in (False, True):
+            blend = BlendModel(*blend_parts(orders, forced), 0.3)
+            if len(ctx) > max(orders):
+                # The token lies outside both windows and is never read.
+                blend.next_logits(ctx)
+                continue
+            for call in (blend.next_logits, lambda c: blend.next_distribution(c, 0.8)):
+                with pytest.raises(InvalidTokenError, match=f"^{re.escape(message)}$"):
+                    call(ctx)
+            assert blend.secondary._memo == {}
+
+    @pytest.mark.parametrize("secondary", ["reflective", "blend"])
+    def test_a_secondary_that_is_not_a_window_model_is_refused(self, secondary):
+        with pytest.raises(InvalidConfigError, match="secondary must be a WindowModel"):
+            BlendModel(TableModel(16, seed=1), build_backend(secondary), 0.4)
+
+
 def max_table_order(vocab):
     """The largest order whose windows fit in ``TABLE_BYTES`` at ``vocab``."""
     order = 0
@@ -841,10 +926,10 @@ class TestTableMemoDifferential:
 
 
 class TestOutOfVocabularyWindows:
-    """A window that holds a token outside the vocabulary is refused with an
-    ``InvalidTokenError`` naming the token, on the table and the memo route
-    alike, and nothing is stored for it. A token older than the window is
-    never read."""
+    """A window that holds a token outside the vocabulary, or one that is not
+    an integer, is refused with an ``InvalidTokenError`` naming the token,
+    on the table and the memo route alike, and nothing is stored for it. A
+    token older than the window is never read."""
 
     @pytest.mark.parametrize("token", [-1, -(2**70), 64, 2**64, 2**70])
     @pytest.mark.parametrize("order, forced", [(2, False), (2, True), (3, False)])
@@ -873,6 +958,21 @@ class TestOutOfVocabularyWindows:
         inside = [5, 1, 7][:order]
         want = build().next_logits(inside).tobytes()
         assert m.next_logits([token] + inside).tobytes() == want
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("window", [[1, 1.5], [1.5, 1], [np.float64(2.0)], ["a", 1]])
+    def test_a_non_integer_token_is_refused_naming_it_on_both_routes(self, window, forced):
+        with pytest.MonkeyPatch.context() as mp:
+            if forced:
+                mp.setattr(models, "TABLE_BYTES", 0)
+            m = TableModel(16, seed=1)
+        assert (m._logit_table is None) == forced
+        bad = next(t for t in window if not isinstance(t, int))
+        message = f"^token {re.escape(repr(bad))} is not an integer$"
+        for call in (m.next_logits, lambda c: m.next_distribution(c, 0.8)):
+            with pytest.raises(InvalidTokenError, match=message):
+                call(window)
+        assert m._memo == {} and not (m._logit_table and any(m._logit_table.slot))
 
 
 def test_building_models_leaves_numpy_random_unimported():
@@ -1115,6 +1215,13 @@ class TestDivergencePair:
 
 
 class TestReflectionAware:
+    @pytest.mark.parametrize("token", [-1, 99, 2.5])
+    def test_a_bad_token_older_than_the_base_window_is_refused(self, token):
+        # The base reads only the window (1, 2); the copy search reads all.
+        model = ReflectionAwareModel(TableModel(16, seed=1), 15, 0.5)
+        with pytest.raises(InvalidTokenError, match=f"^token {token} "):
+            model.next_logits([token, 1, 2])
+
     def test_beta_zero_is_base(self):
         base = TableModel(16, seed=5)
         wrapped = ReflectionAwareModel(base, 15, 0.0)
