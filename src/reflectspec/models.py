@@ -54,8 +54,7 @@ TABLE_LOGIT_HIGH = 4.0
 # Where a WindowModel keeps its logits; its docstring states the policy. A
 # space whose windows all fit in TABLE_BYTES as float64 rows keeps a table
 # (4,161 windows and 2.13 MB at V=64 and order 2), a larger one (V=401 at
-# order 2, V=64 at order 3) a FIFO memo of the last MEMO_WINDOWS windows,
-# and both refuse a window that holds a token outside the vocabulary.
+# order 2, V=64 at order 3) a FIFO memo of the last MEMO_WINDOWS windows.
 TABLE_BYTES = 4 * 1024 * 1024
 MEMO_WINDOWS = 64
 
@@ -96,42 +95,35 @@ class Model:
     """Next-token logits as a pure function of the token prefix."""
 
     vocab_size: int
-    n_windows = 0  # the windows ``window_row`` numbers
+    n_windows = 0  # the windows ``window_row`` numbers; 0 without a table
     _q_table: _Rows | None = None
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         """Logits predicting the token after ``context``. Must not mutate it."""
         raise NotImplementedError
 
-    def window_row(self, context: Sequence[int]) -> int | None:
-        """The row of ``context``'s window in a tabled window space, or None
-        for a model that has no table."""
-        return None
-
     def next_distribution(self, context: Sequence[int], temperature: float) -> np.ndarray:
         """``sampling_distribution(self.next_logits(context), temperature)``.
 
-        Where ``window_row`` names the context's row, that call runs once
-        per window and the row is kept, read-only, in one table for the last
-        temperature asked; a new temperature replaces the table. The table
-        packs its rows in first-fill order and finds a window's row through
-        its slot index (``_Rows``).
+        On a tabled window space (``n_windows``, rows named by
+        ``window_row``) that call runs once per window and the row is kept,
+        read-only, in one table for the last temperature asked. A new
+        temperature replaces the table once its first row is computed, so a
+        refused one leaves it as it was. Rows are packed in first-fill order
+        and found through their window's slot index (``_Rows``).
         """
-        try:
-            index = self.window_row(context)
-            if index is not None:
-                rows = self._q_table
-                if rows is None or rows.key != temperature:
-                    rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
-                slot = rows.slot[index]
-        except TypeError:  # a token that is not an integer: next_logits names it
-            self.next_logits(context)
-            raise
-        if index is None:
+        if not self.n_windows:
             return sampling_distribution(self.next_logits(context), temperature)
-        if slot:
+        index = self.window_row(context)
+        rows = self._q_table
+        if rows is None or rows.key != temperature:
+            rows = None
+        elif slot := rows.slot[index]:
             return rows.view[slot]
-        return rows.fill(index, sampling_distribution(self.next_logits(context), temperature))
+        row = sampling_distribution(self.next_logits(context), temperature)
+        if rows is None:
+            rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
+        return rows.fill(index, row)
 
 
 class _Rows:
@@ -234,30 +226,29 @@ class WindowModel(Model):
     trailing ``order`` context tokens, or the whole context when it is
     shorter. Subclasses give the formula as ``window_logits(window)``.
 
-    When every window of length 0 to ``order`` fits in ``TABLE_BYTES`` as
-    float64 rows, with the reserved row 0 of ``_Rows``, the model keeps one
-    table with room for a row per window. Windows are numbered shortest
-    first and then in token order: the bijective base-V numeral of the
-    window, with digits t + 1 (``window_row``). A window's row is filled on
-    its first lookup, so no window is computed twice; rows are stored in
-    first-fill order and found through the window's slot index (``_Rows``),
-    so the table's resident memory follows the windows it holds.
+    A space whose every window of length 0 to ``order`` fits in
+    ``TABLE_BYTES`` as float64 rows, with the reserved row 0 of ``_Rows``,
+    keeps one table with room for a row per window (``n_windows``).
+    ``window_row`` numbers the windows, shortest first and then in token
+    order. A window's row is filled on its first lookup and read after, so
+    no window is computed twice; rows are packed in first-fill order, so the
+    table's resident memory is the rows it has filled.
 
-    Every window of a larger space takes a FIFO memo of the last
-    ``MEMO_WINDOWS`` windows, keyed by the window's token values, so
-    ``np.int64`` tokens and a session's typed ``array`` hit the plain-int
-    entry. It evicts the oldest inserted window first; a hit does not
-    refresh it. Its job is the reflective step's second copy, which re-reads
-    the windows the first copy computed ``shift_len`` positions earlier: a
-    step whose ``shift_len`` is above about ``MEMO_WINDOWS`` recomputes
-    them.
+    A larger space keeps a FIFO memo of the last ``MEMO_WINDOWS`` windows,
+    keyed by the window's token values. It evicts the oldest inserted window
+    first; a hit does not refresh it. Its job is the reflective step's
+    second copy, which re-reads the windows the first copy computed
+    ``shift_len`` positions earlier: a step whose ``shift_len`` is above
+    about ``MEMO_WINDOWS`` recomputes them.
 
     A window that holds a token outside the vocabulary, or one that is not
-    an integer, is refused with ``InvalidTokenError`` on both routes: by
-    ``window_row`` on a tabled space (a non-integer token fails the slot
-    index, and ``token_ids`` then names it), and by ``token_ids`` on a memo
-    miss, so a hit costs nothing more. Returned arrays are shared between
-    calls and read-only.
+    an integer, is an ``InvalidTokenError`` naming it, whatever the table or
+    memo holds; a numpy integer reads as its value. On a tabled space only
+    ``window_row`` reads the window's tokens. The memo route checks a window
+    with ``token_ids`` before the lookup, so a float never hits an int's
+    entry (1.0 == 1), and again on a miss; a session's typed buffer
+    (``token_typecode``) skips the first check, since it holds only ints.
+    Returned arrays are shared between calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -269,6 +260,7 @@ class WindowModel(Model):
             raise InvalidConfigError("context order must be >= 1")
         self.vocab_size = vocab_size
         self.order = order
+        self._typecode = token_typecode(vocab_size)
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
         # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
         self._memo_keys: deque[tuple[int, ...]] = deque()
@@ -283,33 +275,32 @@ class WindowModel(Model):
         self.n_windows = n_windows
         self._logit_table = _Rows(n_windows, vocab_size)
 
-    def window_row(self, context: Sequence[int]) -> int | None:
-        if self._logit_table is None:
-            return None
+    def window_row(self, context: Sequence[int]) -> int:
+        """The number of ``context``'s window: its bijective base-V numeral
+        with digits t + 1. ``token_ids`` reads any token that is not a plain
+        int in the vocabulary, taking a numpy integer by value."""
         vocab = self.vocab_size
         index = 0
         for t in context[-self.order :]:
-            if not 0 <= t < vocab:
-                raise InvalidTokenError(f"token {t} outside vocabulary of size {vocab}")
+            if type(t) is not int or not 0 <= t < vocab:
+                (t,) = token_ids([t], vocab)
             index = index * vocab + t + 1
         return index
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
-        try:
+        rows = self._logit_table
+        if rows is not None:
             index = self.window_row(context)
-            rows = self._logit_table
-            slot = None if index is None else rows.slot[index]
-        except TypeError:  # a token that is not an integer: name it
-            token_ids(context[-self.order :], self.vocab_size)
-            raise
-        if slot:
-            return rows.view[slot]
-        if index is not None:
+            if slot := rows.slot[index]:
+                return rows.view[slot]
             return rows.fill(index, self.window_logits(tuple(context[-self.order :])))
-        key = tuple(context[-self.order :])
+        window = context[-self.order :]
+        if not (isinstance(context, array) and context.typecode == self._typecode):
+            window = token_ids(window, self.vocab_size)
+        key = tuple(window)
         logits = self._memo.get(key)
         if logits is None:
-            key = tuple(token_ids(key, self.vocab_size))
+            token_ids(key, self.vocab_size)
             logits = self.window_logits(key)
             logits.flags.writeable = False
             if len(self._memo) >= MEMO_WINDOWS:

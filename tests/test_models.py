@@ -631,6 +631,19 @@ class TestDistributionTable:
         assert m._q_table is not table  # the 0.8 table was replaced, then rebuilt
         assert m.next_distribution(contexts[0], 0.8).tobytes() == first.tobytes()
 
+    @pytest.mark.parametrize("temperature", [float("nan"), -1.0])
+    @pytest.mark.parametrize("kind", ["table", "blend"])
+    def test_a_refused_temperature_keeps_the_table(self, kind, temperature, monkeypatch):
+        m = TableModel(16, seed=1) if kind == "table" else window_blend(16, 2)
+        first = m.next_distribution([1, 2], 0.8)
+        table = m._q_table
+        with pytest.raises(InvalidConfigError, match="^temperature must be >= 0"):
+            m.next_distribution([1, 2], temperature)
+        assert m._q_table is table and table.key == 0.8
+        # The 0.8 row is read, not refilled.
+        monkeypatch.setattr(m, "next_logits", lambda context: pytest.fail("recomputed"))
+        assert np.shares_memory(m.next_distribution([1, 2], 0.8), first)
+
     @pytest.mark.parametrize("kind", ["table", "blend"])
     def test_rows_are_read_only(self, kind):
         m = TableModel(16, seed=4) if kind == "table" else window_blend(16, 2)
@@ -652,7 +665,7 @@ class TestDistributionTable:
     )
     def test_untabled_contexts_take_the_plain_route_and_allocate_nothing(self, build, context):
         m = build()
-        assert m.window_row(context) is None
+        assert m.n_windows == 0
         for _ in range(2):
             got = m.next_distribution(context, 0.8)
             assert got.tobytes() == fresh_q(build, context, 0.8).tobytes()
@@ -973,6 +986,53 @@ class TestOutOfVocabularyWindows:
             with pytest.raises(InvalidTokenError, match=message):
                 call(window)
         assert m._memo == {} and not (m._logit_table and any(m._logit_table.slot))
+
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_a_float_is_refused_when_the_memo_holds_its_value(self, kind, bad):
+        # 1.0 == 1 and hashes alike, so it would hit window (1, 2)'s entry.
+        if kind == "table":
+            m = TableModel(401, seed=1)
+        else:
+            m = NgramModel(WINDOW_DOCS, 401, order=2)
+        assert m._logit_table is None
+        held = m.next_logits([1, 2])
+        message = f"^token {re.escape(repr(bad))} is not an integer$"
+        for call in (m.next_logits, lambda c: m.next_distribution(c, 0.8)):
+            with pytest.raises(InvalidTokenError, match=message):
+                call([bad, 2])
+        assert list(m._memo) == [(1, 2)] and m.next_logits([1, 2]) is held
+
+
+NUMPY_INTEGERS = [np.uint8, np.int8, np.uint16, np.int64, np.uint64]
+
+
+class TestNumpyIntegerWindows:
+    """A tabled window of numpy integer tokens reads as its values: it names
+    the plain-int window's row, whatever the width of the integer type."""
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTEGERS)
+    def test_a_numpy_window_fills_and_reads_its_own_row(self, dtype):
+        m, fresh = TableModel(64, seed=3), TableModel(64, seed=3)
+        window = [dtype(5), dtype(7)]
+        assert m.next_logits(window).tobytes() == fresh.next_logits([5, 7]).tobytes()
+        want = fresh.next_distribution([5, 7], 0.8).tobytes()
+        assert m.next_distribution(window, 0.8).tobytes() == want
+        for table in (m._logit_table, m._q_table):
+            assert [i for i, k in enumerate(table.slot) if k] == [table_index(64, (5, 7))]
+        # Window (1, 7) is number 136, where a uint8 numeral of (5, 7) wraps.
+        assert table_index(64, (1, 7)) == table_index(64, (5, 7)) % 256
+        assert m.next_logits([1, 7]).tobytes() == ref_table_logits(3, (1, 7), 64).tobytes()
+
+    @pytest.mark.parametrize("form", [int] + NUMPY_INTEGERS)
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_window_row_is_the_reference_numeral_of_every_window(self, kind, form):
+        if kind == "table":
+            m = TableModel(5, seed=1, order=2)
+        else:
+            m = NgramModel([[0, 1, 2, 3, 4, 1]], 5, order=2)
+        for w in all_windows(5, 2):
+            assert m.window_row([form(t) for t in w]) == table_index(5, w)
 
 
 def test_building_models_leaves_numpy_random_unimported():
