@@ -3,11 +3,10 @@
 A model maps a token prefix to next-token logits; all backends here are pure
 functions of (spec, prefix), so any claim about the decode pipeline can be
 checked by from-scratch recomputation. ``ModelSession`` plays the KV-cache
-role: it owns the committed tokens, in one typed ``array.array`` buffer that
-it passes to the model as the context, plus memoized per-position rows
-(logits, or a draft's sampling distributions), supports append-forward and
-truncate, and makes truncation semantics (the dropped tokens never existed)
-explicit.
+role: it owns the committed tokens, the one context a model reads unchecked,
+and memoized per-position rows (logits, or a draft's sampling distributions),
+supports append-forward and truncate, and makes truncation semantics (the
+dropped tokens never existed) explicit.
 
 Backends:
 
@@ -16,10 +15,7 @@ Backends:
 - ``NgramModel``: counts-based log-probabilities with additive smoothing,
   built from a tokenized corpus.
 - ``BlendModel``: convex combination of two backends' logits; used to build
-  draft models of controllable quality. It reads its primary through that
-  model's table or memo, which a draft shares with its target, and its
-  secondary (a ``WindowModel``) through its formula, since the blend's own
-  rows are its secondary's only reader.
+  draft models of controllable quality.
 - ``ReflectionAwareModel``: wraps a base backend and, whenever the context
   contains a designated marker token, blends toward re-emitting the token
   that followed the matching pre-marker context (an induction-style copy).
@@ -150,23 +146,38 @@ class _Rows:
         return self.view[k]
 
 
+class _Tokens(array):
+    """A session's token buffer, the one context a model reads unchecked
+    (``_window``): only ``ModelSession`` builds one, checking each token
+    before appending it, and hands it only to its own model, whose parts
+    share its vocabulary. A slice or copy is a plain ``array``."""
+
+
+def _window(context: Sequence[int], order: int, vocab_size: int) -> Sequence[int]:
+    """The last ``order`` tokens of ``context``: as they are in a session's
+    buffer, else through ``token_ids``, which names a token it refuses."""
+    window = context[-order:]
+    return window if type(context) is _Tokens else token_ids(window, vocab_size)
+
+
 class ModelSession:
     """A model's committed context plus per-position cached rows.
 
-    The tokens live in one ``array.array`` of the narrowest unsigned type
-    that holds the model's vocabulary (``token_typecode``); ``forward``
-    passes that buffer to the model as the context, and ``tokens`` returns
-    a list copy. A row is the model's logits or, in a session given a
-    ``temperature`` (the draft's), its ``next_distribution``. ``forward``
-    computes rows only for the new positions and memoizes them; ``truncate``
-    discards tokens and rows beyond the kept length, after which the
-    session behaves exactly as if the dropped tokens were never fed.
+    The tokens live in the session's own buffer (``_Tokens``), an ``array``
+    of the narrowest unsigned type that holds the model's vocabulary;
+    ``forward`` passes it to the model as the context, which the model reads
+    unchecked, and ``tokens`` returns a list copy. A row is the model's
+    logits or, in a session given a ``temperature`` (the draft's), its
+    ``next_distribution``. ``forward`` computes rows only for the new
+    positions and memoizes them; ``truncate`` discards tokens and rows
+    beyond the kept length, after which the session behaves exactly as if
+    the dropped tokens were never fed.
     """
 
     def __init__(self, model: Model, temperature: float | None = None):
         self.model = model
         self.temperature = temperature
-        self._tokens = array(token_typecode(model.vocab_size))
+        self._tokens = _Tokens(token_typecode(model.vocab_size))
         self._rows: list[np.ndarray] = []
 
     def __len__(self) -> int:
@@ -243,12 +254,9 @@ class WindowModel(Model):
 
     A window that holds a token outside the vocabulary, or one that is not
     an integer, is an ``InvalidTokenError`` naming it, whatever the table or
-    memo holds; a numpy integer reads as its value. On a tabled space only
-    ``window_row`` reads the window's tokens. The memo route checks a window
-    with ``token_ids`` before the lookup, so a float never hits an int's
-    entry (1.0 == 1), and again on a miss; a session's typed buffer
-    (``token_typecode``) skips the first check, since it holds only ints.
-    Returned arrays are shared between calls and read-only.
+    memo holds; a numpy integer reads as its value. Both routes read the
+    window through ``_window``, which checks any context but a session's
+    buffer. Returned arrays are shared between calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -260,7 +268,6 @@ class WindowModel(Model):
             raise InvalidConfigError("context order must be >= 1")
         self.vocab_size = vocab_size
         self.order = order
-        self._typecode = token_typecode(vocab_size)
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
         # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
         self._memo_keys: deque[tuple[int, ...]] = deque()
@@ -277,13 +284,10 @@ class WindowModel(Model):
 
     def window_row(self, context: Sequence[int]) -> int:
         """The number of ``context``'s window: its bijective base-V numeral
-        with digits t + 1. ``token_ids`` reads any token that is not a plain
-        int in the vocabulary, taking a numpy integer by value."""
+        with digits t + 1."""
         vocab = self.vocab_size
         index = 0
-        for t in context[-self.order :]:
-            if type(t) is not int or not 0 <= t < vocab:
-                (t,) = token_ids([t], vocab)
+        for t in _window(context, self.order, vocab):
             index = index * vocab + t + 1
         return index
 
@@ -293,14 +297,11 @@ class WindowModel(Model):
             index = self.window_row(context)
             if slot := rows.slot[index]:
                 return rows.view[slot]
-            return rows.fill(index, self.window_logits(tuple(context[-self.order :])))
-        window = context[-self.order :]
-        if not (isinstance(context, array) and context.typecode == self._typecode):
-            window = token_ids(window, self.vocab_size)
-        key = tuple(window)
+            window = _window(context, self.order, self.vocab_size)
+            return rows.fill(index, self.window_logits(tuple(window)))
+        key = tuple(_window(context, self.order, self.vocab_size))
         logits = self._memo.get(key)
         if logits is None:
-            token_ids(key, self.vocab_size)
             logits = self.window_logits(key)
             logits.flags.writeable = False
             if len(self._memo) >= MEMO_WINDOWS:
@@ -408,11 +409,11 @@ class BlendModel(Model):
     The primary is read through its own ``next_logits``, and so through its
     table or memo, because the draft's primary is the target's base, whose
     rows the target reads too. The secondary must be a ``WindowModel``, and
-    is read through its formula, ``window_logits`` of its own window, after
-    ``token_ids`` checks that window: its only reader is the blend, whose
-    rows are computed once per window where a table keeps them
-    (``next_distribution``), so a row the secondary kept would never be read
-    again. The secondary fills no table row and no memo entry.
+    is read through its formula, ``window_logits`` of its own window
+    (``_window``): its only reader is the blend, whose rows are computed
+    once per window where a table keeps them (``next_distribution``), so a
+    row the secondary kept would never be read again. The secondary fills
+    no table row and no memo entry.
 
     A blend of two ``WindowModel``s is a function of its larger-order
     part's window, so it names its rows by that part's ``window_row``.
@@ -437,10 +438,9 @@ class BlendModel(Model):
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         secondary = self.secondary
-        window = tuple(token_ids(context[-secondary.order :], secondary.vocab_size))
-        return (1.0 - self.weight) * self.primary.next_logits(context) + (
-            self.weight * secondary.window_logits(window)
-        )
+        window = tuple(_window(context, secondary.order, self.vocab_size))
+        primary = (1.0 - self.weight) * self.primary.next_logits(context)
+        return primary + self.weight * secondary.window_logits(window)
 
 
 class ReflectionAwareModel(Model):
@@ -449,14 +449,14 @@ class ReflectionAwareModel(Model):
     When the context contains the marker token, the model locates the token
     that followed the most recent pre-marker occurrence of the post-marker
     tail and blends ``blend`` of the way toward a logit spike of
-    ``COPY_LOGIT_BOOST`` on that token.
-    With a draft copy replayed after the marker this re-emits the original
-    draft, position by position. Matches whose continuation is the marker
-    itself are skipped so the probe token never gets amplified.
+    ``COPY_LOGIT_BOOST`` on that token. With a draft copy replayed after the
+    marker this re-emits the original draft, position by position. Matches
+    whose continuation is the marker itself are skipped so the probe token
+    never gets amplified.
 
-    The context is searched as a typed token buffer: a ``ModelSession``
-    passes its ``array.array`` as is, and any other sequence is converted
-    once, through ``token_ids``, so a bad token anywhere in it is an
+    The context is searched as a typed token buffer: a session's buffer as
+    is, and any other sequence, a caller's ``array`` too, converted once
+    through ``token_ids``, so a bad token anywhere in it is an
     ``InvalidTokenError``. The search copies the buffer's bytes once and
     runs two C-level ``bytes.rfind`` scans, one for the last marker and one
     for the nearest earlier copy of the tail; a hit that is not at a token
@@ -493,7 +493,7 @@ class ReflectionAwareModel(Model):
         return out
 
     def _copy_target(self, context: Sequence[int]) -> int | None:
-        if not (isinstance(context, array) and context.typecode == self._typecode):
+        if type(context) is not _Tokens:
             context = array(self._typecode, token_ids(context, self.vocab_size))
         size = context.itemsize
         data = context.tobytes()

@@ -1,5 +1,6 @@
 """Backend and session tests: determinism, causality, cache consistency."""
 
+import functools
 import itertools
 import math
 import os
@@ -83,10 +84,12 @@ class TestModelSession:
         s.forward([1, vocab - 1, 0])
         code = token_typecode(vocab)
         assert array(code).itemsize == itemsize
+        buffer = type(s._tokens)
+        assert buffer is not array and issubclass(buffer, array)
         assert seen == [
-            (array, code, [1]),
-            (array, code, [1, vocab - 1]),
-            (array, code, [1, vocab - 1, 0]),
+            (buffer, code, [1]),
+            (buffer, code, [1, vocab - 1]),
+            (buffer, code, [1, vocab - 1, 0]),
         ]
         tokens = s.tokens
         assert type(tokens) is list and tokens == [1, vocab - 1, 0]
@@ -1033,6 +1036,118 @@ class TestNumpyIntegerWindows:
             m = NgramModel([[0, 1, 2, 3, 4, 1]], 5, order=2)
         for w in all_windows(5, 2):
             assert m.window_row([form(t) for t in w]) == table_index(5, w)
+
+
+# The span of trailing tokens each model reads: its window, a blend's larger
+# part's window, or the whole context for the copy search (None).
+CONTEXT_FORM_SPANS = {"table": 2, "ngram": 2, "blend": 2, "blend-order3": 3, "reflective": None}
+NUMPY_DTYPES = [np.uint8, np.int8, np.uint16, np.int16, np.int32, np.uint32, np.int64, np.uint64]
+
+
+@functools.cache
+def context_form_model(kind, vocab):
+    """One shared model per case: at V=64 the order-2 windows are tabled,
+    at V=401 they take the memo route."""
+    if kind == "blend-order3":
+        return BlendModel(TableModel(vocab, seed=5), TableModel(vocab, seed=6, order=3), 0.4)
+    return build_backend(kind, vocab)
+
+
+def context_forms(model, ctx):
+    """``ctx`` as a list, a tuple, a numpy array of each dtype and a caller's
+    ``array`` of each typecode that holds its tokens, and as a session's
+    buffer when every token is in the vocabulary."""
+    forms = [list(ctx), tuple(ctx)]
+    for dtype in NUMPY_DTYPES:
+        info = np.iinfo(dtype)
+        if all(info.min <= t <= info.max for t in ctx):
+            forms.append(np.array(ctx, dtype=dtype))
+    for code in ARRAY_TYPECODES:
+        try:
+            forms.append(array(code, ctx))
+        except OverflowError:
+            pass
+    if all(0 <= t < model.vocab_size for t in ctx):
+        session = ModelSession(model)
+        session.forward(ctx)
+        forms.append(session._tokens)
+    return forms
+
+
+def marker_dense_context(vocab):
+    """Tokens of the vocabulary, often the marker (V - 1) and a few repeats,
+    so the copy search finds matches."""
+    pool = st.integers(0, vocab - 1) | st.sampled_from([1, 2, vocab - 1])
+    return st.lists(pool, min_size=1, max_size=10)
+
+
+class TestContextForms:
+    """Every model reads every form of a context alike: the same logits and
+    q bytes for a list, a tuple, numpy arrays, a caller's ``array`` and a
+    session's buffer, and the same ``InvalidTokenError`` for a token outside
+    the vocabulary in the span the model reads. Only a session's buffer is
+    read unchecked; a caller's ``array`` of the buffer's typecode is not."""
+
+    @pytest.mark.parametrize("vocab", [64, 401])
+    @pytest.mark.parametrize("kind", sorted(CONTEXT_FORM_SPANS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_form_gets_the_same_bytes(self, kind, vocab, data):
+        model = context_form_model(kind, vocab)
+        ctx = data.draw(marker_dense_context(vocab))
+        want = model.next_logits(ctx).tobytes()
+        want_q = model.next_distribution(ctx, 0.8).tobytes()
+        for form in context_forms(model, ctx):
+            assert model.next_logits(form).tobytes() == want, form
+            assert model.next_distribution(form, 0.8).tobytes() == want_q, form
+
+    @pytest.mark.parametrize("vocab", [64, 401])
+    @pytest.mark.parametrize("kind", sorted(CONTEXT_FORM_SPANS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_token_is_refused_alike_where_the_model_reads_it(self, kind, vocab, data):
+        model, span = context_form_model(kind, vocab), CONTEXT_FORM_SPANS[kind]
+        ctx = data.draw(marker_dense_context(vocab))
+        bad = data.draw(st.sampled_from([-1, vocab, vocab + 136, 2**40]))
+        at = data.draw(st.integers(0, len(ctx)))
+        held = ctx[:at] + [bad] + ctx[at:]
+        forms = context_forms(model, held)
+        assert len(forms) > 3  # list, tuple and at least one typed form
+        if span is None or len(held) - at <= span:
+            message = f"^token {bad} outside vocabulary of size {vocab}$"
+            for form in forms:
+                with pytest.raises(InvalidTokenError, match=message):
+                    model.next_logits(form)
+                with pytest.raises(InvalidTokenError, match=message):
+                    model.next_distribution(form, 0.8)
+            return
+        # A token older than every window the model reads is never read.
+        want = model.next_logits(ctx[at:]).tobytes()
+        want_q = model.next_distribution(ctx[at:], 0.8).tobytes()
+        for form in forms:
+            assert model.next_logits(form).tobytes() == want, form
+            assert model.next_distribution(form, 0.8).tobytes() == want_q, form
+
+    @pytest.mark.parametrize("form", [list, tuple, lambda c: array("B", c)], ids=["list", "tuple", "array"])
+    def test_an_old_bad_token_is_refused_by_name_in_a_callers_array(self, form):
+        # 200 is older than the base's window, so only the copy search reads it.
+        model = ReflectionAwareModel(TableModel(64, seed=1), 63, 0.5)
+        with pytest.raises(InvalidTokenError, match="^token 200 outside vocabulary of size 64$"):
+            model.next_logits(form([1, 2, 200, 5, 63, 1, 2]))
+
+    @pytest.mark.parametrize("vocab", [64, 401])
+    @pytest.mark.parametrize("kind", sorted(CONTEXT_FORM_SPANS))
+    def test_a_callers_array_of_the_buffer_typecode_is_checked(self, kind, vocab):
+        # The bad token is the oldest one the model reads: its window's first
+        # on the table, memo and blend routes, the context's first on the copy
+        # route.
+        model, span = context_form_model(kind, vocab), CONTEXT_FORM_SPANS[kind]
+        tail = [1, vocab - 1, 2, 1, vocab - 1, 2]
+        ctx = array(token_typecode(vocab), [vocab] + (tail[len(tail) - span + 1 :] if span else tail))
+        message = f"^token {vocab} outside vocabulary of size {vocab}$"
+        for call in (model.next_logits, lambda c: model.next_distribution(c, 0.8)):
+            with pytest.raises(InvalidTokenError, match=message):
+                call(ctx)
 
 
 def test_building_models_leaves_numpy_random_unimported():

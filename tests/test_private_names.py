@@ -100,6 +100,19 @@ def test_every_module_level_import_is_read():
     assert unread == []
 
 
+def test_no_source_reads_an_array_typecode():
+    """A model reads a session's buffer (``models._Tokens``) unchecked and
+    checks every other context; a typecode test would trust a caller's
+    ``array`` as well, a second rule for the same decision."""
+    reads = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Attribute) and n.attr == "typecode"
+    ]
+    assert reads == []
+
+
 def readme_spans() -> list[str]:
     """README's code spans outside fenced blocks."""
     readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
