@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .engine import DecodeConfig, RunStats, StepStats, decode
-from .errors import InternalConsistencyError, InvalidConfigError, ReflectSpecError
+from .errors import InvalidConfigError, ReflectSpecError
 from .models import Model, ModelSpec, build_model, divergence_noise_model, pair_models
 from .reflective import ReflectiveTemplate
 from .tokens import derive_seed
@@ -172,10 +172,9 @@ def cell_seed(seed: int, indices: tuple[int, ...]) -> int:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
     """Run every cell of the grid; rows come back in grid order.
 
-    A cell that fails with a package error is recorded in its row's
-    ``error`` field and the sweep continues; ``InternalConsistencyError``
-    and errors from outside the package propagate. With ``jobs`` > 1 cells
-    run in worker processes, each handed the spec once when it starts.
+    A cell's ``ReflectSpecError`` lands in its row's ``error`` field and the
+    sweep continues; any other error propagates. With ``jobs`` > 1 cells run
+    in worker processes, each handed the spec once when it starts.
 
     Every process builds the spec's base and noise models once, on its
     first cell, and each cell wraps them with its own blend weight (and
@@ -239,8 +238,6 @@ class CellRunner:
             row.wall_time_s = wall_time
             if row.wall_time_s > 0:
                 row.tokens_per_s = row.output_tokens / row.wall_time_s
-        except InternalConsistencyError:
-            raise  # a programming error, not a property of the cell
         except ReflectSpecError as exc:  # config failures land in the row, sweep continues
             row.error = f"{type(exc).__name__}: {exc}"
         return row

@@ -1,12 +1,14 @@
 """Exception hierarchy.
 
-Everything raised on purpose derives from ReflectSpecError so the CLI can
-map failures to a single nonzero exit code.
+A ``ReflectSpecError`` is caused by the caller (a setting, token, file or
+input): ``CellRunner.run``, ``selftest.run_all`` and ``cli.main`` record or
+print it. An ``InternalConsistencyError`` means an invariant broke; it is no
+``ReflectSpecError``, and no handler catches it.
 """
 
 
 class ReflectSpecError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors a caller causes."""
 
 
 class InvalidConfigError(ReflectSpecError):
@@ -33,5 +35,5 @@ class DegenerateResidualError(ReflectSpecError):
     """The residual distribution has no mass; signals a caller logic bug."""
 
 
-class InternalConsistencyError(ReflectSpecError):
+class InternalConsistencyError(Exception):
     """Pipeline bookkeeping broke an internal invariant."""

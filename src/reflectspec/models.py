@@ -375,10 +375,10 @@ class NgramModel(WindowModel):
         self.smoothing = float(smoothing)
         # Every (context, token) pair is an n-gram of length 1 to order + 1;
         # one Counter over the per-length windows of each document counts
-        # them all.
+        # them all. A document holds no n-gram longer than itself.
         grams: Counter[tuple[int, ...]] = Counter()
         for doc in docs:
-            for n in range(1, order + 2):
+            for n in range(1, min(order + 1, len(doc)) + 1):
                 grams.update(zip(*(doc[k:] for k in range(n))))
         self._pair_counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._ctx_counts: dict[tuple[int, ...], int] = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResidualError, InternalConsistencyError, ReflectSpecError
+from .errors import DegenerateResidualError, ReflectSpecError
 from .models import BlendModel, ReflectionAwareModel, TableModel
 from .tokens import make_rng, sampling_distribution
 from .verification import (
@@ -40,9 +40,10 @@ def _random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def check_unbiasedness(pairs: int = 1000, seed: int = 20240601) -> CheckResult:
+def check_unbiasedness() -> CheckResult:
     """exact_step_distribution(p, q) must equal p for random pairs."""
-    rng = make_rng(seed)
+    pairs = 1000
+    rng = make_rng(20240601)
     start = time.perf_counter()
     worst = 0.0
     for i in range(pairs):
@@ -58,7 +59,7 @@ def check_unbiasedness(pairs: int = 1000, seed: int = 20240601) -> CheckResult:
     )
 
 
-def check_residual(seed: int = 7) -> CheckResult:
+def check_residual() -> CheckResult:
     """Hand cases plus structural properties of norm(max(0, p - q))."""
     cases = [
         ([0.5, 0.5], [1.0, 0.0], [0.0, 1.0]),
@@ -69,7 +70,7 @@ def check_residual(seed: int = 7) -> CheckResult:
         got = residual_distribution(np.array(p), np.array(q))
         if float(np.max(np.abs(got - np.array(want)))) > 1e-12:
             return CheckResult("residual", False, f"hand case {p} vs {q} gave {got}")
-    rng = make_rng(seed)
+    rng = make_rng(7)
     for _ in range(200):
         size = int(rng.integers(2, 9))
         p = _random_distribution(rng, size)
@@ -87,9 +88,10 @@ def check_residual(seed: int = 7) -> CheckResult:
     return CheckResult("residual", True, "3 hand cases, 200 random cases, degenerate raise")
 
 
-def check_typical_thresholds(count: int = 200, seed: int = 11) -> CheckResult:
+def check_typical_thresholds() -> CheckResult:
     """Thresholds equal min(eps, delta*exp(-H)) and never exceed eps, by row and by block."""
-    rng = make_rng(seed)
+    count = 200
+    rng = make_rng(11)
     grid = [(e, d) for e in (0.1, 0.6) for d in (0.05, 0.9)]  # either term can bind
     worst = 0.0
     dists = [_random_distribution(rng, int(rng.integers(2, 17))) for _ in range(count)]
@@ -109,7 +111,7 @@ def check_typical_thresholds(count: int = 200, seed: int = 11) -> CheckResult:
     )
 
 
-def check_decode_law(length: int = 3, temperature: float = 0.8) -> CheckResult:
+def check_decode_law() -> CheckResult:
     """A whole speculative-sampling decode emits the target's own law.
 
     ``law(ctx, n, gamma)`` is the exact law of the next ``n`` tokens after
@@ -117,6 +119,7 @@ def check_decode_law(length: int = 3, temperature: float = 0.8) -> CheckResult:
     with the step that crosses the budget cut. At gamma 0 it is the target's
     autoregressive law. The marker (2) enters the text, so the copy rule fires.
     """
+    length, temperature = 3, 0.8
     base = TableModel(3, seed=11)
     target = ReflectionAwareModel(base, 2, 0.5)
     draft = BlendModel(base, TableModel(3, seed=12), 0.4)
@@ -160,9 +163,8 @@ def check_decode_law(length: int = 3, temperature: float = 0.8) -> CheckResult:
 
 
 def run_all() -> list[CheckResult]:
-    """Every check's result. A check that raises a package error fails under
-    its own name and the rest still run; ``InternalConsistencyError``
-    propagates."""
+    """Every check's result. A check that raises a ``ReflectSpecError``
+    fails under its own name and the rest still run."""
     checks = {
         "unbiasedness": check_unbiasedness,
         "residual": check_residual,
@@ -173,8 +175,6 @@ def run_all() -> list[CheckResult]:
     for name, check in checks.items():
         try:
             results.append(check())
-        except InternalConsistencyError:
-            raise
         except ReflectSpecError as exc:
             results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
     return results

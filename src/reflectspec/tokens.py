@@ -40,10 +40,8 @@ from .errors import (
     InvalidTokenError,
 )
 
-# Validation tolerance for externally supplied distributions, and the tighter
-# tolerance kernels must satisfy internally.
+# Validation tolerance for externally supplied distributions.
 VALIDATE_TOL = 1e-9
-KERNEL_TOL = 1e-12
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -146,7 +144,7 @@ def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
     Requires ``temperature > 0``, and large enough that the scaled logits
     and their spread stay finite: at most twice the largest logit magnitude
     over the temperature. Each row is renormalized once so its sum is 1
-    within ``KERNEL_TOL`` regardless of vocabulary size.
+    within 1e-12 regardless of vocabulary size.
     """
     arr, peak = _finite_logits(logits)
     if not temperature > 0:

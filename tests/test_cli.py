@@ -1,6 +1,9 @@
 """CLI contract tests: flags, defaults, exit codes, and output plumbing."""
 
+import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import time
 from dataclasses import replace
@@ -8,6 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from fixtures import read_report, recording_pool
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectspec import bench, cli, models, selftest, verification
 from reflectspec.cli import build_parser, main
@@ -505,6 +510,24 @@ class TestSweepCommand:
         assert captured.err == "error: MemoryError\n" and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["decode", "sweep 1", "sweep 2"])
+    def test_a_fault_escapes_main(self, tmp_path, capsys, monkeypatch, command):
+        # A broken invariant is no caller's error: no handler prints it as
+        # an ``error:`` line or records it in a cell's row.
+        def broken(*args):
+            raise InternalConsistencyError("bookkeeping broke")
+
+        monkeypatch.setattr(cli, "decode", broken)
+        monkeypatch.setattr(bench, "decode", broken)
+        out = tmp_path / "out.json"
+        argv = ["--prompt", "1 2 3", "--max-tokens", "4", "--out", str(out)]
+        if command != "decode":
+            argv += ["--alpha", "0,0.3", "--jobs", command.split()[1]]
+        with pytest.raises(InternalConsistencyError, match="bookkeeping broke"):
+            main(command.split()[:1] + argv)
+        assert capsys.readouterr().err == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_negative_seed_runs_every_cell(self, tmp_path, jobs):
         # Cells seed their decodes from streams derived from the seed, which
@@ -698,6 +721,8 @@ class TestSelftest:
         monkeypatch.setattr(selftest, "typical_threshold", broken)
         with pytest.raises(InternalConsistencyError, match="bookkeeping broke"):
             selftest.run_all()
+        with pytest.raises(InternalConsistencyError, match="bookkeeping broke"):
+            main(["selftest"])
 
     def test_failing_check_exits_one_and_prints_fail(self, monkeypatch, capsys):
         monkeypatch.setattr(selftest, "residual_distribution", biased_residual)
@@ -705,3 +730,106 @@ class TestSelftest:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
         assert any(line.startswith("[FAIL] decode-law: ") for line in lines)
+
+
+# Values each setting flag draws in the decode contract test: small valid
+# values, bounds, 0, -1, NaN, the infinities, empty, non-numeric, 2**63 and
+# 2**64 +- 1. A value that would make a decode do work that grows with it
+# (a vocabulary, draft length or token budget of 2**12 or more) is left out,
+# unless it is refused before any work. ``@corpus``, ``@template``,
+# ``@prompts``, ``@empty`` and ``@missing`` name files of the test.
+HUGE = [str(2**63), str(2**64 - 1), str(2**64), str(2**64 + 1)]
+BAD = ["0", "-1", "", "x"]
+FLOATS = ["0.3", "0.5", "1", "1.5", "1e-310", "nan", "inf", "-inf"] + BAD + HUGE
+FILES = ["@empty", "@missing"]
+SETTING_VALUES = {
+    "--target-model": ["table", "ngram", "bogus", ""],
+    "--vocab-size": ["2", "3", "64", "4095", "1"] + BAD + HUGE,
+    "--seed": ["1", "7", str(2**63 - 1), str(-(2**63))] + BAD + HUGE,
+    "--order": ["1", "2", "3"] + BAD + HUGE,
+    "--smoothing": FLOATS,
+    "--beta": FLOATS,
+    "--marker": ["1", "2", "63", "4095"] + BAD + HUGE,
+    "--corpus": ["@corpus"] + FILES,
+    "--alpha": ["0,0.3", ","] + FLOATS,
+    "--gamma": ["1", "2", "5", "1,2"] + BAD + HUGE,
+    "--strategy": ["exact", "specsample", "typical", "vanilla", "exact,vanilla", "bogus", ""],
+    "--eta": ["0,1", ","] + FLOATS,
+    "--template-inline": [
+        "${draft} [BACK] ${prefix} ${draft}",
+        "${draft} ${prefix} ${draft}",
+        "${draft} 1 x ${prefix} ${draft}",
+        "${draft}",
+        "${prefix}",
+        "x",
+        "",
+    ],
+    "--template-file": ["@template"] + FILES,
+    "--prompt": ["1 2 3", "0", "the cat", "63", "4095", "-1", str(2**64), "x", ""],
+    "--prompt-file": ["@prompts"] + FILES,
+    "--temperature": FLOATS,
+    "--epsilon": FLOATS,
+    "--delta": FLOATS,
+    "--prefix-len": ["1", "4"] + BAD + HUGE,
+    "--max-tokens": ["1", "4", "16"] + BAD,
+    "--eos-token": ["1", "2", "63", "4095"] + BAD + HUGE,
+    "--entropy-source": ["original", "fused", "bogus", ""],
+    "--match-mode": ["sample", "greedy", "bogus", ""],
+}
+
+
+@st.composite
+def decode_argv(draw, files):
+    """A ``decode`` argv in int mode or in corpus mode (a tiny corpus file),
+    mostly with a prompt, and up to six drawn ``--flag=value`` settings."""
+    argv = ["decode"]
+    if draw(st.booleans()):
+        argv.append(f"--corpus={files['@corpus']}")
+    if draw(st.integers(0, 9)):
+        argv.append(f"--prompt={draw(st.sampled_from(['1 2 3', 'the cat', '2']))}")
+    setting = st.sampled_from(sorted(SETTING_VALUES)).flatmap(
+        lambda flag: st.sampled_from(SETTING_VALUES[flag]).map(
+            lambda value: f"{flag}={files.get(value, value)}"
+        )
+    )
+    return argv + draw(st.lists(setting, max_size=6))
+
+
+class TestDecodeContract:
+    """Every decode argv ends in one of three ways: exit 0 with its output
+    tokens, exit 1 with one ``error:`` line, or exit 2 from argparse."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("decode-contract")
+        texts = {
+            "@corpus": "the cat sat down\nthe dog ran\n",
+            "@template": "${draft} [BACK] ${prefix} ${draft}\n",
+            "@prompts": "the cat\n",
+            "@empty": "",
+        }
+        files = {"@missing": root / "missing.txt"}
+        for name, text in texts.items():
+            files[name] = root / f"{name[1:]}.txt"
+            files[name].write_text(text, encoding="utf-8")
+        return files
+
+    def test_every_setting_flag_draws_values(self):
+        parser = argparse.ArgumentParser(add_help=False)
+        cli._add_setting_args(parser)
+        assert set(SETTING_VALUES) == {f for a in parser._actions for f in a.option_strings}
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_decode_ends_in_one_of_three_outcomes(self, files, data):
+        argv = data.draw(decode_argv(files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == "" and "\noutput tokens: " in "\n" + out
+        elif code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert code == 2 and "usage: " in err and "decode: error: argument" in err, err

@@ -1209,6 +1209,23 @@ class TestNgramModel:
         with pytest.raises(InvalidConfigError):
             NgramModel([], vocab_size=4, order=1, smoothing=1.0)
 
+    def test_a_huge_order_builds_at_once(self):
+        # A document holds no n-gram longer than itself, so an order past
+        # every document's length counts what the document's own length does.
+        code = (
+            "import time\n"
+            "from reflectspec.models import NgramModel\n"
+            "docs = [[0, 1, 2, 3], [1, 2, 3, 0]]\n"
+            "start = time.perf_counter()\n"
+            "m = NgramModel(docs, 5, order=10**6)\n"
+            "seconds = time.perf_counter() - start\n"
+            "small = NgramModel(docs, 5, order=3)\n"
+            "same = (m._pair_counts, m._ctx_counts) == (small._pair_counts, small._ctx_counts)\n"
+            "print(seconds, same)\n"
+        )
+        seconds, same = run_python(code, timeout=20).split()
+        assert float(seconds) < 1.0 and same == "True"
+
 
 @st.composite
 def ngram_cases(draw):

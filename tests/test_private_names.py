@@ -1,8 +1,8 @@
 """Every module-level private name in the package is used somewhere in it,
 every module-level import is read by its module, every name the package
-exports has a user, every public function and class has a reader
-outside the tests, and every constant and attribute README's code names
-exists.
+exports has a user, every public function, class and constant has a reader
+outside the tests, no handler catches ``InternalConsistencyError``, and
+every constant and attribute README's code names exists.
 
 A private helper that nothing in ``src/`` calls any more is dead code, and
 so is an import its module never reads or a public function only tests
@@ -17,6 +17,8 @@ import re
 from pathlib import Path
 
 import numpy
+
+from reflectspec.errors import InternalConsistencyError, ReflectSpecError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reflectspec"
@@ -156,10 +158,11 @@ def test_every_export_has_a_user():
     assert sorted(EXPORTS_KEPT.keys() - unused) == []
 
 
-def test_every_public_function_and_class_has_a_reader():
-    """A public module-level def or class is read by another top-level
-    statement of the package, by perfbench, or in README's code; or it is in
-    ``PUBLIC_KEPT``. ``__init__`` re-exports and the tests do not count."""
+def unread_public_names(public_names) -> set[str]:
+    """The names ``public_names(node)`` gives for each top-level statement
+    of the package that no other such statement, no perfbench file and no
+    README code span reads. ``__init__`` re-exports and the tests do not
+    count."""
     statements = [
         node
         for path in sorted(PACKAGE.glob("*.py"))
@@ -168,17 +171,54 @@ def test_every_public_function_and_class_has_a_reader():
     ]
     uses = [used_names(node) for node in statements]
     outside = outside_readers()
-    unread = {
-        node.name
+    return {
+        name
         for i, node in enumerate(statements)
+        for name in public_names(node)
+        if name not in outside and not any(name in used for j, used in enumerate(uses) if j != i)
+    }
+
+
+def test_every_public_function_and_class_has_a_reader():
+    """A public module-level def or class has a reader
+    (``unread_public_names``), or it is in ``PUBLIC_KEPT``."""
+    unread = unread_public_names(
+        lambda node: [node.name]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in outside
-        and not any(node.name in used for j, used in enumerate(uses) if j != i)
-    }
+        else []
+    )
     assert sorted(unread - PUBLIC_KEPT.keys()) == []
     # A kept name that gains a reader, or goes, leaves the list.
     assert sorted(PUBLIC_KEPT.keys() - unread) == []
+
+
+def test_every_public_constant_has_a_reader():
+    """A public UPPER_CASE module constant has a reader
+    (``unread_public_names``): one nothing reads holds a value no code
+    depends on."""
+    unread = unread_public_names(
+        lambda node: [n for n in defined_names(node) if re.fullmatch(r"[A-Z][A-Z0-9_]*", n)]
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        else []
+    )
+    assert sorted(unread) == []
+
+
+def test_no_handler_names_the_fault_class():
+    """``InternalConsistencyError`` is no ``ReflectSpecError``, so the
+    handlers that record a caller's error never see it, and no ``except``
+    clause in the package may catch it."""
+    handlers = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.ExceptHandler)
+        and n.type is not None
+        and "InternalConsistencyError" in used_names(n.type)
+    ]
+    assert handlers == []
+    assert not issubclass(InternalConsistencyError, ReflectSpecError)
 
 
 def unresolved_names(spans: list[str]) -> list[str]:
