@@ -48,7 +48,7 @@ from .reflective import (
     fuse,
     paired_forward,
 )
-from .tokens import inverse_cdf, make_rng, sampling_distribution, stack_rows, token_ids
+from .tokens import inverse_cdf, make_rng, sampling_distribution, setting_int, stack_rows, token_ids
 from .verification import (
     VerificationResult,
     check_typical_range,
@@ -82,6 +82,10 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise InvalidConfigError(f"unknown strategy {self.strategy!r}")
+        for name in ("gamma", "max_new_tokens", "seed"):
+            setting_int(name, getattr(self, name))
+        if self.eos_token is not None:
+            setting_int("eos_token", self.eos_token)
         if self.gamma < 1:
             raise InvalidConfigError(f"gamma must be >= 1, got {self.gamma}")
         if self.gamma >= MAX_VOCAB_SIZE:  # a step draws rng.random(gamma + 1), one float64 row
@@ -99,6 +103,10 @@ class DecodeConfig:
         if self.exact_match_mode not in EXACT_MATCH_MODES:
             raise InvalidConfigError(f"unknown exact-match mode {self.exact_match_mode!r}")
         check_typical_range(self.epsilon, self.delta)
+        if self.reflect and not self.template.reflective:
+            raise InvalidConfigError(
+                f"reflect=True needs a reflective template, got the plain {self.template.text!r}"
+            )
 
 
 @dataclass

@@ -42,7 +42,7 @@ from .errors import (
     InternalConsistencyError,
     SessionRangeError,
 )
-from .tokens import derive_seed, sampling_distribution, token_ids
+from .tokens import derive_seed, sampling_distribution, setting_int, token_ids
 
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
@@ -466,6 +466,7 @@ class ReflectionAwareModel(Model):
     """
 
     def __init__(self, base: Model, marker: int, blend: float):
+        marker = setting_int("marker", marker)
         if not 0 <= marker < base.vocab_size:
             raise InvalidConfigError(
                 f"marker {marker} outside vocabulary of size {base.vocab_size}"
@@ -474,7 +475,7 @@ class ReflectionAwareModel(Model):
             raise InvalidConfigError("blend must lie in [0, 1]")
         self.vocab_size = base.vocab_size
         self.base = base
-        self.marker = int(marker)
+        self.marker = marker
         self.blend = float(blend)
         self._typecode = token_typecode(self.vocab_size)
         self._mark = array(self._typecode, [self.marker]).tobytes()
@@ -565,7 +566,7 @@ def pair_models(
         raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")
     if not 0.0 <= beta <= 1.0:
         raise InvalidConfigError(f"beta must lie in [0, 1], got {beta!r}")
-    if not 0 <= marker < base.vocab_size:
+    if not 0 <= setting_int("marker", marker) < base.vocab_size:
         raise InvalidConfigError(f"marker {marker} outside vocabulary of size {base.vocab_size}")
     draft = base if eta == 0 else BlendModel(base, noise, eta)
     target = ReflectionAwareModel(base, marker, beta) if beta > 0 else base

@@ -32,7 +32,7 @@ import numpy as np
 from .drafting import DraftBundle
 from .errors import InvalidConfigError, InternalConsistencyError, InvalidLogitsError
 from .models import ModelSession
-from .tokens import sampling_distribution, stack_rows
+from .tokens import sampling_distribution, setting_int, stack_rows
 
 DEFAULT_TEMPLATE_TEXT = "${draft} [BACK] ${prefix} ${draft}"
 
@@ -64,7 +64,7 @@ class ReflectiveTemplate:
     reflective: bool = True
 
     def __post_init__(self) -> None:
-        if self.prefix_len < 0:
+        if setting_int("prefix_len", self.prefix_len) < 0:
             raise InvalidConfigError("prefix_len must be >= 0")
 
 

@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    InternalConsistencyError,
     InvalidConfigError,
     InvalidDistributionError,
     InvalidLogitsError,
@@ -78,6 +77,15 @@ def token_ids(tokens: Sequence[int], vocab_size: int) -> list[int]:
     return ids
 
 
+def setting_int(name: str, value: object) -> int:
+    """``value`` through ``operator.index``, so numpy integers pass, or an
+    ``InvalidConfigError`` naming the setting: 1.5, which ``int`` truncates."""
+    try:
+        return _as_int(value)
+    except TypeError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a finite, non-empty float64 logit vector or ``(n, V)`` block,
     or raise ``InvalidLogitsError``."""
@@ -103,19 +111,23 @@ def validate_distribution(probs: Sequence[float] | np.ndarray) -> np.ndarray:
     return _check_probabilities(np.asarray(probs, dtype=np.float64), ndim=1)
 
 
-def stack_rows(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Per-position rows as one float64 array; ragged rows are a bookkeeping fault."""
+def stack_rows(
+    rows: Sequence[np.ndarray] | np.ndarray, error: type[Exception] = InvalidLogitsError
+) -> np.ndarray:
+    """Per-position rows as one float64 array; rows of different shapes are
+    the caller's ``error``, which names the shapes."""
     try:
         return np.asarray(rows, dtype=np.float64)
     except ValueError:
-        if len({np.shape(row) for row in rows}) > 1:
-            raise InternalConsistencyError("per-position rows differ in vocabulary size") from None
+        shapes = sorted({np.shape(row) for row in rows})
+        if len(shapes) > 1:
+            raise error(f"per-position rows differ in width: shapes {shapes}") from None
         raise
 
 
 def distribution_block(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Per-position distributions as one ``(n, V)`` block, every row validated."""
-    return _check_probabilities(stack_rows(rows), ndim=2)
+    return _check_probabilities(stack_rows(rows, InvalidDistributionError), ndim=2)
 
 
 def _check_probabilities(arr: np.ndarray, ndim: int) -> np.ndarray:

@@ -17,18 +17,27 @@ sampling by summation, with no sampling at all; it is the enumeration oracle
 used to prove unbiasedness.
 
 Verifiers take the step's distributions as one ``(gamma + 1, V)`` block and
-validate each input block once per call, at entry; the row work after that
-(ratios, residual, thresholds, the bonus draw) trusts the validated rows. An
-invalid row raises wherever it sits, even past the first rejection.
-``residual_distribution`` and ``typical_threshold`` (on the whole block) are
-two of those kernels, so the oracles and ``reflectspec selftest`` check the
-functions a decode runs.
+validate each input block once per call, at entry, with the draft tokens
+against the block's width; the row work after that (ratios, residual,
+thresholds, the bonus pick) trusts the validated rows. An invalid row raises
+wherever it sits, even past the first rejection. ``residual_distribution``
+and ``typical_threshold`` (on the whole block) are two of those kernels, so
+the oracles and ``reflectspec selftest`` check the functions a decode runs.
 
-RNG consumption is fixed per call regardless of where rejection happens:
-exact match and speculative sampling consume gamma + 1 uniforms (gamma
-per-position draws plus the bonus; exact match takes all of them in one
-``rng.random(gamma + 1)`` call), typical sampling consumes 1. This keeps
-seeded runs reproducible and comparable.
+After its checks each verifier makes one ``rng.random(k)`` call, k fixed
+wherever rejection happens, and hands the uniforms to a private verdict: a
+pure function of the blocks, the draft and the uniforms, which can run again
+on other rows with the same uniforms. With the engine's own draws, a decode
+step consumes:
+
+| draw | uniforms |
+|---|---|
+| drafting, per drafted step | gamma |
+| speculative sampling | gamma + 1 |
+| exact match, sample mode | gamma + 1 |
+| exact match, greedy mode (and at temperature 0) | 0 |
+| typical | 1 |
+| a vanilla step's bonus | 1 |
 """
 
 from __future__ import annotations
@@ -39,7 +48,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateResidualError, InternalConsistencyError, InvalidConfigError
-from .tokens import distribution_block, entropy, inverse_cdf, sample_rows, validate_distribution
+from .tokens import (
+    distribution_block,
+    entropy,
+    inverse_cdf,
+    sample_rows,
+    token_ids,
+    validate_distribution,
+)
 
 
 def check_typical_range(epsilon: float, delta: float) -> None:
@@ -114,18 +130,18 @@ def verify_exact_match(
     token emitted at a drafted position has law p(t) (1 + q(t) - <q, p>),
     not p(t).
     """
-    gamma = len(draft_tokens)
-    _check_lengths(p_dists, gamma)
-    p = distribution_block(p_dists)
-    if greedy_match:
-        picks = p.argmax(axis=-1).tolist()
-        resampled = picks[:gamma]
-    else:
-        u = rng.random(gamma + 1)
-        resampled = sample_rows(p[:gamma], u[:gamma])
-    flags = tuple(resampled[i] == draft_tokens[i] for i in range(gamma))
+    p, draft = _checked(p_dists, draft_tokens)
+    return _exact_match_verdict(p, draft, rng.random(0 if greedy_match else len(draft) + 1))
+
+
+def _exact_match_verdict(p: np.ndarray, draft: list[int], u: np.ndarray) -> VerificationResult:
+    """Row i's pick is at ``u[i]``, the bonus at ``u[gamma]``; no ``u`` picks argmaxes."""
+    gamma = len(draft)
+    picks = sample_rows(p[:gamma], u[:gamma]) if u.size else p.argmax(axis=-1).tolist()
+    resampled = picks[:gamma]
+    flags = tuple(resampled[i] == draft[i] for i in range(gamma))
     n = _leading_true(flags)
-    bonus = picks[n] if greedy_match else inverse_cdf(p[n], u[gamma])
+    bonus = inverse_cdf(p[n], u[gamma]) if u.size else picks[n]
     return VerificationResult(bonus, flags, {"resampled": resampled})
 
 
@@ -138,22 +154,29 @@ def verify_speculative_sampling(
     """Ratio-test acceptance with residual bonus sampling.
 
     Position i is accepted when r_i <= min(1, p_i(x_i) / q_i(x_i)), with one
-    uniform r_i consumed per position in order (equality accepts). On the
-    first rejection the bonus is drawn from the residual distribution at that
+    uniform r_i per position in order (equality accepts). On the first
+    rejection the bonus is drawn from the residual distribution at that
     position; if everything is accepted it is drawn from the final
     distribution.
     """
-    gamma = len(draft_tokens)
-    _check_lengths(p_dists, gamma)
+    p, draft = _checked(p_dists, draft_tokens)
+    gamma = len(draft)
     if len(q_dists) < gamma:
         raise InternalConsistencyError(f"need {gamma} draft distributions, got {len(q_dists)}")
-    p = distribution_block(p_dists)
     q = distribution_block(q_dists[:gamma])
     if q.shape[-1] != p.shape[-1]:
         raise InternalConsistencyError("residual requires equal-size distributions")
-    draws = rng.random(gamma).tolist()
+    return _speculative_sampling_verdict(p, q, draft, rng.random(gamma + 1))
+
+
+def _speculative_sampling_verdict(
+    p: np.ndarray, q: np.ndarray, draft: list[int], u: np.ndarray
+) -> VerificationResult:
+    """The ratio test of draft position i at ``u[i]``, the bonus at ``u[gamma]``."""
+    gamma = len(draft)
+    draws = u.tolist()
     ratios = []
-    for i, tok in enumerate(draft_tokens):
+    for i, tok in enumerate(draft):
         q_tok = q.item(i, tok)
         if q_tok <= 0.0:
             raise InternalConsistencyError(
@@ -163,8 +186,8 @@ def verify_speculative_sampling(
     flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
     n = _leading_true(flags)
     bonus_dist = residual_distribution(p[n], q[n]) if n < gamma else p[gamma]
-    bonus = inverse_cdf(bonus_dist, rng.random())
-    return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws})
+    bonus = inverse_cdf(bonus_dist, draws[gamma])
+    return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws[:gamma]})
 
 
 def verify_typical(
@@ -184,19 +207,24 @@ def verify_typical(
     is drawn from p at position accepted_n.
     """
     gamma = len(draft_tokens)
-    _check_lengths(p_dists, gamma)
     if len(entropy_dists) < gamma:
         raise InternalConsistencyError(
             f"need {gamma} entropy-source distributions, got {len(entropy_dists)}"
         )
     check_typical_range(epsilon, delta)
-    p = distribution_block(p_dists)
+    p, draft = _checked(p_dists, draft_tokens)
     # The engine passes the fused block as both when entropy comes from it.
     h = p if entropy_dists is p_dists else distribution_block(entropy_dists[:gamma])
-    thresholds = typical_threshold(h[:gamma], epsilon, delta).tolist()
-    flags = tuple(p.item(i, tok) > thresholds[i] for i, tok in enumerate(draft_tokens))
-    n = _leading_true(flags)
-    bonus = inverse_cdf(p[n], rng.random())
+    return _typical_verdict(p, h, draft, epsilon, delta, rng.random(1))
+
+
+def _typical_verdict(
+    p: np.ndarray, h: np.ndarray, draft: list[int], epsilon: float, delta: float, u: np.ndarray
+) -> VerificationResult:
+    """Each draft position against the gate of its row of ``h``, the bonus at ``u[0]``."""
+    thresholds = typical_threshold(h[: len(draft)], epsilon, delta).tolist()
+    flags = tuple(p.item(i, tok) > thresholds[i] for i, tok in enumerate(draft))
+    bonus = inverse_cdf(p[_leading_true(flags)], u[0])
     return VerificationResult(bonus, flags, {"thresholds": thresholds})
 
 
@@ -219,10 +247,17 @@ def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return accepted + reject_mass * residual_distribution(p, q)
 
 
-def _check_lengths(p_dists: Sequence[np.ndarray], gamma: int) -> None:
+def _checked(
+    p_dists: Sequence[np.ndarray], draft_tokens: Sequence[int]
+) -> tuple[np.ndarray, list[int]]:
+    """The verifier block, one row per draft position plus the bonus row,
+    and the draft as tokens of its vocabulary."""
+    gamma = len(draft_tokens)
     if gamma < 1:
         raise InvalidConfigError("verification requires at least one draft token")
     if len(p_dists) != gamma + 1:
         raise InternalConsistencyError(
             f"need {gamma + 1} verifier distributions, got {len(p_dists)}"
         )
+    p = distribution_block(p_dists)
+    return p, token_ids(draft_tokens, p.shape[-1])

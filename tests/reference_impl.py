@@ -61,7 +61,11 @@ def ref_fuse(original, reflective, alpha, temperature):
 
 
 def ref_sample(dist, rng):
-    u = rng.random()
+    return ref_pick(dist, rng.random())
+
+
+def ref_pick(dist, u):
+    """The token ``u`` selects from ``dist`` by inverse CDF."""
     cdf = np.cumsum(dist)
     idx = int(np.searchsorted(cdf, u, side="right"))
     if idx >= len(dist):
@@ -290,9 +294,11 @@ def ref_verify_exact_match(p_dists, draft_tokens, rng, greedy_match=False):
 
 def ref_verify_speculative_sampling(p_dists, q_dists, draft_tokens, rng):
     """The ratio test, row by row, with the bonus from the residual
-    norm(max(0, p_n - q_n)) at the first rejection n."""
+    norm(max(0, p_n - q_n)) at the first rejection n. The bonus uniform is
+    drawn with the others, before the residual can raise."""
     gamma = len(draft_tokens)
     draws = rng.random(gamma).tolist()
+    bonus_u = rng.random()
     ratios = [
         min(1.0, float(p_dists[i][tok]) / float(q_dists[i][tok]))
         for i, tok in enumerate(draft_tokens)
@@ -309,7 +315,7 @@ def ref_verify_speculative_sampling(p_dists, q_dists, draft_tokens, rng):
         bonus_dist = residual / mass
     else:
         bonus_dist = p_dists[gamma]
-    bonus = ref_sample(bonus_dist, rng)
+    bonus = ref_pick(bonus_dist, bonus_u)
     return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws})
 
 

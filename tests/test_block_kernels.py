@@ -35,6 +35,9 @@ from reflectspec.tokens import (
     stack_rows,
 )
 from reflectspec.verification import (
+    _exact_match_verdict,
+    _speculative_sampling_verdict,
+    _typical_verdict,
     typical_threshold,
     verify_exact_match,
     verify_speculative_sampling,
@@ -149,6 +152,22 @@ def outcome(verify, *args, **kwargs):
     return got, rng.bit_generator.state
 
 
+def entropy_block(source, p, seed, temperature):
+    """The typical entropy source: the fused block ``p`` itself, or a
+    separate block like the original logits' or a sparse one. Zeros
+    scattered among many nonzero entries change how a sum over the whole
+    row groups its terms, so only the per-row sum over the nonzero entries
+    reproduces the reference there."""
+    if source == "fused":
+        return p
+    if source == "original":
+        return ref_distributions(seed + 2, *p.shape, max(temperature, 0.5))
+    aux = make_rng(seed + 2)
+    h = aux.random(p.shape) * (aux.random(p.shape) < 0.5)
+    h[:, 0] += 1.0
+    return h / h.sum(axis=-1, keepdims=True)
+
+
 def draft_case(seed, gamma, vocab, temperature, shared):
     """(p block, q rows, draft tokens) for one step; with ``shared`` the
     draft's rows are the verifier's own, so every position accepts more
@@ -188,19 +207,7 @@ class TestVerifiersMatchPerRowReference:
     @settings(max_examples=150, deadline=None)
     def test_typical(self, gamma, vocab, temperature, seed, stream, shared, source, epsilon, delta):
         p, _, tokens = draft_case(seed, gamma, vocab, temperature, shared)
-        # Entropy from the fused block itself or from a separate one. Zeros
-        # scattered among many nonzero entries change how a sum over the
-        # whole row groups its terms, so only the per-row sum over the
-        # nonzero entries reproduces the reference there.
-        if source == "fused":
-            h = p
-        elif source == "original":
-            h = ref_distributions(seed + 2, gamma + 1, vocab, max(temperature, 0.5))
-        else:
-            aux = make_rng(seed + 2)
-            h = aux.random((gamma + 1, vocab)) * (aux.random((gamma + 1, vocab)) < 0.5)
-            h[:, 0] += 1.0
-            h /= h.sum(axis=-1, keepdims=True)
+        h = entropy_block(source, p, seed, temperature)
         got = outcome(verify_typical, p, h, tokens, epsilon, delta, make_rng(stream))
         want = outcome(ref_verify_typical, p, h, tokens, epsilon, delta, make_rng(stream))
         assert got == want
@@ -221,6 +228,137 @@ class TestVerifiersMatchPerRowReference:
         want = outcome(ref_verify_speculative_sampling, p, q, tokens, make_rng(stream))
         assert got == want
         assert got[0][0] is DegenerateResidualError
+
+
+class Uniforms:
+    """A stand-in generator that yields ``values`` in order: ``random()``
+    the next one, ``random(n)`` the next n as an array."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.taken = 0
+
+    def random(self, size=None):
+        start = self.taken
+        self.taken += 1 if size is None else size
+        assert self.taken <= len(self.values), "drew more uniforms than the verdict was given"
+        return self.values[start] if size is None else np.array(self.values[start : self.taken])
+
+
+def verdict_outcome(verify, *args, **kwargs):
+    """What a verdict or a reference verifier returned or raised."""
+    try:
+        result = verify(*args, **kwargs)
+    except DegenerateResidualError as exc:
+        return type(exc), str(exc)
+    return result.bonus, result.per_step_accepts, result.diagnostics
+
+
+def uniform_lists(n, low_excluded=False):
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=low_excluded, exclude_max=True)
+    return st.lists(unit, min_size=n, max_size=n)
+
+
+class TestVerdictsMatchPerRowReference:
+    """Each pure verdict, fed validated blocks and an array of uniforms,
+    against the per-row reference fed a stand-in generator that yields the
+    same values: equal bonus, flags and diagnostics, and the reference draws
+    exactly the uniforms the verdict was given."""
+
+    @given(gammas, vocabs, temperatures, seeds, st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_match(self, gamma, vocab, temperature, seed, shared, greedy_match, data):
+        p, _, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        u = [] if greedy_match else data.draw(uniform_lists(gamma + 1))
+        stream = Uniforms(u)
+        got = verdict_outcome(_exact_match_verdict, p, list(tokens), np.array(u))
+        want = verdict_outcome(ref_verify_exact_match, p, tokens, stream, greedy_match=greedy_match)
+        assert got == want
+        assert stream.taken == len(u)
+
+    @given(gammas, vocabs, temperatures, seeds, st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_speculative_sampling(self, gamma, vocab, temperature, seed, shared, data):
+        p, q, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        u = data.draw(uniform_lists(gamma + 1))
+        stream = Uniforms(u)
+        got = verdict_outcome(_speculative_sampling_verdict, p, np.array(q), list(tokens), np.array(u))
+        want = verdict_outcome(ref_verify_speculative_sampling, p, q, tokens, stream)
+        assert got == want
+        assert stream.taken == len(u)
+
+    @given(
+        gammas, vocabs, temperatures, seeds, st.booleans(),
+        st.sampled_from(["fused", "original", "sparse"]),
+        st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0),
+        uniform_lists(1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_typical(self, gamma, vocab, temperature, seed, shared, source, epsilon, delta, u):
+        p, _, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        h = entropy_block(source, p, seed, temperature)
+        stream = Uniforms(u)
+        got = verdict_outcome(_typical_verdict, p, h, list(tokens), epsilon, delta, np.array(u))
+        want = verdict_outcome(ref_verify_typical, p, h, tokens, epsilon, delta, stream)
+        assert got == want
+        assert stream.taken == 1
+
+    @given(gammas, st.data(), st.integers(min_value=3, max_value=700))
+    @settings(max_examples=50, deadline=None)
+    def test_degenerate_residual(self, gamma, data, vocab):
+        # As in the verifier test above: row n rejects at any positive
+        # uniform, and its residual keeps 5e-13 of mass.
+        n = data.draw(st.integers(min_value=0, max_value=gamma - 1))
+        p = np.zeros((gamma + 1, vocab))
+        p[:, 1:] = 1.0 / (vocab - 1)
+        q = p[:gamma].copy()
+        q[n, 0] = 5e-13
+        q[n, 1] -= 5e-13
+        tokens = [0 if i == n else 1 for i in range(gamma)]
+        u = data.draw(uniform_lists(gamma + 1, low_excluded=True))
+        stream = Uniforms(u)
+        got = verdict_outcome(_speculative_sampling_verdict, p, q, tokens, np.array(u))
+        want = verdict_outcome(ref_verify_speculative_sampling, p, list(q), tokens, stream)
+        assert got == want
+        assert got[0] is DegenerateResidualError
+        assert stream.taken == len(u)
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize(
+        "verdict", ["exact-sample", "exact-greedy", "specsample", "typical-fused", "typical-original"]
+    )
+    def test_a_rejection_at_every_position(self, verdict, n):
+        # Draft token i has 0.6 of its row's mass before position n and none
+        # at n, so every strategy accepts before n and rejects at n; at
+        # n = gamma every position accepts. Uniform i sits inside token i's
+        # inverse-CDF interval of row i, [0.1 i, 0.1 i + 0.6).
+        gamma, vocab = 4, 5
+        draft = list(range(gamma))
+        p = np.full((gamma + 1, vocab), 1.0 / vocab)
+        for i in range(min(n + 1, gamma)):
+            p[i] = 0.1 if i < n else 0.25
+            p[i, i] = 0.6 if i < n else 0.0
+        u = {"exact-greedy": [], "typical-fused": [0.7], "typical-original": [0.7]}.get(
+            verdict, [0.1 * i + 0.3 for i in range(gamma)] + [0.7]
+        )
+        stream = Uniforms(u)
+        if verdict.startswith("exact"):
+            got = _exact_match_verdict(p, draft, np.array(u))
+            want = ref_verify_exact_match(p, draft, stream, greedy_match=not u)
+        elif verdict == "specsample":
+            q = p[:gamma].copy()
+            q[n:] = 1.0 / vocab  # the ratio is 1 before n and 0 at n
+            got = _speculative_sampling_verdict(p, q, draft, np.array(u))
+            want = ref_verify_speculative_sampling(p, q, draft, stream)
+        else:
+            h = p if verdict == "typical-fused" else np.full_like(p, 1.0 / vocab)
+            got = _typical_verdict(p, h, draft, 0.3, 0.2, np.array(u))
+            want = ref_verify_typical(p, h, draft, 0.3, 0.2, stream)
+        assert got.accepted_n == n
+        assert (got.bonus, got.per_step_accepts, got.diagnostics) == (
+            want.bonus, want.per_step_accepts, want.diagnostics
+        )
+        assert stream.taken == len(u)
 
 
 def threshold_blocks():
@@ -320,7 +458,7 @@ class TestErrorParity:
     def test_vocabulary_mismatch_between_sides(self):
         reflective = rows(2)
         reflective[1] = np.zeros(VOCAB + 1)
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InvalidLogitsError, match=r"width: shapes \[\(6,\), \(7,\)\]"):
             fuse(rows(1), reflective, 0.4, 1.0)
 
     def test_position_count_mismatch(self):
@@ -405,12 +543,28 @@ class TestErrorParity:
 
 def test_ragged_rows_within_a_side_are_rejected():
     # The row-by-row fuse paired rows one by one and let the vocabulary vary
-    # between positions; the rows of one block share it.
+    # between positions; the rows of one block share it. Ragged rows are the
+    # caller's error, not a broken invariant.
     original, reflective = rows(1), rows(2)
     original[0] = np.zeros(VOCAB + 1)
     reflective[0] = np.zeros(VOCAB + 1)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InvalidLogitsError, match=r"width: shapes \[\(6,\), \(7,\)\]"):
         fuse(original, reflective, 0.4, 1.0)
+    with pytest.raises(InvalidLogitsError, match=r"width: shapes \[\(2,\), \(3,\)\]"):
+        fuse([np.zeros(2)], [np.zeros(3)], 0.3, 0.8)
+
+
+@pytest.mark.parametrize("strategy", ["exact", "specsample", "typical"])
+def test_ragged_distribution_rows_are_rejected(strategy):
+    p = valid_p()
+    p[2] = np.full(VOCAB + 1, 1.0 / (VOCAB + 1))
+    with pytest.raises(InvalidDistributionError, match=r"width: shapes \[\(6,\), \(7,\)\]"):
+        if strategy == "exact":
+            verify_exact_match(p, [0] * GAMMA, make_rng(0))
+        elif strategy == "specsample":
+            verify_speculative_sampling(p, valid_p(n=GAMMA), [0] * GAMMA, make_rng(0))
+        else:
+            verify_typical(p, p, [0] * GAMMA, 0.3, 0.2, make_rng(0))
 
 
 def corrupt(dist, kind):

@@ -28,7 +28,8 @@ from reflectspec.models import (
 )
 from reflectspec.bench import mean_accepted_tokens
 from reflectspec.drafting import DraftBundle
-from reflectspec.reflective import ReflectiveTemplate, build_reflective_input
+from reflectspec.corpus import IntTokenizer
+from reflectspec.reflective import ReflectiveTemplate, build_reflective_input, resolve_template
 from reflectspec.tokens import make_rng, one_hot
 from reflectspec.verification import VerificationResult
 
@@ -746,6 +747,44 @@ class TestValidation:
     def test_out_of_range_temperature_rejected_naming_it(self, temperature, shown):
         with pytest.raises(InvalidConfigError, match=f"^temperature must be >= 0, got {shown}$"):
             DecodeConfig(temperature=temperature)
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            (field, value, shown)
+            for field in ("gamma", "max_new_tokens", "seed", "eos_token")
+            for value, shown in [(1.5, r"1\.5"), ("3", "'3'"), (None, "None")]
+            if (field, value) != ("eos_token", None)  # None: no end-of-sequence token
+        ],
+    )
+    def test_an_integer_setting_that_is_not_an_integer_is_rejected_naming_it(self, field, value, shown):
+        # Unchecked, gamma 1.5 fails inside numpy and eos_token 1.5 never
+        # fires.
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be an integer, got {shown}$"):
+            DecodeConfig(**{field: value})
+
+    def test_numpy_integer_settings_decode_like_ints(self):
+        target, draft = table_pair()
+        ints = dict(gamma=3, max_new_tokens=20, seed=4, eos_token=7)
+        want = decode(target, draft, [1, 2, 3], base_config(**ints))[0]
+        numpy_ints = {name: np.int64(value) for name, value in ints.items()}
+        assert decode(target, draft, [1, 2, 3], base_config(**numpy_ints))[0] == want
+
+    def test_reflection_needs_a_reflective_template(self):
+        # Reflection with a plain template would feed the draft twice, 2
+        # gamma positions a step, and decode other tokens than reflect=False.
+        plain = resolve_template("${draft}", IntTokenizer(16))
+        with pytest.raises(
+            InvalidConfigError,
+            match=r"^reflect=True needs a reflective template, got the plain '\$\{draft\}'$",
+        ):
+            DecodeConfig(template=plain)
+        model = TableModel(16, seed=1)
+        out, stats = decode(model, model, [1, 2, 3], DecodeConfig(template=plain, reflect=False))
+        assert {step.input_tokens_fed for step in stats.steps} == {5}
+        # The other direction stays valid: a reflective template, reflection off.
+        reflective = ReflectiveTemplate((15,), 2)
+        assert decode(model, model, [1, 2, 3], DecodeConfig(template=reflective, reflect=False))[0] == out
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfigError, match="^seed must be >= 0, got -1$"):

@@ -1396,6 +1396,19 @@ class TestDivergencePair:
         with pytest.raises(InvalidConfigError, match=f"^marker {marker} outside vocabulary of size 16$"):
             pair_models(base, noise, 0.0, beta, marker)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_pair_models_rejects_a_marker_that_is_not_an_integer(self, beta):
+        base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
+        with pytest.raises(InvalidConfigError, match=r"^marker must be an integer, got 1\.5$"):
+            pair_models(base, noise, 0.0, beta, 1.5)
+
+    def test_a_marker_that_is_not_an_integer_is_rejected_not_truncated(self):
+        # int() would store marker 1.
+        with pytest.raises(InvalidConfigError, match=r"^marker must be an integer, got 1\.5$"):
+            ReflectionAwareModel(TableModel(8), 1.5, 0.5)
+        model = ReflectionAwareModel(TableModel(8), np.int64(7), 0.5)
+        assert model.marker == 7 and type(model.marker) is int
+
     def test_pair_models_endpoints(self):
         base, noise = TableModel(16, seed=2), TableModel(16, seed=3)
         target, draft = pair_models(base, noise, 0.0, 0.0, 15)

@@ -303,3 +303,9 @@ class TestTemplates:
         for text in ("", "no placeholders", "${draft} ${prefix}", "${draft} ${prefix} x ${draft} ${draft}"):
             with pytest.raises(InvalidConfigError):
                 resolve_template(text, IntTokenizer(64))
+
+    def test_a_prefix_len_that_is_not_an_integer_is_rejected_naming_it(self):
+        # Unchecked, decoding with it fails in the prefix slice.
+        with pytest.raises(InvalidConfigError, match=r"^prefix_len must be an integer, got 2\.5$"):
+            ReflectiveTemplate((3,), 2.5)
+        assert ReflectiveTemplate((3,), np.int64(2)).prefix_len == 2

@@ -1,17 +1,29 @@
-"""Acceptance-strategy tests and the enumeration oracle for unbiasedness."""
+"""Acceptance-strategy tests, the enumeration oracle for unbiasedness, and
+the uniforms each verifier and each decode step draws."""
 
+import ast
+import inspect
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflectspec.errors import DegenerateResidualError, InvalidConfigError
+from fixtures import make_divergence_pair
+
+from reflectspec import engine, verification
+from reflectspec.drafting import generate_draft
+from reflectspec.engine import DecodeConfig, decode
+from reflectspec.errors import DegenerateResidualError, InvalidConfigError, InvalidTokenError
+from reflectspec.models import ModelSession, ModelSpec
+from reflectspec.reflective import ReflectiveTemplate
 from reflectspec.tokens import make_rng, one_hot
 from reflectspec.verification import (
     VerificationResult,
+    _exact_match_verdict,
     exact_step_distribution,
     residual_distribution,
     typical_threshold,
@@ -26,17 +38,6 @@ def rand_dist(rng, size):
     return raw / raw.sum()
 
 
-class FixedUniforms:
-    """A stand-in generator whose one ``random(n)`` call returns ``uniforms``."""
-
-    def __init__(self, uniforms):
-        self.uniforms = uniforms
-
-    def random(self, n):
-        assert n == len(self.uniforms)
-        return np.array(self.uniforms)
-
-
 def exact_match_law(p, q):
     """The law of the token a one-draft sample-mode exact-match step emits
     at its drafted position, by exact enumeration: the draft x ~ q, and the
@@ -47,7 +48,7 @@ def exact_match_law(p, q):
     inside = (edges[:-1] + edges[1:]) / 2
     law = np.zeros(len(p))
     for x, y, z in itertools.product(range(len(p)), repeat=3):
-        res = verify_exact_match([p, p], [x], FixedUniforms([inside[y], inside[z]]))
+        res = _exact_match_verdict(np.array([p, p]), [x], np.array([inside[y], inside[z]]))
         assert res.diagnostics["resampled"] == [y] and res.bonus == z
         law[x if res.accepted_n else z] += q[x] * p[y] * p[z]
     return law
@@ -169,16 +170,6 @@ class TestExactMatch:
         p, q = rand_dist(rng, 4), rand_dist(rng, 4)
         assert np.max(np.abs(exact_match_law(p, q) - p)) <= 1e-12
 
-    def test_consumes_fixed_draw_count(self):
-        vocab = 5
-        rng = make_rng(3)
-        dists = [rand_dist(rng, vocab) for _ in range(4)]
-        used, ref = make_rng(11), make_rng(11)
-        verify_exact_match(dists, [0, 0, 0], used)  # early mismatch likely
-        for _ in range(4):  # gamma draws + bonus
-            ref.random()
-        assert used.random() == ref.random()
-
 
 class TestSpeculativeSampling:
     def test_equal_distributions_accept_everything(self):
@@ -231,16 +222,6 @@ class TestSpeculativeSampling:
         res_a = verify_speculative_sampling(dists_a, q, draft, make_rng(31))
         res_b = verify_speculative_sampling(dists_b, q, draft, make_rng(31))
         assert res_a.per_step_accepts[:2] == res_b.per_step_accepts[:2]
-
-    def test_consumes_fixed_draw_count(self):
-        rng = make_rng(3)
-        dists = [rand_dist(rng, 5) for _ in range(4)]
-        q = [rand_dist(rng, 5) for _ in range(3)]
-        used, ref = make_rng(13), make_rng(13)
-        verify_speculative_sampling(dists, q, [0, 1, 2], used)
-        for _ in range(4):
-            ref.random()
-        assert used.random() == ref.random()
 
 
 class TestTypical:
@@ -315,3 +296,193 @@ class TestVerificationResult:
         res = verify_exact_match(p, [3, 1], make_rng(0))
         assert res.accepted_n == 0
         assert res.per_step_accepts == (False, True)
+
+
+P4 = np.array([0.1, 0.2, 0.3, 0.4])
+Q4 = np.array([0.4, 0.3, 0.2, 0.1])
+
+VERIFIERS = {
+    "exact-sample": lambda draft, rng: verify_exact_match([P4, P4], draft, rng),
+    "exact-greedy": lambda draft, rng: verify_exact_match([P4, P4], draft, rng, greedy_match=True),
+    "specsample": lambda draft, rng: verify_speculative_sampling([P4, P4], [Q4], draft, rng),
+    "typical": lambda draft, rng: verify_typical([P4, P4], [P4, P4], draft, 0.3, 0.2, rng),
+}
+
+
+class TestDraftTokens:
+    """Each verifier checks the draft against its block's width before it
+    draws, so a refused call consumes no uniforms."""
+
+    @pytest.mark.parametrize("name", VERIFIERS)
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            (-1, r"^token -1 outside vocabulary of size 4$"),
+            (4, r"^token 4 outside vocabulary of size 4$"),
+            (1.5, r"^token 1\.5 is not an integer$"),
+        ],
+    )
+    def test_a_token_outside_the_vocabulary_is_refused_before_the_draw(self, name, token, message):
+        # Unchecked, -1 reads column V - 1 (a specsample ratio of 1.0) and 4
+        # indexes past the row, or passes for a mismatch in exact match.
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidTokenError, match=message):
+            VERIFIERS[name]([token], rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("name", VERIFIERS)
+    def test_numpy_integer_tokens_verify_like_ints(self, name):
+        for token in range(4):
+            want = VERIFIERS[name]([token], make_rng(1))
+            for cast in (np.int64, np.uint8):
+                assert VERIFIERS[name]([cast(token)], make_rng(1)) == want
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DRAFTING = "drafting, per drafted step"
+SPECSAMPLE = "speculative sampling"
+EXACT_SAMPLE = "exact match, sample mode"
+EXACT_GREEDY = "exact match, greedy mode (and at temperature 0)"
+TYPICAL = "typical"
+VANILLA = "a vanilla step's bonus"
+
+
+def consumption_table(text):
+    """The rows of the ``| draw | uniforms |`` table in ``text``: each
+    draw's label and its count, a sum of ``gamma`` and integers."""
+    lines = text[text.index("| draw | uniforms |") :].splitlines()[2:]
+    rows = {}
+    for line in map(str.strip, lines):
+        if not line.startswith("|"):
+            break
+        label, count = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[label] = count
+    return rows
+
+
+def count(expression, gamma):
+    return sum(gamma if term == "gamma" else int(term) for term in expression.split(" + "))
+
+
+def uniforms_drawn(seed, rng, limit=5000):
+    """The number of uniforms ``rng``, made by ``make_rng(seed)``, has drawn:
+    the draws a fresh stream needs to reach its state."""
+    fresh = make_rng(seed)
+    for n in range(limit):
+        if fresh.bit_generator.state == rng.bit_generator.state:
+            return n
+        fresh.random()
+    raise AssertionError(f"the stream is not within {limit} uniforms of its seed")
+
+
+def readme_table():
+    return consumption_table((ROOT / "README.md").read_text())
+
+
+class TestUniformsDrawn:
+    """The uniforms each verifier call and each decode step draws, read from
+    generator state, against the one table that README's determinism
+    contract and ``verification``'s docstring both state."""
+
+    def test_readme_and_the_docstring_state_one_table(self):
+        table = readme_table()
+        assert table == consumption_table(verification.__doc__)
+        assert set(table) == {DRAFTING, SPECSAMPLE, EXACT_SAMPLE, EXACT_GREEDY, TYPICAL, VANILLA}
+
+    @pytest.mark.parametrize("gamma", [1, 3, 6])
+    def test_each_call_draws_its_count_wherever_it_rejects(self, gamma):
+        table = readme_table()
+        data = make_rng(gamma)
+        p = [rand_dist(data, 5) for _ in range(gamma + 1)]
+        q = [rand_dist(data, 5) for _ in range(gamma)]
+        model = make_divergence_pair(ModelSpec("table", 5, seed=2, order=2), 0.0)[0]
+
+        def drafting(rng):
+            session = ModelSession(model, 0.8)
+            session.forward([1, 2])
+            return generate_draft(session, gamma, rng)
+
+        calls = {
+            DRAFTING: drafting,
+            SPECSAMPLE: lambda draft, rng: verify_speculative_sampling(p, q, draft, rng),
+            EXACT_SAMPLE: lambda draft, rng: verify_exact_match(p, draft, rng),
+            EXACT_GREEDY: lambda draft, rng: verify_exact_match(p, draft, rng, greedy_match=True),
+            TYPICAL: lambda draft, rng: verify_typical(p, p, draft, 0.3, 0.2, rng),
+        }
+        accepted = set()
+        for seed in range(30):
+            draft = data.integers(0, 5, gamma).tolist()
+            for label, call in calls.items():
+                rng = make_rng(seed)
+                if label == DRAFTING:
+                    call(rng)
+                else:
+                    accepted.add(call(draft, rng).accepted_n)
+                assert uniforms_drawn(seed, rng) == count(table[label], gamma), label
+        assert len(accepted) > 1
+
+    @pytest.mark.parametrize(
+        "strategy, temperature, settings, label",
+        [
+            ("specsample", 0.8, {}, SPECSAMPLE),
+            ("exact", 0.8, {}, EXACT_SAMPLE),
+            ("exact", 0.8, {"exact_match_mode": "greedy"}, EXACT_GREEDY),
+            ("exact", 0.0, {}, EXACT_GREEDY),
+            ("typical", 0.8, {}, TYPICAL),
+            ("typical", 0.8, {"entropy_source": "fused"}, TYPICAL),
+            ("vanilla", 0.8, {}, VANILLA),
+        ],
+    )
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_each_decode_step_draws_the_table_count(
+        self, monkeypatch, strategy, temperature, settings, label, reflect
+    ):
+        # A drafted step draws for its draft and its verifier, a vanilla
+        # step only its bonus.
+        streams = []
+
+        def recording_rng(seed):
+            streams.append(make_rng(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(engine, "make_rng", recording_rng)
+        target, draft = make_divergence_pair(ModelSpec("table", 16, seed=3, order=2), 0.4)
+        config = DecodeConfig(
+            gamma=4, strategy=strategy, temperature=temperature, reflect=reflect,
+            template=ReflectiveTemplate((15,), 2), max_new_tokens=30, seed=9, **settings,
+        )
+        _, stats = decode(target, draft, [1, 2, 3], config)
+        table = readme_table()
+        per_step = count(table[label], config.gamma)
+        if strategy != "vanilla":
+            per_step += count(table[DRAFTING], config.gamma)
+        assert stats.num_steps > 1
+        assert uniforms_drawn(9, streams[0]) == stats.num_steps * per_step
+
+
+def test_only_the_public_verifiers_draw_once_each_then_hand_over():
+    # Each public verifier's one generator call is the last thing it does:
+    # its uniforms go straight to a verdict, which takes no generator.
+    tree = ast.parse(inspect.getsource(verification))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    draws = {}
+    for name, node in functions.items():
+        calls = [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "random"
+        ]
+        if calls:
+            draws[name] = len(calls)
+    verifiers = ["verify_exact_match", "verify_speculative_sampling", "verify_typical"]
+    assert draws == dict.fromkeys(verifiers, 1)
+    verdicts = sorted(name for name in functions if name.endswith("_verdict"))
+    assert verdicts == ["_exact_match_verdict", "_speculative_sampling_verdict", "_typical_verdict"]
+    for name in verdicts:
+        assert "rng" not in [arg.arg for arg in functions[name].args.args]
+    for name in verifiers:
+        last = functions[name].body[-1]
+        assert isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+        assert last.value.func.id in verdicts
+        assert any(isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "random" for n in last.value.args)
