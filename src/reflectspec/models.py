@@ -23,7 +23,7 @@ Backends:
   a reflection probe.
 
 ``TableModel`` and ``NgramModel`` share the ``WindowModel`` base, which
-holds the logits table or memo and states its policy.
+holds the logits memo and states its policy.
 """
 
 from __future__ import annotations
@@ -47,12 +47,15 @@ from .tokens import derive_seed, sampling_distribution, setting_int, token_ids
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
 
-# Where a WindowModel keeps its logits; its docstring states the policy. A
-# space whose windows all fit in TABLE_BYTES as float64 rows keeps a table
-# (4,161 windows and 2.13 MB at V=64 and order 2), a larger one (V=401 at
-# order 2, V=64 at order 3) a FIFO memo of the last MEMO_WINDOWS windows.
+# How many windows a WindowModel's memo keeps (its docstring states the
+# policy): the whole space if it fits in TABLE_BYTES at 8 * V + ROW_OVERHEAD
+# bytes a row (4,161 windows and 3.80 MB at V=64 and order 2), else the last
+# MEMO_WINDOWS. ROW_OVERHEAD bounds a kept row's bytes beyond its data (the
+# array object, key tuple, dict and deque entries): tracemalloc traces
+# 210-260 in a memo of hundreds of rows, and 400 covers a dict just grown.
 TABLE_BYTES = 4 * 1024 * 1024
 MEMO_WINDOWS = 64
+ROW_OVERHEAD = 400
 
 # The longest float64 row numpy represents: its byte size must fit np.intp.
 MAX_VOCAB_SIZE = np.iinfo(np.intp).max // 8
@@ -91,8 +94,8 @@ class Model:
     """Next-token logits as a pure function of the token prefix."""
 
     vocab_size: int
-    n_windows = 0  # the windows ``window_row`` numbers; 0 without a table
-    _q_table: _Rows | None = None
+    window_key = None  # a context's row key, where a memo of ``capacity`` keeps rows
+    _q_memo: _Memo | None = None
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         """Logits predicting the token after ``context``. Must not mutate it."""
@@ -101,49 +104,42 @@ class Model:
     def next_distribution(self, context: Sequence[int], temperature: float) -> np.ndarray:
         """``sampling_distribution(self.next_logits(context), temperature)``.
 
-        On a tabled window space (``n_windows``, rows named by
-        ``window_row``) that call runs once per window and the row is kept,
-        read-only, in one table for the last temperature asked. A new
-        temperature replaces the table once its first row is computed, so a
-        refused one leaves it as it was. Rows are packed in first-fill order
-        and found through their window's slot index (``_Rows``).
+        A model with a ``window_key`` keeps each row, read-only, in a
+        ``_Memo`` of ``capacity`` rows for the last temperature asked; a new
+        temperature replaces the memo once its first row is computed, so a
+        refused one leaves it as it was.
         """
-        if not self.n_windows:
+        if self.window_key is None:
             return sampling_distribution(self.next_logits(context), temperature)
-        index = self.window_row(context)
-        rows = self._q_table
-        if rows is None or rows.key != temperature:
-            rows = None
-        elif slot := rows.slot[index]:
-            return rows.view[slot]
+        key = self.window_key(context)
+        memo = self._q_memo
+        if memo is None or memo.temperature != temperature:
+            memo = _Memo(self.capacity, temperature)
+        elif (row := memo.get(key)) is not None:
+            return row
         row = sampling_distribution(self.next_logits(context), temperature)
-        if rows is None:
-            rows = self._q_table = _Rows(self.n_windows, self.vocab_size, temperature)
-        return rows.fill(index, row)
+        self._q_memo = memo
+        return memo.put(key, row)
 
 
-class _Rows:
-    """A lazily filled float64 table of per-window rows, ``key`` the rows'
-    temperature if they are distributions. Rows are packed in first-fill
-    order: the k-th window filled takes storage row k, and ``slot[window]``
-    holds k, or 0 while the window is unfilled (storage row 0 is never
-    written). ``np.zeros`` touches no page until a row is written, so only
-    the filled rows become resident. Rows never move, and ``view`` serves
-    them read-only."""
+class _Memo(dict):
+    """Read-only rows keyed by window, at most ``capacity`` of them: ``put``
+    evicts the oldest inserted first, and a hit refreshes nothing.
+    ``temperature`` is the rows' temperature if they are distributions."""
 
-    def __init__(self, n_rows: int, width: int, key: float | None = None):
-        self.key = key
-        self.slot = array("I", [0]) * n_rows
-        self._rw = np.zeros((n_rows + 1, width))
-        self.view = self._rw.view()
-        self.view.flags.writeable = False
-        self._filled = 0
+    def __init__(self, capacity: int, temperature: float | None = None):
+        self.capacity = capacity
+        self.temperature = temperature
+        # Keys oldest first: ``next(iter(self))`` would walk every deleted slot.
+        self._order: deque[tuple[int, ...]] = deque()
 
-    def fill(self, index: int, row: np.ndarray) -> np.ndarray:
-        k = self._filled + 1
-        self._rw[k] = row
-        self._filled = self.slot[index] = k
-        return self.view[k]
+    def put(self, key: tuple[int, ...], row: np.ndarray) -> np.ndarray:
+        row.flags.writeable = False
+        if len(self) >= self.capacity:
+            del self[self._order.popleft()]
+        self[key] = row
+        self._order.append(key)
+        return row
 
 
 class _Tokens(array):
@@ -224,7 +220,7 @@ class ModelSession:
 
     def truncate(self, keep_length: int) -> None:
         """Shorten committed tokens and cached rows to ``keep_length``."""
-        if keep_length < 0 or keep_length > len(self._tokens):
+        if not 0 <= setting_int("keep_length", keep_length) <= len(self._tokens):
             raise SessionRangeError(
                 f"cannot truncate to {keep_length} (current length {len(self._tokens)})"
             )
@@ -237,26 +233,20 @@ class WindowModel(Model):
     trailing ``order`` context tokens, or the whole context when it is
     shorter. Subclasses give the formula as ``window_logits(window)``.
 
-    A space whose every window of length 0 to ``order`` fits in
-    ``TABLE_BYTES`` as float64 rows, with the reserved row 0 of ``_Rows``,
-    keeps one table with room for a row per window (``n_windows``).
-    ``window_row`` numbers the windows, shortest first and then in token
-    order. A window's row is filled on its first lookup and read after, so
-    no window is computed twice; rows are packed in first-fill order, so the
-    table's resident memory is the rows it has filled.
-
-    A larger space keeps a FIFO memo of the last ``MEMO_WINDOWS`` windows,
-    keyed by the window's token values. It evicts the oldest inserted window
-    first; a hit does not refresh it. Its job is the reflective step's
-    second copy, which re-reads the windows the first copy computed
-    ``shift_len`` positions earlier: a step whose ``shift_len`` is above
+    Logits rows are kept in one ``_Memo`` keyed by the window's tokens
+    (``window_key``). A space whose every window of length 0 to ``order``
+    fits in ``TABLE_BYTES`` at ``8 * V + ROW_OVERHEAD`` bytes a row is kept
+    whole (``capacity`` is its window count), so no window is computed
+    twice. A larger space keeps the last ``MEMO_WINDOWS``: its job is the
+    reflective step's second copy, which re-reads the first copy's windows
+    ``shift_len`` positions later, so a step whose ``shift_len`` is above
     about ``MEMO_WINDOWS`` recomputes them.
 
     A window that holds a token outside the vocabulary, or one that is not
-    an integer, is an ``InvalidTokenError`` naming it, whatever the table or
-    memo holds; a numpy integer reads as its value. Both routes read the
-    window through ``_window``, which checks any context but a session's
-    buffer. Returned arrays are shared between calls and read-only.
+    an integer, is an ``InvalidTokenError`` naming it, whatever the memo
+    holds; a numpy integer reads as its value (``_window`` checks any
+    context but a session's buffer). Returned arrays are shared between
+    calls and read-only.
     """
 
     def __init__(self, vocab_size: int, order: int):
@@ -268,46 +258,26 @@ class WindowModel(Model):
             raise InvalidConfigError("context order must be >= 1")
         self.vocab_size = vocab_size
         self.order = order
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
-        # Keys oldest first: ``next(iter(memo))`` would walk every deleted slot.
-        self._memo_keys: deque[tuple[int, ...]] = deque()
-        self._logit_table = None
-        # Counting stops once the table overflows, so a huge order never
-        # sums huge powers of V. The storage's reserved row 0 counts too.
-        n_windows = 0
+        # Counting stops once the space overflows its budget, so a huge
+        # order never sums huge powers of V.
+        capacity = 0
         for n in range(order + 1):
-            n_windows += vocab_size**n
-            if 8 * vocab_size * (n_windows + 1) > TABLE_BYTES:
-                return
-        self.n_windows = n_windows
-        self._logit_table = _Rows(n_windows, vocab_size)
+            capacity += vocab_size**n
+            if capacity * (8 * vocab_size + ROW_OVERHEAD) > TABLE_BYTES:
+                capacity = MEMO_WINDOWS
+                break
+        self.capacity = capacity
+        self._memo = _Memo(capacity)
 
-    def window_row(self, context: Sequence[int]) -> int:
-        """The number of ``context``'s window: its bijective base-V numeral
-        with digits t + 1."""
-        vocab = self.vocab_size
-        index = 0
-        for t in _window(context, self.order, vocab):
-            index = index * vocab + t + 1
-        return index
+    def window_key(self, context: Sequence[int]) -> tuple[int, ...]:
+        """``context``'s window as a tuple of plain ints."""
+        return tuple(_window(context, self.order, self.vocab_size))
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
-        rows = self._logit_table
-        if rows is not None:
-            index = self.window_row(context)
-            if slot := rows.slot[index]:
-                return rows.view[slot]
-            window = _window(context, self.order, self.vocab_size)
-            return rows.fill(index, self.window_logits(tuple(window)))
-        key = tuple(_window(context, self.order, self.vocab_size))
+        key = self.window_key(context)
         logits = self._memo.get(key)
         if logits is None:
-            logits = self.window_logits(key)
-            logits.flags.writeable = False
-            if len(self._memo) >= MEMO_WINDOWS:
-                del self._memo[self._memo_keys.popleft()]
-            self._memo[key] = logits
-            self._memo_keys.append(key)
+            logits = self._memo.put(key, self.window_logits(key))
         return logits
 
     def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
@@ -407,16 +377,15 @@ class BlendModel(Model):
     """Convex combination of two backends: (1-w)*primary + w*secondary.
 
     The primary is read through its own ``next_logits``, and so through its
-    table or memo, because the draft's primary is the target's base, whose
-    rows the target reads too. The secondary must be a ``WindowModel``, and
-    is read through its formula, ``window_logits`` of its own window
-    (``_window``): its only reader is the blend, whose rows are computed
-    once per window where a table keeps them (``next_distribution``), so a
-    row the secondary kept would never be read again. The secondary fills
-    no table row and no memo entry.
+    memo, because the draft's primary is the target's base, whose rows the
+    target reads too. The secondary must be a ``WindowModel``, and is read
+    through its formula, ``window_logits`` of its own window (``_window``):
+    its only reader is the blend, whose rows are kept per window
+    (``next_distribution``), so it keeps no row, which nothing would read.
 
     A blend of two ``WindowModel``s is a function of its larger-order
-    part's window, so it names its rows by that part's ``window_row``.
+    part's window, so it keys its rows by that part's ``window_key`` and
+    keeps as many as that part's ``capacity``.
     """
 
     def __init__(self, primary: Model, secondary: WindowModel, weight: float):
@@ -434,7 +403,7 @@ class BlendModel(Model):
         self.weight = float(weight)
         if isinstance(primary, WindowModel):
             space = max(primary, secondary, key=lambda part: part.order)
-            self.window_row, self.n_windows = space.window_row, space.n_windows
+            self.window_key, self.capacity = space.window_key, space.capacity
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         secondary = self.secondary
@@ -557,10 +526,10 @@ def pair_models(
     ``beta`` after ``marker``) when beta > 0. The draft blends ``base`` with
     ``noise`` at rate ``eta``: at eta=0 it is ``base`` itself, at eta=1 a
     model unrelated to the target. The draft reads ``base`` through its
-    table or memo, which the target shares, and ``noise`` through its
-    formula, so the noise model keeps no rows (``BlendModel``). An eta or
-    beta outside [0, 1], NaN included, is rejected here under its own name,
-    and so is a marker outside the vocabulary, whatever beta is.
+    memo, which the target shares, and ``noise`` through its formula, so
+    the noise model keeps no rows (``BlendModel``). An eta or beta outside
+    [0, 1], NaN included, is rejected here under its own name, and so is a
+    marker outside the vocabulary, whatever beta is.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")

@@ -184,7 +184,7 @@ def fuse(
         raise InvalidConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
     n = len(original)
     if len(reflective) != n:
-        raise InternalConsistencyError(f"paired logit lengths differ: {n} vs {len(reflective)}")
+        raise InvalidLogitsError(f"original and reflective differ in length: {n} vs {len(reflective)}")
     pair = stack_rows([*original, *reflective])
     if pair.ndim != 2:
         raise InvalidLogitsError(f"logit rows must be 1-D vectors, got block shape {pair.shape}")

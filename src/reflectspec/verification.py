@@ -18,11 +18,14 @@ used to prove unbiasedness.
 
 Verifiers take the step's distributions as one ``(gamma + 1, V)`` block and
 validate each input block once per call, at entry, with the draft tokens
-against the block's width; the row work after that (ratios, residual,
-thresholds, the bonus pick) trusts the validated rows. An invalid row raises
-wherever it sits, even past the first rejection. ``residual_distribution``
-and ``typical_threshold`` (on the whole block) are two of those kernels, so
-the oracles and ``reflectspec selftest`` check the functions a decode runs.
+against the block's width (and, for speculative sampling, against q: a
+token q gives no mass is refused); a block that does not fit the draft is
+an ``InvalidDistributionError`` naming it. The row work after that
+(ratios, residual, thresholds, the bonus pick) trusts the validated rows.
+An invalid row raises wherever it sits, even past the first rejection.
+``residual_distribution`` and ``typical_threshold`` (on the whole block)
+are two of those kernels, so the oracles and ``reflectspec selftest`` check
+the functions a decode runs.
 
 After its checks each verifier makes one ``rng.random(k)`` call, k fixed
 wherever rejection happens, and hands the uniforms to a private verdict: a
@@ -47,7 +50,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateResidualError, InternalConsistencyError, InvalidConfigError
+from .errors import (
+    DegenerateResidualError,
+    InvalidConfigError,
+    InvalidDistributionError,
+    InvalidTokenError,
+)
 from .tokens import (
     distribution_block,
     entropy,
@@ -160,29 +168,20 @@ def verify_speculative_sampling(
     distribution.
     """
     p, draft = _checked(p_dists, draft_tokens)
-    gamma = len(draft)
-    if len(q_dists) < gamma:
-        raise InternalConsistencyError(f"need {gamma} draft distributions, got {len(q_dists)}")
-    q = distribution_block(q_dists[:gamma])
-    if q.shape[-1] != p.shape[-1]:
-        raise InternalConsistencyError("residual requires equal-size distributions")
-    return _speculative_sampling_verdict(p, q, draft, rng.random(gamma + 1))
+    q = _draft_rows(q_dists, "q_dists", p)
+    for i, tok in enumerate(draft):
+        if q.item(i, tok) <= 0.0:
+            raise InvalidTokenError(f"draft token {tok} has zero q_dists mass at position {i}")
+    return _speculative_sampling_verdict(p, q, draft, rng.random(len(draft) + 1))
 
 
 def _speculative_sampling_verdict(
     p: np.ndarray, q: np.ndarray, draft: list[int], u: np.ndarray
 ) -> VerificationResult:
-    """The ratio test of draft position i at ``u[i]``, the bonus at ``u[gamma]``."""
+    """The ratio test of draft token i, which q gives mass, at ``u[i]``; the bonus at ``u[gamma]``."""
     gamma = len(draft)
     draws = u.tolist()
-    ratios = []
-    for i, tok in enumerate(draft):
-        q_tok = q.item(i, tok)
-        if q_tok <= 0.0:
-            raise InternalConsistencyError(
-                f"draft token {tok} has zero draft probability at position {i}"
-            )
-        ratios.append(min(1.0, p.item(i, tok) / q_tok))
+    ratios = [min(1.0, p.item(i, tok) / q.item(i, tok)) for i, tok in enumerate(draft)]
     flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
     n = _leading_true(flags)
     bonus_dist = residual_distribution(p[n], q[n]) if n < gamma else p[gamma]
@@ -206,15 +205,10 @@ def verify_typical(
     either the unfused original distributions or the fused ones. The bonus
     is drawn from p at position accepted_n.
     """
-    gamma = len(draft_tokens)
-    if len(entropy_dists) < gamma:
-        raise InternalConsistencyError(
-            f"need {gamma} entropy-source distributions, got {len(entropy_dists)}"
-        )
     check_typical_range(epsilon, delta)
     p, draft = _checked(p_dists, draft_tokens)
     # The engine passes the fused block as both when entropy comes from it.
-    h = p if entropy_dists is p_dists else distribution_block(entropy_dists[:gamma])
+    h = p if entropy_dists is p_dists else _draft_rows(entropy_dists, "entropy_dists", p)
     return _typical_verdict(p, h, draft, epsilon, delta, rng.random(1))
 
 
@@ -239,7 +233,7 @@ def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = validate_distribution(p)
     q = validate_distribution(q)
     if p.shape != q.shape:
-        raise InternalConsistencyError("distributions must share a vocabulary")
+        raise InvalidDistributionError(f"p and q differ in shape: {p.shape} vs {q.shape}")
     accepted = np.minimum(p, q)
     reject_mass = 1.0 - float(accepted.sum())
     if reject_mass <= 1e-15:
@@ -256,8 +250,20 @@ def _checked(
     if gamma < 1:
         raise InvalidConfigError("verification requires at least one draft token")
     if len(p_dists) != gamma + 1:
-        raise InternalConsistencyError(
-            f"need {gamma + 1} verifier distributions, got {len(p_dists)}"
+        raise InvalidDistributionError(
+            f"p_dists must hold {gamma + 1} rows for {gamma} draft tokens, got {len(p_dists)}"
         )
     p = distribution_block(p_dists)
     return p, token_ids(draft_tokens, p.shape[-1])
+
+
+def _draft_rows(dists: Sequence[np.ndarray], name: str, p: np.ndarray) -> np.ndarray:
+    """The validated block of the rows of ``dists`` at the draft positions
+    of the verifier block ``p``, each as wide as p's rows."""
+    gamma, width = len(p) - 1, p.shape[-1]
+    if len(dists) < gamma:
+        raise InvalidDistributionError(f"{name} must hold {gamma} rows, got {len(dists)}")
+    block = distribution_block(dists[:gamma])
+    if block.shape[-1] != width:
+        raise InvalidDistributionError(f"{name} rows have {block.shape[-1]} tokens, p_dists rows {width}")
+    return block

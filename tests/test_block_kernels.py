@@ -21,7 +21,6 @@ from reference_impl import (
 
 from reflectspec.errors import (
     DegenerateResidualError,
-    InternalConsistencyError,
     InvalidConfigError,
     InvalidDistributionError,
     InvalidLogitsError,
@@ -462,7 +461,7 @@ class TestErrorParity:
             fuse(rows(1), reflective, 0.4, 1.0)
 
     def test_position_count_mismatch(self):
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InvalidLogitsError, match="^original and reflective differ in length"):
             fuse(rows(1), rows(2, n=GAMMA), 0.4, 1.0)
 
     @pytest.mark.parametrize("block", [False, True])

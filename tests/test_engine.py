@@ -421,8 +421,9 @@ MEMO_CORPUS = [
 
 def memo_pair(kind, fifo=False):
     """A freshly built (target, draft) pair at V=64: a table base behind the
-    copy target, or an n-gram base with a plain target. Both models keep a
-    logits table unless ``fifo`` forces the memo."""
+    copy target, or an n-gram base with a plain target. Both models keep
+    their whole window space unless ``fifo`` bounds their memos to
+    ``MEMO_WINDOWS``."""
     spec = ModelSpec(kind, MEMO_VOCAB, seed=3, order=2)
     with pytest.MonkeyPatch.context() as mp:
         if fifo:
@@ -464,22 +465,21 @@ def decode_with_end_state(target, draft, prompt, config):
 
 
 class TestMemoTransparency:
-    """The logits tables and memos live as long as the models, across
-    decodes, so a pair that has already decoded must act exactly like a new
-    one."""
+    """The memos live as long as the models, across decodes, so a pair that
+    has already decoded must act exactly like a new one."""
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     @pytest.mark.parametrize("fifo, windows", [(False, None), (True, None), (True, 1)])
     def test_warm_pair_decodes_like_a_fresh_pair(self, kind, fifo, windows, monkeypatch):
-        # ``windows`` shrinks every memo; the fresh pairs keep tables.
+        # ``windows`` shrinks every bounded memo; the fresh pairs keep their
+        # whole spaces.
         if windows is not None:
             monkeypatch.setattr(models, "MEMO_WINDOWS", windows)
         warm_target, warm_draft = memo_pair(kind, fifo)
         warm_models = (warm_draft.primary, warm_draft.secondary)
         cases = memo_cases()
         # Each case runs after every case before it in the list, on the
-        # shared pair; the last case warms the pair for the first. The fresh
-        # pair keeps tables.
+        # shared pair; the last case warms the pair for the first.
         for prompt, config in cases[-1:] + cases:
             warm = decode_with_end_state(warm_target, warm_draft, prompt, config)
             fresh = decode_with_end_state(*memo_pair(kind), prompt, config)
@@ -488,19 +488,18 @@ class TestMemoTransparency:
         primary, secondary = warm_models
         if fifo:  # the primary's memo has filled and evicted
             assert len(primary._memo) == full
-        else:  # the primary's table keeps more windows than a full memo
-            assert primary._memo == {} and sum(map(bool, primary._logit_table.slot)) > full
+        else:  # the whole space keeps more windows than a bounded memo
+            assert len(primary._memo) > full
         # The secondary is read through its formula and holds nothing.
         assert secondary._memo == {}
-        assert secondary._logit_table is None or not any(secondary._logit_table.slot)
 
 
 class TestTableMemoDecodes:
-    """A pair that keeps logits tables decodes exactly like the same pair
-    with the memo forced, for every strategy and both templates."""
+    """A pair that keeps its whole window spaces decodes exactly like the
+    same pair with bounded memos, for every strategy and both templates."""
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_table_pair_decodes_like_a_memo_pair(self, kind):
+    def test_whole_space_pair_decodes_like_a_bounded_pair(self, kind):
         tables, memos = memo_pair(kind), memo_pair(kind, fifo=True)
         for prompt, config in memo_cases():
             got = decode_with_end_state(*tables, prompt, config)
@@ -508,7 +507,7 @@ class TestTableMemoDecodes:
 
 
 def eta_pair(kind, eta):
-    """``memo_pair``'s models, with tables, at draft divergence ``eta``."""
+    """``memo_pair``'s models, whole spaces kept, at draft divergence ``eta``."""
     spec = ModelSpec(kind, MEMO_VOCAB, seed=3, order=2)
     base = build_model(spec, corpus=MEMO_CORPUS if kind == "ngram" else None)
     beta = 0.5 if kind == "table" else 0.0
@@ -516,32 +515,32 @@ def eta_pair(kind, eta):
 
 
 class TestDraftDistributionTable:
-    """A draft that tables its q rows decodes exactly like the same draft
+    """A draft that keeps its q rows decodes exactly like the same draft
     behind an opaque ``Model`` wrapper, which computes every row from its
     logits as perfbench's ``TracedModel`` does."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.4])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_a_tabled_draft_decodes_like_an_opaque_one(self, kind, eta):
+    def test_a_memo_draft_decodes_like_an_opaque_one(self, kind, eta):
         base, (target, draft) = eta_pair(kind, eta)
         assert (draft is base) == (eta == 0)  # at eta 0 the base itself drafts
         cases = memo_cases()
         prompt, config = cases[1]
-        # The table follows the decode's temperature, and back.
+        # The q memo follows the decode's temperature, and back.
         cases += [(prompt, replace(config, temperature=t)) for t in (0.0, 1.3, 0.8)]
         for prompt, config in cases:
             _, (opaque_target, opaque_draft) = eta_pair(kind, eta)
             opaque = CountingModel(opaque_draft)
             got = decode_with_end_state(target, draft, prompt, config)
             assert got == decode_with_end_state(opaque_target, opaque, prompt, config)
-            assert opaque.calls > 0 and opaque._q_table is None
-            assert draft._q_table.key == config.temperature and any(draft._q_table.slot)
+            assert opaque.calls > 0 and opaque._q_memo is None
+            assert draft._q_memo.temperature == config.temperature and len(draft._q_memo) > 0
 
 
 class TestNoiseModelKeepsNoRows:
     """A draft blend reads its secondary, the noise model, through its
-    formula: decoding fills the base's logits table and the draft's q
-    table, and leaves the noise model's table and memo empty."""
+    formula: decoding fills the base's logits memo and the draft's q memo,
+    and leaves the noise model's memo empty."""
 
     def test_two_decodes_leave_the_secondary_empty(self):
         target, draft = reference_pair(MEMO_VOCAB, seed=5, order=2, beta=0.5, eta=0.3)
@@ -550,8 +549,8 @@ class TestNoiseModelKeepsNoRows:
             config = base_config(strategy=strategy, template=template, max_new_tokens=96, seed=seed)
             decode(target, draft, [4, 9, 30], config)
         noise = draft.secondary
-        assert noise._memo == {} and not any(noise._logit_table.slot)
-        assert any(draft.primary._logit_table.slot) and any(draft._q_table.slot)
+        assert noise._memo == {}
+        assert len(draft.primary._memo) > 0 and len(draft._q_memo) > 0
 
 
 @st.composite

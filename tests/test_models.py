@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -221,6 +222,16 @@ class TestModelSession:
         with pytest.raises(SessionRangeError):
             s.truncate(-1)
 
+    @pytest.mark.parametrize("keep", [1.5, "2", None])
+    def test_truncate_refuses_a_length_that_is_not_an_integer_naming_it(self, keep):
+        s = ModelSession(TableModel(8, seed=1))
+        s.forward([1, 2, 3])
+        with pytest.raises(InvalidConfigError, match=f"^keep_length must be an integer, got {re.escape(repr(keep))}$"):
+            s.truncate(keep)
+        assert s.tokens == [1, 2, 3] and len(s._rows) == 3
+        s.truncate(np.int64(2))  # a numpy integer is a length
+        assert s.tokens == [1, 2]
+
     @pytest.mark.parametrize("kind", ALL_BACKENDS)
     def test_causality(self, kind):
         # Changing a later token never changes logits at earlier positions.
@@ -314,8 +325,8 @@ def assert_memo_stays_bounded(m, vocab):
     assert len(m._memo) == capacity
 
 
-# At order 3, V=64 has too many windows for a table (266,305, 136 MB) and
-# takes the memo; V=16 (4,369 windows, 559 KB) takes the table.
+# At order 3, V=64 has too many windows to keep whole (266,305, 243 MB at
+# 912 B a row) and keeps the last MEMO_WINDOWS; V=16 keeps all its 4,369.
 WINDOW_ORDER = 3
 WINDOW_DOCS = [[1, 5, 7, 9, 5, 7], [5, 7, 9, 2, 6, 7, 9, 1], [3, 5, 6]]
 
@@ -344,59 +355,143 @@ def window_contexts(kind):
 class TestWindowKey:
     """A context's memo key is its window: the trailing ``order`` tokens, or
     the whole context when it is shorter, as plain ints whatever the
-    sequence type."""
+    sequence type, on a whole space and a bounded one alike."""
 
+    @pytest.mark.parametrize("vocab, capacity", [(16, 4369), (64, models.MEMO_WINDOWS)])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_every_context_form_hits_its_window_entry(self, kind):
-        m = window_backend(kind)
-        fresh = window_backend(kind)
-        assert m._logit_table is None
+    def test_every_context_form_hits_its_window_entry(self, kind, vocab, capacity):
+        m = window_backend(kind, vocab)
+        fresh = window_backend(kind, vocab)
+        assert m.capacity == capacity
         typecode = token_typecode(m.vocab_size)
         for n, (window, contexts) in enumerate(window_contexts(kind), 1):
-            first = m.next_logits(list(window))
-            for ctx in contexts:
-                for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
-                    assert m.next_logits(form) is first, (window, form)
-            assert len(m._memo) == n and list(m._memo)[-1] == window
-            assert all(type(t) is int for t in list(m._memo)[-1])
-            assert np.array_equal(first, fresh.next_logits(list(contexts[-1])))
-        # Windows that differ only in their oldest token are separate entries
-        # with separate logits.
-        assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
-
-    @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_every_context_form_reads_its_window_row(self, kind):
-        m = window_backend(kind, vocab=16)
-        fresh = window_backend(kind, vocab=16)
-        assert m._logit_table is not None
-        typecode = token_typecode(16)
-        for window, contexts in window_contexts(kind):
             first = m.next_logits(list(window))
             assert not first.flags.writeable
             assert first.tobytes() == fresh.window_logits(window).tobytes()
             for ctx in contexts:
                 for form in (list(ctx), tuple(ctx), array(typecode, ctx)):
-                    got = m.next_logits(form)
-                    assert not got.flags.writeable and got.tobytes() == first.tobytes()
-        assert m._memo == {} and sum(map(bool, m._logit_table.slot)) == 4 + (kind == "ngram")
+                    assert m.window_key(form) == window
+                    assert m.next_logits(form) is first, (window, form)
+            assert len(m._memo) == n and list(m._memo)[-1] == window
+            assert all(type(t) is int for t in list(m._memo)[-1])
+        # Windows that differ only in their oldest token are separate entries
+        # with separate logits.
         assert not np.array_equal(m.next_logits([5, 7, 9]), m.next_logits([6, 7, 9]))
 
 
+def max_whole_order(vocab):
+    """The largest order whose window space a memo keeps whole at ``vocab``."""
+    order = 0
+    row = 8 * vocab + models.ROW_OVERHEAD
+    while sum(vocab**n for n in range(order + 2)) * row <= models.TABLE_BYTES:
+        order += 1
+    return order
+
+
 class TestMemoSize:
+    """A memo keeps its whole window space when every window fits in
+    ``TABLE_BYTES`` at ``8 * V + ROW_OVERHEAD`` bytes a row, and the last
+    ``MEMO_WINDOWS`` windows otherwise."""
+
     @pytest.mark.parametrize("vocab", [8, 64, 401, 4096])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_every_vocabulary_keeps_memo_windows_rows(self, kind, vocab):
         # Order 6 gives V=8 more windows (8**6) than the memo holds, and too
-        # many for a table.
+        # many to keep whole.
         if kind == "table":
             m = TableModel(vocab, seed=1, order=6)
         else:
             m = NgramModel([[0, 1, 2, 3, 4, 5, 6, 7, 1, 3]], vocab, order=6)
-        assert m._logit_table is None
+        assert m.capacity == models.MEMO_WINDOWS == 64
         for w in distinct_windows(vocab, 6, models.MEMO_WINDOWS + 50, seed=2):
             m.next_logits(w)
-        assert len(m._memo) == len(m._memo_keys) == models.MEMO_WINDOWS == 64
+        assert len(m._memo) == len(m._memo._order) == models.MEMO_WINDOWS
         assert all(a.shape == (vocab,) for a in m._memo.values())
+
+    @pytest.mark.parametrize(
+        "vocab, order, whole",
+        [(64, 2, True), (66, 2, True), (67, 2, False), (80, 2, False), (698, 1, True),
+         (699, 1, False), (2, 12, True), (2, 13, False), (2, 17, False)],
+    )
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_the_whole_space_fits_in_its_budget(self, kind, vocab, order, whole):
+        # V=66 at order 2 keeps 4,423 windows in 4,104,544 bytes of 4 MiB,
+        # V=67 would need 4,265,352. Every space kept bounded here would fit
+        # at 8 * V bytes a row: only ROW_OVERHEAD leaves it out.
+        if kind == "table":
+            m = TableModel(vocab, seed=4, order=order)
+        else:
+            m = NgramModel([[0, 1, 0]], vocab, order=order)
+        n_windows = sum(vocab**n for n in range(order + 1))
+        assert n_windows * 8 * vocab <= models.TABLE_BYTES
+        assert m.capacity == (n_windows if whole else models.MEMO_WINDOWS)
+        assert (n_windows * (8 * vocab + models.ROW_OVERHEAD) <= models.TABLE_BYTES) == whole
+        assert order == max_whole_order(vocab) or not whole
+
+    def test_the_benchmarks_space_is_kept_whole(self):
+        # V=64 at order 2, the table target and draft of reflect-long and
+        # table-short: 4,161 windows in 3.80 MB.
+        assert TableModel(64, order=2).capacity == 4161
+        assert 4161 * (8 * 64 + models.ROW_OVERHEAD) == 3_794_832 <= models.TABLE_BYTES
+
+    def test_a_space_of_tiny_rows_keeps_memo_windows_and_builds_empty(self):
+        # V=2 at order 17: 262,143 windows fill 4 MiB at 16 bytes a row, but
+        # would hold ~109 MB as kept rows.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = TableModel(2, seed=1, order=17)
+            built = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert m.capacity == models.MEMO_WINDOWS and m._memo == {}
+        assert built < 4096
+        for w in distinct_windows(2, 17, 3 * models.MEMO_WINDOWS, seed=5):
+            m.next_logits(w)
+        assert len(m._memo) == models.MEMO_WINDOWS
+
+    def test_a_huge_order_builds_at_once(self):
+        # Counting every window of a huge order would sum ever larger powers
+        # of V; the count stops once the space overflows its budget.
+        code = (
+            "import time\n"
+            "from reflectspec.models import TableModel\n"
+            "start = time.perf_counter()\n"
+            "m = TableModel(64, order=10**6)\n"
+            "print(time.perf_counter() - start, m.capacity)\n"
+        )
+        seconds, capacity = run_python(code, timeout=20).split()
+        assert float(seconds) < 1.0 and int(capacity) == models.MEMO_WINDOWS
+
+
+class TestMemoBytes:
+    """``ROW_OVERHEAD`` is a measurement: filling every logits and q row of
+    the benchmark's V=64, order-2 pair grows each memo, as ``tracemalloc``
+    traces it, by at most ``capacity * (8 * V + ROW_OVERHEAD)`` bytes, and
+    that stays under ``TABLE_BYTES``."""
+
+    def test_every_row_of_the_benchmarks_pair_fits_its_bound(self):
+        vocab = 64
+        base, noise = TableModel(vocab, seed=1), TableModel(vocab, seed=2)
+        draft = BlendModel(base, noise, 0.3)
+        windows = [list(w) for w in all_windows(vocab, 2)]
+        base.next_logits([0])  # numpy.random's import is no row's cost
+        draft.next_distribution([0], 0.8)
+        bound = base.capacity * (8 * vocab + models.ROW_OVERHEAD)
+        tracemalloc.start()
+        try:
+            grown = []
+            for fill in (base.next_logits, lambda w: draft.next_distribution(w, 0.8)):
+                before = tracemalloc.get_traced_memory()[0]
+                for w in windows:
+                    fill(w)
+                grown.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert base.capacity == draft.capacity == len(windows) == 4161
+        assert len(base._memo) == len(draft._q_memo) == len(windows) and noise._memo == {}
+        for growth in grown:
+            assert 8 * vocab * len(windows) < growth <= bound < models.TABLE_BYTES
 
 
 class TestMemoEvictionOrder:
@@ -410,7 +505,7 @@ class TestMemoEvictionOrder:
             m = TableModel(401, seed=1, order=2)
         else:
             m = NgramModel([[0, 1, 2, 3, 4, 5]], 401, order=2)
-        assert m._logit_table is None
+        assert m.capacity == 3
         a, b, c, d, e = (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)
         for window in (a, b, c, a, d):
             m.next_logits(list(window))
@@ -418,7 +513,7 @@ class TestMemoEvictionOrder:
         for window in (b, a, e):
             m.next_logits(list(window))
         assert list(m._memo) == [d, a, e]
-        assert list(m._memo_keys) == [d, a, e]
+        assert list(m._memo._order) == [d, a, e]
 
 
 class TestTableMemo:
@@ -435,7 +530,7 @@ class TestTableMemo:
         for vocab in (64, 4096):
             assert_memo_stays_bounded(TableModel(vocab, seed=1, order=3), vocab)
 
-    @pytest.mark.parametrize("vocab", [8, 401])  # a table, a memo
+    @pytest.mark.parametrize("vocab", [8, 401])  # a whole space, a bounded one
     def test_returned_logits_are_read_only(self, vocab):
         m = TableModel(vocab, seed=2)
         logits = m.next_logits([1, 2])
@@ -474,17 +569,9 @@ def run_python(code, timeout):
     return done.stdout
 
 
-def table_index(vocab, window):
-    """A window's table row: the bijective base-V numeral with digits t + 1."""
-    index = 0
-    for t in window:
-        index = index * vocab + t + 1
-    return index
-
-
 class TestLogitsTable:
-    """A ``WindowModel`` whose window space fits in ``TABLE_BYTES`` keeps a
-    row of logits per window, filled on the window's first lookup; the
+    """A ``WindowModel`` whose window space fits in ``TABLE_BYTES`` keeps
+    every window's logits, computed on the window's first lookup; the
     logits stay those of ``Generator(PCG64(window_seed))``, byte for byte."""
 
     @pytest.mark.parametrize("seed", [-(2**63), -1, 0, 2**63 - 1])
@@ -494,92 +581,50 @@ class TestLogitsTable:
         m = TableModel(vocab, seed=seed, order=order)
         windows = all_windows(vocab, order)
         expected = [ref_table_logits(seed, w, vocab).tobytes() for w in windows]
-        assert m._logit_table.view.shape == (len(windows) + 1, vocab) and not any(m._logit_table.slot)
+        assert m.capacity == len(windows) and m._memo == {}
         for _ in range(2):
             assert [m.next_logits(list(w)).tobytes() for w in windows] == expected
-            assert all(m._logit_table.slot) and m._memo == {}
-        # A token outside the vocabulary has no row, and no memo entry either.
+            assert list(m._memo) == windows
+        # A token outside the vocabulary has no row.
         for w in [(vocab,), (0, vocab + 5), (-1,), (-1, 0)]:
             if len(w) <= order:
                 with pytest.raises(InvalidTokenError, match="outside vocabulary"):
                     m.next_logits(list(w))
-        assert m._memo == {}
+        assert list(m._memo) == windows
 
-    def test_a_lookup_fills_only_its_windows_row(self):
+    def test_a_lookup_keeps_only_its_windows_row(self):
         m = TableModel(64, seed=4, order=2)
-        assert m._logit_table.view.shape == (4162, 64) and m._logit_table.view.dtype == np.float64
-        assert not m._logit_table.view.any()
+        assert m.capacity == 4161 and m._memo == {}
         m.next_logits([9, 5, 7])
-        # Bijective base 64 with digits t + 1: (5 + 1) * 64 + (7 + 1).
-        assert table_index(64, (5, 7)) == 392
-        assert [i for i, f in enumerate(m._logit_table.slot) if f] == [392]
-        # The first window filled takes storage row 1; row 0 is never written.
-        assert m._logit_table.slot[392] == 1
-        assert np.flatnonzero(m._logit_table.view.any(axis=1)).tolist() == [1]
-        assert m._logit_table.view[1].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
+        assert list(m._memo) == [(5, 7)]
+        assert m._memo[(5, 7)].tobytes() == ref_table_logits(4, (5, 7), 64).tobytes()
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_rows_are_read_only(self, kind):
         m = build_backend(kind)
         row = m.next_logits([1, 2])
-        assert not row.flags.writeable and not m._logit_table.view.flags.writeable
+        assert not row.flags.writeable and m._memo[(1, 2)] is row
         with pytest.raises(ValueError):
             row[0] = 0.0
         with pytest.raises(ValueError):
             m.next_logits([3, 1, 2])[:] += 1.0
 
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_a_filled_row_is_read_not_recomputed(self, kind, monkeypatch):
+    def test_a_kept_row_is_read_not_recomputed(self, kind, monkeypatch):
         m = build_backend(kind)
         poked = m.next_logits([1, 2]) + 1.0
-        m._logit_table._rw[m._logit_table.slot[table_index(16, (1, 2))]] = poked
+        m._memo[(1, 2)] = poked
         monkeypatch.setattr(m, "window_logits", lambda window: pytest.fail("recomputed"))
-        assert m.next_logits([1, 2]).tobytes() == poked.tobytes()
-        assert m.next_logits([7, 1, 2]).tobytes() == poked.tobytes()
+        assert m.next_logits([1, 2]) is poked
+        assert m.next_logits([7, 1, 2]) is poked
 
     @pytest.mark.parametrize("vocab, order", [(401, 2), (64, 3)])
-    def test_large_window_spaces_take_the_memo(self, vocab, order):
+    def test_large_window_spaces_keep_memo_windows(self, vocab, order):
         m = TableModel(vocab, seed=4, order=order)
-        assert m._logit_table is None
+        assert m.capacity == models.MEMO_WINDOWS
         for w in distinct_windows(vocab, order, 20, seed=2):
             assert m.next_logits(w).tobytes() == ref_table_logits(4, w[-order:], vocab).tobytes()
         assert len(m._memo) == 20
-
-    @pytest.mark.parametrize(
-        "vocab, order, fits",
-        [(64, 2, True), (80, 2, True), (81, 2, False), (723, 1, True), (724, 1, False),
-         (2, 17, True), (2, 18, False)],
-    )
-    @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_the_table_fits_in_its_budget(self, kind, vocab, order, fits):
-        # 8 bytes a logit: V=80 at order 2 keeps 6,481 windows and the
-        # reserved row in 4,148,480 bytes of 4 MiB, V=81 would need 4,305,312;
-        # V=2 at order 17 fills the 4,194,304 bytes exactly.
-        if kind == "table":
-            m = TableModel(vocab, seed=4, order=order)
-        else:
-            m = NgramModel([[0, 1, 0]], vocab, order=order)
-        assert (m._logit_table is not None) == fits
-        if fits:
-            n_windows = sum(vocab**n for n in range(order + 1))
-            table = m._logit_table
-            # One storage row a window, plus the reserved row 0.
-            assert table.view.shape == (n_windows + 1, vocab)
-            assert table.view.nbytes <= models.TABLE_BYTES
-            assert len(table.slot) == n_windows
-
-    def test_a_huge_order_builds_at_once(self):
-        # Counting every window of a huge order would sum ever larger powers
-        # of V; the count stops once the table overflows its budget.
-        code = (
-            "import time\n"
-            "from reflectspec.models import TableModel\n"
-            "start = time.perf_counter()\n"
-            "m = TableModel(64, order=10**6)\n"
-            "print(time.perf_counter() - start, m._logit_table is None)\n"
-        )
-        seconds, no_table = run_python(code, timeout=20).split()
-        assert float(seconds) < 1.0 and no_table == "True"
 
 
 def fresh_q(build, context, temperature):
@@ -594,10 +639,10 @@ def window_blend(vocab, order, seed=4):
 
 
 class TestDistributionTable:
-    """A model that names its context's row in a tabled window space keeps
-    one table of ``next_distribution`` rows for the last temperature asked,
-    each filled by the same ``sampling_distribution(next_logits(context),
-    temperature)`` call an untabled model makes."""
+    """A model with a window key keeps one memo of ``next_distribution``
+    rows for the last temperature asked, each computed by the same
+    ``sampling_distribution(next_logits(context), temperature)`` call a
+    model without one makes, and as many as its logits memo keeps."""
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8, 1.3])
     @pytest.mark.parametrize("order", [1, 2])
@@ -615,43 +660,43 @@ class TestDistributionTable:
         windows = all_windows(vocab, order)
         want = [fresh_q(lambda: reference, w, temperature).tobytes() for w in windows]
         assert [m.next_distribution(list(w), temperature).tobytes() for w in windows] == want
-        assert all(m._q_table.slot) and m._q_table.key == temperature
-        # A filled row is read: no logits are computed on a repeated lookup.
+        assert list(m._q_memo) == windows and m._q_memo.temperature == temperature
+        # A kept row is read: no logits are computed on a repeated lookup.
         monkeypatch.setattr(m, "next_logits", lambda context: pytest.fail("recomputed"))
         assert [m.next_distribution(list(w), temperature).tobytes() for w in windows] == want
 
-    def test_a_new_temperature_replaces_the_table_and_back(self):
+    def test_a_new_temperature_replaces_the_memo_and_back(self):
         m = window_blend(16, 2)
         contexts = [[1, 2], [3], [15, 0, 7], [2, 2]]
         first = m.next_distribution(contexts[0], 0.8)
-        table = m._q_table
+        memo = m._q_memo
         for temperature in (0.8, 1.3, 0.0, 0.8):
             for ctx in contexts:
                 got = m.next_distribution(ctx, temperature)
                 want = fresh_q(lambda: window_blend(16, 2), ctx, temperature)
                 assert got.tobytes() == want.tobytes()
-            assert m._q_table.key == temperature and sum(map(bool, m._q_table.slot)) == len(contexts)
-        assert m._q_table is not table  # the 0.8 table was replaced, then rebuilt
+            assert m._q_memo.temperature == temperature and len(m._q_memo) == len(contexts)
+        assert m._q_memo is not memo  # the 0.8 memo was replaced, then rebuilt
         assert m.next_distribution(contexts[0], 0.8).tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("temperature", [float("nan"), -1.0])
     @pytest.mark.parametrize("kind", ["table", "blend"])
-    def test_a_refused_temperature_keeps_the_table(self, kind, temperature, monkeypatch):
+    def test_a_refused_temperature_keeps_the_memo(self, kind, temperature, monkeypatch):
         m = TableModel(16, seed=1) if kind == "table" else window_blend(16, 2)
         first = m.next_distribution([1, 2], 0.8)
-        table = m._q_table
+        memo = m._q_memo
         with pytest.raises(InvalidConfigError, match="^temperature must be >= 0"):
             m.next_distribution([1, 2], temperature)
-        assert m._q_table is table and table.key == 0.8
-        # The 0.8 row is read, not refilled.
+        assert m._q_memo is memo and memo.temperature == 0.8
+        # The 0.8 row is read, not recomputed.
         monkeypatch.setattr(m, "next_logits", lambda context: pytest.fail("recomputed"))
-        assert np.shares_memory(m.next_distribution([1, 2], 0.8), first)
+        assert m.next_distribution([1, 2], 0.8) is first
 
     @pytest.mark.parametrize("kind", ["table", "blend"])
     def test_rows_are_read_only(self, kind):
         m = TableModel(16, seed=4) if kind == "table" else window_blend(16, 2)
         row = m.next_distribution([1, 2], 0.8)
-        assert not row.flags.writeable and not m._q_table.view.flags.writeable
+        assert not row.flags.writeable and m._q_memo[(1, 2)] is row
         with pytest.raises(ValueError):
             row[0] = 0.0
 
@@ -662,17 +707,33 @@ class TestDistributionTable:
             (lambda: TableModel(64, seed=4, order=3), [1, 2, 3]),
             (lambda: window_blend(64, 3), [1, 2, 3]),
             (lambda: TableModel(64, seed=4, order=10**6), [1, 2, 3]),
+        ],
+    )
+    def test_a_bounded_space_keeps_memo_windows_q_rows(self, build, context):
+        m = build()
+        assert m.capacity == models.MEMO_WINDOWS
+        for _ in range(2):
+            got = m.next_distribution(context, 0.8)
+            assert got.tobytes() == fresh_q(build, context, 0.8).tobytes()
+        assert list(m._q_memo) == [m.window_key(context)]
+        for w in distinct_windows(64, 3, models.MEMO_WINDOWS + 10, seed=1):
+            m.next_distribution(w, 0.8)
+        assert len(m._q_memo) == models.MEMO_WINDOWS
+
+    @pytest.mark.parametrize(
+        "build, context",
+        [
             (lambda: BlendModel(build_backend("reflective"), TableModel(16, seed=6), 0.4), [1, 2]),
             (lambda: build_backend("reflective"), [1, 15, 1]),
         ],
     )
-    def test_untabled_contexts_take_the_plain_route_and_allocate_nothing(self, build, context):
+    def test_a_model_without_a_window_key_keeps_no_row(self, build, context):
         m = build()
-        assert m.n_windows == 0
+        assert m.window_key is None
         for _ in range(2):
             got = m.next_distribution(context, 0.8)
             assert got.tobytes() == fresh_q(build, context, 0.8).tobytes()
-        assert m._q_table is None
+        assert m._q_memo is None
 
     @pytest.mark.parametrize(
         "build, context, token",
@@ -682,35 +743,36 @@ class TestDistributionTable:
             (lambda: BlendModel(TableModel(16, seed=6), build_backend("ngram"), 0.4), [1, 16], 16),
         ],
     )
-    def test_an_out_of_vocabulary_window_is_refused_and_allocates_nothing(self, build, context, token):
+    def test_an_out_of_vocabulary_window_is_refused_and_keeps_nothing(self, build, context, token):
         m = build()
         message = f"^token {token} outside vocabulary of size 16$"
         with pytest.raises(InvalidTokenError, match=message):
-            m.window_row(context)
+            m.window_key(context)
         for _ in range(2):
             with pytest.raises(InvalidTokenError, match=message):
                 m.next_distribution(context, 0.8)
-        assert m._q_table is None
+        assert m._q_memo is None
 
     @pytest.mark.parametrize("larger", [0, 1])
-    def test_a_blend_of_two_orders_takes_the_larger_order_parts_row(self, larger):
+    def test_a_blend_of_two_orders_takes_the_larger_order_parts_key(self, larger):
         parts = [TableModel(16, seed=4, order=1), TableModel(16, seed=5, order=1)]
         parts[larger] = TableModel(16, seed=5, order=2)
         b = BlendModel(*parts, 0.3)
-        assert b.n_windows == parts[larger].n_windows == 1 + 16 + 16**2
+        assert b.window_key == parts[larger].window_key
+        assert b.capacity == parts[larger].capacity == 1 + 16 + 16**2
         rng = make_rng(3)
         for _ in range(50):
             ctx = random_context(rng, 16)
-            assert b.window_row(ctx) == parts[larger].window_row(ctx) == table_index(16, ctx[-2:])
+            assert b.window_key(ctx) == tuple(ctx[-2:])
             want = sampling_distribution(b.next_logits(ctx), 0.8)
             assert b.next_distribution(ctx, 0.8).tobytes() == want.tobytes()
         # Contexts that differ only before the larger window share its row.
-        assert np.shares_memory(b.next_distribution([7, 1, 2], 0.8), b.next_distribution([1, 2], 0.8))
+        assert b.next_distribution([7, 1, 2], 0.8) is b.next_distribution([1, 2], 0.8)
 
 
 def blend_parts(orders, forced):
     """A primary and a secondary table model of the given orders at V=16,
-    with the memo forced when ``forced`` (no table fits in ``TABLE_BYTES``
+    with bounded memos when ``forced`` (no space fits in ``TABLE_BYTES``
     = 0)."""
     with pytest.MonkeyPatch.context() as mp:
         if forced:
@@ -739,7 +801,6 @@ class TestBlendSecondaryFormula:
                 q = sampling_distribution(want, 0.8)
                 assert blend.next_distribution(ctx, 0.8).tobytes() == q.tobytes(), ctx
         assert secondary._memo == {}
-        assert secondary._logit_table is None or not any(secondary._logit_table.slot)
 
     @pytest.mark.parametrize(
         "ctx, message",
@@ -769,26 +830,18 @@ class TestBlendSecondaryFormula:
             BlendModel(TableModel(16, seed=1), build_backend(secondary), 0.4)
 
 
-def max_table_order(vocab):
-    """The largest order whose windows fit in ``TABLE_BYTES`` at ``vocab``."""
-    order = 0
-    while 8 * vocab * (sum(vocab**n for n in range(order + 2)) + 1) <= models.TABLE_BYTES:
-        order += 1
-    return order
-
-
-def packing_corpus(vocab):
+def lookup_corpus(vocab):
     return [[(3 * i + 1) % vocab for i in range(40)], [i % vocab for i in range(25)]]
 
 
 @st.composite
-def packing_cases(draw):
-    """A vocabulary and an order whose window space fits in ``TABLE_BYTES``,
-    distinct windows (empty only for the n-gram) and a lookup order over
-    them that first meets each window in turn and repeats some."""
+def lookup_cases(draw):
+    """A vocabulary and an order whose window space is kept whole, distinct
+    windows (empty only for the n-gram) and a lookup order over them that
+    first meets each window in turn and repeats some."""
     kind = draw(st.sampled_from(["table", "ngram", "blend"]))
     vocab = draw(st.integers(min_value=2, max_value=64))
-    order = draw(st.integers(min_value=1, max_value=min(3, max_table_order(vocab))))
+    order = draw(st.integers(min_value=1, max_value=min(3, max_whole_order(vocab))))
     shortest = 0 if kind == "ngram" else 1
     window = st.lists(
         st.integers(min_value=0, max_value=vocab - 1), min_size=shortest, max_size=order
@@ -801,24 +854,24 @@ def packing_cases(draw):
     return kind, vocab, order, windows, lookups
 
 
-class TestPackedRows:
-    """A table stores the k-th window it fills in storage row k and finds it
-    through ``slot``; row 0 is never written, and rows never move."""
+class TestMemoRows:
+    """A memo keeps each window's row from its first lookup, computed once
+    and in first-lookup order, and serves the same array after."""
 
     @settings(max_examples=60, deadline=None)
-    @given(packing_cases(), st.sampled_from([0.0, 0.8]))
-    def test_rows_are_packed_in_first_fill_order(self, case, temperature):
+    @given(lookup_cases(), st.sampled_from([0.0, 0.8]))
+    def test_rows_are_kept_in_first_lookup_order(self, case, temperature):
         kind, vocab, order, windows, lookups = case
 
         def build():
             if kind == "table":
                 return TableModel(vocab, seed=4, order=order)
             if kind == "ngram":
-                return NgramModel(packing_corpus(vocab), vocab, order=order, smoothing=0.5)
+                return NgramModel(lookup_corpus(vocab), vocab, order=order, smoothing=0.5)
             return window_blend(vocab, order)
 
         m, fresh = build(), build()
-        if kind == "blend":  # the q table: count softmaxes
+        if kind == "blend":  # the q memo: count softmaxes
             target, counted = models, "sampling_distribution"
 
             def lookup(w):
@@ -827,7 +880,7 @@ class TestPackedRows:
             def expected(w):
                 return fresh_q(lambda: fresh, w, temperature)
 
-        else:  # the logits table: count window formulas
+        else:  # the logits memo: count window formulas
             target, counted = m, "window_logits"
             lookup = m.next_logits
             if kind == "table":
@@ -843,34 +896,27 @@ class TestPackedRows:
             first = {}
             for i in lookups:
                 got = lookup(list(windows[i]))
-                if i in first:  # a repeat reads the row its first lookup filled
-                    assert np.shares_memory(got, first[i])
+                if i in first:  # a repeat reads the row its first lookup kept
+                    assert got is first[i]
                 else:
                     first[i] = got
                 assert len(computed) == len(first)
-        table = m._q_table if kind == "blend" else m._logit_table
-        n = len(windows)
-        assert [table.slot[m.window_row(list(w))] for w in windows] == list(range(1, n + 1))
-        assert sum(map(bool, table.slot)) == n
-        want = b"".join(expected(w).tobytes() for w in windows)
-        assert table.view[1 : n + 1].tobytes() == want
-        assert not table.view[0].any() and not table.view[n + 1 :].any()
-        for i, got in first.items():
-            assert np.shares_memory(got, table.view[i + 1])
+        memo = m._q_memo if kind == "blend" else m._memo
+        assert list(memo) == windows == list(memo._order)
+        assert [memo[w].tobytes() for w in windows] == [expected(w).tobytes() for w in windows]
         if kind == "blend":
-            # A new temperature starts a new table, packed from its first row.
+            # A new temperature starts a new memo, in its own lookup order.
             for w in windows[::-1]:
                 m.next_distribution(list(w), 1.3)
-            want = b"".join(fresh_q(lambda: fresh, w, 1.3).tobytes() for w in windows[::-1])
-            assert m._q_table.key == 1.3 and m._q_table.view[1 : n + 1].tobytes() == want
-            assert not m._q_table.view[n + 1 :].any()
+            assert m._q_memo.temperature == 1.3 and list(m._q_memo) == windows[::-1]
+            want = [fresh_q(lambda: fresh, w, 1.3).tobytes() for w in windows[::-1]]
+            assert [m._q_memo[w].tobytes() for w in windows[::-1]] == want
 
-    def test_resident_growth_follows_the_filled_rows(self):
+    def test_resident_growth_follows_the_kept_rows(self):
         if not os.path.exists("/proc/self/statm"):
             pytest.skip("no /proc/self/statm to read the resident set from")
-        # Stored at its window's index, each of these 512-byte rows (a, 8k + 7)
-        # would sit alone on its 4 KiB page: 2 MiB resident. Packed, the 512
-        # rows take 256 KiB.
+        # 512 of the 4,161 windows at V=64: about 370 KB of kept rows, where
+        # the whole space would take 3 MB.
         code = (
             "import os\n"
             "from reflectspec.models import TableModel\n"
@@ -894,8 +940,8 @@ ARRAY_TYPECODES = "bBhHiIlLqQ"
 
 
 def both_paths(kind, vocab=64, order=2):
-    """The same backend built once on the table path and once with the memo
-    forced (no table fits in ``TABLE_BYTES`` = 0)."""
+    """The same backend built once keeping its whole window space and once
+    with a bounded memo (no space fits in ``TABLE_BYTES`` = 0)."""
 
     def build():
         if kind == "table":
@@ -904,21 +950,22 @@ def both_paths(kind, vocab=64, order=2):
         docs = [random_context(rng, vocab, 60) for _ in range(40)]
         return NgramModel(docs, vocab, order=order, smoothing=0.5)
 
-    table = build()
+    whole = build()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "TABLE_BYTES", 0)
-        memo = build()
-    assert table._logit_table is not None and memo._logit_table is None
-    return table, memo
+        bounded = build()
+    assert whole.capacity > models.MEMO_WINDOWS == bounded.capacity
+    return whole, bounded
 
 
 class TestTableMemoDifferential:
-    """The table and the memo serve the same bytes for every context form."""
+    """A whole space and a bounded memo serve the same bytes for every
+    context form."""
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
     def test_every_context_form_gets_the_same_bytes(self, kind, order):
-        table, memo = both_paths(kind, order=order)
+        whole, bounded = both_paths(kind, order=order)
         rng = make_rng(order)
         contexts = [[], [63], [0, 63], [64], [70, 1], [1, 64], [63, 127], [-1], [2, -3]]
         contexts += [random_context(rng, 64) for _ in range(200)]
@@ -930,22 +977,22 @@ class TestTableMemoDifferential:
                 if min(ctx, default=0) >= 0:
                     forms += [array(code, ctx) for code in ARRAY_TYPECODES]
                 if all(0 <= t < 64 for t in ctx[-order:]):
-                    want = memo.next_logits(ctx).tobytes()
+                    want = bounded.next_logits(ctx).tobytes()
                     for form in forms:
-                        assert table.next_logits(form).tobytes() == want, (ctx, form)
+                        assert whole.next_logits(form).tobytes() == want, (ctx, form)
                     continue
                 # A window outside the vocabulary is refused on both routes.
-                for model, form in itertools.product((table, memo), forms):
+                for model, form in itertools.product((whole, bounded), forms):
                     with pytest.raises(InvalidTokenError, match="outside vocabulary of size 64$"):
                         model.next_logits(form)
-        assert any(table._logit_table.slot) and table._memo == {} and len(memo._memo) > 0
+        assert len(whole._memo) >= len(bounded._memo) > 0
 
 
 class TestOutOfVocabularyWindows:
     """A window that holds a token outside the vocabulary, or one that is not
     an integer, is refused with an ``InvalidTokenError`` naming the token,
-    on the table and the memo route alike, and nothing is stored for it. A
-    token older than the window is never read."""
+    on a whole space and a bounded memo alike, and nothing is kept for it.
+    A token older than the window is never read."""
 
     @pytest.mark.parametrize("token", [-1, -(2**70), 64, 2**64, 2**70])
     @pytest.mark.parametrize("order, forced", [(2, False), (2, True), (3, False)])
@@ -960,8 +1007,7 @@ class TestOutOfVocabularyWindows:
             if forced:
                 mp.setattr(models, "TABLE_BYTES", 0)
             m = build()
-        tabled = m._logit_table is not None
-        assert tabled == (order == 2 and not forced)
+        assert (m.capacity > models.MEMO_WINDOWS) == (order == 2 and not forced)
         message = f"^token {token} outside vocabulary of size 64$"
         for window in ([token], [token, 1], [1, token], [5, token, 1][-order:]):
             forms = [window, tuple(window)]
@@ -970,7 +1016,7 @@ class TestOutOfVocabularyWindows:
             for form in forms:
                 with pytest.raises(InvalidTokenError, match=message):
                     m.next_logits(form)
-        assert m._memo == {} and not (tabled and any(m._logit_table.slot))
+        assert m._memo == {}
         inside = [5, 1, 7][:order]
         want = build().next_logits(inside).tobytes()
         assert m.next_logits([token] + inside).tobytes() == want
@@ -982,13 +1028,13 @@ class TestOutOfVocabularyWindows:
             if forced:
                 mp.setattr(models, "TABLE_BYTES", 0)
             m = TableModel(16, seed=1)
-        assert (m._logit_table is None) == forced
+        assert (m.capacity == models.MEMO_WINDOWS) == forced
         bad = next(t for t in window if not isinstance(t, int))
         message = f"^token {re.escape(repr(bad))} is not an integer$"
         for call in (m.next_logits, lambda c: m.next_distribution(c, 0.8)):
             with pytest.raises(InvalidTokenError, match=message):
                 call(window)
-        assert m._memo == {} and not (m._logit_table and any(m._logit_table.slot))
+        assert m._memo == {} and m._q_memo is None
 
     @pytest.mark.parametrize("bad", [1.0, np.float64(1.0)], ids=["float", "float64"])
     @pytest.mark.parametrize("kind", ["table", "ngram"])
@@ -998,7 +1044,7 @@ class TestOutOfVocabularyWindows:
             m = TableModel(401, seed=1)
         else:
             m = NgramModel(WINDOW_DOCS, 401, order=2)
-        assert m._logit_table is None
+        assert m.capacity == models.MEMO_WINDOWS
         held = m.next_logits([1, 2])
         message = f"^token {re.escape(repr(bad))} is not an integer$"
         for call in (m.next_logits, lambda c: m.next_distribution(c, 0.8)):
@@ -1011,31 +1057,30 @@ NUMPY_INTEGERS = [np.uint8, np.int8, np.uint16, np.int64, np.uint64]
 
 
 class TestNumpyIntegerWindows:
-    """A tabled window of numpy integer tokens reads as its values: it names
-    the plain-int window's row, whatever the width of the integer type."""
+    """A window of numpy integer tokens reads as its values: it keys the
+    plain-int window's row, whatever the width of the integer type."""
 
     @pytest.mark.parametrize("dtype", NUMPY_INTEGERS)
-    def test_a_numpy_window_fills_and_reads_its_own_row(self, dtype):
+    def test_a_numpy_window_keeps_and_reads_its_own_row(self, dtype):
         m, fresh = TableModel(64, seed=3), TableModel(64, seed=3)
         window = [dtype(5), dtype(7)]
         assert m.next_logits(window).tobytes() == fresh.next_logits([5, 7]).tobytes()
         want = fresh.next_distribution([5, 7], 0.8).tobytes()
         assert m.next_distribution(window, 0.8).tobytes() == want
-        for table in (m._logit_table, m._q_table):
-            assert [i for i, k in enumerate(table.slot) if k] == [table_index(64, (5, 7))]
-        # Window (1, 7) is number 136, where a uint8 numeral of (5, 7) wraps.
-        assert table_index(64, (1, 7)) == table_index(64, (5, 7)) % 256
+        for memo in (m._memo, m._q_memo):
+            assert list(memo) == [(5, 7)] and all(type(t) is int for t in next(iter(memo)))
         assert m.next_logits([1, 7]).tobytes() == ref_table_logits(3, (1, 7), 64).tobytes()
 
     @pytest.mark.parametrize("form", [int] + NUMPY_INTEGERS)
     @pytest.mark.parametrize("kind", ["table", "ngram"])
-    def test_window_row_is_the_reference_numeral_of_every_window(self, kind, form):
+    def test_window_key_is_the_plain_int_window(self, kind, form):
         if kind == "table":
             m = TableModel(5, seed=1, order=2)
         else:
             m = NgramModel([[0, 1, 2, 3, 4, 1]], 5, order=2)
         for w in all_windows(5, 2):
-            assert m.window_row([form(t) for t in w]) == table_index(5, w)
+            key = m.window_key([form(t) for t in w])
+            assert key == w and all(type(t) is int for t in key)
 
 
 # The span of trailing tokens each model reads: its window, a blend's larger
@@ -1276,16 +1321,16 @@ class TestNgramCountFreeRow:
         data=st.data(),
     )
     def test_count_free_windows_share_one_read_only_row(self, vocab, order, smoothing, data):
-        # In the memo every count-free window holds the one shared row; the
-        # table copies its bytes into each count-free window's row.
+        # Every count-free window keeps the one shared row, in a whole space
+        # and a bounded memo alike.
         token = st.integers(0, vocab - 1)
         corpus = data.draw(st.lists(st.lists(token, min_size=1, max_size=30), min_size=1, max_size=4))
         windows = data.draw(st.lists(st.lists(token, min_size=1, max_size=order), max_size=40))
-        table = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
+        whole = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "TABLE_BYTES", 0)
             m = NgramModel(corpus, vocab, order=order, smoothing=smoothing)
-        assert m._logit_table is None
+        assert m.capacity == models.MEMO_WINDOWS
         pair_counts, ctx_counts = ref_ngram_counts(corpus, order)
         unheld = (list(w) for w in itertools.product(range(vocab), repeat=order) if w not in pair_counts)
         free = [w for w in windows if tuple(w) not in pair_counts] + list(itertools.islice(unheld, 1))
@@ -1297,9 +1342,9 @@ class TestNgramCountFreeRow:
         assert all(m.next_logits(w) is row for w in free + free[::-1])
         for held in pair_counts:
             assert m.next_logits(list(held)) is not row
-        for w in free + free[::-1]:
-            got = table.next_logits(w)
-            assert not got.flags.writeable and got.tobytes() == row.tobytes()
+        shared = whole.next_logits(free[0])
+        assert shared.tobytes() == row.tobytes()
+        assert all(whole.next_logits(w) is shared for w in free + free[::-1])
 
 
 def ngram_memo_model(vocab=401, documents=5, order=2):
@@ -1328,7 +1373,7 @@ class TestNgramMemo:
         for vocab in (64, 4096):
             assert_memo_stays_bounded(NgramModel([[0, 1, 2, 3]], vocab, order=3), vocab)
 
-    @pytest.mark.parametrize("vocab", [8, 401])  # a table, a memo
+    @pytest.mark.parametrize("vocab", [8, 401])  # a whole space, a bounded one
     def test_returned_logits_are_read_only(self, vocab):
         m, _ = ngram_memo_model(vocab)
         logits = m.next_logits([1, 2])

@@ -11,7 +11,7 @@ from reference_impl import ref_layout
 from reflectspec import models
 from reflectspec.corpus import IntTokenizer, WordTokenizer
 from reflectspec.drafting import DraftBundle
-from reflectspec.errors import InternalConsistencyError, InvalidConfigError
+from reflectspec.errors import InternalConsistencyError, InvalidConfigError, InvalidLogitsError
 from reflectspec.models import ModelSession, TableModel
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
@@ -190,15 +190,15 @@ class TestPairedForward:
         [(64, 3, 1), (64, 3, 2), (64, 3, 5), (64, 3, 48), (401, 2, 5), (401, 2, 48)],
     )
     def test_the_memo_serves_every_second_copy_window(self, vocab, order, gamma):
-        # V=64 at order 3 and V=401 at order 2 have too many windows for a
-        # table, so the FIFO memo keeps them. A prefix of at least order - 1
+        # V=64 at order 3 and V=401 at order 2 have too many windows to keep
+        # whole, so the memo keeps the last MEMO_WINDOWS of them. A prefix of at least order - 1
         # tokens replays the committed tail, so each second-copy window
         # repeats a first-copy window of the same forward, and only the memo
         # spares recomputing it. At gamma 48 the second copy starts 53
         # positions after the first: a memo of 53 windows serves it, one of
         # 52 recomputes all 48 windows.
         model = TableModel(vocab, seed=8, order=order)
-        assert model._logit_table is None
+        assert model.capacity == models.MEMO_WINDOWS
         committed = [5, 17, 33, 2, 61]
         session = ModelSession(model)
         session.forward(committed)
@@ -259,7 +259,7 @@ class TestFuse:
         assert fused[0].tolist() == [0.0, 1.0]
 
     def test_length_mismatch(self):
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InvalidLogitsError, match="^original and reflective differ in length: 1 vs 0$"):
             fuse([np.zeros(4)], [], 0.3, 1.0)
 
     def test_alpha_validated(self):

@@ -17,7 +17,12 @@ from fixtures import make_divergence_pair
 from reflectspec import engine, verification
 from reflectspec.drafting import generate_draft
 from reflectspec.engine import DecodeConfig, decode
-from reflectspec.errors import DegenerateResidualError, InvalidConfigError, InvalidTokenError
+from reflectspec.errors import (
+    DegenerateResidualError,
+    InvalidConfigError,
+    InvalidDistributionError,
+    InvalidTokenError,
+)
 from reflectspec.models import ModelSession, ModelSpec
 from reflectspec.reflective import ReflectiveTemplate
 from reflectspec.tokens import make_rng, one_hot
@@ -337,6 +342,55 @@ class TestDraftTokens:
             want = VERIFIERS[name]([token], make_rng(1))
             for cast in (np.int64, np.uint8):
                 assert VERIFIERS[name]([cast(token)], make_rng(1)) == want
+
+
+Q_ZERO_AT_0 = np.array([0.0, 0.3, 0.3, 0.4])
+
+CALLER_FAULTS = {
+    "p too short": (
+        lambda rng: verify_exact_match([P4], [1], rng),
+        InvalidDistributionError, r"^p_dists must hold 2 rows for 1 draft tokens, got 1$",
+    ),
+    "p too long": (
+        lambda rng: verify_speculative_sampling([P4, P4, P4], [Q4], [1], rng),
+        InvalidDistributionError, r"^p_dists must hold 2 rows for 1 draft tokens, got 3$",
+    ),
+    "too few q rows": (
+        lambda rng: verify_speculative_sampling([P4, P4, P4], [Q4], [1, 2], rng),
+        InvalidDistributionError, r"^q_dists must hold 2 rows, got 1$",
+    ),
+    "too few entropy rows": (
+        lambda rng: verify_typical([P4, P4, P4], [P4], [1, 2], 0.3, 0.2, rng),
+        InvalidDistributionError, r"^entropy_dists must hold 2 rows, got 1$",
+    ),
+    "q of another width": (
+        lambda rng: verify_speculative_sampling([P4, P4], [np.full(5, 0.2)], [1], rng),
+        InvalidDistributionError, r"^q_dists rows have 5 tokens, p_dists rows 4$",
+    ),
+    "zero q mass": (
+        lambda rng: verify_speculative_sampling([P4, P4], [Q_ZERO_AT_0], [0], rng),
+        InvalidTokenError, r"^draft token 0 has zero q_dists mass at position 0$",
+    ),
+}
+
+
+class TestCallerInputs:
+    """A verifier given blocks that do not fit the draft, or a draft token
+    its q gives no mass, raises the package error that names the argument,
+    before it draws: the caller is at fault, not the package."""
+
+    @pytest.mark.parametrize("case", CALLER_FAULTS)
+    def test_the_error_names_the_argument_before_the_draw(self, case):
+        call, error, message = CALLER_FAULTS[case]
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            call(rng)
+        assert rng.bit_generator.state == before
+
+    def test_exact_step_distribution_refuses_rows_of_different_widths(self):
+        with pytest.raises(InvalidDistributionError, match=r"^p and q differ in shape: \(4,\) vs \(5,\)$"):
+            exact_step_distribution(P4, np.full(5, 0.2))
 
 
 ROOT = Path(__file__).resolve().parent.parent
