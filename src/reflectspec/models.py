@@ -52,7 +52,7 @@ TABLE_LOGIT_HIGH = 4.0
 # bytes a row (4,161 windows and 3.80 MB at V=64 and order 2), else the last
 # MEMO_WINDOWS. ROW_OVERHEAD bounds a kept row's bytes beyond its data (the
 # array object, key tuple, dict and deque entries): tracemalloc traces
-# 210-260 in a memo of hundreds of rows, and 400 covers a dict just grown.
+# 150-260 in a memo of hundreds of rows, and 400 covers a dict just grown.
 TABLE_BYTES = 4 * 1024 * 1024
 MEMO_WINDOWS = 64
 ROW_OVERHEAD = 400
