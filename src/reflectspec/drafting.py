@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidConfigError
+from .errors import InvalidConfigError
 from .models import ModelSession
-from .tokens import inverse_cdf
+from .tokens import inverse_cdf, setting_int
 
 
 @dataclass(frozen=True)
@@ -48,19 +48,21 @@ def generate_draft(session: ModelSession, gamma: int, rng: np.random.Generator) 
 
     The session is left holding the committed prefix plus the first gamma - 1
     drafted tokens; ``engine.commit_and_prune`` keeps the accepted ones and
-    drops the rest, so no accepted position is computed twice.
+    drops the rest, so no accepted position is computed twice. Bad input
+    is refused before any uniform is drawn.
     """
+    gamma = setting_int("gamma", gamma)  # a bool is no length to rng.random
     if gamma < 1:
         raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
     if session.temperature is None:
-        raise InternalConsistencyError("the draft session caches logits, not distributions")
+        raise InvalidConfigError("the draft session caches logits: build it with a temperature")
     tokens: list[int] = []
     dists: list[np.ndarray] = []
+    q = session.last_row
     for i, u in enumerate(rng.random(gamma).tolist()):
-        q = session.last_row
         tok = inverse_cdf(q, u)
         tokens.append(tok)
         dists.append(q)
         if i < gamma - 1:
-            session.forward([tok])
+            (q,) = session.forward([tok])
     return DraftBundle(tuple(tokens), tuple(dists))

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .drafting import DraftBundle, generate_draft
-from .errors import InternalConsistencyError, InvalidConfigError
+from .errors import InvalidConfigError
 from .models import MAX_VOCAB_SIZE, Model, ModelSession
 from .reflective import (
     ReflectiveTemplate,
@@ -192,7 +192,7 @@ def decode(
         start = time.perf_counter()
         if config.strategy == "vanilla":
             # An empty draft: the step emits only its bonus, drawn from p_0.
-            draft_tokens, draft_forwards, fed = (), 0, 0
+            draft_tokens, draft_forwards = (), 0
             original = [target_session.last_logits]
             bonus = inverse_cdf(sampling_distribution(original[0], config.temperature), rng.random())
             result = VerificationResult(bonus, ())
@@ -208,15 +208,14 @@ def decode(
                 layout = build_reflective_input(bundle, config.template, committed)
                 original, reflective = paired_forward(target_session, layout)
                 fused = fuse(original, reflective, config.alpha, config.temperature)
-                fed = len(layout.full_sequence)
             else:
-                first = target_session.last_logits
-                original = [first] + target_session.forward(list(bundle.tokens))
+                original = [target_session.last_logits] + target_session.forward(list(bundle.tokens))
                 fused = sampling_distribution(stack_rows(original), config.temperature)
-                fed = bundle.gamma
             result = _verify(config, fused, original, bundle, rng)
 
-        commit_and_prune(target_session, draft_session, fed, result)
+        fed = len(target_session) - len(committed)  # the verification pass's input
+        keep_length = len(committed) + result.accepted_n
+        commit_and_prune(target_session, draft_session, keep_length, result.bonus)
 
         step_tokens = list(draft_tokens[: result.accepted_n]) + [result.bonus]
         kept = _cut(step_tokens, config, len(stats.output_tokens))
@@ -243,31 +242,23 @@ def decode(
 def commit_and_prune(
     target_session: ModelSession,
     draft_session: ModelSession,
-    fed_len: int,
-    result: VerificationResult,
+    keep_length: int,
+    bonus: int,
 ) -> None:
-    """Prune both sessions to the accepted draft and commit the step's tokens.
+    """Prune both sessions to ``keep_length`` tokens, then feed the target
+    the step's ``bonus``, whose logits stay cached for the next step.
 
-    ``fed_len`` is the number of tokens the step's verification pass fed the
-    target: the whole reflective layout, the draft alone on a plain step, or
-    0 on a vanilla step. Both sessions are truncated back to the committed
-    prefix plus the accepted draft tokens. On the target this drops the
-    rejected draft tokens and, on a reflective step, the probe, the prefix
-    replay, and the entire second copy; the bonus token is then appended by
-    the next forward, leaving its logits cached for the following step. The
-    draft session, which holds the committed prefix plus the first gamma - 1
-    drafts (only the prompt on a vanilla decode), loses the rejected drafts
-    and keeps the accepted ones; when all gamma were accepted it is already
-    shorter and stays as it is.
+    ``decode`` keeps the committed prefix plus the accepted drafts. On the
+    target this drops the rejected drafts and, on a reflective step, the
+    probe, the prefix replay and the second copy. The draft session holds
+    the committed prefix plus the first gamma - 1 drafts (only the prompt
+    on a vanilla decode), so it loses only rejected ones. ``truncate``
+    refuses a ``keep_length`` outside [0, ``len(target_session)``].
     """
-    committed_before = len(target_session) - fed_len
-    if committed_before < 0:
-        raise InternalConsistencyError("session shorter than the tail it supposedly holds")
-    keep = committed_before + result.accepted_n
-    target_session.truncate(keep)
-    target_session.forward([result.bonus])
-    if len(draft_session) > keep:
-        draft_session.truncate(keep)
+    target_session.truncate(keep_length)
+    target_session.forward([bonus])
+    if len(draft_session) > keep_length:
+        draft_session.truncate(keep_length)
 
 
 def _verify(
@@ -282,13 +273,12 @@ def _verify(
         return verify_exact_match(fused, bundle.tokens, rng, greedy_match=greedy_match)
     if config.strategy == "specsample":
         return verify_speculative_sampling(fused, bundle.q_dists, bundle.tokens, rng)
-    if config.strategy == "typical":
-        if config.entropy_source == "fused" or not config.reflect:
-            entropy_dists = fused  # unreflected, fused is softmax(original)
-        else:
-            entropy_dists = sampling_distribution(stack_rows(original), config.temperature)
-        return verify_typical(fused, entropy_dists, bundle.tokens, config.epsilon, config.delta, rng)
-    raise InvalidConfigError(f"unknown strategy {config.strategy!r}")
+    # Typical, the one strategy left: DecodeConfig admits no other.
+    if config.entropy_source == "fused" or not config.reflect:
+        entropy_dists = fused  # unreflected, fused is softmax(original)
+    else:
+        entropy_dists = sampling_distribution(stack_rows(original), config.temperature)
+    return verify_typical(fused, entropy_dists, bundle.tokens, config.epsilon, config.delta, rng)
 
 
 def _cut(step_tokens: list[int], config: DecodeConfig, emitted: int) -> list[int]:

@@ -1,9 +1,11 @@
 """Exception hierarchy.
 
 A ``ReflectSpecError`` is caused by the caller (a setting, token, file or
-input): ``CellRunner.run``, ``selftest.run_all`` and ``cli.main`` record or
-print it. An ``InternalConsistencyError`` means an invariant broke; it is no
-``ReflectSpecError``, and no handler catches it.
+input) and names the argument: ``CellRunner.run``, ``selftest.run_all`` and
+``cli.main`` record or print it. An ``InternalConsistencyError`` means an
+invariant broke; it is no ``ReflectSpecError``, and no handler catches it.
+No package check raises it, since every condition a call checks is its
+caller's input; it is kept for code that must let a fault through by name.
 """
 
 
@@ -28,7 +30,7 @@ class InvalidTokenError(ReflectSpecError):
 
 
 class SessionRangeError(ReflectSpecError):
-    """A session truncation target exceeds the current length."""
+    """A position a session does not hold: past its end, or an empty one's row."""
 
 
 class DegenerateResidualError(ReflectSpecError):

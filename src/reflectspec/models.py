@@ -36,12 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidTokenError,
-    InternalConsistencyError,
-    SessionRangeError,
-)
+from .errors import InvalidConfigError, InvalidTokenError, SessionRangeError
 from .tokens import derive_seed, sampling_distribution, setting_int, token_ids
 
 TABLE_LOGIT_LOW = -4.0
@@ -95,6 +90,7 @@ class Model:
 
     vocab_size: int
     window_key = None  # a context's row key, where a memo of ``capacity`` keeps rows
+    whole_space = False  # the memo keeps every window's row
     _q_memo: _Memo | None = None
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
@@ -104,12 +100,13 @@ class Model:
     def next_distribution(self, context: Sequence[int], temperature: float) -> np.ndarray:
         """``sampling_distribution(self.next_logits(context), temperature)``.
 
-        A model with a ``window_key`` keeps each row, read-only, in a
-        ``_Memo`` of ``capacity`` rows for the last temperature asked; a new
-        temperature replaces the memo once its first row is computed, so a
-        refused one leaves it as it was.
+        A model that keeps its ``whole_space`` keeps each row, read-only, in
+        a ``_Memo`` of ``capacity`` rows for the last temperature asked; a
+        new temperature replaces the memo once its first row is computed, so
+        a refused one leaves it as it was. A bounded memo would serve almost
+        no draft window twice, so any other model keeps no row.
         """
-        if self.window_key is None:
+        if not self.whole_space:
             return sampling_distribution(self.next_logits(context), temperature)
         key = self.window_key(context)
         memo = self._q_memo
@@ -187,7 +184,7 @@ class ModelSession:
     def last_row(self) -> np.ndarray:
         """The cached row predicting the token after the current context."""
         if not self._rows:
-            raise InternalConsistencyError("empty session has no cached row")
+            raise SessionRangeError("the session is empty: it holds no row")
         return self._rows[-1]
 
     last_logits = last_row  # the name read where the rows are logits
@@ -222,7 +219,7 @@ class ModelSession:
         """Shorten committed tokens and cached rows to ``keep_length``."""
         if not 0 <= setting_int("keep_length", keep_length) <= len(self._tokens):
             raise SessionRangeError(
-                f"cannot truncate to {keep_length} (current length {len(self._tokens)})"
+                f"keep_length {keep_length} outside [0, {len(self._tokens)}], the session's length"
             )
         del self._tokens[keep_length:]
         del self._rows[keep_length:]
@@ -236,11 +233,12 @@ class WindowModel(Model):
     Logits rows are kept in one ``_Memo`` keyed by the window's tokens
     (``window_key``). A space whose every window of length 0 to ``order``
     fits in ``TABLE_BYTES`` at ``8 * V + ROW_OVERHEAD`` bytes a row is kept
-    whole (``capacity`` is its window count), so no window is computed
-    twice. A larger space keeps the last ``MEMO_WINDOWS``: its job is the
-    reflective step's second copy, which re-reads the first copy's windows
-    ``shift_len`` positions later, so a step whose ``shift_len`` is above
-    about ``MEMO_WINDOWS`` recomputes them.
+    whole (``whole_space``; ``capacity`` is its window count), so no window
+    is computed twice, and so are its q rows (``next_distribution``). A
+    larger space keeps the last ``MEMO_WINDOWS`` logits rows and no q row:
+    its job is the reflective step's second copy, which re-reads the first
+    copy's windows ``shift_len`` positions later, so a step whose
+    ``shift_len`` is above about ``MEMO_WINDOWS`` recomputes them.
 
     A window that holds a token outside the vocabulary, or one that is not
     an integer, is an ``InvalidTokenError`` naming it, whatever the memo
@@ -248,6 +246,8 @@ class WindowModel(Model):
     context but a session's buffer). Returned arrays are shared between
     calls and read-only.
     """
+
+    whole_space = True  # unless the space overflows TABLE_BYTES
 
     def __init__(self, vocab_size: int, order: int):
         if vocab_size < 2:
@@ -260,14 +260,13 @@ class WindowModel(Model):
         self.order = order
         # Counting stops once the space overflows its budget, so a huge
         # order never sums huge powers of V.
-        capacity = 0
+        self.capacity = 0
         for n in range(order + 1):
-            capacity += vocab_size**n
-            if capacity * (8 * vocab_size + ROW_OVERHEAD) > TABLE_BYTES:
-                capacity = MEMO_WINDOWS
+            self.capacity += vocab_size**n
+            if self.capacity * (8 * vocab_size + ROW_OVERHEAD) > TABLE_BYTES:
+                self.capacity, self.whole_space = MEMO_WINDOWS, False
                 break
-        self.capacity = capacity
-        self._memo = _Memo(capacity)
+        self._memo = _Memo(self.capacity)
 
     def window_key(self, context: Sequence[int]) -> tuple[int, ...]:
         """``context``'s window as a tuple of plain ints."""
@@ -385,7 +384,7 @@ class BlendModel(Model):
 
     A blend of two ``WindowModel``s is a function of its larger-order
     part's window, so it keys its rows by that part's ``window_key`` and
-    keeps as many as that part's ``capacity``.
+    keeps them where that part keeps its ``whole_space``.
     """
 
     def __init__(self, primary: Model, secondary: WindowModel, weight: float):
@@ -404,6 +403,7 @@ class BlendModel(Model):
         if isinstance(primary, WindowModel):
             space = max(primary, secondary, key=lambda part: part.order)
             self.window_key, self.capacity = space.window_key, space.capacity
+            self.whole_space = space.whole_space
 
     def next_logits(self, context: Sequence[int]) -> np.ndarray:
         secondary = self.secondary

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .drafting import DraftBundle
-from .errors import InvalidConfigError, InternalConsistencyError, InvalidLogitsError
+from .errors import InvalidConfigError, InvalidLogitsError
 from .models import ModelSession
 from .tokens import sampling_distribution, setting_int, stack_rows
 
@@ -64,7 +64,9 @@ class ReflectiveTemplate:
     reflective: bool = True
 
     def __post_init__(self) -> None:
-        if setting_int("prefix_len", self.prefix_len) < 0:
+        # A plain int: numpy unsigned arithmetic wraps below 0.
+        object.__setattr__(self, "prefix_len", setting_int("prefix_len", self.prefix_len))
+        if self.prefix_len < 0:
             raise InvalidConfigError("prefix_len must be >= 0")
 
 
@@ -75,19 +77,20 @@ class ReflectiveLayout:
     ``shift_len`` is the distance between a draft token and its mirror in
     the second copy (gamma plus the probe and prefix lengths), so the first
     reflective logit sits at 1-based input index ``shift_len + 1``. The
-    draft length ``gamma`` is what follows the first ``shift_len`` tokens.
+    draft length ``gamma``, in [1, ``shift_len``], follows the first ``shift_len`` tokens.
     """
 
     full_sequence: tuple[int, ...]
     shift_len: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shift_len", setting_int("shift_len", self.shift_len))
         if not 1 <= self.gamma <= self.shift_len:
-            raise InternalConsistencyError(
-                f"layout draft length {self.gamma} outside [1, shift_len {self.shift_len}]"
+            raise InvalidConfigError(
+                f"shift_len {self.shift_len} leaves full_sequence a draft of length {self.gamma}"
             )
         if self.full_sequence[: self.gamma] != self.full_sequence[self.shift_len :]:
-            raise InternalConsistencyError("second draft copy does not mirror the first")
+            raise InvalidConfigError("full_sequence's second draft copy does not mirror the first")
 
     @property
     def gamma(self) -> int:
@@ -130,13 +133,9 @@ def build_reflective_input(
     The prefix segment replays the last ``template.prefix_len`` committed
     tokens; when fewer are committed, all of them are used (no padding).
     """
-    tokens = list(draft.tokens)
-    prompt = list(template.prompt_tokens)
-    prefix = list(committed[-template.prefix_len :]) if template.prefix_len > 0 else []
-    return ReflectiveLayout(
-        full_sequence=tuple(tokens + prompt + prefix + tokens),
-        shift_len=len(tokens) + len(prompt) + len(prefix),
-    )
+    prefix = committed[max(len(committed) - template.prefix_len, 0) :]
+    head = (*draft.tokens, *template.prompt_tokens, *prefix)
+    return ReflectiveLayout((*head, *draft.tokens), shift_len=len(head))
 
 
 def paired_forward(
@@ -151,17 +150,14 @@ def paired_forward(
     assembled sequence and nothing is re-fed. reflective[i] is the logit
     vector at the mirrored position in the second copy; index gamma of each
     is the respective bonus-position output. The session is left holding the
-    full assembled tail; pruning is the caller's job.
+    full assembled tail; pruning is the caller's job. ``last_logits``
+    refuses an empty session before anything is fed, and the layout's
+    bounds (1 <= gamma <= shift_len) give both slices gamma + 1 rows.
     """
-    if len(session) == 0:
-        raise InternalConsistencyError("session holds no committed state to anchor the draft")
-    gamma = layout.gamma
     first_original = session.last_logits
     outputs = session.forward(list(layout.full_sequence))
-    original = [first_original] + outputs[:gamma]
-    reflective = outputs[layout.shift_len - 1 : layout.shift_len + gamma]
-    if len(original) != gamma + 1 or len(reflective) != gamma + 1:
-        raise InternalConsistencyError("paired logit extraction does not match the layout")
+    original = [first_original] + outputs[: layout.gamma]
+    reflective = outputs[layout.shift_len - 1 : layout.shift_len + layout.gamma]
     return original, reflective
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from reference_impl import ref_generate_draft
 
 from reflectspec.drafting import generate_draft
-from reflectspec.engine import DecodeConfig
-from reflectspec.errors import InternalConsistencyError, InvalidConfigError
+from reflectspec.engine import DecodeConfig, decode
+from reflectspec.errors import InvalidConfigError, SessionRangeError
 from reflectspec.models import BlendModel, Model, ModelSession, TableModel
 from reflectspec.tokens import make_rng, sample, sampling_distribution, validate_distribution
 
@@ -89,12 +89,39 @@ def test_a_bad_draft_temperature_is_refused_where_it_enters(temperature):
         DecodeConfig(temperature=temperature)
 
 
-def test_a_session_that_caches_logits_is_a_bookkeeping_fault():
+def test_a_session_that_caches_logits_is_a_caller_error():
     s = ModelSession(TableModel(16, seed=3))
     s.forward([1, 2, 3])
-    with pytest.raises(InternalConsistencyError, match="^the draft session caches logits"):
+    with pytest.raises(InvalidConfigError, match="^the draft session caches logits"):
         generate_draft(s, 2, make_rng(0))
     assert s.tokens == [1, 2, 3]
+
+
+@pytest.mark.parametrize("gamma", [1.5, "2", None])
+def test_a_gamma_that_is_no_integer_is_named(gamma):
+    s = ModelSession(TableModel(16, seed=3), 0.8)
+    s.forward([1, 2, 3])
+    rng = make_rng(0)
+    with pytest.raises(InvalidConfigError, match=f"^gamma must be an integer, got {gamma!r}$"):
+        generate_draft(s, gamma, rng)
+    assert s.tokens == [1, 2, 3] and rng.random() == make_rng(0).random()
+
+
+def test_a_bool_gamma_counts_as_its_integer():
+    # rng.random refuses a bool as a size; the draft and a decode do not.
+    a = generate_draft(fresh_session(0.8), True, make_rng(0))
+    b = generate_draft(fresh_session(0.8), 1, make_rng(0))
+    assert a.tokens == b.tokens and len(a.tokens) == 1
+    model = TableModel(16, seed=3)
+    got = decode(model, model, [1, 2], DecodeConfig(gamma=True, max_new_tokens=6))
+    assert got[0] == decode(model, model, [1, 2], DecodeConfig(gamma=1, max_new_tokens=6))[0]
+
+
+def test_an_empty_session_is_refused_before_a_uniform_is_drawn():
+    rng = make_rng(0)
+    with pytest.raises(SessionRangeError, match="^the session is empty"):
+        generate_draft(ModelSession(TableModel(16, seed=3), 0.8), 2, rng)
+    assert rng.random() == make_rng(0).random()
 
 
 class CoarseModel(Model):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference_impl import ref_copy_target, reference_decode
@@ -14,7 +14,12 @@ from fixtures import CountingModel, make_divergence_pair
 
 from reflectspec import engine, models
 from reflectspec.engine import STRATEGIES, DecodeConfig, RunStats, commit_and_prune, decode
-from reflectspec.errors import DegenerateResidualError, InvalidConfigError, InvalidTokenError
+from reflectspec.errors import (
+    DegenerateResidualError,
+    InvalidConfigError,
+    InvalidTokenError,
+    SessionRangeError,
+)
 from reflectspec.models import (
     BlendModel,
     ModelSession,
@@ -31,7 +36,6 @@ from reflectspec.drafting import DraftBundle
 from reflectspec.corpus import IntTokenizer
 from reflectspec.reflective import ReflectiveTemplate, build_reflective_input, resolve_template
 from reflectspec.tokens import make_rng, one_hot
-from reflectspec.verification import VerificationResult
 
 VOCAB = 40
 MARKER = VOCAB - 1
@@ -181,10 +185,7 @@ class TestCommitAndPrune:
         bundle = DraftBundle(tokens, tuple(one_hot(t, 16) for t in tokens))
         layout = build_reflective_input(bundle, ReflectiveTemplate((15,), 2), committed)
         target_session.forward(list(layout.full_sequence))
-        result = VerificationResult(bonus=9, per_step_accepts=(True, False, False))
-        commit_and_prune(
-            target_session, draft_session, len(layout.full_sequence), result
-        )
+        commit_and_prune(target_session, draft_session, len(committed) + 1, 9)
         assert target_session.tokens == committed + [4, 9]
         assert draft_session.tokens == committed
 
@@ -199,10 +200,7 @@ class TestCommitAndPrune:
         bundle = DraftBundle(tokens, (one_hot(4, 16),))
         layout = build_reflective_input(bundle, ReflectiveTemplate(), committed)
         target_session.forward(list(layout.full_sequence))
-        result = VerificationResult(bonus=3, per_step_accepts=(False,))
-        commit_and_prune(
-            target_session, draft_session, len(layout.full_sequence), result
-        )
+        commit_and_prune(target_session, draft_session, len(committed), 3)
         assert target_session.tokens == committed + [3]
 
     @pytest.mark.parametrize("gamma", [1, 2, 5])
@@ -220,10 +218,7 @@ class TestCommitAndPrune:
             target_session.forward(committed + list(layout.full_sequence))
             draft_session = ModelSession(draft)
             draft_session.forward(committed + list(tokens[: gamma - 1]))
-            result = VerificationResult(
-                bonus=9, per_step_accepts=tuple(i < accepted_n for i in range(gamma))
-            )
-            commit_and_prune(target_session, draft_session, len(layout.full_sequence), result)
+            commit_and_prune(target_session, draft_session, len(committed) + accepted_n, 9)
             assert target_session.tokens == committed + list(tokens[:accepted_n]) + [9]
             kept = committed + list(tokens[: min(accepted_n, gamma - 1)])
             assert draft_session.tokens == kept
@@ -231,6 +226,28 @@ class TestCommitAndPrune:
             for length in range(len(kept), 0, -1):
                 draft_session.truncate(length)
                 assert np.array_equal(draft_session.last_logits, replay[length - 1])
+
+    @pytest.mark.parametrize(
+        "keep_length, bonus, error, message",
+        [
+            (4, 9, SessionRangeError, "^keep_length 4 outside \\[0, 3\\]"),
+            (-1, 9, SessionRangeError, "^keep_length -1 outside"),
+            (1.5, 9, InvalidConfigError, "^keep_length must be an integer, got 1.5$"),
+            ("2", 9, InvalidConfigError, "^keep_length must be an integer, got '2'$"),
+            (2, 16, InvalidTokenError, "^token 16 outside vocabulary of size 16$"),
+            (2, 1.5, InvalidTokenError, "^token 1.5 is not an integer$"),
+        ],
+        ids=["past-the-end", "negative", "float", "string", "bonus-outside", "bonus-float"],
+    )
+    def test_a_bad_keep_length_or_bonus_is_a_named_caller_error(
+        self, keep_length, bonus, error, message
+    ):
+        model = TableModel(16, seed=2)
+        target_session, draft_session = ModelSession(model), ModelSession(model)
+        target_session.forward([1, 2, 3])
+        draft_session.forward([1, 2, 3])
+        with pytest.raises(error, match=message):
+            commit_and_prune(target_session, draft_session, keep_length, bonus)
 
     def test_fresh_session_equivalence_across_steps(self):
         # After every step the target session must behave exactly like a
@@ -656,6 +673,80 @@ class TestReferenceDecode:
             assert got == reference_with_end_state(*copy_pair(), [1, 2, 3], config)
             outs.append(got[0])
         assert outs[0] != outs[1]
+
+
+@st.composite
+def greedy_cases(draw):
+    """``reference_cases``' pair, prompt and config at temperature 0, with
+    min(epsilon, delta) < 1: the reflective template (reflect on) or the
+    plain one (reflect off), any alpha, gamma, budget and end-of-sequence
+    token."""
+    vocab = draw(st.sampled_from([4, 7, 16, 64]))
+    token = st.integers(min_value=0, max_value=vocab - 1)
+    models = dict(
+        vocab=vocab,
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        order=draw(st.integers(min_value=1, max_value=3)),
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        eta=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+    reflect = draw(st.booleans())
+    if reflect:
+        template = ReflectiveTemplate(
+            prompt_tokens=(*draw(st.lists(token, max_size=2)), vocab - 1),
+            prefix_len=draw(st.integers(min_value=0, max_value=8)),
+        )
+    else:
+        template = ReflectiveTemplate(text="${draft}", has_prefix=False, reflective=False)
+    share = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    epsilon, delta = draw(share), draw(share)
+    assume(min(epsilon, delta) < 1.0)
+    config = DecodeConfig(
+        gamma=draw(st.integers(min_value=1, max_value=8)),
+        alpha=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))),
+        temperature=0.0,
+        epsilon=epsilon,
+        delta=delta,
+        template=template,
+        reflect=reflect,
+        entropy_source=draw(st.sampled_from(["original", "fused"])),
+        exact_match_mode=draw(st.sampled_from(["sample", "greedy"])),
+        max_new_tokens=draw(st.integers(min_value=1, max_value=24)),
+        eos_token=draw(st.one_of(st.none(), token)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    prompt = draw(st.lists(token, min_size=1, max_size=4))
+    return models, prompt, config
+
+
+def greedy_run(target, draft, prompt, config):
+    """A decode's tokens and per-step accept counts."""
+    out, stats = decode(target, draft, prompt, config)
+    return out, [step.accepted_n for step in stats.steps]
+
+
+class TestTemperatureZeroLaws:
+    """At temperature 0 every row is a one-hot, so a draft token is accepted
+    exactly when it is the target's greedy pick, whatever the strategy."""
+
+    @given(greedy_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_specsample_and_typical_agree_step_by_step(self, case):
+        models, prompt, config = case
+        pair = reference_pair(**models)
+        strategies = ("exact", "specsample", "typical")
+        runs = [greedy_run(*pair, prompt, replace(config, strategy=s)) for s in strategies]
+        assert runs[0] == runs[1] == runs[2]
+
+    @given(greedy_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_at_alpha_zero_every_strategy_emits_the_greedy_text(self, case):
+        models, prompt, config = case
+        pair = reference_pair(**models)
+        config = replace(config, alpha=0.0)
+        greedy, _ = greedy_run(*pair, prompt, replace(config, strategy="vanilla"))
+        for strategy in STRATEGIES:
+            assert greedy_run(*pair, prompt, replace(config, strategy=strategy))[0] == greedy, strategy
 
 
 class TestTraceTransparency:

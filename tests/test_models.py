@@ -214,6 +214,17 @@ class TestModelSession:
         s.truncate(0)
         assert len(s) == 0
 
+    @pytest.mark.parametrize("temperature", [None, 0.8])
+    def test_an_empty_session_has_no_last_row(self, temperature):
+        s = ModelSession(TableModel(8, seed=1), temperature)
+        for _ in range(2):  # a new session, then one truncated to 0
+            with pytest.raises(SessionRangeError, match="^the session is empty: it holds no row$"):
+                s.last_row
+            with pytest.raises(SessionRangeError, match="^the session is empty"):
+                s.last_logits
+            s.forward([1, 2])
+            s.truncate(0)
+
     def test_truncate_out_of_range(self):
         s = ModelSession(TableModel(8, seed=1))
         s.forward([1])
@@ -639,10 +650,10 @@ def window_blend(vocab, order, seed=4):
 
 
 class TestDistributionTable:
-    """A model with a window key keeps one memo of ``next_distribution``
-    rows for the last temperature asked, each computed by the same
-    ``sampling_distribution(next_logits(context), temperature)`` call a
-    model without one makes, and as many as its logits memo keeps."""
+    """A model that keeps its whole window space keeps one memo of
+    ``next_distribution`` rows for the last temperature asked, each computed
+    by the same ``sampling_distribution(next_logits(context), temperature)``
+    call any other model makes, and as many as its logits memo keeps."""
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8, 1.3])
     @pytest.mark.parametrize("order", [1, 2])
@@ -709,16 +720,23 @@ class TestDistributionTable:
             (lambda: TableModel(64, seed=4, order=10**6), [1, 2, 3]),
         ],
     )
-    def test_a_bounded_space_keeps_memo_windows_q_rows(self, build, context):
+    def test_a_bounded_space_keeps_no_q_rows(self, build, context):
         m = build()
-        assert m.capacity == models.MEMO_WINDOWS
+        assert m.capacity == models.MEMO_WINDOWS and not m.whole_space
         for _ in range(2):
             got = m.next_distribution(context, 0.8)
             assert got.tobytes() == fresh_q(build, context, 0.8).tobytes()
-        assert list(m._q_memo) == [m.window_key(context)]
         for w in distinct_windows(64, 3, models.MEMO_WINDOWS + 10, seed=1):
             m.next_distribution(w, 0.8)
-        assert len(m._q_memo) == models.MEMO_WINDOWS
+        assert m._q_memo is None
+
+    def test_a_whole_space_of_exactly_memo_windows_keeps_its_q_rows(self):
+        # V=63 at order 1 has 1 + 63 = MEMO_WINDOWS windows, all kept: the
+        # space, not its capacity, decides.
+        m = TableModel(63, seed=4, order=1)
+        assert m.capacity == models.MEMO_WINDOWS and m.whole_space
+        m.next_distribution([5], 0.8)
+        assert list(m._q_memo) == [(5,)]
 
     @pytest.mark.parametrize(
         "build, context",

@@ -11,7 +11,7 @@ from reference_impl import ref_layout
 from reflectspec import models
 from reflectspec.corpus import IntTokenizer, WordTokenizer
 from reflectspec.drafting import DraftBundle
-from reflectspec.errors import InternalConsistencyError, InvalidConfigError, InvalidLogitsError
+from reflectspec.errors import InvalidConfigError, InvalidLogitsError, SessionRangeError
 from reflectspec.models import ModelSession, TableModel
 from reflectspec.reflective import (
     DEFAULT_TEMPLATE_TEXT,
@@ -110,14 +110,31 @@ class TestLayout:
 
     def test_copy_must_mirror_draft(self):
         assert ReflectiveLayout((1, 2, 9, 1, 2), shift_len=3).gamma == 2
-        with pytest.raises(InternalConsistencyError, match="does not mirror"):
+        with pytest.raises(
+            InvalidConfigError, match="^full_sequence's second draft copy does not mirror the first$"
+        ):
             ReflectiveLayout((1, 2, 9, 1, 3), shift_len=3)
 
     @pytest.mark.parametrize("shift_len", [5, 6, 2, 1])
     def test_gamma_must_lie_between_one_and_shift_len(self, shift_len):
         # A 5-token sequence leaves gamma 0, -1, 3 and 4: all outside [1, shift_len].
-        with pytest.raises(InternalConsistencyError, match="draft length"):
+        with pytest.raises(InvalidConfigError, match=f"^shift_len {shift_len} leaves full_sequence a draft of length"):
             ReflectiveLayout((1, 1, 1, 1, 1), shift_len=shift_len)
+
+    @pytest.mark.parametrize("shift_len", ["2", 1.5, None])
+    def test_a_shift_len_that_is_no_integer_is_named(self, shift_len):
+        with pytest.raises(InvalidConfigError, match=f"^shift_len must be an integer, got {shift_len!r}$"):
+            ReflectiveLayout((1, 2, 1), shift_len)
+
+    def test_numpy_unsigned_lengths_are_kept_as_ints(self):
+        # Negating np.uint8(3) wraps to 253, which replayed no prefix.
+        template = ReflectiveTemplate((9,), np.uint8(3))
+        assert type(template.prefix_len) is int
+        layout = build_reflective_input(bundle_for([4]), template, committed=[5, 6, 7, 8])
+        assert layout.full_sequence == (4, 9, 6, 7, 8, 4)
+        assert ReflectiveLayout((1, 2, 1), np.uint8(2)).gamma == 1
+        with pytest.raises(InvalidConfigError, match="^shift_len 3 leaves full_sequence a draft of length -1"):
+            ReflectiveLayout((1, 2), np.uint8(3))
 
 
 class TestPairedForward:
@@ -182,8 +199,9 @@ class TestPairedForward:
     def test_empty_session_rejected(self):
         session = ModelSession(TableModel(16, seed=8))
         layout = build_reflective_input(bundle_for([4], vocab=16), ReflectiveTemplate(), [1])
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(SessionRangeError, match="^the session is empty"):
             paired_forward(session, layout)
+        assert len(session) == 0
 
     @pytest.mark.parametrize(
         "vocab, order, gamma",
