@@ -56,6 +56,8 @@ def generate_draft(session: ModelSession, gamma: int, rng: np.random.Generator) 
         raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
     if session.temperature is None:
         raise InvalidConfigError("the draft session caches logits: build it with a temperature")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
     tokens: list[int] = []
     dists: list[np.ndarray] = []
     q = session.last_row

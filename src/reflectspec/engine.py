@@ -48,7 +48,15 @@ from .reflective import (
     fuse,
     paired_forward,
 )
-from .tokens import inverse_cdf, make_rng, sampling_distribution, setting_int, stack_rows, token_ids
+from .tokens import (
+    inverse_cdf,
+    make_rng,
+    sampling_distribution,
+    setting_int,
+    setting_real,
+    stack_rows,
+    token_ids,
+)
 from .verification import (
     VerificationResult,
     check_typical_range,
@@ -86,15 +94,18 @@ class DecodeConfig:
             setting_int(name, getattr(self, name))
         if self.eos_token is not None:
             setting_int("eos_token", self.eos_token)
+        for name in ("reflect", "record_trace"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.gamma < 1:
             raise InvalidConfigError(f"gamma must be >= 1, got {self.gamma}")
         if self.gamma >= MAX_VOCAB_SIZE:  # a step draws rng.random(gamma + 1), one float64 row
             raise InvalidConfigError(f"gamma must be < {MAX_VOCAB_SIZE}, got {self.gamma}")
         if self.max_new_tokens < 1:
             raise InvalidConfigError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= setting_real("alpha", self.alpha) <= 1.0:
             raise InvalidConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not self.temperature >= 0:
+        if not setting_real("temperature", self.temperature) >= 0:
             raise InvalidConfigError(f"temperature must be >= 0, got {self.temperature!r}")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
@@ -255,8 +266,9 @@ def commit_and_prune(
     on a vanilla decode), so it loses only rejected ones. ``truncate``
     refuses a ``keep_length`` outside [0, ``len(target_session)``].
     """
+    fed = token_ids([bonus], target_session.model.vocab_size)  # a bad bonus changes no session
     target_session.truncate(keep_length)
-    target_session.forward([bonus])
+    target_session.forward(fed)
     if len(draft_session) > keep_length:
         draft_session.truncate(keep_length)
 

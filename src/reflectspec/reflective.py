@@ -32,7 +32,7 @@ import numpy as np
 from .drafting import DraftBundle
 from .errors import InvalidConfigError, InvalidLogitsError
 from .models import ModelSession
-from .tokens import sampling_distribution, setting_int, stack_rows
+from .tokens import sampling_distribution, setting_int, setting_real, stack_rows
 
 DEFAULT_TEMPLATE_TEXT = "${draft} [BACK] ${prefix} ${draft}"
 
@@ -176,7 +176,7 @@ def fuse(
     is the only finiteness check: a NaN or infinity on either side reaches
     the fused sum (at alpha 0 or 1 as 0*inf, a NaN), so it raises there.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not 0.0 <= setting_real("alpha", alpha) <= 1.0:
         raise InvalidConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
     n = len(original)
     if len(reflective) != n:

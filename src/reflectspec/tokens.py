@@ -86,6 +86,14 @@ def setting_int(name: str, value: object) -> int:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def setting_real(name: str, value: object) -> float:
+    """``value`` as a float, or an ``InvalidConfigError`` naming the setting:
+    "0.3", which ``float`` parses. A bool counts as its number."""
+    if not isinstance(value, (float, int, numbers.Real)):  # the ABC alone costs ~700 ns
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a finite, non-empty float64 logit vector or ``(n, V)`` block,
     or raise ``InvalidLogitsError``."""
@@ -159,8 +167,11 @@ def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
     within 1e-12 regardless of vocabulary size.
     """
     arr, peak = _finite_logits(logits)
-    if not temperature > 0:
-        raise InvalidConfigError(f"temperature must be > 0, got {temperature!r}")
+    try:
+        if not temperature > 0:
+            raise InvalidConfigError(f"temperature must be > 0, got {temperature!r}")
+    except TypeError:  # no number: valid input pays only the comparison
+        raise InvalidConfigError(f"temperature must be a real number, got {temperature!r}") from None
     t = float(temperature)
     if not 2.0 * peak / t < math.inf:
         raise InvalidConfigError(
@@ -188,8 +199,11 @@ def sampling_distribution(logits: Sequence[float] | np.ndarray, temperature: flo
     temperature 0 is the greedy limit, a one-hot on each row's argmax (lowest
     id wins ties).
     """
-    if not temperature >= 0:
-        raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
+    try:
+        if not temperature >= 0:
+            raise InvalidConfigError(f"temperature must be >= 0, got {temperature!r}")
+    except TypeError:  # no number: valid input pays only the comparison
+        raise InvalidConfigError(f"temperature must be a real number, got {temperature!r}") from None
     if temperature == 0:
         arr = validate_logits(logits)
         picks = arr.argmax(axis=-1)[..., None]
@@ -216,6 +230,8 @@ def sample(dist: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
     Consumes exactly one uniform from ``rng``; identical stream state and
     distribution always produce the identical token.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
     return inverse_cdf(validate_distribution(dist), rng.random())
 
 

@@ -2,15 +2,14 @@
 
 Three strategies decide how many leading draft tokens to keep; every step
 then emits one bonus token, so a step yields accepted_n + 1 tokens total.
+At draft position i each records the value it ``tested`` and the ``bounds``
+it tested against, and accepts exactly when the test passes:
 
-- exact match: resample (or argmax) each position from the verifier's
-  distribution and accept while it reproduces the draft token.
-- speculative sampling: accept token i with probability
-  min(1, p_i(x_i) / q_i(x_i)); on the first rejection the bonus comes from
-  the residual distribution norm(max(0, p - q)), which makes the emitted
-  token law exactly the verifier's distribution.
-- typical sampling: accept token i when its verifier probability clears an
-  entropy-scaled threshold min(epsilon, delta * exp(-H)).
+| strategy | ``tested[i]`` | ``bounds[i]`` | accepted when |
+|---|---|---|---|
+| exact match | the token p_i gives at u_i (greedy: argmax of p_i) | draft token x_i | equal |
+| speculative sampling (Chen et al.) | uniform r_i | min(1, p_i(x_i) / q_i(x_i)) | tested <= bound |
+| typical (Medusa) | p_i(x_i) | min(epsilon, delta * exp(-H_i)) | tested > bound |
 
 ``exact_step_distribution`` computes the one-step output law of speculative
 sampling by summation, with no sampling at all; it is the enumeration oracle
@@ -45,7 +44,8 @@ step consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,7 @@ from .tokens import (
     entropy,
     inverse_cdf,
     sample_rows,
+    setting_real,
     token_ids,
     validate_distribution,
 )
@@ -68,9 +69,9 @@ from .tokens import (
 
 def check_typical_range(epsilon: float, delta: float) -> None:
     """Raise ``InvalidConfigError`` unless epsilon and delta lie in (0, 1]."""
-    if not 0.0 < epsilon <= 1.0:
+    if not 0.0 < setting_real("epsilon", epsilon) <= 1.0:
         raise InvalidConfigError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if not 0.0 < delta <= 1.0:
+    if not 0.0 < setting_real("delta", delta) <= 1.0:
         raise InvalidConfigError(f"delta must lie in (0, 1], got {delta!r}")
 
 
@@ -79,14 +80,15 @@ class VerificationResult:
     """Outcome of verifying one draft.
 
     ``bonus`` is the extra token every step emits. ``per_step_accepts[i]``
-    records whether position i would have been accepted in isolation.
-    ``diagnostics`` carries strategy-specific per-position values
-    (acceptance ratios, thresholds, or resampled tokens).
+    records whether position i would have been accepted in isolation:
+    whether ``tested[i]`` passes its strategy's test against ``bounds[i]``
+    (the module docstring's table). A vanilla step has no positions.
     """
 
     bonus: int
     per_step_accepts: tuple[bool, ...]
-    diagnostics: dict = field(default_factory=dict)
+    tested: tuple[int | float, ...] = ()
+    bounds: tuple[int | float, ...] = ()
 
     @property
     def accepted_n(self) -> int:
@@ -138,7 +140,9 @@ def verify_exact_match(
     token emitted at a drafted position has law p(t) (1 + q(t) - <q, p>),
     not p(t).
     """
-    p, draft = _checked(p_dists, draft_tokens)
+    p, draft = _checked(p_dists, draft_tokens, rng)
+    if not isinstance(greedy_match, (bool, np.bool_)):
+        raise InvalidConfigError(f"greedy_match must be a bool, got {greedy_match!r}")
     return _exact_match_verdict(p, draft, rng.random(0 if greedy_match else len(draft) + 1))
 
 
@@ -146,11 +150,11 @@ def _exact_match_verdict(p: np.ndarray, draft: list[int], u: np.ndarray) -> Veri
     """Row i's pick is at ``u[i]``, the bonus at ``u[gamma]``; no ``u`` picks argmaxes."""
     gamma = len(draft)
     picks = sample_rows(p[:gamma], u[:gamma]) if u.size else p.argmax(axis=-1).tolist()
-    resampled = picks[:gamma]
-    flags = tuple(resampled[i] == draft[i] for i in range(gamma))
+    tested, bounds = tuple(picks[:gamma]), tuple(draft)
+    flags = tuple(map(operator.eq, tested, bounds))
     n = _leading_true(flags)
     bonus = inverse_cdf(p[n], u[gamma]) if u.size else picks[n]
-    return VerificationResult(bonus, flags, {"resampled": resampled})
+    return VerificationResult(bonus, flags, tested, bounds)
 
 
 def verify_speculative_sampling(
@@ -167,7 +171,7 @@ def verify_speculative_sampling(
     position; if everything is accepted it is drawn from the final
     distribution.
     """
-    p, draft = _checked(p_dists, draft_tokens)
+    p, draft = _checked(p_dists, draft_tokens, rng)
     q = _draft_rows(q_dists, "q_dists", p)
     for i, tok in enumerate(draft):
         if q.item(i, tok) <= 0.0:
@@ -180,13 +184,12 @@ def _speculative_sampling_verdict(
 ) -> VerificationResult:
     """The ratio test of draft token i, which q gives mass, at ``u[i]``; the bonus at ``u[gamma]``."""
     gamma = len(draft)
-    draws = u.tolist()
-    ratios = [min(1.0, p.item(i, tok) / q.item(i, tok)) for i, tok in enumerate(draft)]
-    flags = [draw <= ratio for draw, ratio in zip(draws, ratios)]
+    *tested, bonus_u = u.tolist()
+    bounds = tuple([min(1.0, p.item(i, tok) / q.item(i, tok)) for i, tok in enumerate(draft)])
+    flags = tuple(map(operator.le, tested, bounds))
     n = _leading_true(flags)
     bonus_dist = residual_distribution(p[n], q[n]) if n < gamma else p[gamma]
-    bonus = inverse_cdf(bonus_dist, draws[gamma])
-    return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws[:gamma]})
+    return VerificationResult(inverse_cdf(bonus_dist, bonus_u), flags, tuple(tested), bounds)
 
 
 def verify_typical(
@@ -206,7 +209,7 @@ def verify_typical(
     is drawn from p at position accepted_n.
     """
     check_typical_range(epsilon, delta)
-    p, draft = _checked(p_dists, draft_tokens)
+    p, draft = _checked(p_dists, draft_tokens, rng)
     # The engine passes the fused block as both when entropy comes from it.
     h = p if entropy_dists is p_dists else _draft_rows(entropy_dists, "entropy_dists", p)
     return _typical_verdict(p, h, draft, epsilon, delta, rng.random(1))
@@ -216,10 +219,11 @@ def _typical_verdict(
     p: np.ndarray, h: np.ndarray, draft: list[int], epsilon: float, delta: float, u: np.ndarray
 ) -> VerificationResult:
     """Each draft position against the gate of its row of ``h``, the bonus at ``u[0]``."""
-    thresholds = typical_threshold(h[: len(draft)], epsilon, delta).tolist()
-    flags = tuple(p.item(i, tok) > thresholds[i] for i, tok in enumerate(draft))
+    tested = tuple([p.item(i, tok) for i, tok in enumerate(draft)])
+    bounds = tuple(typical_threshold(h[: len(draft)], epsilon, delta).tolist())
+    flags = tuple(map(operator.gt, tested, bounds))
     bonus = inverse_cdf(p[_leading_true(flags)], u[0])
-    return VerificationResult(bonus, flags, {"thresholds": thresholds})
+    return VerificationResult(bonus, flags, tested, bounds)
 
 
 def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -242,11 +246,16 @@ def exact_step_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _checked(
-    p_dists: Sequence[np.ndarray], draft_tokens: Sequence[int]
+    p_dists: Sequence[np.ndarray], draft_tokens: Sequence[int], rng: np.random.Generator
 ) -> tuple[np.ndarray, list[int]]:
     """The verifier block, one row per draft position plus the bonus row,
-    and the draft as tokens of its vocabulary."""
-    gamma = len(draft_tokens)
+    and the draft as tokens of its vocabulary; ``rng`` must be a generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    try:
+        gamma = len(draft_tokens)
+    except TypeError:
+        raise InvalidTokenError(f"draft_tokens must be a sequence, got {draft_tokens!r}") from None
     if gamma < 1:
         raise InvalidConfigError("verification requires at least one draft token")
     if len(p_dists) != gamma + 1:

@@ -289,7 +289,7 @@ def ref_verify_exact_match(p_dists, draft_tokens, rng, greedy_match=False):
     flags = tuple(resampled[i] == draft_tokens[i] for i in range(gamma))
     n = _leading_accepts(flags)
     bonus = int(np.argmax(p_dists[n])) if greedy_match else ref_sample(p_dists[n], rng)
-    return VerificationResult(bonus, flags, {"resampled": resampled})
+    return VerificationResult(bonus, flags, tuple(resampled), tuple(draft_tokens))
 
 
 def ref_verify_speculative_sampling(p_dists, q_dists, draft_tokens, rng):
@@ -316,7 +316,7 @@ def ref_verify_speculative_sampling(p_dists, q_dists, draft_tokens, rng):
     else:
         bonus_dist = p_dists[gamma]
     bonus = ref_pick(bonus_dist, bonus_u)
-    return VerificationResult(bonus, tuple(flags), {"ratios": ratios, "draws": draws})
+    return VerificationResult(bonus, tuple(flags), tuple(draws), tuple(ratios))
 
 
 def ref_verify_typical(p_dists, entropy_dists, draft_tokens, epsilon, delta, rng):
@@ -329,8 +329,7 @@ def ref_verify_typical(p_dists, entropy_dists, draft_tokens, epsilon, delta, rng
         nz = h[h > 0.0]
         entropy = float(-(nz * np.log(nz)).sum())
         thresholds.append(min(epsilon, delta * float(np.exp(-entropy))))
-    flags = tuple(
-        float(p_dists[i][tok]) > thresholds[i] for i, tok in enumerate(draft_tokens)
-    )
+    probs = [float(p_dists[i][tok]) for i, tok in enumerate(draft_tokens)]
+    flags = tuple(prob > threshold for prob, threshold in zip(probs, thresholds))
     bonus = ref_sample(p_dists[_leading_accepts(flags)], rng)
-    return VerificationResult(bonus, flags, {"thresholds": thresholds})
+    return VerificationResult(bonus, flags, tuple(probs), tuple(thresholds))

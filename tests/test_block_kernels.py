@@ -6,6 +6,8 @@ must equal, bit for bit, what the row-by-row references in
 error types on malformed input.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,7 +136,7 @@ class TestBlockKernelsMatchRows:
             resampled = [ref_sample(dists[i], rng_rows) for i in range(gamma)]
         n = next((i for i in range(gamma) if resampled[i] != draft[i]), gamma)
         bonus = int(np.argmax(dists[n])) if greedy_match else ref_sample(dists[n], rng_rows)
-        assert result.diagnostics["resampled"] == resampled
+        assert (result.tested, result.bounds) == (tuple(resampled), tuple(draft))
         assert (result.accepted_n, result.bonus) == (n, bonus)
         assert rng_block.bit_generator.state == rng_rows.bit_generator.state
 
@@ -144,8 +146,7 @@ def outcome(verify, *args, **kwargs):
     (the last positional argument)."""
     rng = args[-1]
     try:
-        result = verify(*args, **kwargs)
-        got = (result.bonus, result.per_step_accepts, result.diagnostics)
+        got = verify(*args, **kwargs)
     except DegenerateResidualError as exc:
         got = (type(exc), str(exc))
     return got, rng.bit_generator.state
@@ -180,7 +181,8 @@ def draft_case(seed, gamma, vocab, temperature, shared):
 
 class TestVerifiersMatchPerRowReference:
     """The block verifiers against the per-row ones in ``reference_impl``:
-    equal bonus, flags, diagnostics and end generator state."""
+    equal results (bonus, flags, tested values and bounds) and end
+    generator state."""
 
     @given(gammas, vocabs, temperatures, seeds, seeds, st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -229,6 +231,38 @@ class TestVerifiersMatchPerRowReference:
         assert got[0][0] is DegenerateResidualError
 
 
+# Each strategy's test of ``tested[i]`` against ``bounds[i]``, by mode.
+RULES = {
+    "exact-sample": operator.eq,
+    "exact-greedy": operator.eq,
+    "specsample": operator.le,
+    "typical-fused": operator.gt,
+    "typical-original": operator.gt,
+}
+
+
+class TestVerdictSchema:
+    @given(gammas, vocabs, temperatures, seeds, seeds, st.booleans(), st.sampled_from(sorted(RULES)))
+    @settings(max_examples=150, deadline=None)
+    def test_each_flag_is_its_rule_on_tested_and_bounds(
+        self, gamma, vocab, temperature, seed, stream, shared, mode
+    ):
+        p, q, tokens = draft_case(seed, gamma, vocab, temperature, shared)
+        rng = make_rng(stream)
+        if mode.startswith("exact"):
+            result = verify_exact_match(p, tokens, rng, greedy_match=mode == "exact-greedy")
+        elif mode == "specsample":
+            result = verify_speculative_sampling(p, q, tokens, rng)
+        else:
+            h = entropy_block(mode.removeprefix("typical-"), p, seed, temperature)
+            result = verify_typical(p, h, tokens, 0.3, 0.2, rng)
+        assert len(result.tested) == len(result.bounds) == gamma
+        rule = RULES[mode]
+        assert result.per_step_accepts == tuple(map(rule, result.tested, result.bounds))
+        kind = int if mode.startswith("exact") else float
+        assert all(type(v) is kind for v in result.tested + result.bounds)
+
+
 class Uniforms:
     """A stand-in generator that yields ``values`` in order: ``random()``
     the next one, ``random(n)`` the next n as an array."""
@@ -247,10 +281,9 @@ class Uniforms:
 def verdict_outcome(verify, *args, **kwargs):
     """What a verdict or a reference verifier returned or raised."""
     try:
-        result = verify(*args, **kwargs)
+        return verify(*args, **kwargs)
     except DegenerateResidualError as exc:
         return type(exc), str(exc)
-    return result.bonus, result.per_step_accepts, result.diagnostics
 
 
 def uniform_lists(n, low_excluded=False):
@@ -261,8 +294,8 @@ def uniform_lists(n, low_excluded=False):
 class TestVerdictsMatchPerRowReference:
     """Each pure verdict, fed validated blocks and an array of uniforms,
     against the per-row reference fed a stand-in generator that yields the
-    same values: equal bonus, flags and diagnostics, and the reference draws
-    exactly the uniforms the verdict was given."""
+    same values: equal results, and the reference draws exactly the
+    uniforms the verdict was given."""
 
     @given(gammas, vocabs, temperatures, seeds, st.booleans(), st.booleans(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -354,9 +387,7 @@ class TestVerdictsMatchPerRowReference:
             got = _typical_verdict(p, h, draft, 0.3, 0.2, np.array(u))
             want = ref_verify_typical(p, h, draft, 0.3, 0.2, stream)
         assert got.accepted_n == n
-        assert (got.bonus, got.per_step_accepts, got.diagnostics) == (
-            want.bonus, want.per_step_accepts, want.diagnostics
-        )
+        assert got == want
         assert stream.taken == len(u)
 
 
@@ -410,8 +441,8 @@ class TestTypicalThresholdBlocks:
         for epsilon, delta in TYPICAL_GRID:
             got = verify_typical(p, block, tokens, epsilon, delta, make_rng(0))
             want = ref_verify_typical(p, block, tokens, epsilon, delta, make_rng(0))
-            assert got.diagnostics["thresholds"] == want.diagnostics["thresholds"]
-            assert all(type(t) is float for t in got.diagnostics["thresholds"])
+            assert got.bounds == want.bounds
+            assert all(type(t) is float for t in got.bounds)
 
 
 GAMMA = 3

@@ -249,6 +249,17 @@ class TestCommitAndPrune:
         with pytest.raises(error, match=message):
             commit_and_prune(target_session, draft_session, keep_length, bonus)
 
+    def test_a_bad_bonus_leaves_both_sessions_unchanged(self):
+        model = TableModel(16, seed=2)
+        target_session, draft_session = ModelSession(model), ModelSession(model)
+        target_session.forward([1, 2, 3, 4, 5])
+        draft_session.forward([1, 2, 3, 4, 5])
+        last = target_session.last_logits
+        with pytest.raises(InvalidTokenError, match="^token 16 outside vocabulary of size 16$"):
+            commit_and_prune(target_session, draft_session, 2, 16)
+        assert target_session.tokens == draft_session.tokens == [1, 2, 3, 4, 5]
+        assert target_session.last_logits is last
+
     def test_fresh_session_equivalence_across_steps(self):
         # After every step the target session must behave exactly like a
         # fresh session replaying only the committed tokens.
@@ -385,7 +396,7 @@ class TestVariants:
                 record_trace=True,
             )
             _, stats = decode(target, draft, [1, 2, 3], config)
-            thresholds[source] = stats.steps[0].result.diagnostics["thresholds"]
+            thresholds[source] = stats.steps[0].result.bounds
         assert thresholds["original"] != thresholds["fused"]
         assert max(thresholds["fused"]) > 2 * max(thresholds["original"])
 
@@ -852,6 +863,36 @@ class TestValidation:
         # fires.
         with pytest.raises(InvalidConfigError, match=f"^{field} must be an integer, got {shown}$"):
             DecodeConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            (field, value, shown)
+            for field in ("alpha", "temperature", "epsilon", "delta")
+            for value, shown in [("0.3", "'0.3'"), (None, "None")]
+        ],
+    )
+    def test_a_real_setting_that_is_no_number_is_rejected_naming_it(self, field, value, shown):
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be a real number, got {shown}$"):
+            DecodeConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["reflect", "record_trace"])
+    @pytest.mark.parametrize("value, shown", [("no", "'no'"), (1, "1"), (None, "None")])
+    def test_a_flag_that_is_no_bool_is_rejected_naming_it(self, field, value, shown):
+        # "no" is truthy: unchecked, reflect="no" decodes reflectively.
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be a bool, got {shown}$"):
+            DecodeConfig(**{field: value})
+
+    @pytest.mark.parametrize("strategy", ["exact", "specsample", "typical"])
+    def test_numpy_reals_and_flags_decode_like_python_ones(self, strategy):
+        # At a numpy temperature 0 the engine's greedy_match is a numpy bool.
+        target, draft = table_pair()
+        for temperature in (0.0, 0.8):
+            plain = dict(alpha=0.3, temperature=temperature, epsilon=0.3, delta=0.2, reflect=True)
+            as_numpy = {k: np.bool_(v) if type(v) is bool else np.float64(v) for k, v in plain.items()}
+            want = decode(target, draft, [1, 2, 3], base_config(strategy=strategy, **plain))[0]
+            got = decode(target, draft, [1, 2, 3], base_config(strategy=strategy, **as_numpy))[0]
+            assert got == want
 
     def test_numpy_integer_settings_decode_like_ints(self):
         target, draft = table_pair()

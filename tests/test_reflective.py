@@ -284,6 +284,19 @@ class TestFuse:
         with pytest.raises(InvalidConfigError):
             fuse([np.zeros(4)], [np.zeros(4)], 1.2, 1.0)
 
+    @pytest.mark.parametrize(
+        "alpha, temperature, message",
+        [
+            ("0.3", 0.8, "^alpha must be a real number, got '0.3'$"),
+            (None, 0.8, "^alpha must be a real number, got None$"),
+            (0.3, "0.8", "^temperature must be a real number, got '0.8'$"),
+        ],
+    )
+    def test_a_setting_that_is_no_number_is_named(self, alpha, temperature, message):
+        p = np.log([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(InvalidConfigError, match=message):
+            fuse([p], [p], alpha, temperature)
+
 
 class TestTemplates:
     def test_default_template(self):

@@ -21,6 +21,7 @@ from reflectspec.tokens import (
     one_hot,
     sample,
     sampling_distribution,
+    setting_real,
     softmax,
     validate_distribution,
 )
@@ -134,6 +135,24 @@ class TestSamplingDistribution:
         logits = np.array([0.1, -2.0, 1.0])
         assert np.array_equal(sampling_distribution(logits, 0.7), softmax(logits, 0.7))
 
+    @pytest.mark.parametrize("kernel", [sampling_distribution, softmax])
+    @pytest.mark.parametrize("temperature, shown", [("1", "'1'"), (None, "None")])
+    def test_a_temperature_that_is_no_number_is_named(self, kernel, temperature, shown):
+        with pytest.raises(InvalidConfigError, match=f"^temperature must be a real number, got {shown}$"):
+            kernel([1.0, 2.0], temperature)
+
+
+class TestSettingReal:
+    def test_real_numbers_pass_as_floats(self):
+        for value, want in [(0.5, 0.5), (np.float32(0.5), 0.5), (np.int64(2), 2.0), (True, 1.0)]:
+            got = setting_real("alpha", value)
+            assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("value, shown", [("0.3", "'0.3'"), (None, "None"), (1j, "1j")])
+    def test_anything_else_is_named(self, value, shown):
+        with pytest.raises(InvalidConfigError, match=f"^alpha must be a real number, got {shown}$"):
+            setting_real("alpha", value)
+
 
 class TestEntropy:
     def test_one_hot_is_zero(self):
@@ -192,6 +211,10 @@ class TestSample:
         dist = np.array([0.5, 0.5, 0.0])
         rng = make_rng(1)
         assert all(sample(dist, rng) in (0, 1) for _ in range(2000))
+
+    def test_rng_must_be_a_generator(self):
+        with pytest.raises(InvalidConfigError, match="^rng must be a numpy.random.Generator, got None$"):
+            sample(np.array([0.1, 0.2, 0.3, 0.4]), None)
 
 
 def greedy(values) -> int:

@@ -54,7 +54,7 @@ def exact_match_law(p, q):
     law = np.zeros(len(p))
     for x, y, z in itertools.product(range(len(p)), repeat=3):
         res = _exact_match_verdict(np.array([p, p]), [x], np.array([inside[y], inside[z]]))
-        assert res.diagnostics["resampled"] == [y] and res.bonus == z
+        assert res.tested == (y,) and res.bonus == z
         law[x if res.accepted_n else z] += q[x] * p[y] * p[z]
     return law
 
@@ -236,7 +236,7 @@ class TestTypical:
         p = [one_hot(t, vocab) for t in draft] + [one_hot(1, vocab)]
         res = verify_typical(p, p, draft, 0.3, 0.2, make_rng(0))
         assert res.accepted_n == 2
-        assert res.diagnostics["thresholds"] == [min(0.3, 0.2)] * 2
+        assert res.bounds == (min(0.3, 0.2),) * 2
 
     def test_uniform_hand_case(self):
         uniform = np.full(4, 0.25)
@@ -370,6 +370,26 @@ CALLER_FAULTS = {
     "zero q mass": (
         lambda rng: verify_speculative_sampling([P4, P4], [Q_ZERO_AT_0], [0], rng),
         InvalidTokenError, r"^draft token 0 has zero q_dists mass at position 0$",
+    ),
+    "epsilon a string": (
+        lambda rng: verify_typical([P4, P4], [P4], [1], "0.3", 0.2, rng),
+        InvalidConfigError, r"^epsilon must be a real number, got '0.3'$",
+    ),
+    "epsilon None": (
+        lambda rng: verify_typical([P4, P4], [P4], [1], None, 0.2, rng),
+        InvalidConfigError, r"^epsilon must be a real number, got None$",
+    ),
+    "draft an int": (
+        lambda rng: verify_speculative_sampling([P4, P4], [Q4], 1, rng),
+        InvalidTokenError, r"^draft_tokens must be a sequence, got 1$",
+    ),
+    "rng None": (
+        lambda rng: verify_speculative_sampling([P4, P4], [Q4], [1], None),
+        InvalidConfigError, r"^rng must be a numpy.random.Generator, got None$",
+    ),
+    "greedy_match a string": (
+        lambda rng: verify_exact_match([P4, P4], [1], rng, greedy_match="no"),
+        InvalidConfigError, r"^greedy_match must be a bool, got 'no'$",
     ),
 }
 
