@@ -38,7 +38,7 @@ from .engine import DecodeConfig, RunStats, StepStats, decode
 from .errors import InvalidConfigError, ReflectSpecError
 from .models import Model, ModelSpec, build_model, divergence_noise_model, pair_models
 from .reflective import ReflectiveTemplate
-from .tokens import derive_seed
+from .tokens import derive_seed, setting_int
 
 TIMING_COLUMNS = ("tokens_per_s", "wall_time_s")
 REPORT_FORMATS = ("csv", "json")
@@ -96,8 +96,7 @@ class SweepSpec:
                 raise InvalidConfigError(f"sweep grid {name!r} must be non-empty")
         if not self.prompts:
             raise InvalidConfigError("sweep prompt set must be non-empty")
-        if self.prefix_len < 0:
-            raise InvalidConfigError("prefix_len must be >= 0")
+        setting_int("prefix_len", self.prefix_len, 0)
 
     def cell_config(
         self, alpha: float, gamma: int, strategy: str, template: ReflectiveTemplate, seed: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import InvalidConfigError, InvalidTokenError
-from .tokens import token_ids
+from .tokens import setting_int, token_ids
 
 BACK_WORD = "[BACK]"
 
@@ -29,9 +29,7 @@ class IntTokenizer:
     """Tokens written as decimal ids; ``[BACK]`` names the highest id."""
 
     def __init__(self, vocab_size: int):
-        if vocab_size < 2:
-            raise InvalidConfigError("vocab_size must be >= 2")
-        self.vocab_size = vocab_size
+        self.vocab_size = setting_int("vocab_size", vocab_size, 2)
 
     def encode(self, text: str, extend: bool = False) -> list[int]:
         # ``extend`` is accepted for interface parity with WordTokenizer;

@@ -51,9 +51,7 @@ def generate_draft(session: ModelSession, gamma: int, rng: np.random.Generator) 
     drops the rest, so no accepted position is computed twice. Bad input
     is refused before any uniform is drawn.
     """
-    gamma = setting_int("gamma", gamma)  # a bool is no length to rng.random
-    if gamma < 1:
-        raise InvalidConfigError(f"gamma must be >= 1, got {gamma}")
+    gamma = setting_int("gamma", gamma, 1)  # a bool is no length to rng.random
     if session.temperature is None:
         raise InvalidConfigError("the draft session caches logits: build it with a temperature")
     if not isinstance(rng, np.random.Generator):

@@ -52,6 +52,7 @@ from .tokens import (
     inverse_cdf,
     make_rng,
     sampling_distribution,
+    setting_flag,
     setting_int,
     setting_real,
     stack_rows,
@@ -90,25 +91,17 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise InvalidConfigError(f"unknown strategy {self.strategy!r}")
-        for name in ("gamma", "max_new_tokens", "seed"):
-            setting_int(name, getattr(self, name))
+        for name in ("gamma", "max_new_tokens"):
+            setting_int(name, getattr(self, name), 1)
+        setting_int("seed", self.seed, 0)
         if self.eos_token is not None:
             setting_int("eos_token", self.eos_token)
         for name in ("reflect", "record_trace"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise InvalidConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.gamma < 1:
-            raise InvalidConfigError(f"gamma must be >= 1, got {self.gamma}")
+            setting_flag(name, getattr(self, name))
         if self.gamma >= MAX_VOCAB_SIZE:  # a step draws rng.random(gamma + 1), one float64 row
             raise InvalidConfigError(f"gamma must be < {MAX_VOCAB_SIZE}, got {self.gamma}")
-        if self.max_new_tokens < 1:
-            raise InvalidConfigError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if not 0.0 <= setting_real("alpha", self.alpha) <= 1.0:
-            raise InvalidConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not setting_real("temperature", self.temperature) >= 0:
-            raise InvalidConfigError(f"temperature must be >= 0, got {self.temperature!r}")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        setting_real("alpha", self.alpha, 0, 1)
+        setting_real("temperature", self.temperature, 0)
         if self.entropy_source not in ENTROPY_SOURCES:
             raise InvalidConfigError(f"unknown entropy source {self.entropy_source!r}")
         if self.exact_match_mode not in EXACT_MATCH_MODES:
@@ -181,6 +174,9 @@ def decode(
     end-of-sequence token, which must lie in the vocabulary. Deterministic
     given (models, prompt, config).
     """
+    for name, model in (("target", target), ("draft", draft)):
+        if not isinstance(model, Model):
+            raise InvalidConfigError(f"{name} must be a Model, got {model!r}")
     prompt = token_ids(prompt_tokens, target.vocab_size)
     if not prompt:
         raise InvalidConfigError("prompt must be non-empty")

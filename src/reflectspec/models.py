@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidTokenError, SessionRangeError
-from .tokens import derive_seed, sampling_distribution, setting_int, token_ids
+from .tokens import derive_seed, sampling_distribution, setting_int, setting_real, token_ids
 
 TABLE_LOGIT_LOW = -4.0
 TABLE_LOGIT_HIGH = 4.0
@@ -79,10 +79,9 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise InvalidConfigError(f"unknown model kind {self.kind!r}")
-        if self.vocab_size < 2:
-            raise InvalidConfigError("vocab_size must be >= 2")
-        if self.order < 1:
-            raise InvalidConfigError("context order must be >= 1")
+        setting_int("vocab_size", self.vocab_size, 2)
+        setting_int("seed", self.seed)
+        setting_int("order", self.order, 1)
 
 
 class Model:
@@ -250,14 +249,10 @@ class WindowModel(Model):
     whole_space = True  # unless the space overflows TABLE_BYTES
 
     def __init__(self, vocab_size: int, order: int):
-        if vocab_size < 2:
-            raise InvalidConfigError("vocab_size must be >= 2")
+        self.vocab_size = vocab_size = setting_int("vocab_size", vocab_size, 2)
         if vocab_size > MAX_VOCAB_SIZE:
             raise InvalidConfigError(f"vocab_size must be <= {MAX_VOCAB_SIZE}, got {vocab_size}")
-        if order < 1:
-            raise InvalidConfigError("context order must be >= 1")
-        self.vocab_size = vocab_size
-        self.order = order
+        self.order = order = setting_int("order", order, 1)
         # Counting stops once the space overflows its budget, so a huge
         # order never sums huge powers of V.
         self.capacity = 0
@@ -296,9 +291,9 @@ class TableModel(WindowModel):
 
     def __init__(self, vocab_size: int, seed: int = 0, order: int = 2):
         super().__init__(vocab_size, order)
+        self.seed = seed = setting_int("seed", seed)
         if not -(2**63) <= seed < 2**63:
             raise InvalidConfigError(f"seed must lie in [-2**63, 2**63), got {seed}")
-        self.seed = int(seed)
         self._seed_bytes = self.seed.to_bytes(8, "little", signed=True)
 
     def window_logits(self, window: tuple[int, ...]) -> np.ndarray:
@@ -336,8 +331,8 @@ class NgramModel(WindowModel):
         _check_smoothing(smoothing)
         super().__init__(vocab_size, order)
         try:
-            docs = [token_ids(doc, vocab_size) for doc in corpus if len(doc) > 0]
-        except InvalidTokenError as exc:
+            docs = [ids for doc in corpus if (ids := token_ids(doc, self.vocab_size))]
+        except (InvalidTokenError, TypeError) as exc:  # a TypeError: no sequence of documents
             raise InvalidTokenError(f"corpus {exc}") from None
         if not docs:
             raise InvalidConfigError("corpus must be non-empty")
@@ -347,7 +342,7 @@ class NgramModel(WindowModel):
         # them all. A document holds no n-gram longer than itself.
         grams: Counter[tuple[int, ...]] = Counter()
         for doc in docs:
-            for n in range(1, min(order + 1, len(doc)) + 1):
+            for n in range(1, min(self.order + 1, len(doc)) + 1):
                 grams.update(zip(*(doc[k:] for k in range(n))))
         self._pair_counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._ctx_counts: dict[tuple[int, ...], int] = {}
@@ -394,12 +389,10 @@ class BlendModel(Model):
             )
         if primary.vocab_size != secondary.vocab_size:
             raise InvalidConfigError("blended models must share a vocabulary")
-        if not 0.0 <= weight <= 1.0:
-            raise InvalidConfigError("blend weight must lie in [0, 1]")
+        self.weight = setting_real("weight", weight, 0, 1)
         self.vocab_size = primary.vocab_size
         self.primary = primary
         self.secondary = secondary
-        self.weight = float(weight)
         if isinstance(primary, WindowModel):
             space = max(primary, secondary, key=lambda part: part.order)
             self.window_key, self.capacity = space.window_key, space.capacity
@@ -440,12 +433,10 @@ class ReflectionAwareModel(Model):
             raise InvalidConfigError(
                 f"marker {marker} outside vocabulary of size {base.vocab_size}"
             )
-        if not 0.0 <= blend <= 1.0:
-            raise InvalidConfigError("blend must lie in [0, 1]")
+        self.blend = setting_real("blend", blend, 0, 1)
         self.vocab_size = base.vocab_size
         self.base = base
         self.marker = marker
-        self.blend = float(blend)
         self._typecode = token_typecode(self.vocab_size)
         self._mark = array(self._typecode, [self.marker]).tobytes()
 
@@ -500,7 +491,7 @@ def token_typecode(vocab_size: int) -> str:
 
 def _check_smoothing(smoothing: float) -> None:
     """Reject a smoothing that is not finite and positive, NaN included."""
-    if not 0 < smoothing < np.inf:
+    if not 0 < setting_real("smoothing", smoothing) < np.inf:
         raise InvalidConfigError(f"smoothing must be finite and > 0, got {smoothing!r}")
 
 
@@ -531,10 +522,7 @@ def pair_models(
     [0, 1], NaN included, is rejected here under its own name, and so is a
     marker outside the vocabulary, whatever beta is.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidConfigError(f"eta must lie in [0, 1], got {eta!r}")
-    if not 0.0 <= beta <= 1.0:
-        raise InvalidConfigError(f"beta must lie in [0, 1], got {beta!r}")
+    eta, beta = setting_real("eta", eta, 0, 1), setting_real("beta", beta, 0, 1)
     if not 0 <= setting_int("marker", marker) < base.vocab_size:
         raise InvalidConfigError(f"marker {marker} outside vocabulary of size {base.vocab_size}")
     draft = base if eta == 0 else BlendModel(base, noise, eta)

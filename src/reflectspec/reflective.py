@@ -65,9 +65,7 @@ class ReflectiveTemplate:
 
     def __post_init__(self) -> None:
         # A plain int: numpy unsigned arithmetic wraps below 0.
-        object.__setattr__(self, "prefix_len", setting_int("prefix_len", self.prefix_len))
-        if self.prefix_len < 0:
-            raise InvalidConfigError("prefix_len must be >= 0")
+        object.__setattr__(self, "prefix_len", setting_int("prefix_len", self.prefix_len, 0))
 
 
 @dataclass(frozen=True)
@@ -106,6 +104,8 @@ def resolve_template(text: str, tokenizer) -> ReflectiveTemplate:
     run; the placeholders are structural and are never string-substituted
     at decode time.
     """
+    if not isinstance(text, str):
+        raise InvalidConfigError(f"template text must be a str, got {text!r}")
     match = _TEMPLATE_RE.match(text)
     if not match:
         raise InvalidConfigError(
@@ -176,8 +176,7 @@ def fuse(
     is the only finiteness check: a NaN or infinity on either side reaches
     the fused sum (at alpha 0 or 1 as 0*inf, a NaN), so it raises there.
     """
-    if not 0.0 <= setting_real("alpha", alpha) <= 1.0:
-        raise InvalidConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = setting_real("alpha", alpha, 0, 1)
     n = len(original)
     if len(reflective) != n:
         raise InvalidLogitsError(f"original and reflective differ in length: {n} vs {len(reflective)}")

@@ -45,7 +45,7 @@ VALIDATE_TOL = 1e-9
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package's canonical random stream (PCG64) for ``seed``."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(setting_int("seed", seed, 0)))
 
 
 def derive_seed(*parts: object) -> int:
@@ -64,12 +64,16 @@ def derive_seed(*parts: object) -> int:
 
 def token_ids(tokens: Sequence[int], vocab_size: int) -> list[int]:
     """``tokens`` as plain ints in ``[0, vocab_size)``; numpy integers pass.
-    ``InvalidTokenError`` names the first token outside the vocabulary, or
-    a value that is not an integer: 1.9, which ``int`` would truncate to 1."""
+    ``InvalidTokenError`` names the first token outside the vocabulary, a
+    value that is not an integer (1.9, which ``int`` would truncate to 1)
+    or a ``tokens`` that is no sequence."""
     try:
         ids = [_as_int(t) for t in tokens]
     except TypeError:
-        bad = next(t for t in tokens if not isinstance(t, numbers.Integral))
+        try:
+            bad = next(t for t in tokens if not isinstance(t, numbers.Integral))
+        except TypeError:
+            raise InvalidTokenError(f"tokens must be a sequence, got {tokens!r}") from None
         raise InvalidTokenError(f"token {bad!r} is not an integer") from None
     for t in ids:
         if not 0 <= t < vocab_size:
@@ -77,21 +81,40 @@ def token_ids(tokens: Sequence[int], vocab_size: int) -> list[int]:
     return ids
 
 
-def setting_int(name: str, value: object) -> int:
-    """``value`` through ``operator.index``, so numpy integers pass, or an
-    ``InvalidConfigError`` naming the setting: 1.5, which ``int`` truncates."""
+def setting_int(name: str, value: object, low: int | None = None, high: int | None = None) -> int:
+    """``value`` through ``operator.index``, so numpy integers and bools pass
+    but 1.5, which ``int`` truncates, does not; in [low, high] if given."""
     try:
-        return _as_int(value)
+        number = _as_int(value)
     except TypeError:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+    if (low is not None and number < low) or (high is not None and number > high):
+        raise _out_of_range(name, value, low, high)
+    return number
 
 
-def setting_real(name: str, value: object) -> float:
-    """``value`` as a float, or an ``InvalidConfigError`` naming the setting:
-    "0.3", which ``float`` parses. A bool counts as its number."""
+def setting_real(name: str, value: object, low: float | None = None, high: float | None = None) -> float:
+    """``value`` as a float, in [low, high] if given, but not "0.3", which
+    ``float`` parses. A bool counts as its number."""
     if not isinstance(value, (float, int, numbers.Real)):  # the ABC alone costs ~700 ns
         raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if (low is not None and not number >= low) or (high is not None and not number <= high):
+        raise _out_of_range(name, value, low, high)  # NaN too
+    return number
+
+
+def setting_flag(name: str, value: object) -> bool:
+    """``value`` as a bool, numpy's included, but not "no", which is truthy."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _out_of_range(name: str, value: object, low: float | None, high: float | None) -> Exception:
+    """The one message of a setting reader's range."""
+    bound = f"be >= {low}" if high is None else f"be <= {high}" if low is None else f"lie in [{low}, {high}]"
+    return InvalidConfigError(f"{name} must {bound}, got {value!r}")
 
 
 def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -187,7 +210,7 @@ def softmax(logits: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
 
 def one_hot(token: int, vocab_size: int) -> np.ndarray:
     """Distribution putting all mass on ``token``."""
-    out = np.zeros(vocab_size, dtype=np.float64)
+    out = np.zeros(setting_int("vocab_size", vocab_size, 1), dtype=np.float64)
     out[token_ids([token], vocab_size)] = 1.0
     return out
 

@@ -61,6 +61,7 @@ from .tokens import (
     entropy,
     inverse_cdf,
     sample_rows,
+    setting_flag,
     setting_real,
     token_ids,
     validate_distribution,
@@ -141,9 +142,8 @@ def verify_exact_match(
     not p(t).
     """
     p, draft = _checked(p_dists, draft_tokens, rng)
-    if not isinstance(greedy_match, (bool, np.bool_)):
-        raise InvalidConfigError(f"greedy_match must be a bool, got {greedy_match!r}")
-    return _exact_match_verdict(p, draft, rng.random(0 if greedy_match else len(draft) + 1))
+    greedy = setting_flag("greedy_match", greedy_match)
+    return _exact_match_verdict(p, draft, rng.random(0 if greedy else len(draft) + 1))
 
 
 def _exact_match_verdict(p: np.ndarray, draft: list[int], u: np.ndarray) -> VerificationResult:

@@ -1,8 +1,9 @@
 """Every module-level private name in the package is used somewhere in it,
 every module-level import is read by its module, every name the package
 exports has a user, every public function, class and constant has a reader
-outside the tests, no handler catches ``InternalConsistencyError``, and
-every constant and attribute README's code names exists.
+outside the tests, no handler catches ``InternalConsistencyError``, only
+the setting readers write a setting check's message, and every constant
+and attribute README's code names exists.
 
 A private helper that nothing in ``src/`` calls any more is dead code, and
 so is an import its module never reads or a public function only tests
@@ -28,14 +29,11 @@ PACKAGE = ROOT / "src" / "reflectspec"
 EXPORTS_KEPT = {
     "ReportRow": "the row type run_sweep returns",
     "ReflectiveLayout": "the layout type build_reflective_input returns",
-    "one_hot": "the acceptance suite imports it",
 }
 
 # Public module-level functions and classes that no other statement of the
 # package, no perfbench file and no README code span reads, and why each stays.
-PUBLIC_KEPT = {
-    "one_hot": "the acceptance suite imports it",
-}
+PUBLIC_KEPT: dict[str, str] = {}
 
 # Names README's code spans take from outside the package.
 README_EXTERNAL = {"np": numpy, "dataclasses": dataclasses, "PCG64": numpy.random.PCG64}
@@ -219,6 +217,62 @@ def test_no_handler_names_the_fault_class():
     ]
     assert handlers == []
     assert not issubclass(InternalConsistencyError, ReflectSpecError)
+
+
+# The messages of the setting readers (``tokens.setting_int``,
+# ``setting_real`` and ``setting_flag``): a check in one of these shapes is
+# written by a reader, or it is one of ``SHAPES_KEPT``.
+READER_SHAPES = ("must be an integer", "must be a real number", "must be a bool", "must lie in [", "must be >=")
+READERS = {"tokens.setting_int", "tokens.setting_real", "tokens.setting_flag"}
+SHAPES_KEPT = {
+    "models.TableModel.__init__": "the seed's interval is half-open, [-2**63, 2**63), as README quotes it",
+    "tokens.softmax": "a per-row kernel: its temperature check stays one comparison, with no reader call",
+    "tokens.sampling_distribution": "a per-row kernel: its temperature check stays as softmax's does",
+    "cli._jobs": "argparse's usage error (exit 2) for --jobs, raised as an ArgumentTypeError",
+}
+
+
+def shape_writers(tree: ast.AST, scope: str) -> set[str]:
+    """The innermost def or class, as ``module.name``, of each string of
+    ``tree`` (f-string parts and docstrings too) that holds a reader shape."""
+    writers = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            writers |= shape_writers(node, f"{scope}.{node.name}")
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if any(shape in node.value for shape in READER_SHAPES):
+                writers.add(scope)
+        writers |= shape_writers(node, scope)
+    return writers
+
+
+def test_only_the_setting_readers_write_their_messages():
+    """A setting's type and closed range are read by ``tokens``'s readers,
+    so each such message has one shape and one writer; a hand-written check
+    in that shape is a second rule for the same decision."""
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        writers |= shape_writers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(writers - READERS - SHAPES_KEPT.keys()) == []
+    # A kept check that goes, or stops writing the shape, leaves the list.
+    assert sorted(SHAPES_KEPT.keys() - writers) == []
+
+
+def test_the_reader_shape_audit_flags_a_hand_written_check():
+    source = '''
+class Spec:
+    def __post_init__(self):
+        if self.order < 1:
+            raise InvalidConfigError(f"order must be >= 1, got {self.order}")
+
+def fuse(alpha):
+    """alpha must lie in [0, 1]."""
+
+def check(epsilon):
+    raise InvalidConfigError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+'''
+    assert shape_writers(ast.parse(source), "m") == {"m.Spec.__post_init__", "m.fuse"}
 
 
 def unresolved_names(spans: list[str]) -> list[str]:

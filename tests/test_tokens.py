@@ -1,6 +1,7 @@
 """Kernel tests: softmax, entropy, sampling, greedy, and seed derivation."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -21,6 +22,8 @@ from reflectspec.tokens import (
     one_hot,
     sample,
     sampling_distribution,
+    setting_flag,
+    setting_int,
     setting_real,
     softmax,
     validate_distribution,
@@ -152,6 +155,82 @@ class TestSettingReal:
     def test_anything_else_is_named(self, value, shown):
         with pytest.raises(InvalidConfigError, match=f"^alpha must be a real number, got {shown}$"):
             setting_real("alpha", value)
+
+
+NAMES = st.sampled_from(["alpha", "gamma", "vocab_size"])
+BOUNDS = st.one_of(st.none(), st.integers(min_value=-5, max_value=5))
+
+
+def range_message(name, value, low, high):
+    """The one message of a value outside a reader's closed range."""
+    bound = f"be >= {low}" if high is None else f"be <= {high}" if low is None else f"lie in [{low}, {high}]"
+    return f"{name} must {bound}, got {value!r}"
+
+
+def outside(number, low, high):
+    return (low is not None and not number >= low) or (high is not None and not number <= high)
+
+
+class TestSettingReaders:
+    """The law of ``setting_int``, ``setting_real`` and ``setting_flag``:
+    an accepted value comes back as its plain int, float or bool, and
+    anything else is an ``InvalidConfigError`` naming the setting."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=NAMES, low=BOUNDS, high=BOUNDS, n=st.integers(min_value=-8, max_value=8),
+        kind=st.sampled_from([int, np.int64, np.int8, bool]),
+    )
+    def test_integers_in_range_pass_as_ints_and_the_rest_is_named(self, name, low, high, n, kind):
+        assume(kind is not bool or n in (0, 1))
+        value = kind(n)
+        if outside(n, low, high):
+            with pytest.raises(InvalidConfigError) as info:
+                setting_int(name, value, low, high)
+            assert str(info.value) == range_message(name, value, low, high)
+        else:
+            got = setting_int(name, value, low, high)
+            assert type(got) is int and got == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=NAMES, low=BOUNDS, high=BOUNDS,
+        value=st.one_of(
+            st.floats(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8),
+            st.sampled_from([math.nan, math.inf, -math.inf, np.float32(0.25), np.float64(-2.5), True]),
+        ),
+    )
+    def test_reals_in_range_pass_as_floats_and_the_rest_is_named(self, name, low, high, value):
+        number = float(value)
+        if outside(number, low, high):
+            with pytest.raises(InvalidConfigError) as info:
+                setting_real(name, value, low, high)
+            assert str(info.value) == range_message(name, value, low, high)
+        else:
+            got = setting_real(name, value, low, high)
+            assert type(got) is float and (got == number or math.isnan(number))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinities_lie_outside_a_closed_range(self, value):
+        with pytest.raises(InvalidConfigError, match=rf"^alpha must lie in \[0, 1\], got {value!r}$"):
+            setting_real("alpha", value, 0, 1)
+        with pytest.raises(InvalidConfigError, match=rf"^gamma must be an integer, got {value!r}$"):
+            setting_int("gamma", value, 0, 1)
+
+    @pytest.mark.parametrize("value", [1.5, "2", None, np.float64(2.0)])
+    def test_an_integer_setting_that_is_no_integer_is_named(self, value):
+        with pytest.raises(InvalidConfigError, match=f"^gamma must be an integer, got {re.escape(repr(value))}$"):
+            setting_int("gamma", value, 1)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+    def test_bools_pass_as_bools(self, value):
+        got = setting_flag("reflect", value)
+        assert type(got) is bool and got == value
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.int64(1), 1.0])
+    def test_a_flag_that_is_no_bool_is_named(self, value):
+        with pytest.raises(InvalidConfigError, match=f"^reflect must be a bool, got {re.escape(repr(value))}$"):
+            setting_flag("reflect", value)
 
 
 class TestEntropy:
