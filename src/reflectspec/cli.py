@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ReflectSpecError, OSError, ValueError, MemoryError) as exc:
+    except (ReflectSpecError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.add_argument(
         "--timing", action="store_true", help="print toy-backend wall time on stdout"
     )
-    p_decode.add_argument("--verbose", "-v", action="store_true", help="print per-step detail")
     p_decode.set_defaults(func=cmd_decode)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and write a report file")
@@ -281,8 +280,6 @@ def build_spec(args, seeds: tuple[int, ...]) -> tuple[IntTokenizer | WordTokeniz
     marker = args.marker
     if marker is None:
         marker = tokenizer.encode(BACK_WORD, extend=True)[0]
-    if tokenizer.vocab_size < 2:
-        raise InvalidConfigError("effective vocabulary must hold at least two tokens")
     spec = SweepSpec(
         prompts=tuple(tuple(p) for p in prompts),
         base=ModelSpec(
@@ -344,9 +341,6 @@ def cmd_decode(args) -> int:
         print("acceptance by position:", " ".join(f"{r:.3f}" for r in rates))
         print(f"mean input budget/step: {stats.total_input_tokens / stats.num_steps:.2f}")
         print(f"draft forwards: {stats.total_draft_forwards}")
-    if args.verbose:
-        for i, s in enumerate(stats.steps):
-            print(f"  step {i}: accepted {s.accepted_n}, emitted {s.tokens_emitted}")
     if args.timing:
         print(f"wall time: {wall_time:.4f}s (toy backends; not a production throughput number)")
     if args.out:

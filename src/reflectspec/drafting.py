@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .models import ModelSession
-from .tokens import inverse_cdf, setting_int
+from .tokens import check_rng, inverse_cdf, setting_int
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def generate_draft(session: ModelSession, gamma: int, rng: np.random.Generator) 
     gamma = setting_int("gamma", gamma, 1)  # a bool is no length to rng.random
     if session.temperature is None:
         raise InvalidConfigError("the draft session caches logits: build it with a temperature")
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    check_rng(rng)
     tokens: list[int] = []
     dists: list[np.ndarray] = []
     q = session.last_row

@@ -2,12 +2,12 @@
 
 A ``ReflectSpecError`` is caused by the caller (a setting, token, file or
 input) and names the argument: ``CellRunner.run``, ``selftest.run_all`` and
-``cli.main`` record or print it. Every export returns a correct result or
-raises one; no input is coerced silently: 1.5 is no integer setting, "0.3"
-no real one. An ``InternalConsistencyError`` means an invariant broke; it
-is no ``ReflectSpecError``, and no handler catches it. No package check
-raises it, since every condition a call checks is its caller's input; it is
-kept for code that must let a fault through by name.
+``cli.main`` record or print it. Every export but three kernels that trust
+validated rows (``entropy``, ``residual_distribution``, ``typical_threshold``)
+returns a correct result or raises one, coercing no input silently: 1.5 is
+no integer setting, "0.3" no real one. An ``InternalConsistencyError`` (no
+``ReflectSpecError``) means an invariant broke: no package check raises it,
+no handler catches it, and it is kept for code that must let a fault through.
 """
 
 

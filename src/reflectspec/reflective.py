@@ -180,9 +180,7 @@ def fuse(
     n = len(original)
     if len(reflective) != n:
         raise InvalidLogitsError(f"original and reflective differ in length: {n} vs {len(reflective)}")
-    pair = stack_rows([*original, *reflective])
-    if pair.ndim != 2:
-        raise InvalidLogitsError(f"logit rows must be 1-D vectors, got block shape {pair.shape}")
+    pair = stack_rows([*original, *reflective], ndims=(2,))
     fused, r = pair[:n], pair[n:]
     with np.errstate(invalid="ignore"):  # 0 * inf: the check below refuses the NaN
         fused *= 1.0 - alpha

@@ -14,12 +14,12 @@ Conventions used throughout the package:
 - Categorical sampling is inverse-CDF over ascending token id and consumes
   exactly one uniform draw per sampled token.
 
-Arrays are validated once, where they enter: ``validate_logits`` and
-``softmax`` check logits, ``validate_distribution`` and
-``distribution_block`` distributions, and ``sample`` its argument.
-``entropy``, ``inverse_cdf`` and ``sample_rows`` trust an already validated
-row or block; a softmax or one-hot of validated logits is a distribution by
-construction.
+``stack_rows`` reads every array a caller passes, and arrays are validated
+once, where they enter: ``validate_logits`` and ``softmax`` check logits,
+``validate_distribution`` and ``distribution_block`` distributions, and
+``sample`` its argument. ``entropy``, ``inverse_cdf`` and ``sample_rows``
+trust an already validated row or block; a softmax or one-hot of validated
+logits is a distribution by construction.
 """
 
 from __future__ import annotations
@@ -66,15 +66,17 @@ def token_ids(tokens: Sequence[int], vocab_size: int) -> list[int]:
     """``tokens`` as plain ints in ``[0, vocab_size)``; numpy integers pass.
     ``InvalidTokenError`` names the first token outside the vocabulary, a
     value that is not an integer (1.9, which ``int`` would truncate to 1)
-    or a ``tokens`` that is no sequence."""
+    or a ``tokens`` that is no sequence, and reads ``tokens`` once."""
+    ids = []  # a loop, not a comprehension: faster at a feed's few tokens
     try:
-        ids = [_as_int(t) for t in tokens]
+        for item in tokens:
+            ids.append(_as_int(item))
     except TypeError:
         try:
-            bad = next(t for t in tokens if not isinstance(t, numbers.Integral))
+            iter(tokens)  # reads no item: an iterator returns itself
         except TypeError:
             raise InvalidTokenError(f"tokens must be a sequence, got {tokens!r}") from None
-        raise InvalidTokenError(f"token {bad!r} is not an integer") from None
+        raise InvalidTokenError(f"token {item!r} is not an integer") from None
     for t in ids:
         if not 0 <= t < vocab_size:
             raise InvalidTokenError(f"token {t} outside vocabulary of size {vocab_size}")
@@ -117,6 +119,12 @@ def _out_of_range(name: str, value: object, low: float | None, high: float | Non
     return InvalidConfigError(f"{name} must {bound}, got {value!r}")
 
 
+def check_rng(rng: object) -> None:
+    """Raise ``InvalidConfigError`` unless ``rng`` is a numpy ``Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
+
+
 def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a finite, non-empty float64 logit vector or ``(n, V)`` block,
     or raise ``InvalidLogitsError``."""
@@ -126,11 +134,7 @@ def validate_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
 def _finite_logits(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float]:
     """``validate_logits`` plus the largest logit magnitude, which is the
     reduction that checks finiteness (NaN and infinities propagate to it)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.size == 0:
-        raise InvalidLogitsError(
-            f"logits must be a non-empty 1-D vector or (n, V) block, got shape {arr.shape}"
-        )
+    arr = stack_rows(values)
     peak = float(np.maximum.reduce(np.abs(arr), axis=None))
     if not peak < math.inf:
         raise InvalidLogitsError("logits contain non-finite values")
@@ -139,39 +143,44 @@ def _finite_logits(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, fl
 
 def validate_distribution(probs: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a valid probability vector or raise ``InvalidDistributionError``."""
-    return _check_probabilities(np.asarray(probs, dtype=np.float64), ndim=1)
+    return _check_probabilities(stack_rows(probs, InvalidDistributionError, (1,)))
 
 
 def stack_rows(
-    rows: Sequence[np.ndarray] | np.ndarray, error: type[Exception] = InvalidLogitsError
+    rows: Sequence[np.ndarray] | np.ndarray, error: type[Exception] = InvalidLogitsError, ndims=(1, 2)
 ) -> np.ndarray:
-    """Per-position rows as one float64 array; rows of different shapes are
-    the caller's ``error``, which names the shapes."""
+    """A caller's array, or its per-position rows, as one non-empty float64
+    array of one of ``ndims`` dimensions, or else the caller's ``error``,
+    also for what numpy refuses: ragged rows (named by shape), strings."""
+    noun = "logits" if error is InvalidLogitsError else "distribution"
     try:
-        return np.asarray(rows, dtype=np.float64)
-    except ValueError:
-        shapes = sorted({np.shape(row) for row in rows})
+        arr = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        try:
+            shapes = sorted({np.shape(row) for row in rows})
+        except (TypeError, ValueError):  # no rows, or ragged ones
+            shapes = []
         if len(shapes) > 1:
             raise error(f"per-position rows differ in width: shapes {shapes}") from None
-        raise
+        raise error(f"{noun} must be an array of real numbers: {exc}") from None
+    if arr.ndim not in ndims or arr.size == 0:
+        dims = " or ".join(f"{n}-D" for n in ndims)
+        raise error(f"{noun} must be a non-empty {dims} sequence, got shape {arr.shape}")
+    return arr
 
 
 def distribution_block(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Per-position distributions as one ``(n, V)`` block, every row validated."""
-    return _check_probabilities(stack_rows(rows, InvalidDistributionError), ndim=2)
+    return _check_probabilities(stack_rows(rows, InvalidDistributionError, (2,)))
 
 
-def _check_probabilities(arr: np.ndarray, ndim: int) -> np.ndarray:
-    """Non-empty, finite, non-negative, and summing to 1 along the last axis."""
-    if arr.ndim != ndim or arr.size == 0:
-        raise InvalidDistributionError(
-            f"distribution must be a non-empty {ndim}-D sequence, got shape {arr.shape}"
-        )
+def _check_probabilities(arr: np.ndarray) -> np.ndarray:
+    """Finite, non-negative, and summing to 1 along the last axis."""
     # A minimum >= 0 rules out NaN and -inf and a total near 1 rules out +inf,
     # so one min and one sum pass a valid array; the rest names the fault.
     low = arr.min()
-    totals = arr.sum(axis=-1).tolist()
-    off = [t for t in (totals if ndim == 2 else [totals]) if abs(t - 1.0) > VALIDATE_TOL]
+    totals = arr.sum(axis=-1).tolist()  # a list for a block, a float for a row
+    off = [t for t in (totals if isinstance(totals, list) else [totals]) if abs(t - 1.0) > VALIDATE_TOL]
     if low >= 0.0 and not off:
         return arr
     if not np.isfinite(arr).all():
@@ -253,8 +262,7 @@ def sample(dist: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
     Consumes exactly one uniform from ``rng``; identical stream state and
     distribution always produce the identical token.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    check_rng(rng)
     return inverse_cdf(validate_distribution(dist), rng.random())
 
 

@@ -57,6 +57,7 @@ from .errors import (
     InvalidTokenError,
 )
 from .tokens import (
+    check_rng,
     distribution_block,
     entropy,
     inverse_cdf,
@@ -250,8 +251,7 @@ def _checked(
 ) -> tuple[np.ndarray, list[int]]:
     """The verifier block, one row per draft position plus the bonus row,
     and the draft as tokens of its vocabulary; ``rng`` must be a generator."""
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    check_rng(rng)
     try:
         gamma = len(draft_tokens)
     except TypeError:

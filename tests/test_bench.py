@@ -200,6 +200,8 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfigError):
             make_spec(alphas=())
+        with pytest.raises(InvalidConfigError, match="^sweep prompt set must be non-empty$"):
+            make_spec(prompts=())
 
     @pytest.mark.parametrize("text", [DEFAULT_TEMPLATE_TEXT, "${draft}"])
     def test_negative_prefix_len_rejected(self, text):

@@ -166,7 +166,7 @@ class TestParser:
                 if not set(a.option_strings) & own
             ]
 
-        decode_settings = settings("decode", {"--out", "--full-stats", "--timing", "--verbose"})
+        decode_settings = settings("decode", {"--out", "--full-stats", "--timing"})
         assert decode_settings == settings("sweep", {"--seeds", "--out", "--format", "--jobs", "--timing"})
         flags = {f for option_strings, *_ in decode_settings for f in option_strings}
         assert {"--alpha", "--strategy", "--prompt", "--prompt-file", "--template-file"} <= flags
@@ -382,6 +382,25 @@ class TestDecodeCommand:
         assert main(["decode", "--prompt", "1 2", "--max-tokens", "4", "--timing"]) == 0
         [line] = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wall time:")]
         assert float(line.split()[2].rstrip("s")) >= 0.05
+
+    def test_a_value_error_is_a_fault_not_an_error_line(self, capsys, monkeypatch):
+        # numpy's ValueError from a package call is a fault like any other
+        # exception that is no package error.
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "decode", broken)
+        with pytest.raises(ValueError, match="operands could not be broadcast together"):
+            main(["decode", "--prompt", "1 2 3", "--max-tokens", "4"])
+        assert capsys.readouterr().err == ""
+
+    def test_a_prompt_file_that_is_no_utf8_is_one_error_line(self, tmp_path, capsys):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_bytes(b"1 2 \xff\n")
+        assert main(["decode", "--prompt-file", str(prompts), "--max-tokens", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSweepCommand:

@@ -843,6 +843,8 @@ class TestValidation:
             DecodeConfig(max_new_tokens=0)
         with pytest.raises(InvalidConfigError):
             DecodeConfig(entropy_source="bogus")
+        with pytest.raises(InvalidConfigError, match="^unknown exact-match mode 'bogus'$"):
+            DecodeConfig(exact_match_mode="bogus")
 
     @pytest.mark.parametrize("temperature, shown", [(-1, "-1"), (float("nan"), "nan")])
     def test_out_of_range_temperature_rejected_naming_it(self, temperature, shown):

@@ -2,8 +2,9 @@
 every module-level import is read by its module, every name the package
 exports has a user, every public function, class and constant has a reader
 outside the tests, no handler catches ``InternalConsistencyError``, only
-the setting readers write a setting check's message, and every constant
-and attribute README's code names exists.
+the setting readers write a setting check's message, only ``stack_rows``
+reads a caller's array, and every constant and attribute README's code
+names exists.
 
 A private helper that nothing in ``src/`` calls any more is dead code, and
 so is an import its module never reads or a public function only tests
@@ -232,19 +233,30 @@ SHAPES_KEPT = {
 }
 
 
-def shape_writers(tree: ast.AST, scope: str) -> set[str]:
-    """The innermost def or class, as ``module.name``, of each string of
-    ``tree`` (f-string parts and docstrings too) that holds a reader shape."""
-    writers = set()
+def scopes_where(tree: ast.AST, scope: str, hit) -> set[str]:
+    """The innermost def or class, as ``module.name``, of each node of
+    ``tree`` for which ``hit`` holds."""
+    found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            writers |= shape_writers(node, f"{scope}.{node.name}")
+            found |= scopes_where(node, f"{scope}.{node.name}", hit)
             continue
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if any(shape in node.value for shape in READER_SHAPES):
-                writers.add(scope)
-        writers |= shape_writers(node, scope)
-    return writers
+        if hit(node):
+            found.add(scope)
+        found |= scopes_where(node, scope, hit)
+    return found
+
+
+def shape_writers(tree: ast.AST, scope: str) -> set[str]:
+    """The scopes of the strings of ``tree`` (f-string parts and docstrings
+    too) that hold a reader shape."""
+    return scopes_where(
+        tree,
+        scope,
+        lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(shape in node.value for shape in READER_SHAPES),
+    )
 
 
 def test_only_the_setting_readers_write_their_messages():
@@ -273,6 +285,54 @@ def check(epsilon):
     raise InvalidConfigError(f"epsilon must lie in (0, 1], got {epsilon!r}")
 '''
     assert shape_writers(ast.parse(source), "m") == {"m.Spec.__post_init__", "m.fuse"}
+
+
+# The one reader of a caller's array: it alone converts to float64, checks
+# the dimensions and turns numpy's refusals into the package's errors.
+ARRAY_READER = "tokens.stack_rows"
+
+
+def array_readers(tree: ast.AST, scope: str) -> set[str]:
+    """The scopes of ``tree`` that call numpy's ``asarray``, by attribute
+    (``np.asarray``) or by its imported name."""
+    return scopes_where(
+        tree,
+        scope,
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "asarray")
+        or (isinstance(node, ast.Name) and node.id == "asarray"),
+    )
+
+
+def test_only_the_array_reader_reads_a_callers_array():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        readers |= array_readers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert readers == {ARRAY_READER}
+
+
+def test_the_array_reader_audit_flags_a_second_reader():
+    source = '''
+from numpy import asarray
+
+def stack_rows(rows):
+    return np.asarray(rows, dtype=np.float64)
+
+class Check:
+    def validate(self, probs):
+        return asarray(probs)
+'''
+    assert array_readers(ast.parse(source), "m") == {"m.stack_rows", "m.Check.validate"}
+
+
+def test_the_array_readers_callers_check_no_shape():
+    """``validate_logits``, ``validate_distribution``, ``distribution_block``
+    and ``fuse`` read their arrays through ``stack_rows``, which checks the
+    dimensions; the functions behind them read no shape of their own."""
+    for module, name in [("tokens", "_finite_logits"), ("tokens", "_check_probabilities"), ("reflective", "fuse")]:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        [function] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        reads = {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        assert reads.isdisjoint({"shape", "ndim", "size"}), name
 
 
 def unresolved_names(spans: list[str]) -> list[str]:

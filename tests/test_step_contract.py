@@ -124,7 +124,8 @@ def draft(data):
     session = data.draw(sessions())
     gamma = data.draw(st.one_of(st.integers(min_value=-2, max_value=6), MISTAKES))
     n = len(session)
-    result = generate_draft(session, gamma, make_rng(data.draw(st.integers(0, 99))))
+    rng = data.draw(st.one_of(st.integers(0, 99).map(make_rng), MISTAKES))
+    result = generate_draft(session, gamma, rng)
     assert result.gamma == gamma and len(session) == n + gamma - 1
     assert all(q[t] > 0 for t, q in zip(result.tokens, result.q_dists))
 
@@ -152,7 +153,7 @@ CALLS = {
         ("draft tokens", "prefix_len"),
     ),
     "paired_forward": (paired, paired_forward, ("session", "layout"), ("session", "token")),
-    "generate_draft": (draft, generate_draft, ("session", "gamma", "rng"), ("session", "gamma")),
+    "generate_draft": (draft, generate_draft, ("session", "gamma", "rng"), ("session", "gamma", "rng")),
     "commit_and_prune": (
         commit, commit_and_prune, ("target_session", "draft_session", "keep_length", "bonus"),
         ("keep_length", "token"),

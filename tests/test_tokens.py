@@ -15,9 +15,11 @@ from reflectspec.errors import (
     InvalidLogitsError,
     InvalidTokenError,
 )
+from reflectspec.reflective import fuse
 from reflectspec.tokens import (
     derive_seed,
     entropy,
+    inverse_cdf,
     make_rng,
     one_hot,
     sample,
@@ -26,7 +28,14 @@ from reflectspec.tokens import (
     setting_int,
     setting_real,
     softmax,
+    token_ids,
     validate_distribution,
+)
+from reflectspec.verification import (
+    exact_step_distribution,
+    verify_exact_match,
+    verify_speculative_sampling,
+    verify_typical,
 )
 
 finite_logits = st.lists(
@@ -295,6 +304,12 @@ class TestSample:
         with pytest.raises(InvalidConfigError, match="^rng must be a numpy.random.Generator, got None$"):
             sample(np.array([0.1, 0.2, 0.3, 0.4]), None)
 
+    def test_a_uniform_past_the_accumulated_total_picks_the_last_token_with_mass(self):
+        # Ten 0.1s accumulate to the largest float below 1, so the
+        # searchsorted index runs past the row; token 10 has no mass.
+        p = np.array([0.1] * 10 + [0.0])
+        assert inverse_cdf(p, np.nextafter(1.0, 0.0)) == 9
+
 
 def greedy(values) -> int:
     """The token temperature-0 sampling picks from ``values``: the one-hot
@@ -362,6 +377,50 @@ class TestValidation:
     def test_one_hot_range_check(self):
         with pytest.raises(InvalidTokenError):
             one_hot(5, 5)
+
+    def test_a_one_shot_iterator_is_named_by_its_bad_token(self):
+        with pytest.raises(InvalidTokenError, match="^token 'a' is not an integer$"):
+            token_ids(iter([1, "a"]), 8)
+
+
+# Caller arrays numpy refuses, each of which raised numpy's bare
+# ``ValueError`` or ``TypeError`` before ``stack_rows`` read every array.
+P2 = np.array([0.5, 0.5])
+STRINGS = [["a", "b"], ["a", "b"]]
+NUMPY_REFUSED = {
+    "softmax of strings": (lambda rng: softmax(["a", "b"]), InvalidLogitsError),
+    "softmax of a dict": (lambda rng: softmax({}), InvalidLogitsError),
+    "softmax of ragged rows": (lambda rng: softmax([[1, 2], [3]]), InvalidLogitsError),
+    "softmax of an int past float64": (lambda rng: softmax([10**400]), InvalidLogitsError),
+    "sampling_distribution of a string": (lambda rng: sampling_distribution(["a"], 0), InvalidLogitsError),
+    "sample of strings": (lambda rng: sample(["a", "b"], rng), InvalidDistributionError),
+    "exact_step_distribution of ragged rows": (
+        lambda rng: exact_step_distribution([[0.5], [0.5, 0.5]], P2), InvalidDistributionError,
+    ),
+    "verify_exact_match of objects": (
+        lambda rng: verify_exact_match([object(), object()], [1], rng), InvalidDistributionError,
+    ),
+    "verify_speculative_sampling of strings": (
+        lambda rng: verify_speculative_sampling(STRINGS, [P2], [1], rng), InvalidDistributionError,
+    ),
+    "verify_speculative_sampling of string q rows": (
+        lambda rng: verify_speculative_sampling([P2, P2], STRINGS[:1], [1], rng), InvalidDistributionError,
+    ),
+    "verify_typical of strings": (
+        lambda rng: verify_typical(STRINGS, STRINGS, [1], 0.3, 0.2, rng), InvalidDistributionError,
+    ),
+    "fuse of strings": (lambda rng: fuse([["a", "b"]], [["a", "b"]], 0.3, 0.8), InvalidLogitsError),
+}
+
+
+@pytest.mark.parametrize("case", NUMPY_REFUSED)
+def test_an_array_numpy_refuses_is_its_kinds_error(case):
+    call, error = NUMPY_REFUSED[case]
+    rng = make_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(error):
+        call(rng)
+    assert rng.bit_generator.state == before
 
 
 class TestSeedDerivation:

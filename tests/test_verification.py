@@ -391,6 +391,10 @@ CALLER_FAULTS = {
         lambda rng: verify_exact_match([P4, P4], [1], rng, greedy_match="no"),
         InvalidConfigError, r"^greedy_match must be a bool, got 'no'$",
     ),
+    "empty draft": (
+        lambda rng: verify_exact_match([P4], [], rng),
+        InvalidConfigError, r"^verification requires at least one draft token$",
+    ),
 }
 
 
